@@ -46,6 +46,7 @@ __all__ = [
     "emit_table",
     "parse_machine_rows",
     "record_trace",
+    "build_solver",
     "trace_to_csv",
     "solver_seed_for_trial",
     "default_tol",
@@ -110,47 +111,26 @@ class TrialRow:
     status: str
 
     def to_csv(self) -> str:
-        def opt(v):
-            return "" if v is None else repr(float(v))
-
-        return ",".join(
-            [
-                self.family,
-                str(self.n),
-                opt(self.density),
-                opt(self.cond),
-                opt(self.epsilon),
-                self.solver,
-                str(self.trial),
-                repr(float(self.time_s)),
-                str(self.solves),
-                repr(float(self.avgI)),
-                self.status,
-            ]
-        )
+        return ",".join(_CSV_CODECS[f.type][0](getattr(self, f.name))
+                        for f in dataclasses.fields(self))
 
     @staticmethod
     def from_csv(line: str) -> "TrialRow":
         parts = line.split(",")
-        if len(parts) != 11:
-            raise ValueError(f"expected 11 fields, got {len(parts)}: {line!r}")
+        fields = dataclasses.fields(TrialRow)
+        if len(parts) != len(fields):
+            raise ValueError(f"expected {len(fields)} fields, got {len(parts)}: {line!r}")
+        return TrialRow(*(_CSV_CODECS[f.type][1](p) for f, p in zip(fields, parts)))
 
-        def opt(sv):
-            return None if sv == "" else float(sv)
 
-        return TrialRow(
-            family=parts[0],
-            n=int(parts[1]),
-            density=opt(parts[2]),
-            cond=opt(parts[3]),
-            epsilon=opt(parts[4]),
-            solver=parts[5],
-            trial=int(parts[6]),
-            time_s=float(parts[7]),
-            solves=int(parts[8]),
-            avgI=float(parts[9]),
-            status=parts[10],
-        )
+#: Annotated field type -> (write, parse); floats keep full precision, None is "".
+_CSV_CODECS = {
+    "str": (str, str),
+    "int": (str, int),
+    "float": (lambda v: repr(float(v)), float),
+    "float | None": (lambda v: "" if v is None else repr(float(v)),
+                     lambda s: None if s == "" else float(s)),
+}
 
 
 @dataclass
@@ -175,7 +155,12 @@ class IterationTrace:
     rows: tuple[tuple[int, float, int, int], ...]
 
 
-def _build_solver(name: str, options: dict, tol: float, seed: int):
+def build_solver(name: str, options: dict, tol: float, seed: int):
+    """A one-argument callable running solver ``name`` on a problem.
+
+    ``options`` are solver keywords as in :class:`BenchmarkPlan`; ``seed``
+    seeds the randomized solvers.
+    """
     opts = dict(options)
     opts.pop("tol", None)
     if name == "ras":
@@ -204,51 +189,52 @@ def run_plan(plan: BenchmarkPlan) -> list[BenchmarkRecord]:
     """Run every cell for ``plan.trials`` trials and aggregate.
 
     Trials run sequentially (cells and trials are independent, so the record
-    contents besides wall time are invariant to any scheduling).  A trial
-    whose wall time exceeds the limit is recorded with status "Timeout",
-    counted as a failure and excluded from the means; the limit is enforced
-    after the fact since the solvers are single-threaded.  A generator error
-    marks its cell as errored without aborting the rest of the plan.
+    contents besides wall time are invariant to any scheduling).  Cells that
+    share a generator spec run trial by trial together, so each (spec, seed)
+    problem is generated once per plan and only one is held at a time.  A
+    trial whose wall time exceeds the limit is recorded with status
+    "Timeout", counted as a failure and excluded from the means; the limit
+    is enforced after the fact since the solvers are single-threaded.  A
+    generator error marks every cell of its spec as errored, and a solver
+    error its own cell, without aborting the rest of the plan.
     """
-    records = []
-    for spec, solver_name, options in plan.cells:
-        record = BenchmarkRecord(spec=spec, solver=solver_name)
-        tol = float(options.get("tol", default_tol(spec.family)))
-        try:
-            for t in range(plan.trials):
-                trial_seed = plan.base_seed + t
-                problem = generate(dataclasses.replace(spec, seed=trial_seed))
-                run = _build_solver(
-                    solver_name, options, tol, solver_seed_for_trial(trial_seed)
-                )
-                t0 = time.perf_counter()
-                result = run(problem)
-                elapsed = time.perf_counter() - t0
-                status = result.status.value
-                if elapsed > plan.time_limit_per_trial:
-                    status = "Timeout"
-                record.rows.append(
-                    TrialRow(
-                        family=spec.family,
-                        n=spec.n,
-                        density=spec.density,
-                        cond=spec.cond,
-                        epsilon=spec.epsilon,
-                        solver=solver_name,
-                        trial=t,
-                        time_s=elapsed,
-                        solves=result.solves,
-                        avgI=result.avg_subsystem_size,
-                        status=status,
-                    )
-                )
-        except Exception as exc:  # generator/config failure: mark and move on
-            record.error = f"{type(exc).__name__}: {exc}"
-            records.append(record)
-            continue
-        _aggregate(record)
-        records.append(record)
+    records = [BenchmarkRecord(spec=spec, solver=name) for spec, name, _ in plan.cells]
+    by_spec: dict[GeneratorSpec, list] = {}
+    for record, (spec, name, options) in zip(records, plan.cells):
+        by_spec.setdefault(dataclasses.replace(spec, seed=0), []).append((record, options))
+    for spec, cells in by_spec.items():
+        for t in range(plan.trials):
+            try:
+                problem = generate(dataclasses.replace(spec, seed=plan.base_seed + t))
+            except Exception as exc:  # generator failure: mark and move on
+                for record, _ in cells:
+                    record.error = f"{type(exc).__name__}: {exc}"
+                break
+            cells = [cell for cell in cells if _run_trial(plan, problem, t, *cell)]
+    for record in records:
+        if record.error is None:
+            _aggregate(record)
     return records
+
+
+def _run_trial(plan, problem, t, record, options) -> bool:
+    """Run trial t of a cell; on a config or solver error mark it and return False."""
+    spec = record.spec
+    try:
+        tol = float(options.get("tol", default_tol(spec.family)))
+        run = build_solver(record.solver, options, tol, solver_seed_for_trial(plan.base_seed + t))
+        t0 = time.perf_counter()
+        result = run(problem)
+        elapsed = time.perf_counter() - t0
+    except Exception as exc:
+        record.error = f"{type(exc).__name__}: {exc}"
+        return False
+    status = "Timeout" if elapsed > plan.time_limit_per_trial else result.status.value
+    record.rows.append(TrialRow(
+        family=spec.family, n=spec.n, density=spec.density, cond=spec.cond,
+        epsilon=spec.epsilon, solver=record.solver, trial=t, time_s=elapsed,
+        solves=result.solves, avgI=result.avg_subsystem_size, status=status))
+    return True
 
 
 def _aggregate(record: BenchmarkRecord) -> None:

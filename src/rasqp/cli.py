@@ -19,6 +19,7 @@ from pathlib import Path
 from .bench import (
     SOLVER_NAMES,
     BenchmarkPlan,
+    build_solver,
     default_tol,
     emit_table,
     record_trace,
@@ -27,22 +28,8 @@ from .bench import (
     trace_to_csv,
 )
 from .generators import GeneratorSpec, generate
-from .model import (
-    NotPositiveDefiniteError,
-    NotSymmetricError,
-    Status,
-    kkt_residual,
-)
-from .problem_io import ProblemFileError, load_problem
-from .solvers import (
-    GenericRasConfig,
-    KrConfig,
-    RasConfig,
-    fletcher_solve,
-    generic_ras_solve,
-    kr_solve,
-    ras_solve,
-)
+from .model import Status, kkt_residual
+from .problem_io import load_problem
 
 __all__ = ["main", "cmd_solve", "cmd_bench", "cmd_trace"]
 
@@ -158,30 +145,19 @@ def _family_specs(args, ns: list[int]) -> list[GeneratorSpec]:
     return specs
 
 
-def _run_named_solver(name: str, problem, tol: float, seed: int, max_solves: int = 10_000):
-    if name == "ras":
-        return ras_solve(problem, RasConfig(tol=tol, seed=seed, max_solves=max_solves))
-    if name == "generic":
-        return generic_ras_solve(
-            problem, GenericRasConfig(tol=tol, seed=seed, max_solves=max_solves)
-        )
-    if name == "kr":
-        return kr_solve(problem, KrConfig(tol=tol))
-    return fletcher_solve(problem, tol=tol)
-
-
 def cmd_solve(args) -> int:
     try:
         loaded = load_problem(args.path)
     except FileNotFoundError:
         print(f"rasqp: cannot read {args.path}", file=sys.stderr)
         return 1
-    except (ProblemFileError, NotPositiveDefiniteError, NotSymmetricError) as exc:
+    except ValueError as exc:  # malformed file, non-finite, asymmetric or non-PD matrix
         print(f"rasqp: {args.path}: {exc}", file=sys.stderr)
         return 1
     problem = loaded.problem
-    result = _run_named_solver(args.solver, problem, args.tol, args.seed, args.max_solves)
-    stat, primal, dual, comp = kkt_residual(problem, result.point, args.tol)
+    options = {"max_solves": args.max_solves} if args.solver in ("ras", "generic") else {}
+    result = build_solver(args.solver, options, args.tol, args.seed)(problem)
+    stat, primal, dual, comp = kkt_residual(problem, result.point)
     if args.machine:
         print(
             f"{result.status.value},{result.objective!r},{result.solves},"
@@ -239,7 +215,7 @@ def cmd_trace(args) -> int:
         raise _UsageError(f"rasqp: error: {exc}")
     problem = generate(spec)
     tol = args.tol if args.tol is not None else default_tol(fam)
-    result = _run_named_solver(args.solver, problem, tol, solver_seed_for_trial(args.seed))
+    result = build_solver(args.solver, {}, tol, solver_seed_for_trial(args.seed))(problem)
     csv = trace_to_csv(record_trace(result, args.solver))
     if args.output is None:
         print(csv, end="")

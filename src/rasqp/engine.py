@@ -8,15 +8,25 @@ parts:
 
 (a zero-valued inactive variable counts as infeasible; an active variable
 with s_j exactly at -tol counts as feasible).  A randomized method then picks
-a subset of Im u Am to exchange between I and A.  The refined selection rule
-tracked here remembers, for every currently infeasible index, which of the
-previous iteration's six sets it came from, and applies one exchange
-probability per origin category.
+a subset of Im u Am to exchange between I and A.
 
-All index sets are sorted int64 arrays.  Random draws are consumed in a
-fixed, documented order (one uniform per element; Im-side categories before
-Am-side, each in ascending index order), which makes every seeded run
-reproducible.
+Between iterations each index carries two pieces of state: whether it is in
+I or in A (a boolean ``inactive`` mask, which :func:`next_sets` flips), and
+an ``int8`` origin label recording what the previous selection did with it:
+``FEASIBLE`` (it was feasible), ``FROZEN`` (it was infeasible and kept) or
+``EXCHANGED`` (it was infeasible and moved).  An infeasible index's origin
+category is its label together with the side it is on now; an index in Im
+labelled ``EXCHANGED``, for instance, has just moved in from A (NImc).  The
+refined selection rule applies one exchange probability per category.
+Before the first selection every index is labelled ``FROZEN``.
+
+Index sets (I, A, the infeasible parts, the six categories and the
+selections) are sorted int64 arrays built with O(n) masks and gathers.
+Random draws are consumed in a fixed, documented order: one uniform per
+element, Im-side categories before Am-side ones, ascending index order
+inside each.  Each selection makes one draw of length |Im| + |Am|, which
+yields the same numbers as consecutive per-category draws, so every seeded
+run is reproducible.
 """
 
 from __future__ import annotations
@@ -30,12 +40,14 @@ from .model import KktPoint
 
 __all__ = [
     "Partition",
-    "History",
     "Categories",
     "ChangeProbabilities",
-    "CategoryLeakError",
+    "FEASIBLE",
+    "FROZEN",
+    "EXCHANGED",
     "classify",
     "categorize",
+    "origin_labels",
     "rand_subset",
     "select_exchange_generic",
     "select_exchange_ras",
@@ -43,16 +55,15 @@ __all__ = [
     "exchange_asymmetry_montecarlo",
 ]
 
+#: Origin labels: what the previous selection did with an index.
+FEASIBLE, FROZEN, EXCHANGED = 0, 1, 2
+
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _as_index_array(ix) -> np.ndarray:
     a = np.asarray(ix, dtype=np.int64)
     return a if a.ndim == 1 else a.reshape(-1)
-
-
-class CategoryLeakError(RuntimeError):
-    """The six origin categories failed to partition Im u Am (bookkeeping bug)."""
 
 
 @dataclass(frozen=True)
@@ -77,31 +88,8 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class History:
-    """The previous iteration's six sets.
-
-    Invariant (after any real step): previous I = Ip0 u Imf u Amc and
-    previous A = Ap0 u Amf u Imc.  At initialization Imf = Amf = {0..n-1} and
-    the other four are empty, which makes the first iteration treat every
-    infeasible index as "previously frozen".
-    """
-
-    Ip0: np.ndarray
-    Ap0: np.ndarray
-    Imc: np.ndarray
-    Amc: np.ndarray
-    Imf: np.ndarray
-    Amf: np.ndarray
-
-    @staticmethod
-    def initial(n: int) -> "History":
-        full = np.arange(n, dtype=np.int64)
-        return History(_EMPTY, _EMPTY, _EMPTY, _EMPTY, full, full.copy())
-
-
-@dataclass(frozen=True)
 class Categories:
-    """Currently infeasible indexes, classified by their previous location.
+    """Currently infeasible indexes, classified by their origin label.
 
     Im splits into NImp0 (were feasible inactive), NImf (were infeasible
     inactive but kept), NImc (were just moved in from A); Am splits into
@@ -150,10 +138,8 @@ def classify(point: KktPoint, I, A, tol: float) -> Partition:
         raise ValueError("tol must be >= 0")
     I = _as_index_array(I)
     A = _as_index_array(A)
-    x_I = point.x[I]
-    s_A = point.s[A]
-    im_mask = x_I <= 0.0
-    am_mask = s_A < -tol
+    im_mask = point.x[I] <= 0.0
+    am_mask = point.s[A] < -tol
     return Partition(
         I=I,
         A=A,
@@ -164,26 +150,38 @@ def classify(point: KktPoint, I, A, tol: float) -> Partition:
     )
 
 
-def categorize(partition: Partition, history: History) -> Categories:
-    """Intersect Im and Am with the previous iteration's sets.
+def categorize(partition: Partition, origin: np.ndarray) -> Categories:
+    """Split Im and Am by the origin label of each index.
 
-    Because the previous I was Ip0 u Imf u Amc (disjoint), the three
-    Im-side intersections partition Im, and symmetrically for Am.  A failure
-    of that accounting raises :class:`CategoryLeakError`.
+    ``origin`` holds one label per index (see :func:`origin_labels`).  Every
+    index has exactly one label, so the three Im-side categories partition
+    Im and the three Am-side ones partition Am.
     """
-    cats = Categories(
-        NImp0=np.intersect1d(partition.Im, history.Ip0),
-        NImf=np.intersect1d(partition.Im, history.Imf),
-        NImc=np.intersect1d(partition.Im, history.Amc),
-        NAmp0=np.intersect1d(partition.Am, history.Ap0),
-        NAmf=np.intersect1d(partition.Am, history.Amf),
-        NAmc=np.intersect1d(partition.Am, history.Imc),
+    Im, Am = partition.Im, partition.Am
+    im, am = origin[Im], origin[Am]
+    return Categories(
+        NImp0=Im[im == FEASIBLE],
+        NImf=Im[im == FROZEN],
+        NImc=Im[im == EXCHANGED],
+        NAmp0=Am[am == FEASIBLE],
+        NAmf=Am[am == FROZEN],
+        NAmc=Am[am == EXCHANGED],
     )
-    if len(cats.NImp0) + len(cats.NImf) + len(cats.NImc) != len(partition.Im):
-        raise CategoryLeakError("Im not covered by {Ip0, Imf, Amc}")
-    if len(cats.NAmp0) + len(cats.NAmf) + len(cats.NAmc) != len(partition.Am):
-        raise CategoryLeakError("Am not covered by {Ap0, Amf, Imc}")
-    return cats
+
+
+def origin_labels(partition: Partition, Imc, Amc) -> np.ndarray:
+    """Labels after a selection on ``partition`` that exchanged Imc and Amc.
+
+    Feasible indexes become ``FEASIBLE``, the exchanged ones ``EXCHANGED``
+    and the infeasible indexes kept in place ``FROZEN``.  An empty selection
+    therefore marks every infeasible index as frozen.
+    """
+    origin = np.full(partition.n, FEASIBLE, dtype=np.int8)
+    origin[partition.Im] = FROZEN
+    origin[partition.Am] = FROZEN
+    origin[Imc] = EXCHANGED
+    origin[Amc] = EXCHANGED
+    return origin
 
 
 def rand_subset(indexes, probs, rng: np.random.Generator) -> np.ndarray:
@@ -203,60 +201,62 @@ def rand_subset(indexes, probs, rng: np.random.Generator) -> np.ndarray:
     return indexes[rng.random(len(indexes)) < p]
 
 
+def _split(ix: np.ndarray, hit: np.ndarray):
+    return ix[hit], ix[~hit]
+
+
 def select_exchange_generic(partition: Partition, p_Im, p_Am, sigma: float, rng):
     """One-shot random exchange selection with probabilities in [sigma, 1-sigma].
 
     Returns (Imc, Imf, Amc, Amf) where Imc/Imf partition Im and Amc/Amf
-    partition Am.  Draws are consumed for Im first, then Am.
+    partition Am.  One draw covers Im, then Am, each in ascending order.
     """
     if not 0.0 < sigma <= 0.5:
         raise ValueError("sigma must lie in (0, 0.5]")
-    for p, m in ((p_Im, partition.Im), (p_Am, partition.Am)):
-        arr = np.broadcast_to(np.asarray(p, dtype=np.float64), m.shape)
-        if arr.size and (arr.min() < sigma - 1e-15 or arr.max() > 1.0 - sigma + 1e-15):
-            raise ValueError(f"probabilities must lie in [{sigma}, {1.0 - sigma}]")
-    Imc = rand_subset(partition.Im, p_Im, rng)
-    Amc = rand_subset(partition.Am, p_Am, rng)
-    return Imc, np.setdiff1d(partition.Im, Imc), Amc, np.setdiff1d(partition.Am, Amc)
+    Im, Am = partition.Im, partition.Am
+    p = np.concatenate([
+        np.broadcast_to(np.asarray(p_Im, dtype=np.float64), Im.shape),
+        np.broadcast_to(np.asarray(p_Am, dtype=np.float64), Am.shape),
+    ])
+    if p.size and (p.min() < sigma - 1e-15 or p.max() > 1.0 - sigma + 1e-15):
+        raise ValueError(f"probabilities must lie in [{sigma}, {1.0 - sigma}]")
+    hit = rng.random(p.size) < p
+    return (*_split(Im, hit[:len(Im)]), *_split(Am, hit[len(Im):]))
 
 
 def select_exchange_ras(cats: Categories, probs: ChangeProbabilities, rng):
     """Category-wise random exchange selection.
 
-    Each origin category is thinned with its own probability; the union of
-    the Im-side picks is Imc and of the Am-side picks is Amc.  Draw order is
-    NImp0, NImf, NImc, then NAmp0, NAmf, NAmc (each ascending).
+    Each origin category is thinned with its own probability; the Im-side
+    picks form Imc and the Am-side picks Amc.  Returns sorted (Imc, Imf,
+    Amc, Amf) like :func:`select_exchange_generic`.  Draw order is NImp0,
+    NImf, NImc, then NAmp0, NAmf, NAmc (each ascending), in one draw.
     """
-    imc = [
-        rand_subset(cats.NImp0, probs.p1, rng),
-        rand_subset(cats.NImf, probs.p2, rng),
-        rand_subset(cats.NImc, probs.p3, rng),
-    ]
-    amc = [
-        rand_subset(cats.NAmp0, probs.p4, rng),
-        rand_subset(cats.NAmf, probs.p5, rng),
-        rand_subset(cats.NAmc, probs.p6, rng),
-    ]
-    Imc = np.union1d(np.union1d(imc[0], imc[1]), imc[2]).astype(np.int64)
-    Amc = np.union1d(np.union1d(amc[0], amc[1]), amc[2]).astype(np.int64)
-    Im = np.union1d(np.union1d(cats.NImp0, cats.NImf), cats.NImc).astype(np.int64)
-    Am = np.union1d(np.union1d(cats.NAmp0, cats.NAmf), cats.NAmc).astype(np.int64)
-    return Imc, np.setdiff1d(Im, Imc), Amc, np.setdiff1d(Am, Amc)
+    groups = (cats.NImp0, cats.NImf, cats.NImc, cats.NAmp0, cats.NAmf, cats.NAmc)
+    sizes = [len(g) for g in groups]
+    candidates = np.concatenate(groups)
+    hit = rng.random(len(candidates)) < np.repeat(probs.as_tuple(), sizes)
+    k = sizes[0] + sizes[1] + sizes[2]
+    picks = (*_split(candidates[:k], hit[:k]), *_split(candidates[k:], hit[k:]))
+    for ix in picks:
+        ix.sort()  # each is a fresh copy from the boolean gather
+    return picks
 
 
 def next_sets(partition: Partition, Imc, Imf, Amc, Amf):
     """Apply an exchange: I_new = Ip u Imf u Amc, A_new its complement.
 
     (Equivalently A_new = Ap u Amf u Imc.)  Inputs must partition Im and Am.
+    Flips the exchanged entries of the ``inactive`` mask and returns the
+    sorted (I_new, A_new).
     """
-    Imc, Imf, Amc, Amf = map(_as_index_array, (Imc, Imf, Amc, Amf))
     if len(Imc) + len(Imf) != len(partition.Im) or len(Amc) + len(Amf) != len(partition.Am):
         raise ValueError("(Imc, Imf) and (Amc, Amf) must partition Im and Am")
-    I_new = np.union1d(np.union1d(partition.Ip, Imf), Amc).astype(np.int64)
-    A_new = np.setdiff1d(
-        np.arange(partition.n, dtype=np.int64), I_new, assume_unique=True
-    )
-    return I_new, A_new
+    inactive = np.zeros(partition.n, dtype=bool)
+    inactive[partition.I] = True
+    inactive[Imc] = False
+    inactive[Amc] = True
+    return np.flatnonzero(inactive), np.flatnonzero(~inactive)
 
 
 def exchange_asymmetry_montecarlo(samples: int, rng: np.random.Generator, *,

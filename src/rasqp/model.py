@@ -77,6 +77,11 @@ def _symmetrize(Q, *, sparse: bool):
     return (Q + Q.T) * 0.5
 
 
+def _require_finite(values: np.ndarray, name: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} has a NaN or infinite entry")
+
+
 class QpProblem:
     """Immutable container for one QP instance.
 
@@ -91,6 +96,9 @@ class QpProblem:
     g : (n,) array_like
         Linear term.
 
+    A NaN or infinite entry in Q (dense, or stored sparse) or g raises
+    ``ValueError``.
+
     Dense inputs are stored as read-only ``float64`` arrays, sparse inputs in
     CSC form.  Instances are treated as immutable and may be shared across
     threads.
@@ -103,10 +111,12 @@ class QpProblem:
         n = g.shape[0]
         if n < 1:
             raise ValueError("g must have length >= 1")
+        _require_finite(g, "g")
         if sp.issparse(Q):
             Q = sp.csc_array(Q, dtype=np.float64)
             if Q.shape != (n, n):
                 raise ValueError(f"Q has shape {Q.shape}, expected ({n}, {n})")
+            _require_finite(Q.data, "Q")
             Q = sp.csc_array(_symmetrize(Q, sparse=True))
             Q.sort_indices()
             self.is_sparse = True
@@ -114,6 +124,7 @@ class QpProblem:
             Q = np.asarray(Q, dtype=np.float64)
             if Q.shape != (n, n):
                 raise ValueError(f"Q has shape {Q.shape}, expected ({n}, {n})")
+            _require_finite(Q, "Q")
             Q = np.ascontiguousarray(_symmetrize(Q, sparse=False))
             Q.setflags(write=False)
             self.is_sparse = False
@@ -217,7 +228,7 @@ def objective(problem: QpProblem, x) -> float:
     return float(0.5 * (x @ qx) + problem.g @ x)
 
 
-def kkt_residual(problem: QpProblem, point: KktPoint, tol: float = 0.0):
+def kkt_residual(problem: QpProblem, point: KktPoint):
     """Measure how far a point is from satisfying the KKT system.
 
     Returns
@@ -230,11 +241,9 @@ def kkt_residual(problem: QpProblem, point: KktPoint, tol: float = 0.0):
 
     A point passes the optimality check when stationarity is at most
     :func:`stationarity_tol`, primal_viol == 0, dual_viol <= tol and
-    comp_viol == 0 (structural for subsystem-produced points).  ``tol`` is
-    accepted for signature symmetry with the solvers; it does not enter the
-    returned values.
+    comp_viol == 0 (structural for subsystem-produced points), where tol is
+    the solver's dual tolerance.
     """
-    del tol
     x, s = point.x, point.s
     if x.shape[0] != problem.n:
         raise ValueError(f"point has length {x.shape[0]}, expected {problem.n}")

@@ -13,6 +13,10 @@ KKT subsystem factorizations, ``avg_subsystem_size`` = mean |I| over them):
 * :func:`fletcher_solve` — classical primal-feasible method moving one index
   at a time; finitely convergent, used as a deterministic baseline.
 
+The first three share one loop and differ only in their selection rule and
+in what an empty selection does: ``ras`` redraws without a solve, ``generic``
+re-solves (and counts it), and ``kr`` never draws, exchanging everything.
+
 :func:`brute_force_solve` enumerates all 2^n partitions as a correctness
 oracle for the others.
 """
@@ -26,12 +30,13 @@ from typing import Callable
 import numpy as np
 
 from .engine import (
+    FROZEN,
     ChangeProbabilities,
-    History,
     Partition,
     categorize,
     classify,
     next_sets,
+    origin_labels,
     select_exchange_generic,
     select_exchange_ras,
 )
@@ -105,13 +110,12 @@ class NoKktPointError(RuntimeError):
 
 
 def _initial_sets(n: int, initial_A) -> tuple[np.ndarray, np.ndarray]:
-    if initial_A is None:
-        A = np.arange(n, dtype=np.int64)
-    else:
-        A = np.unique(np.asarray(initial_A, dtype=np.int64))
-        if len(A) and (A[0] < 0 or A[-1] >= n):
-            raise ValueError("initial_A index out of range")
-    return np.setdiff1d(np.arange(n, dtype=np.int64), A, assume_unique=True), A
+    A = np.arange(n) if initial_A is None else np.asarray(initial_A, dtype=np.int64).ravel()
+    if len(A) and (A.min() < 0 or A.max() >= n):
+        raise ValueError("initial_A index out of range")
+    inactive = np.ones(n, dtype=bool)
+    inactive[A] = False
+    return np.flatnonzero(inactive), np.flatnonzero(~inactive)
 
 
 class _RunRecorder:
@@ -153,6 +157,9 @@ class _RunRecorder:
         )
 
 
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
 def _zero_point(n: int) -> KktPoint:
     return KktPoint(x=np.zeros(n), s=np.zeros(n))
 
@@ -165,6 +172,44 @@ def _solve_and_classify(problem, I, A, tol, rec):
     return point, partition
 
 
+def _exchange_loop(problem: QpProblem, cfg, select, cap: int, cap_status: Status,
+                   detect_cycles: bool = False) -> SolveResult:
+    """The iteration shared by the exchange solvers (``cfg`` gives tol,
+    initial_A and record_sets).
+
+    Each round solves the subsystem for (I, A) and classifies the result.  It
+    stops with ``Optimal`` when nothing is infeasible and with ``cap_status``
+    after ``cap`` solves; otherwise it applies the exchange
+    ``select(partition)`` returns as (Imc, Imf, Amc, Amf), or stops with
+    ``IterationCapReached`` when that is ``None``.  With ``detect_cycles`` an
+    active set met before stops the run with ``CycleDetected`` instead of
+    being solved again.
+    """
+    n = problem.n
+    I, A = _initial_sets(n, cfg.initial_A)
+    rec = _RunRecorder(cfg.record_sets)
+    point = _zero_point(n)
+    visited = set() if detect_cycles else None
+    while True:
+        if visited is not None:
+            key = A.tobytes()
+            if key in visited:
+                return rec.result(problem, point, Status.CYCLE_DETECTED)
+            visited.add(key)
+        try:
+            point, part = _solve_and_classify(problem, I, A, cfg.tol, rec)
+        except FactorizationError:
+            return rec.result(problem, point, Status.NUMERICAL_FAILURE)
+        if part.optimal:
+            return rec.result(problem, point, Status.OPTIMAL)
+        if rec.solves >= cap:
+            return rec.result(problem, point, cap_status)
+        picks = select(part)
+        if picks is None:
+            return rec.result(problem, point, Status.ITERATION_CAP)
+        I, A = next_sets(part, *picks)
+
+
 def generic_ras_solve(problem: QpProblem, cfg: GenericRasConfig) -> SolveResult:
     """Randomized active-set iteration with sigma-bounded exchange probabilities.
 
@@ -174,70 +219,41 @@ def generic_ras_solve(problem: QpProblem, cfg: GenericRasConfig) -> SolveResult:
     subsystem (and is counted).  Terminates with probability 1; ``max_solves``
     turns astronomically unlucky runs into ``IterationCapReached``.
     """
-    n = problem.n
     rng = np.random.default_rng(cfg.seed)
-    I, A = _initial_sets(n, cfg.initial_A)
-    rec = _RunRecorder(cfg.record_sets)
-    point = _zero_point(n)
-    while True:
-        try:
-            point, part = _solve_and_classify(problem, I, A, cfg.tol, rec)
-        except FactorizationError:
-            return rec.result(problem, point, Status.NUMERICAL_FAILURE)
-        if part.optimal:
-            return rec.result(problem, point, Status.OPTIMAL)
-        if rec.solves >= cfg.max_solves:
-            return rec.result(problem, point, Status.ITERATION_CAP)
-        if cfg.probability_rule is None:
-            p_Im, p_Am = 0.5, 0.5
-        else:
-            p_Im, p_Am = cfg.probability_rule(part)
-        Imc, Imf, Amc, Amf = select_exchange_generic(part, p_Im, p_Am, cfg.sigma, rng)
-        I, A = next_sets(part, Imc, Imf, Amc, Amf)
+    rule = cfg.probability_rule or (lambda part: (0.5, 0.5))
+
+    def select(part):
+        p_Im, p_Am = rule(part)
+        return select_exchange_generic(part, p_Im, p_Am, cfg.sigma, rng)
+
+    return _exchange_loop(problem, cfg, select, cfg.max_solves, Status.ITERATION_CAP)
 
 
 def ras_solve(problem: QpProblem, cfg: RasConfig) -> SolveResult:
     """Randomized active-set iteration with per-origin exchange probabilities.
 
     Every currently infeasible index falls into one of six categories
-    according to where it sat in the previous iteration (see
-    :func:`rasqp.engine.categorize`), and is exchanged with that category's
-    probability.  When a draw selects nothing, no subsystem is re-solved:
-    the kept infeasible indexes are reclassified as "previously frozen"
-    (Imf/Amf), the feasible snapshots Ip0/Ap0 are refreshed, and the draw is
-    repeated — capped at 10*n redraws before giving up with
+    according to its origin label and side (see :mod:`rasqp.engine`), and is
+    exchanged with that category's probability.  Every index starts out
+    labelled frozen.  When a draw selects nothing, no subsystem is re-solved:
+    the infeasible indexes are relabelled frozen, the feasible ones feasible,
+    and the draw is repeated — capped at 10*n redraws before giving up with
     ``IterationCapReached``.
     """
     n = problem.n
     rng = np.random.default_rng(cfg.seed)
-    I, A = _initial_sets(n, cfg.initial_A)
-    history = History.initial(n)
-    rec = _RunRecorder(cfg.record_sets)
-    point = _zero_point(n)
-    empty = np.empty(0, dtype=np.int64)
-    while True:
-        try:
-            point, part = _solve_and_classify(problem, I, A, cfg.tol, rec)
-        except FactorizationError:
-            return rec.result(problem, point, Status.NUMERICAL_FAILURE)
-        if part.optimal:
-            return rec.result(problem, point, Status.OPTIMAL)
-        if rec.solves >= cfg.max_solves:
-            return rec.result(problem, point, Status.ITERATION_CAP)
-        resamples = 0
-        while True:
-            cats = categorize(part, history)
-            Imc, Imf, Amc, Amf = select_exchange_ras(cats, cfg.probs, rng)
+    origin = np.full(n, FROZEN, dtype=np.int8)
+
+    def select(part):
+        nonlocal origin
+        for _ in range(10 * n + 1):
+            Imc, Imf, Amc, Amf = select_exchange_ras(categorize(part, origin), cfg.probs, rng)
+            origin = origin_labels(part, Imc, Amc)
             if len(Imc) or len(Amc):
-                break
-            history = History(Ip0=part.Ip, Ap0=part.Ap, Imc=empty, Amc=empty,
-                              Imf=part.Im, Amf=part.Am)
-            resamples += 1
-            if resamples > 10 * n:
-                return rec.result(problem, point, Status.ITERATION_CAP)
-        I, A = next_sets(part, Imc, Imf, Amc, Amf)
-        history = History(Ip0=part.Ip, Ap0=part.Ap, Imc=Imc, Amc=Amc,
-                          Imf=Imf, Amf=Amf)
+                return Imc, Imf, Amc, Amf
+        return None
+
+    return _exchange_loop(problem, cfg, select, cfg.max_solves, Status.ITERATION_CAP)
 
 
 def kr_solve(problem: QpProblem, cfg: KrConfig) -> SolveResult:
@@ -248,26 +264,8 @@ def kr_solve(problem: QpProblem, cfg: KrConfig) -> SolveResult:
     an active set repeats (detected via a set of visited A's, which yields
     the same fail verdict as running out the cap, only sooner).
     """
-    n = problem.n
-    I, A = _initial_sets(n, cfg.initial_A)
-    rec = _RunRecorder(cfg.record_sets)
-    point = _zero_point(n)
-    visited = {A.tobytes()}
-    while True:
-        try:
-            point, part = _solve_and_classify(problem, I, A, cfg.tol, rec)
-        except FactorizationError:
-            return rec.result(problem, point, Status.NUMERICAL_FAILURE)
-        if part.optimal:
-            return rec.result(problem, point, Status.OPTIMAL)
-        if rec.solves >= cfg.max_iterations:
-            return rec.result(problem, point, Status.CYCLE_DETECTED)
-        I, A = next_sets(part, part.Im, np.empty(0, dtype=np.int64),
-                         part.Am, np.empty(0, dtype=np.int64))
-        key = A.tobytes()
-        if key in visited:
-            return rec.result(problem, point, Status.CYCLE_DETECTED)
-        visited.add(key)
+    return _exchange_loop(problem, cfg, lambda part: (part.Im, _EMPTY, part.Am, _EMPTY),
+                          cfg.max_iterations, Status.CYCLE_DETECTED, detect_cycles=True)
 
 
 def fletcher_solve(

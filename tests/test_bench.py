@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import rasqp.bench
 from rasqp.bench import (
     MACHINE_HEADER,
     TRACE_HEADER,
@@ -160,6 +162,33 @@ class TestRunPlan:
         records = run_plan(tiny_plan(cells=((EASY, "newton", {}),)))
         assert records[0].error is not None
         assert "newton" in records[0].error
+
+    def test_each_problem_generated_once(self, monkeypatch):
+        other = GeneratorSpec("hard", 12, seed=0, cond=1e6)
+        cells = ((EASY, "ras", {}), (other, "ras", {}), (EASY, "kr", {}),
+                 (EASY, "generic", {}), (other, "fletcher", {}))
+        # Reference: every cell in a plan of its own, so nothing is shared.
+        reference = [run_plan(tiny_plan(cells=(cell,)))[0] for cell in cells]
+        calls = []
+        original = rasqp.bench.generate
+        monkeypatch.setattr(rasqp.bench, "generate",
+                            lambda spec: calls.append(spec) or original(spec))
+        records = run_plan(tiny_plan(cells=cells))
+        assert len(calls) == len(set(calls)) == 2 * 3  # two specs, three seeds
+        for got, want in zip(records, reference, strict=True):
+            assert (got.spec, got.solver, got.error) == (want.spec, want.solver, want.error)
+            assert [dataclasses.replace(r, time_s=0.0) for r in got.rows] == [
+                dataclasses.replace(r, time_s=0.0) for r in want.rows]
+            assert (got.solve_mean, got.avgI_mean, got.fail_count) == (
+                want.solve_mean, want.avgI_mean, want.fail_count)
+
+    def test_generator_error_marks_every_cell_of_its_spec(self):
+        bad = GeneratorSpec("easy", 10, seed=0, epsilon=-1.0)
+        records = run_plan(tiny_plan(
+            cells=((bad, "ras", {}), (EASY, "ras", {}), (bad, "kr", {}))))
+        assert "ValueError" in records[0].error
+        assert records[0].error == records[2].error
+        assert records[1].error is None and len(records[1].rows) == 3
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):

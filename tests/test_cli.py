@@ -82,6 +82,13 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         assert "not positive definite" in capsys.readouterr().err
 
+    def test_non_finite_file(self, tmp_path, capsys):
+        path = tmp_path / "nan.txt"
+        path.write_text("n 2\ndense\nnan 0\n0 1\ng\n1 -1\n")
+        assert main(["solve", str(path)]) == 1
+        assert "NaN or infinite" in capsys.readouterr().err
+
+
 
 class TestUsageErrors:
     def test_unknown_solver(self, problem_file, capsys):

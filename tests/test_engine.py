@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rasqp.engine import (
+    EXCHANGED,
+    FEASIBLE,
+    FROZEN,
     Categories,
-    CategoryLeakError,
     ChangeProbabilities,
-    History,
     Partition,
     categorize,
     classify,
     exchange_asymmetry_montecarlo,
     next_sets,
+    origin_labels,
     rand_subset,
     select_exchange_generic,
     select_exchange_ras,
@@ -23,6 +25,11 @@ from rasqp.model import KktPoint
 
 IX = lambda *v: np.array(v, dtype=np.int64)  # noqa: E731
 EMPTY = np.empty(0, dtype=np.int64)
+
+
+def all_frozen(n):
+    """The origin labels every run starts from."""
+    return np.full(n, FROZEN, dtype=np.int8)
 
 
 def make_partition(n, rng):
@@ -66,26 +73,16 @@ class TestClassify:
         assert classify(point, [0, 2], [1], tol=0.0).n == 3
 
 
-class TestHistory:
-    def test_initial_marks_everything_frozen(self):
-        h = History.initial(4)
-        np.testing.assert_array_equal(h.Imf, [0, 1, 2, 3])
-        np.testing.assert_array_equal(h.Amf, [0, 1, 2, 3])
-        for name in ("Ip0", "Ap0", "Imc", "Amc"):
-            assert len(getattr(h, name)) == 0
-
-
 class TestCategorize:
     def test_hand_case(self):
         part = Partition(
             I=IX(0, 1, 2, 3), A=IX(4, 5, 6),
             Im=IX(0, 1, 2), Ip=IX(3), Am=IX(4, 5), Ap=IX(6),
         )
-        history = History(
-            Ip0=IX(0), Imf=IX(1, 3), Amc=IX(2),
-            Ap0=IX(4), Amf=IX(6), Imc=IX(5),
-        )
-        cats = categorize(part, history)
+        # Previous step: 0 and 4 feasible, 1, 3 and 6 kept, 2 moved in, 5 moved out.
+        origin = np.array([FEASIBLE, FROZEN, EXCHANGED, FROZEN, FEASIBLE, EXCHANGED, FROZEN],
+                          dtype=np.int8)
+        cats = categorize(part, origin)
         np.testing.assert_array_equal(cats.NImp0, [0])
         np.testing.assert_array_equal(cats.NImf, [1])
         np.testing.assert_array_equal(cats.NImc, [2])
@@ -93,11 +90,13 @@ class TestCategorize:
         np.testing.assert_array_equal(cats.NAmf, [])
         np.testing.assert_array_equal(cats.NAmc, [5])
 
-    def test_leak_detected(self):
-        part = Partition(I=IX(0), A=EMPTY, Im=IX(0), Ip=EMPTY, Am=EMPTY, Ap=EMPTY)
-        empty_history = History(EMPTY, EMPTY, EMPTY, EMPTY, EMPTY, EMPTY)
-        with pytest.raises(CategoryLeakError):
-            categorize(part, empty_history)
+    def test_initial_labels_mark_everything_frozen(self):
+        part = make_partition(12, np.random.default_rng(4))
+        cats = categorize(part, all_frozen(12))
+        np.testing.assert_array_equal(cats.NImf, part.Im)
+        np.testing.assert_array_equal(cats.NAmf, part.Am)
+        for name in ("NImp0", "NImc", "NAmp0", "NAmc"):
+            assert len(getattr(cats, name)) == 0
 
     def test_counts_partition_im_and_am(self):
         # After any (exchange -> classify) round-trip, the six categories
@@ -107,19 +106,40 @@ class TestCategorize:
         for _ in range(100):
             n = int(rng.integers(1, 9))
             part = make_partition(n, rng)
-            history = History.initial(n)
-            cats = categorize(part, history)
+            cats = categorize(part, all_frozen(n))
             Imc, Imf, Amc, Amf = select_exchange_ras(cats, probs, rng)
             I_new, A_new = next_sets(part, Imc, Imf, Amc, Amf)
-            history = History(Ip0=part.Ip, Ap0=part.Ap, Imc=Imc, Amc=Amc,
-                              Imf=Imf, Amf=Amf)
+            origin = origin_labels(part, Imc, Amc)
             point = KktPoint(x=rng.standard_normal(n), s=rng.standard_normal(n))
             part_new = classify(point, I_new, A_new, tol=1e-10)
-            cats_new = categorize(part_new, history)  # raises on any leak
+            cats_new = categorize(part_new, origin)
+            np.testing.assert_array_equal(
+                np.sort(np.concatenate([cats_new.NImp0, cats_new.NImf, cats_new.NImc])),
+                part_new.Im)
+            np.testing.assert_array_equal(
+                np.sort(np.concatenate([cats_new.NAmp0, cats_new.NAmf, cats_new.NAmc])),
+                part_new.Am)
             assert (len(cats_new.NImp0) + len(cats_new.NImf) + len(cats_new.NImc)
                     == len(part_new.Im))
             assert (len(cats_new.NAmp0) + len(cats_new.NAmf) + len(cats_new.NAmc)
                     == len(part_new.Am))
+
+
+class TestOriginLabels:
+    def test_labels_after_a_selection(self):
+        part = Partition(I=IX(0, 1, 2), A=IX(3, 4, 5), Im=IX(0, 1), Ip=IX(2),
+                         Am=IX(3, 4), Ap=IX(5))
+        origin = origin_labels(part, IX(1), IX(3))
+        np.testing.assert_array_equal(
+            origin, [FROZEN, EXCHANGED, FEASIBLE, EXCHANGED, FROZEN, FEASIBLE])
+        assert origin.dtype == np.int8
+
+    def test_empty_selection_freezes_every_infeasible_index(self):
+        part = make_partition(10, np.random.default_rng(8))
+        origin = origin_labels(part, EMPTY, EMPTY)
+        infeasible = np.union1d(part.Im, part.Am)
+        assert (origin[infeasible] == FROZEN).all()
+        assert (np.delete(origin, infeasible) == FEASIBLE).all()
 
 
 class TestRandSubset:
@@ -217,7 +237,7 @@ class TestSelectExchangeRas:
     def test_all_ones_selects_everything(self):
         rng = np.random.default_rng(3)
         part = make_partition(10, rng)
-        cats = categorize(part, History.initial(10))
+        cats = categorize(part, all_frozen(10))
         Imc, Imf, Amc, Amf = select_exchange_ras(
             cats, ChangeProbabilities(1, 1, 1, 1, 1, 1), rng
         )
@@ -247,11 +267,32 @@ class TestSelectExchangeRas:
         np.testing.assert_array_equal(got[0], want_imc)
         np.testing.assert_array_equal(got[2], want_amc)
 
+    def test_one_draw_per_infeasible_index(self):
+        part = make_partition(20, np.random.default_rng(6))
+        cats = categorize(part, all_frozen(20))
+        rng = np.random.default_rng(11)
+        select_exchange_ras(cats, ChangeProbabilities(), rng)
+        ref = np.random.default_rng(11)
+        ref.random(len(part.Im) + len(part.Am))
+        assert rng.random() == ref.random()
+
+    def test_outputs_are_sorted_and_partition_the_infeasible_sets(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            part = make_partition(16, rng)
+            origin = rng.integers(0, 3, 16).astype(np.int8)
+            Imc, Imf, Amc, Amf = select_exchange_ras(
+                categorize(part, origin), ChangeProbabilities(), rng)
+            for picked, kept, full in ((Imc, Imf, part.Im), (Amc, Amf, part.Am)):
+                assert (np.diff(picked) > 0).all() and (np.diff(kept) > 0).all()
+                np.testing.assert_array_equal(np.union1d(picked, kept), full)
+                assert len(picked) + len(kept) == len(full)
+
     def test_kr_update_when_all_probabilities_are_one(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
             part = make_partition(8, rng)
-            cats = categorize(part, History.initial(8))
+            cats = categorize(part, all_frozen(8))
             picks = select_exchange_ras(
                 cats, ChangeProbabilities(1, 1, 1, 1, 1, 1), rng
             )

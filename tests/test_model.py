@@ -52,6 +52,20 @@ class TestQpProblem:
         with pytest.raises(NotSymmetricError):
             QpProblem(Q, G22)
 
+    def test_non_finite_dense_q_rejected(self):
+        with pytest.raises(ValueError, match="Q has a NaN"):
+            QpProblem([[np.nan, 0.0], [0.0, 1.0]], [1.0, -1.0])
+
+    def test_non_finite_sparse_q_rejected(self):
+        Q = sp.csc_array(np.array([[4.0, np.inf], [np.inf, 3.0]]))
+        with pytest.raises(ValueError, match="Q has a NaN"):
+            QpProblem(Q, G22)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_g_rejected(self, bad):
+        with pytest.raises(ValueError, match="g has a NaN"):
+            QpProblem(Q22, [bad, -1.0])
+
     def test_large_asymmetry_rejected_sparse(self):
         Q = Q22.copy()
         Q[1, 0] = -1.0

@@ -52,6 +52,13 @@ class TestSolveSubsystem:
         with pytest.raises(ValueError):
             solve_subsystem(p, [0, 2], [1])  # out of range
 
+    def test_rejects_repeats_and_negative_indexes(self):
+        p = QpProblem(Q22, G22)
+        with pytest.raises(ValueError):
+            solve_subsystem(p, [0, 0], [])  # right count, index 1 missing
+        with pytest.raises(ValueError):
+            solve_subsystem(p, [-1], [1])  # would wrap around to index 1
+
     def test_input_order_is_irrelevant(self):
         rng = np.random.default_rng(3)
         p = rand_spd_problem(9, rng)

@@ -1,0 +1,60 @@
+"""The benchmark tracer must still find every rasqp entry point it wraps.
+
+``perfbench/tracer.py`` looks its entry points up by name and patches them
+wherever a rasqp module binds them, so a rename or a call that bypasses the
+module attribute would silently drop a layer from ``--trace 1``.  The tracer
+is loaded from its file, exactly as the benchmark runs it.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from rasqp.generators import gen_hard
+from rasqp.solvers import (
+    GenericRasConfig,
+    KrConfig,
+    RasConfig,
+    generic_ras_solve,
+    kr_solve,
+    ras_solve,
+)
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_entry_point_exists_on_its_home_module(tracer):
+    for name, (home, _, _) in tracer.ENTRY_POINTS.items():
+        assert callable(getattr(home, name, None)), f"{home.__name__}.{name}"
+
+
+@pytest.mark.parametrize("solve, cfg, expected", [
+    (ras_solve, RasConfig(seed=3),
+     {"classify", "categorize", "select_exchange_ras", "next_sets"}),
+    (generic_ras_solve, GenericRasConfig(seed=3),
+     {"classify", "select_exchange_generic", "next_sets"}),
+    (kr_solve, KrConfig(), {"classify", "next_sets"}),
+])
+def test_solver_calls_reach_the_wrappers(tracer, solve, cfg, expected):
+    problem = gen_hard(20, 1e6, seed=1)
+    untraced = solve(problem, cfg)
+    t = tracer.Tracer()
+    with t.installed():
+        traced = solve(problem, cfg)
+    names = {span[0] for span in t.spans}
+    assert expected | {"solve_subsystem", "embed_point"} <= names
+    assert (traced.status, traced.solves) == (untraced.status, untraced.solves)
+    assert sum(span[0] == "solve_subsystem" for span in t.spans) == untraced.solves
+    np.testing.assert_array_equal(traced.point.x, untraced.point.x)
