@@ -14,12 +14,14 @@ Line-oriented format; ``#`` starts a comment, blank lines are ignored::
 
 A ``dense`` section instead holds n rows of n whitespace-separated numbers.
 If a coo file lists both (i, j) and (j, i), the two values must agree
-exactly; listing the same cell twice is an error.  The parsed matrix must
-pass :func:`rasqp.model.validate_problem`.
+exactly; listing the same cell twice is an error.  Every number must be
+finite: ``nan`` and ``inf`` are rejected on the line that holds them.  The
+parsed matrix must pass :func:`rasqp.model.validate_problem`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,9 +145,12 @@ def _parse_int(line_no: int, tokens: list[str]) -> int:
 
 def _parse_float(line_no: int, token: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ProblemFileError(line_no, f"not a number: {token!r}") from None
+    if not math.isfinite(value):
+        raise ProblemFileError(line_no, f"NaN or infinite value: {token!r}")
+    return value
 
 
 def _parse_dense(lines: _Lines, n: int) -> np.ndarray:

@@ -128,20 +128,21 @@ class _RunRecorder:
         self.trace: list[TraceRow] = []
         self.sets: list[np.ndarray] | None = [] if record_sets else None
 
-    def note(self, partition: Partition) -> None:
+    def note(self, I: np.ndarray, n_im: int, n_am: int) -> None:
+        """Count one solve on inactive set ``I`` with ``n_im``/``n_am`` infeasible."""
         self.solves += 1
-        self.size_total += len(partition.I)
+        self.size_total += len(I)
         self.trace.append(
             TraceRow(
                 iteration=self.solves,
-                n_im=len(partition.Im),
-                n_am=len(partition.Am),
-                subsystem_size=len(partition.I),
+                n_im=n_im,
+                n_am=n_am,
+                subsystem_size=len(I),
                 elapsed_s=time.perf_counter() - self.t0,
             )
         )
         if self.sets is not None:
-            self.sets.append(partition.I.copy())
+            self.sets.append(I.copy())
 
     def result(self, problem: QpProblem, point: KktPoint, status: Status,
                **extra) -> SolveResult:
@@ -168,7 +169,7 @@ def _solve_and_classify(problem, I, A, tol, rec):
     sol = solve_subsystem(problem, I, A)
     point = embed_point(problem.n, I, A, sol)
     partition = classify(point, I, A, tol)
-    rec.note(partition)
+    rec.note(partition.I, len(partition.Im), len(partition.Am))
     return point, partition
 
 
@@ -310,12 +311,8 @@ def fletcher_solve(
             except FactorizationError:
                 status = Status.NUMERICAL_FAILURE
                 break
-            rec.solves += 1
-            rec.size_total += sol.subsystem_size
             n_im = int((sol.x_I < 0.0).sum())
-            n_am = int((sol.s_A < -tol).sum())
-            rec.trace.append(TraceRow(rec.solves, n_im, n_am, sol.subsystem_size,
-                                      time.perf_counter() - rec.t0))
+            rec.note(I, n_im, int((sol.s_A < -tol).sum()))
             if rec.solves > cap:
                 status = Status.ITERATION_CAP
                 break

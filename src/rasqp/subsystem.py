@@ -11,6 +11,16 @@ updating); the per-call cost is exactly what the benchmark ``solve`` metric
 counts.  I and A may come in any order; they are sorted on entry and checked
 to partition {0..n-1} with one O(n) coverage mask, which rejects an overlap,
 a missing index and an index out of range.
+
+Each solve gathers Q once: a dense Q gives the row block Q[I,:], one
+contiguous copy of |I| rows, and a sparse Q the column block Q[:,I].  From
+the row block, Q[I,I] is its columns I and s_A is the full product
+x_I Q[I,:] read at the positions A.  That relies on Q being exactly
+symmetric in floating point, which :class:`~rasqp.model.QpProblem`
+guarantees by storing (Q + Q')/2: row i of Q equals column i bit for bit.
+The densified Q[I,I] is a temporary, so the Cholesky factorizes it in
+place, handed whichever of the block and its transpose (the same matrix, by
+symmetry) is in Fortran order, so LAPACK works on it without a copy.
 """
 
 from __future__ import annotations
@@ -97,14 +107,17 @@ def solve_subsystem(
             x_I = _sparse_solve(qii, g[I])
         s_A = (cols @ x_I)[A] + g[A] if len(A) else np.empty(0)
     else:
-        x_I = _dense_solve(Q[I[:, None], I], g[I])
-        s_A = Q[A[:, None], I] @ x_I + g[A] if len(A) else np.empty(0)
+        rows = np.take(Q, I, axis=0)  # Q[I,:]; by symmetry also Q[:,I]'
+        x_I = _dense_solve(np.take(rows, I, axis=1), g[I])
+        s_A = (x_I @ rows)[A] + g[A] if len(A) else np.empty(0)
     return SubsystemSolution(x_I, s_A, len(I))
 
 
 def _dense_solve(qii: np.ndarray, g_I: np.ndarray) -> np.ndarray:
+    """Factorize the symmetric temporary ``qii`` in place and solve."""
+    fortran = qii if qii.flags.f_contiguous else qii.T  # the same matrix
     try:
-        c = sla.cho_factor(qii, lower=True, check_finite=False)
+        c = sla.cho_factor(fortran, lower=True, overwrite_a=True, check_finite=False)
     except sla.LinAlgError as exc:
         raise FactorizationError(str(exc)) from exc
     return sla.cho_solve(c, -g_I, check_finite=False)

@@ -101,6 +101,19 @@ class TestLoadErrors:
         assert exc.value.line_no == 4
         assert str(exc.value).startswith("line 4:")
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("n 2\ndense\n1 0\n0 nan\ng\n0 0\n", 4),  # dense row
+            ("n 2\ncoo 1\n1 1 inf\ng\n0 0\n", 3),  # coo entry
+            ("n 2\ndense\n1 0\n0 1\ng\n0 -Infinity\n", 6),  # g line
+        ],
+    )
+    def test_non_finite_number_names_its_line(self, tmp_path, text, line_no):
+        with pytest.raises(ProblemFileError, match="NaN or infinite") as exc:
+            load_problem(write(tmp_path, text))
+        assert exc.value.line_no == line_no
+
     def test_not_positive_definite(self, tmp_path):
         text = "n 2\ndense\n1 0\n0 -1\ng\n0 0\n"
         with pytest.raises(NotPositiveDefiniteError) as exc:

@@ -104,6 +104,14 @@ class TestMetricBookkeeping:
             b.elapsed_s >= a.elapsed_s for a, b in zip(result.trace, result.trace[1:])
         )
 
+    def test_fletcher_trace_rows(self):
+        # From A = {0, 1}: s_A = g, both negative; release index 1 (x_1 = 2/3,
+        # s_0 = 2/3 - 1 < 0); release index 0 and reach the interior point.
+        result = fletcher_solve(QpProblem(Q22, G22))
+        assert [(r.iteration, r.n_im, r.n_am, r.subsystem_size) for r in result.trace] == [
+            (1, 0, 2, 0), (2, 0, 1, 1), (3, 0, 0, 2)]
+        assert (result.solves, result.avg_subsystem_size) == (3, 1.0)
+
     def test_default_start_is_everything_active(self):
         result = ras_solve(QpProblem(Q22, G22), RasConfig(seed=0))
         assert result.trace[0].subsystem_size == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from conftest import rand_spd_problem
@@ -67,6 +68,29 @@ class TestSolveSubsystem:
         shuffled = solve_subsystem(p, rng.permutation(I), rng.permutation(A))
         np.testing.assert_array_equal(base.x_I, shuffled.x_I)
         np.testing.assert_array_equal(base.s_A, shuffled.s_A)
+
+    @pytest.mark.parametrize("split", ["random", "A empty", "I empty"])
+    def test_dense_matches_direct_gathers(self, split):
+        # The solver gathers one row block Q[I,:]; the reference gathers
+        # Q[I,I] and Q[A,I] directly.  The factor sees the same matrix, so
+        # x_I is bit-identical; s_A only sums in another order.
+        rng = np.random.default_rng(29)
+        n = 150
+        p = rand_spd_problem(n, rng)
+        I, A = {"random": random_partition(n, rng),
+                "A empty": (np.arange(n), np.arange(0)),
+                "I empty": (np.arange(0), np.arange(n))}[split]
+        sol = solve_subsystem(p, rng.permutation(I), rng.permutation(A))
+        Q, g = p.Q, p.g
+        if len(I):
+            x_ref = sla.cho_solve(sla.cho_factor(Q[np.ix_(I, I)], lower=True), -g[I])
+        else:
+            x_ref = np.empty(0)
+        np.testing.assert_array_equal(sol.x_I, x_ref)
+        Q_AI = Q[np.ix_(A, I)]
+        rounding = 4 * n * np.finfo(float).eps * (np.abs(Q_AI) @ np.abs(x_ref) + np.abs(g[A]))
+        assert sol.s_A.shape == A.shape
+        assert np.all(np.abs(sol.s_A - (Q_AI @ x_ref + g[A])) <= rounding)
 
     def test_sparse_and_dense_storage_agree(self):
         rng = np.random.default_rng(7)
