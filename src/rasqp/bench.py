@@ -41,11 +41,9 @@ __all__ = [
     "BenchmarkPlan",
     "BenchmarkRecord",
     "TrialRow",
-    "IterationTrace",
     "run_plan",
     "emit_table",
     "parse_machine_rows",
-    "record_trace",
     "build_solver",
     "trace_to_csv",
     "solver_seed_for_trial",
@@ -145,14 +143,6 @@ class BenchmarkRecord:
     fail_count: int = 0
     rows: list[TrialRow] = field(default_factory=list)
     error: str | None = None
-
-
-@dataclass(frozen=True)
-class IterationTrace:
-    """Per-solve rows (iteration, elapsed_s, infeasible, inactive_size) of one run."""
-
-    solver: str
-    rows: tuple[tuple[int, float, int, int], ...]
 
 
 def build_solver(name: str, options: dict, tol: float, seed: int):
@@ -298,22 +288,15 @@ def parse_machine_rows(text: str) -> list[TrialRow]:
     return [TrialRow.from_csv(ln) for ln in lines[1:]]
 
 
-def record_trace(result: SolveResult, solver: str) -> IterationTrace:
-    """Extract the per-solve trace of a run: one row per counted solve."""
-    return IterationTrace(
-        solver=solver,
-        rows=tuple(
-            (row.iteration, row.elapsed_s, row.infeasible, row.subsystem_size)
-            for row in result.trace
-        ),
-    )
+def trace_to_csv(result: SolveResult, solver: str) -> str:
+    """Render a run's per-solve trace as delimiter-separated values for plotting.
 
-
-def trace_to_csv(trace: IterationTrace) -> str:
-    """Render a trace as delimiter-separated values for external plotting."""
+    One row per counted solve: iteration, elapsed seconds (full precision),
+    infeasible count and |I|.
+    """
     lines = [TRACE_HEADER]
     lines.extend(
-        f"{trace.solver},{it},{repr(el)},{inf},{size}"
-        for it, el, inf, size in trace.rows
+        f"{solver},{row.iteration},{row.elapsed_s!r},{row.infeasible},{row.subsystem_size}"
+        for row in result.trace
     )
     return "\n".join(lines) + "\n"

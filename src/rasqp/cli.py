@@ -3,7 +3,8 @@
 Exit codes: 0 — the requested run ended optimally (``bench`` always exits 0
 once the plan ran; failed trials are data, not errors); 2 — the solver
 stopped on an iteration cap, a detected cycle, or a numerical failure;
-1 — unusable input (bad flags, malformed problem file, non-PD matrix).
+1 — unusable input (bad flags or flag values, malformed problem file,
+non-PD matrix).
 
 Every random choice flows from ``--seed`` (default 0); nothing is seeded
 from entropy, so equal invocations produce equal outputs apart from
@@ -13,6 +14,7 @@ wall-clock columns.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -22,7 +24,6 @@ from .bench import (
     build_solver,
     default_tol,
     emit_table,
-    record_trace,
     run_plan,
     solver_seed_for_trial,
     trace_to_csv,
@@ -45,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of ``--tol``: a number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
+    if not value >= 0.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rasqp", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -54,7 +66,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--solver", default="ras", choices=SOLVER_NAMES)
     ps.add_argument("--seed", type=int, default=0,
                     help="RNG seed for randomized solvers (default 0)")
-    ps.add_argument("--tol", type=float, default=1e-10,
+    ps.add_argument("--tol", type=_tolerance, default=1e-10,
                     help="dual violation tolerance (default 1e-10)")
     ps.add_argument("--max-solves", type=int, default=10_000,
                     help="cap for the randomized solvers")
@@ -71,7 +83,7 @@ def _build_parser() -> _Parser:
                     help=f"comma-separated subset of {','.join(SOLVER_NAMES)}")
     pb.add_argument("--trials", type=int, default=10)
     pb.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    pb.add_argument("--tol", type=float, default=None,
+    pb.add_argument("--tol", type=_tolerance, default=None,
                     help="override the per-family tolerance")
     pb.add_argument("--time-limit", type=float, default=300.0,
                     help="per-trial wall-clock limit in seconds")
@@ -88,7 +100,7 @@ def _build_parser() -> _Parser:
     pt.add_argument("--seed", type=int, default=0,
                     help="generator seed; the solver seed is derived from it "
                          "exactly as in bench trials (default 0)")
-    pt.add_argument("--tol", type=float, default=None,
+    pt.add_argument("--tol", type=_tolerance, default=None,
                     help="override the per-family tolerance")
     pt.add_argument("--output", default=None,
                     help="write the trace CSV here (default stdout)")
@@ -109,40 +121,20 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise _UsageError(f"rasqp: error: {flag} expects comma-separated integers, got {text!r}")
 
 
+def _given_axes(args) -> dict:
+    """The generator axes given on the command line, by GeneratorSpec field name."""
+    return {name: getattr(args, name) for name in ("epsilon", "density", "cond")
+            if getattr(args, name) is not None}
+
+
 def _family_specs(args, ns: list[int]) -> list[GeneratorSpec]:
-    """Cross the n-list with the family's own axis, checking flag consistency."""
-    fam = args.family
-
-    def forbid(flag: str) -> None:
-        if getattr(args, flag) is not None:
-            raise _UsageError(f"rasqp: error: --{flag} does not apply to the {fam} family")
-
-    specs = []
-    if fam == "easy":
-        if args.epsilon is None:
-            raise _UsageError("rasqp: error: the easy family requires --epsilon")
-        forbid("cond")
-        forbid("density")
-        for n in ns:
-            for eps in _float_list(args.epsilon, "--epsilon"):
-                specs.append(GeneratorSpec("easy", n, seed=0, epsilon=eps))
-    elif fam == "medium":
-        if args.density is None or args.cond is None:
-            raise _UsageError("rasqp: error: the medium family requires --density and --cond")
-        forbid("epsilon")
-        for n in ns:
-            for d in _float_list(args.density, "--density"):
-                for c in _float_list(args.cond, "--cond"):
-                    specs.append(GeneratorSpec("medium", n, seed=0, density=d, cond=c))
-    else:
-        if args.cond is None:
-            raise _UsageError("rasqp: error: the hard family requires --cond")
-        forbid("epsilon")
-        forbid("density")
-        for n in ns:
-            for c in _float_list(args.cond, "--cond"):
-                specs.append(GeneratorSpec("hard", n, seed=0, cond=c))
-    return specs
+    """Cross the n-list with every axis given; GeneratorSpec checks they fit the family."""
+    axes = {name: _float_list(text, f"--{name}") for name, text in _given_axes(args).items()}
+    try:
+        return [GeneratorSpec(args.family, n, seed=0, **dict(zip(axes, values)))
+                for n in ns for values in itertools.product(*axes.values())]
+    except ValueError as exc:
+        raise _UsageError(f"rasqp: error: {exc}")
 
 
 def cmd_solve(args) -> int:
@@ -186,12 +178,15 @@ def cmd_bench(args) -> int:
             raise _UsageError(f"rasqp: error: unknown solver {s!r}")
     options = {} if args.tol is None else {"tol": args.tol}
     cells = tuple((spec, solver, options) for spec in specs for solver in solvers)
-    plan = BenchmarkPlan(
-        cells=cells,
-        trials=args.trials,
-        base_seed=args.seed,
-        time_limit_per_trial=args.time_limit,
-    )
+    try:
+        plan = BenchmarkPlan(
+            cells=cells,
+            trials=args.trials,
+            base_seed=args.seed,
+            time_limit_per_trial=args.time_limit,
+        )
+    except ValueError as exc:
+        raise _UsageError(f"rasqp: error: {exc}")
     records = run_plan(plan)
     human, machine = emit_table(records)
     print(human, end="")
@@ -205,18 +200,13 @@ def cmd_bench(args) -> int:
 
 def cmd_trace(args) -> int:
     fam = args.family
-    kwargs = {}
-    for name in ("epsilon", "density", "cond"):
-        if getattr(args, name) is not None:
-            kwargs[name] = getattr(args, name)
-    try:
-        spec = GeneratorSpec(fam, args.n, seed=args.seed, **kwargs)
+    try:  # the spec checks the axes fit the family, the generator their values
+        problem = generate(GeneratorSpec(fam, args.n, seed=args.seed, **_given_axes(args)))
     except ValueError as exc:
         raise _UsageError(f"rasqp: error: {exc}")
-    problem = generate(spec)
     tol = args.tol if args.tol is not None else default_tol(fam)
     result = build_solver(args.solver, {}, tol, solver_seed_for_trial(args.seed))(problem)
-    csv = trace_to_csv(record_trace(result, args.solver))
+    csv = trace_to_csv(result, args.solver)
     if args.output is None:
         print(csv, end="")
     else:

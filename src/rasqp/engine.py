@@ -1,14 +1,13 @@
 """Active-set bookkeeping and randomized exchange selection.
 
-After each subsystem solve the indexes split into feasible and infeasible
-parts:
+After each subsystem solve the infeasible parts of I and A are
 
-    Im = {i in I : x_i <= 0}    Ip = I \\ Im
-    Am = {j in A : s_j < -tol}  Ap = A \\ Am
+    Im = {i in I : x_i <= 0}    Am = {j in A : s_j < -tol}
 
 (a zero-valued inactive variable counts as infeasible; an active variable
-with s_j exactly at -tol counts as feasible).  A randomized method then picks
-a subset of Im u Am to exchange between I and A.
+with s_j exactly at -tol counts as feasible).  A randomized method then
+draws the subsets Imc of Im and Amc of Am that change sides; every other
+index stays where it is.
 
 Between iterations each index carries two pieces of state: whether it is in
 I or in A (a boolean ``inactive`` mask, which :func:`next_sets` flips), and
@@ -48,7 +47,6 @@ __all__ = [
     "classify",
     "categorize",
     "origin_labels",
-    "rand_subset",
     "select_exchange_generic",
     "select_exchange_ras",
     "next_sets",
@@ -58,8 +56,6 @@ __all__ = [
 #: Origin labels: what the previous selection did with an index.
 FEASIBLE, FROZEN, EXCHANGED = 0, 1, 2
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
 
 def _as_index_array(ix) -> np.ndarray:
     a = np.asarray(ix, dtype=np.int64)
@@ -68,14 +64,12 @@ def _as_index_array(ix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Partition:
-    """Current split of {0..n-1} into I/A and their feasible/infeasible parts."""
+    """Current split of {0..n-1} into I/A and their infeasible parts Im/Am."""
 
     I: np.ndarray
     A: np.ndarray
     Im: np.ndarray
-    Ip: np.ndarray
     Am: np.ndarray
-    Ap: np.ndarray
 
     @property
     def n(self) -> int:
@@ -138,16 +132,7 @@ def classify(point: KktPoint, I, A, tol: float) -> Partition:
         raise ValueError("tol must be >= 0")
     I = _as_index_array(I)
     A = _as_index_array(A)
-    im_mask = point.x[I] <= 0.0
-    am_mask = point.s[A] < -tol
-    return Partition(
-        I=I,
-        A=A,
-        Im=I[im_mask],
-        Ip=I[~im_mask],
-        Am=A[am_mask],
-        Ap=A[~am_mask],
-    )
+    return Partition(I=I, A=A, Im=I[point.x[I] <= 0.0], Am=A[point.s[A] < -tol])
 
 
 def categorize(partition: Partition, origin: np.ndarray) -> Categories:
@@ -184,32 +169,11 @@ def origin_labels(partition: Partition, Imc, Amc) -> np.ndarray:
     return origin
 
 
-def rand_subset(indexes, probs, rng: np.random.Generator) -> np.ndarray:
-    """Independent Bernoulli thinning of an index set.
-
-    ``probs`` is a scalar or a vector of per-element inclusion probabilities
-    in [0, 1].  Consumes exactly ``len(indexes)`` uniform draws, one per
-    element in array order, so the stream position after the call is
-    independent of the outcome.
-    """
-    indexes = _as_index_array(indexes)
-    p = np.broadcast_to(np.asarray(probs, dtype=np.float64), indexes.shape)
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if len(indexes) == 0:
-        return _EMPTY
-    return indexes[rng.random(len(indexes)) < p]
-
-
-def _split(ix: np.ndarray, hit: np.ndarray):
-    return ix[hit], ix[~hit]
-
-
 def select_exchange_generic(partition: Partition, p_Im, p_Am, sigma: float, rng):
     """One-shot random exchange selection with probabilities in [sigma, 1-sigma].
 
-    Returns (Imc, Imf, Amc, Amf) where Imc/Imf partition Im and Amc/Amf
-    partition Am.  One draw covers Im, then Am, each in ascending order.
+    Returns the exchanged sets (Imc, Amc), subsets of Im and Am in ascending
+    order.  One draw covers Im, then Am, each in ascending order.
     """
     if not 0.0 < sigma <= 0.5:
         raise ValueError("sigma must lie in (0, 0.5]")
@@ -221,39 +185,39 @@ def select_exchange_generic(partition: Partition, p_Im, p_Am, sigma: float, rng)
     if p.size and (p.min() < sigma - 1e-15 or p.max() > 1.0 - sigma + 1e-15):
         raise ValueError(f"probabilities must lie in [{sigma}, {1.0 - sigma}]")
     hit = rng.random(p.size) < p
-    return (*_split(Im, hit[:len(Im)]), *_split(Am, hit[len(Im):]))
+    return Im[hit[:len(Im)]], Am[hit[len(Im):]]
 
 
 def select_exchange_ras(cats: Categories, probs: ChangeProbabilities, rng):
     """Category-wise random exchange selection.
 
     Each origin category is thinned with its own probability; the Im-side
-    picks form Imc and the Am-side picks Amc.  Returns sorted (Imc, Imf,
-    Amc, Amf) like :func:`select_exchange_generic`.  Draw order is NImp0,
-    NImf, NImc, then NAmp0, NAmf, NAmc (each ascending), in one draw.
+    picks form Imc and the Am-side picks Amc.  Returns (Imc, Amc) in
+    ascending order like :func:`select_exchange_generic`.  Draw order is
+    NImp0, NImf, NImc, then NAmp0, NAmf, NAmc (each ascending), in one draw.
     """
     groups = (cats.NImp0, cats.NImf, cats.NImc, cats.NAmp0, cats.NAmf, cats.NAmc)
     sizes = [len(g) for g in groups]
     candidates = np.concatenate(groups)
     hit = rng.random(len(candidates)) < np.repeat(probs.as_tuple(), sizes)
     k = sizes[0] + sizes[1] + sizes[2]
-    picks = (*_split(candidates[:k], hit[:k]), *_split(candidates[k:], hit[k:]))
-    for ix in picks:
-        ix.sort()  # each is a fresh copy from the boolean gather
-    return picks
+    Imc, Amc = candidates[:k][hit[:k]], candidates[k:][hit[k:]]
+    Imc.sort()  # each is a fresh copy from the boolean gather
+    Amc.sort()
+    return Imc, Amc
 
 
-def next_sets(partition: Partition, Imc, Imf, Amc, Amf):
-    """Apply an exchange: I_new = Ip u Imf u Amc, A_new its complement.
+def next_sets(partition: Partition, Imc, Amc):
+    """Apply an exchange: Imc moves from I to A and Amc from A to I.
 
-    (Equivalently A_new = Ap u Amf u Imc.)  Inputs must partition Im and Am.
-    Flips the exchanged entries of the ``inactive`` mask and returns the
-    sorted (I_new, A_new).
+    Every other index stays on its side.  Raises ``ValueError`` unless
+    Imc is a subset of I and Amc a subset of A.  Flips the exchanged entries
+    of the ``inactive`` mask and returns the sorted (I_new, A_new).
     """
-    if len(Imc) + len(Imf) != len(partition.Im) or len(Amc) + len(Amf) != len(partition.Am):
-        raise ValueError("(Imc, Imf) and (Amc, Amf) must partition Im and Am")
     inactive = np.zeros(partition.n, dtype=bool)
     inactive[partition.I] = True
+    if not inactive[Imc].all() or inactive[Amc].any():
+        raise ValueError("Imc must be a subset of I and Amc a subset of A")
     inactive[Imc] = False
     inactive[Amc] = True
     return np.flatnonzero(inactive), np.flatnonzero(~inactive)

@@ -67,7 +67,7 @@ class GeneratorSpec:
                 if value is None:
                     raise ValueError(f"{fam} family requires {name}")
             elif value is not None:
-                raise ValueError(f"{fam} family does not take {name}")
+                raise ValueError(f"{name} does not apply to the {fam} family")
 
 
 def generate(spec: GeneratorSpec) -> QpProblem:

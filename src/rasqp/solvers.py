@@ -158,9 +158,6 @@ class _RunRecorder:
         )
 
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
-
 def _zero_point(n: int) -> KktPoint:
     return KktPoint(x=np.zeros(n), s=np.zeros(n))
 
@@ -180,8 +177,8 @@ def _exchange_loop(problem: QpProblem, cfg, select, cap: int, cap_status: Status
 
     Each round solves the subsystem for (I, A) and classifies the result.  It
     stops with ``Optimal`` when nothing is infeasible and with ``cap_status``
-    after ``cap`` solves; otherwise it applies the exchange
-    ``select(partition)`` returns as (Imc, Imf, Amc, Amf), or stops with
+    after ``cap`` solves; otherwise it moves the sets (Imc, Amc) that
+    ``select(partition)`` returns to the other side, or stops with
     ``IterationCapReached`` when that is ``None``.  With ``detect_cycles`` an
     active set met before stops the run with ``CycleDetected`` instead of
     being solved again.
@@ -248,24 +245,24 @@ def ras_solve(problem: QpProblem, cfg: RasConfig) -> SolveResult:
     def select(part):
         nonlocal origin
         for _ in range(10 * n + 1):
-            Imc, Imf, Amc, Amf = select_exchange_ras(categorize(part, origin), cfg.probs, rng)
+            Imc, Amc = select_exchange_ras(categorize(part, origin), cfg.probs, rng)
             origin = origin_labels(part, Imc, Amc)
             if len(Imc) or len(Amc):
-                return Imc, Imf, Amc, Amf
+                return Imc, Amc
         return None
 
     return _exchange_loop(problem, cfg, select, cfg.max_solves, Status.ITERATION_CAP)
 
 
 def kr_solve(problem: QpProblem, cfg: KrConfig) -> SolveResult:
-    """Deterministic full-exchange iteration: I <- Ip u Am every step.
+    """Deterministic full-exchange iteration: every infeasible index changes sides.
 
     Stops with ``Optimal`` when nothing is infeasible and with
     ``CycleDetected`` either when the iteration cap is reached or as soon as
     an active set repeats (detected via a set of visited A's, which yields
     the same fail verdict as running out the cap, only sooner).
     """
-    return _exchange_loop(problem, cfg, lambda part: (part.Im, _EMPTY, part.Am, _EMPTY),
+    return _exchange_loop(problem, cfg, lambda part: (part.Im, part.Am),
                           cfg.max_iterations, Status.CYCLE_DETECTED, detect_cycles=True)
 
 

@@ -54,11 +54,10 @@ class FactorizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SubsystemSolution:
-    """Values on I and A for one subsystem solve: x_I, s_A and |I|."""
+    """Values on I and A for one subsystem solve: x_I and s_A."""
 
     x_I: np.ndarray
     s_A: np.ndarray
-    subsystem_size: int
 
 
 def _check_partition(n: int, I: np.ndarray, A: np.ndarray) -> None:
@@ -73,19 +72,14 @@ def _check_partition(n: int, I: np.ndarray, A: np.ndarray) -> None:
         raise ValueError("I and A must partition {0..n-1}")
 
 
-def solve_subsystem(
-    problem: QpProblem,
-    I,
-    A,
-    *,
-    dense_threshold: int = DENSE_THRESHOLD,
-) -> SubsystemSolution:
+def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
     """Solve Q[I,I] x_I = -g[I] by Cholesky and back out s_A.
 
     ``I`` and ``A`` must partition {0..n-1}; they are sorted internally, so
     the caller's ordering does not affect the result.  With I empty the
-    solution is x_I = [] and s_A = g.  No counters are touched here — callers
-    count solves.
+    solution is x_I = [] and s_A = g.  A sparse Q[I,I] larger than
+    :data:`DENSE_THRESHOLD` (read at call time) goes through SuperLU
+    instead.  No counters are touched here — callers count solves.
 
     Raises :class:`FactorizationError` when the factorization fails, which
     cannot happen in exact arithmetic for a positive definite Q.
@@ -95,13 +89,13 @@ def solve_subsystem(
     _check_partition(problem.n, I, A)
     g = problem.g
     if len(I) == 0:
-        return SubsystemSolution(np.empty(0), g[A].copy(), 0)
+        return SubsystemSolution(np.empty(0), g[A].copy())
 
     Q = problem.Q
     if problem.is_sparse:
         cols = Q[:, I]  # csc column slice, reused for both Q[I,I] and s_A
         qii = cols[I, :]
-        if len(I) <= dense_threshold:
+        if len(I) <= DENSE_THRESHOLD:
             x_I = _dense_solve(qii.toarray(), g[I])
         else:
             x_I = _sparse_solve(qii, g[I])
@@ -110,7 +104,7 @@ def solve_subsystem(
         rows = np.take(Q, I, axis=0)  # Q[I,:]; by symmetry also Q[:,I]'
         x_I = _dense_solve(np.take(rows, I, axis=1), g[I])
         s_A = (x_I @ rows)[A] + g[A] if len(A) else np.empty(0)
-    return SubsystemSolution(x_I, s_A, len(I))
+    return SubsystemSolution(x_I, s_A)
 
 
 def _dense_solve(qii: np.ndarray, g_I: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from rasqp.bench import (
     default_tol,
     emit_table,
     parse_machine_rows,
-    record_trace,
     run_plan,
     solver_seed_for_trial,
     trace_to_csv,
@@ -229,17 +228,17 @@ class TestTraces:
     def test_trace_rows_and_csv(self):
         problem = QpProblem(np.array([[4.0, 1.0], [1.0, 3.0]]), [-1.0, -2.0])
         result = ras_solve(problem, RasConfig(seed=0))
-        trace = record_trace(result, "ras")
-        assert len(trace.rows) == result.solves
-        for (it, elapsed, infeasible, size), row in zip(trace.rows, result.trace):
-            assert it == row.iteration
-            assert elapsed == row.elapsed_s
-            assert infeasible == row.n_im + row.n_am
-            assert size == row.subsystem_size
-        csv = trace_to_csv(trace)
+        csv = trace_to_csv(result, "ras")
         lines = csv.splitlines()
         assert lines[0] == TRACE_HEADER
         assert len(lines) == result.solves + 1
+        for line, row in zip(lines[1:], result.trace):
+            solver, it, elapsed, infeasible, size = line.split(",")
+            assert solver == "ras"
+            assert int(it) == row.iteration
+            assert elapsed == repr(row.elapsed_s)  # full precision
+            assert int(infeasible) == row.n_im + row.n_am
+            assert int(size) == row.subsystem_size
         assert lines[1].startswith("ras,1,")
         # The optimal final row reports zero infeasible indexes.
         assert lines[-1].split(",")[3] == "0"

@@ -124,6 +124,31 @@ class TestUsageErrors:
         assert main(["trace", "--family", "hard", "--n", "20",
                      "--cond", "1e4", "--epsilon", "0.1"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["trace", "--family", "hard", "--n", "1", "--cond", "1e4"], "n must be >= 2"),
+        (["trace", "--family", "hard", "--n", "10", "--cond", "0.5"], "cond must be >= 1"),
+        (["trace", "--family", "hard", "--n", "10", "--cond", "1e4", "--tol", "-1"],
+         "--tol: must be >= 0"),
+        (["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--trials", "0"],
+         "trials must be >= 1"),
+    ], ids=["trace-n", "trace-cond", "trace-tol", "bench-trials"])
+    def test_bad_value_is_a_one_line_usage_error(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert message in captured.err
+
+    def test_solve_negative_tol(self, problem_file, capsys):
+        assert main(["solve", problem_file, "--tol", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "--tol: must be >= 0" in err
+
+    def test_non_numeric_tol(self, problem_file, capsys):
+        assert main(["solve", problem_file, "--tol", "tiny"]) == 1
+        assert "--tol: expects a number" in capsys.readouterr().err
+
 
 class TestBench:
     def test_grid_with_output_file(self, tmp_path, capsys):

@@ -17,7 +17,6 @@ from rasqp.engine import (
     exchange_asymmetry_montecarlo,
     next_sets,
     origin_labels,
-    rand_subset,
     select_exchange_generic,
     select_exchange_ras,
 )
@@ -39,7 +38,12 @@ def make_partition(n, rng):
     I, A = ix[in_I], ix[~in_I]
     im = rng.random(len(I)) < 0.5
     am = rng.random(len(A)) < 0.5
-    return Partition(I=I, A=A, Im=I[im], Ip=I[~im], Am=A[am], Ap=A[~am])
+    return Partition(I=I, A=A, Im=I[im], Am=A[am])
+
+
+def feasible_parts(part):
+    """(Ip, Ap): the indexes of I and A that are not infeasible."""
+    return np.setdiff1d(part.I, part.Im), np.setdiff1d(part.A, part.Am)
 
 
 class TestClassify:
@@ -47,7 +51,7 @@ class TestClassify:
         point = KktPoint(x=np.array([1.0, 0.0, -2.0, 0.0]), s=np.zeros(4))
         part = classify(point, [0, 1, 2], [3], tol=1e-10)
         np.testing.assert_array_equal(part.Im, [1, 2])
-        np.testing.assert_array_equal(part.Ip, [0])
+        np.testing.assert_array_equal(feasible_parts(part)[0], [0])
 
     def test_dual_tolerance_is_strict(self):
         tol = 1e-10
@@ -56,7 +60,7 @@ class TestClassify:
         part = classify(point, [], [0, 1, 2, 3], tol=tol)
         # s_j == -tol is feasible; only the strictly smaller entry lands in Am.
         np.testing.assert_array_equal(part.Am, [2])
-        np.testing.assert_array_equal(part.Ap, [0, 1, 3])
+        np.testing.assert_array_equal(feasible_parts(part)[1], [0, 1, 3])
 
     def test_optimal_flag(self):
         point = KktPoint(x=np.array([1.0, 0.0]), s=np.array([0.0, 2.0]))
@@ -77,7 +81,7 @@ class TestCategorize:
     def test_hand_case(self):
         part = Partition(
             I=IX(0, 1, 2, 3), A=IX(4, 5, 6),
-            Im=IX(0, 1, 2), Ip=IX(3), Am=IX(4, 5), Ap=IX(6),
+            Im=IX(0, 1, 2), Am=IX(4, 5),
         )
         # Previous step: 0 and 4 feasible, 1, 3 and 6 kept, 2 moved in, 5 moved out.
         origin = np.array([FEASIBLE, FROZEN, EXCHANGED, FROZEN, FEASIBLE, EXCHANGED, FROZEN],
@@ -107,8 +111,8 @@ class TestCategorize:
             n = int(rng.integers(1, 9))
             part = make_partition(n, rng)
             cats = categorize(part, all_frozen(n))
-            Imc, Imf, Amc, Amf = select_exchange_ras(cats, probs, rng)
-            I_new, A_new = next_sets(part, Imc, Imf, Amc, Amf)
+            Imc, Amc = select_exchange_ras(cats, probs, rng)
+            I_new, A_new = next_sets(part, Imc, Amc)
             origin = origin_labels(part, Imc, Amc)
             point = KktPoint(x=rng.standard_normal(n), s=rng.standard_normal(n))
             part_new = classify(point, I_new, A_new, tol=1e-10)
@@ -127,8 +131,7 @@ class TestCategorize:
 
 class TestOriginLabels:
     def test_labels_after_a_selection(self):
-        part = Partition(I=IX(0, 1, 2), A=IX(3, 4, 5), Im=IX(0, 1), Ip=IX(2),
-                         Am=IX(3, 4), Ap=IX(5))
+        part = Partition(I=IX(0, 1, 2), A=IX(3, 4, 5), Im=IX(0, 1), Am=IX(3, 4))
         origin = origin_labels(part, IX(1), IX(3))
         np.testing.assert_array_equal(
             origin, [FROZEN, EXCHANGED, FEASIBLE, EXCHANGED, FROZEN, FEASIBLE])
@@ -140,46 +143,6 @@ class TestOriginLabels:
         infeasible = np.union1d(part.Im, part.Am)
         assert (origin[infeasible] == FROZEN).all()
         assert (np.delete(origin, infeasible) == FEASIBLE).all()
-
-
-class TestRandSubset:
-    def test_probability_one_keeps_everything(self):
-        rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(rand_subset(IX(3, 1, 4), 1.0, rng), [3, 1, 4])
-
-    def test_probability_zero_keeps_nothing(self):
-        rng = np.random.default_rng(0)
-        assert len(rand_subset(IX(3, 1, 4), 0.0, rng)) == 0
-
-    def test_empty_input(self):
-        rng = np.random.default_rng(0)
-        assert len(rand_subset(EMPTY, 0.5, rng)) == 0
-
-    def test_per_element_probabilities(self):
-        rng = np.random.default_rng(1)
-        got = rand_subset(IX(0, 1, 2), np.array([1.0, 0.0, 1.0]), rng)
-        np.testing.assert_array_equal(got, [0, 2])
-
-    def test_out_of_range_probability(self):
-        with pytest.raises(ValueError):
-            rand_subset(IX(0), 1.5, np.random.default_rng(0))
-
-    def test_consumes_one_draw_per_element(self):
-        # The stream position after the call depends only on the input size.
-        rng_a = np.random.default_rng(42)
-        rand_subset(IX(5, 6, 7), 0.5, rng_a)
-        rng_b = np.random.default_rng(42)
-        rng_b.random(3)
-        assert rng_a.random() == rng_b.random()
-
-    @given(st.integers(0, 30), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_deterministic_and_subset(self, size, seed):
-        indexes = np.arange(size, dtype=np.int64)
-        a = rand_subset(indexes, 0.5, np.random.default_rng(seed))
-        b = rand_subset(indexes, 0.5, np.random.default_rng(seed))
-        np.testing.assert_array_equal(a, b)
-        assert np.isin(a, indexes).all()
 
 
 class TestChangeProbabilities:
@@ -200,11 +163,11 @@ class TestSelectExchangeGeneric:
         rng = np.random.default_rng(9)
         for _ in range(20):
             part = make_partition(8, rng)
-            Imc, Imf, Amc, Amf = select_exchange_generic(part, 0.5, 0.5, 0.5, rng)
-            np.testing.assert_array_equal(np.union1d(Imc, Imf), part.Im)
-            np.testing.assert_array_equal(np.union1d(Amc, Amf), part.Am)
-            assert len(np.intersect1d(Imc, Imf)) == 0
-            assert len(np.intersect1d(Amc, Amf)) == 0
+            Imc, Amc = select_exchange_generic(part, 0.5, 0.5, 0.5, rng)
+            # The picks and the rest partition Im (Am) when the picks are a subset.
+            for picked, full in ((Imc, part.Im), (Amc, part.Am)):
+                assert (np.diff(picked) > 0).all()
+                assert np.isin(picked, full).all()
 
     def test_sigma_validation(self):
         part = make_partition(4, np.random.default_rng(0))
@@ -214,23 +177,21 @@ class TestSelectExchangeGeneric:
 
     def test_probabilities_outside_sigma_band_rejected(self):
         rng = np.random.default_rng(2)
-        part = Partition(I=IX(0, 1), A=EMPTY, Im=IX(0, 1), Ip=EMPTY,
-                         Am=EMPTY, Ap=EMPTY)
+        part = Partition(I=IX(0, 1), A=EMPTY, Im=IX(0, 1), Am=EMPTY)
         with pytest.raises(ValueError):
             select_exchange_generic(part, 0.05, 0.5, 0.1, rng)
         with pytest.raises(ValueError):
             select_exchange_generic(part, 0.95, 0.5, 0.1, rng)
 
     def test_im_draws_come_before_am_draws(self):
-        part = Partition(I=IX(0, 1), A=IX(2, 3), Im=IX(0, 1), Ip=EMPTY,
-                         Am=IX(2, 3), Ap=EMPTY)
+        part = Partition(I=IX(0, 1), A=IX(2, 3), Im=IX(0, 1), Am=IX(2, 3))
         seed = 7
         got = select_exchange_generic(part, 0.5, 0.5, 0.5, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         want_imc = part.Im[rng.random(2) < 0.5]
         want_amc = part.Am[rng.random(2) < 0.5]
         np.testing.assert_array_equal(got[0], want_imc)
-        np.testing.assert_array_equal(got[2], want_amc)
+        np.testing.assert_array_equal(got[1], want_amc)
 
 
 class TestSelectExchangeRas:
@@ -238,12 +199,11 @@ class TestSelectExchangeRas:
         rng = np.random.default_rng(3)
         part = make_partition(10, rng)
         cats = categorize(part, all_frozen(10))
-        Imc, Imf, Amc, Amf = select_exchange_ras(
+        Imc, Amc = select_exchange_ras(
             cats, ChangeProbabilities(1, 1, 1, 1, 1, 1), rng
         )
         np.testing.assert_array_equal(Imc, part.Im)
         np.testing.assert_array_equal(Amc, part.Am)
-        assert len(Imf) == 0 and len(Amf) == 0
 
     def test_category_draw_order(self):
         # One uniform per element, category by category:
@@ -265,7 +225,7 @@ class TestSelectExchangeRas:
         want_imc = np.union1d(np.union1d(parts[0], parts[1]), parts[2])
         want_amc = np.union1d(np.union1d(parts[3], parts[4]), parts[5])
         np.testing.assert_array_equal(got[0], want_imc)
-        np.testing.assert_array_equal(got[2], want_amc)
+        np.testing.assert_array_equal(got[1], want_amc)
 
     def test_one_draw_per_infeasible_index(self):
         part = make_partition(20, np.random.default_rng(6))
@@ -281,12 +241,12 @@ class TestSelectExchangeRas:
         for _ in range(20):
             part = make_partition(16, rng)
             origin = rng.integers(0, 3, 16).astype(np.int8)
-            Imc, Imf, Amc, Amf = select_exchange_ras(
+            Imc, Amc = select_exchange_ras(
                 categorize(part, origin), ChangeProbabilities(), rng)
-            for picked, kept, full in ((Imc, Imf, part.Im), (Amc, Amf, part.Am)):
-                assert (np.diff(picked) > 0).all() and (np.diff(kept) > 0).all()
-                np.testing.assert_array_equal(np.union1d(picked, kept), full)
-                assert len(picked) + len(kept) == len(full)
+            # The picks and the rest partition Im (Am) when the picks are a subset.
+            for picked, full in ((Imc, part.Im), (Amc, part.Am)):
+                assert (np.diff(picked) > 0).all()
+                assert np.isin(picked, full).all()
 
     def test_kr_update_when_all_probabilities_are_one(self):
         rng = np.random.default_rng(17)
@@ -297,41 +257,45 @@ class TestSelectExchangeRas:
                 cats, ChangeProbabilities(1, 1, 1, 1, 1, 1), rng
             )
             I_new, _ = next_sets(part, *picks)
-            np.testing.assert_array_equal(I_new, np.union1d(part.Ip, part.Am))
+            np.testing.assert_array_equal(I_new, np.union1d(feasible_parts(part)[0], part.Am))
 
 
 class TestNextSets:
     def test_full_exchange(self):
         part = make_partition(9, np.random.default_rng(21))
-        I_new, A_new = next_sets(part, part.Im, EMPTY, part.Am, EMPTY)
-        np.testing.assert_array_equal(I_new, np.union1d(part.Ip, part.Am))
-        np.testing.assert_array_equal(A_new, np.union1d(part.Ap, part.Im))
+        Ip, Ap = feasible_parts(part)
+        I_new, A_new = next_sets(part, part.Im, part.Am)
+        np.testing.assert_array_equal(I_new, np.union1d(Ip, part.Am))
+        np.testing.assert_array_equal(A_new, np.union1d(Ap, part.Im))
 
     def test_no_change(self):
         part = make_partition(9, np.random.default_rng(22))
-        I_new, A_new = next_sets(part, EMPTY, part.Im, EMPTY, part.Am)
+        I_new, A_new = next_sets(part, EMPTY, EMPTY)
         np.testing.assert_array_equal(I_new, np.sort(part.I))
         np.testing.assert_array_equal(A_new, np.sort(part.A))
 
     def test_hand_case(self):
-        part = Partition(I=IX(0, 1), A=IX(2), Im=IX(1), Ip=IX(0), Am=IX(2), Ap=EMPTY)
-        I_new, A_new = next_sets(part, IX(1), EMPTY, IX(2), EMPTY)
+        part = Partition(I=IX(0, 1), A=IX(2), Im=IX(1), Am=IX(2))
+        I_new, A_new = next_sets(part, IX(1), IX(2))
         np.testing.assert_array_equal(I_new, [0, 2])
         np.testing.assert_array_equal(A_new, [1])
 
-    def test_rejects_non_partition_of_im(self):
-        part = Partition(I=IX(0, 1), A=EMPTY, Im=IX(0, 1), Ip=EMPTY,
-                         Am=EMPTY, Ap=EMPTY)
+    def test_rejects_imc_outside_i(self):
+        part = Partition(I=IX(0, 1), A=IX(2), Im=IX(0), Am=IX(2))
         with pytest.raises(ValueError):
-            next_sets(part, IX(0), EMPTY, EMPTY, EMPTY)
+            next_sets(part, IX(0, 2), EMPTY)
+
+    def test_rejects_amc_outside_a(self):
+        part = Partition(I=IX(0, 1), A=IX(2), Im=IX(0), Am=IX(2))
+        with pytest.raises(ValueError):
+            next_sets(part, EMPTY, IX(1, 2))
 
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_result_partitions_the_index_range(self, n, seed):
         rng = np.random.default_rng(seed)
         part = make_partition(n, rng)
-        Imc, Imf, Amc, Amf = select_exchange_generic(part, 0.5, 0.5, 0.5, rng)
-        I_new, A_new = next_sets(part, Imc, Imf, Amc, Amf)
+        I_new, A_new = next_sets(part, *select_exchange_generic(part, 0.5, 0.5, 0.5, rng))
         merged = np.concatenate([I_new, A_new])
         np.testing.assert_array_equal(np.sort(merged), np.arange(n))
 

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import rasqp.subsystem
 from conftest import rand_spd_problem
 from rasqp.model import QpProblem, kkt_residual, stationarity_tol
 from rasqp.subsystem import (
@@ -28,13 +29,11 @@ class TestSolveSubsystem:
         sol = solve_subsystem(p, [0, 1], [])
         np.testing.assert_allclose(sol.x_I, np.linalg.solve(Q22, -G22), rtol=1e-14)
         assert sol.s_A.size == 0
-        assert sol.subsystem_size == 2
 
     def test_everything_active(self):
         p = QpProblem(Q22, G22)
         sol = solve_subsystem(p, [], [0, 1])
         assert sol.x_I.size == 0
-        assert sol.subsystem_size == 0
         np.testing.assert_array_equal(sol.s_A, G22)
 
     def test_hand_split(self):
@@ -104,13 +103,23 @@ class TestSolveSubsystem:
                 np.testing.assert_allclose(a.x_I, b.x_I, rtol=1e-12, atol=1e-14)
                 np.testing.assert_allclose(a.s_A, b.s_A, rtol=1e-12, atol=1e-14)
 
-    def test_sparse_lu_path_agrees_with_cholesky(self):
+    def test_sparse_lu_path_agrees_with_cholesky(self, monkeypatch):
         rng = np.random.default_rng(11)
         dense = rand_spd_problem(20, rng)
         sparse = QpProblem(sp.csc_array(dense.Q), dense.g)
         I, A = random_partition(20, rng)
         chol = solve_subsystem(sparse, I, A)
-        lu = solve_subsystem(sparse, I, A, dense_threshold=0)
+        splu = rasqp.subsystem.spla.splu
+        lu_calls = []
+
+        def counted_splu(*args, **kwargs):
+            lu_calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(rasqp.subsystem.spla, "splu", counted_splu)
+        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        lu = solve_subsystem(sparse, I, A)
+        assert lu_calls == [(len(I), len(I))]  # the threshold is read at call time
         np.testing.assert_allclose(chol.x_I, lu.x_I, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(chol.s_A, lu.s_A, rtol=1e-10, atol=1e-12)
 
@@ -135,9 +144,7 @@ class TestSolveSubsystem:
 
 class TestEmbedPoint:
     def test_scatter(self):
-        sol = SubsystemSolution(
-            x_I=np.array([2.0, 3.0]), s_A=np.array([-1.0]), subsystem_size=2
-        )
+        sol = SubsystemSolution(x_I=np.array([2.0, 3.0]), s_A=np.array([-1.0]))
         point = embed_point(3, [0, 2], [1], sol)
         np.testing.assert_array_equal(point.x, [2.0, 0.0, 3.0])
         np.testing.assert_array_equal(point.s, [0.0, -1.0, 0.0])
@@ -152,6 +159,6 @@ class TestEmbedPoint:
         assert point.x @ point.s == 0.0
 
     def test_size_mismatch(self):
-        sol = SubsystemSolution(x_I=np.array([1.0]), s_A=np.empty(0), subsystem_size=1)
+        sol = SubsystemSolution(x_I=np.array([1.0]), s_A=np.empty(0))
         with pytest.raises(ValueError):
             embed_point(3, [0, 1], [2], sol)
