@@ -79,7 +79,8 @@ class BenchmarkPlan:
     The ``seed`` field of each template is a placeholder: trial t replaces it
     with ``base_seed + t``.  ``options`` may carry solver keywords (``tol``,
     ``max_solves``, ``probs`` as a 6-tuple, ``sigma``, ``max_iterations``);
-    ``tol`` defaults to the family tolerance.
+    ``tol`` defaults to the family tolerance.  ``time_limit_per_trial`` (in
+    seconds) must be > 0; a trial that ran longer is recorded as ``Timeout``.
     """
 
     cells: tuple
@@ -90,6 +91,8 @@ class BenchmarkPlan:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.time_limit_per_trial > 0:  # also rejects NaN
+            raise ValueError("time_limit_per_trial must be > 0")
 
 
 @dataclass(frozen=True)

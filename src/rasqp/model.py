@@ -101,10 +101,12 @@ class QpProblem:
 
     Dense inputs are stored as read-only ``float64`` arrays, sparse inputs in
     CSC form.  Instances are treated as immutable and may be shared across
-    threads.
+    threads.  The private ``_rcm_rank`` caches a fill-reducing order of a
+    sparse Q, computed by :mod:`rasqp.subsystem` on first use; it is a
+    function of Q alone, so caching it changes no observable value.
     """
 
-    __slots__ = ("n", "Q", "g", "is_sparse")
+    __slots__ = ("n", "Q", "g", "is_sparse", "_rcm_rank")
 
     def __init__(self, Q, g):
         g = np.asarray(g, dtype=np.float64).reshape(-1)
@@ -133,6 +135,7 @@ class QpProblem:
         self.n = n
         self.Q = Q
         self.g = g
+        self._rcm_rank = None
 
     def dense_q(self) -> np.ndarray:
         """Q as a dense ndarray (a copy when stored sparse)."""

@@ -12,12 +12,28 @@ counts.  I and A may come in any order; they are sorted on entry and checked
 to partition {0..n-1} with one O(n) coverage mask, which rejects an overlap,
 a missing index and an index out of range.
 
-Each solve gathers Q once: a dense Q gives the row block Q[I,:], one
-contiguous copy of |I| rows, and a sparse Q the column block Q[:,I].  From
-the row block, Q[I,I] is its columns I and s_A is the full product
-x_I Q[I,:] read at the positions A.  That relies on Q being exactly
-symmetric in floating point, which :class:`~rasqp.model.QpProblem`
-guarantees by storing (Q + Q')/2: row i of Q equals column i bit for bit.
+Each solve gathers Q once, in one of three ways.
+
+* Dense Q: the row block Q[I,:], one contiguous copy of |I| rows.  Q[I,I]
+  is its columns I and s_A is the full product x_I Q[I,:] read at the
+  positions A.  That relies on Q being exactly symmetric in floating point,
+  which :class:`~rasqp.model.QpProblem` guarantees by storing (Q + Q')/2:
+  row i of Q equals column i bit for bit.
+* Sparse Q with |I| <= :data:`DENSE_THRESHOLD`: the stored entries of the
+  columns I are scattered straight into a dense Fortran-ordered Q[I,I]
+  through a position map of I, and s_A is (Q x)[A] + g[A] with x zero on A.
+* Sparse Q with a larger I: SuperLU on the CSC block.  SciPy ships no sparse
+  Cholesky, and letting SuperLU compute a COLAMD ordering for every block
+  costs more than the factorization itself.  Instead the whole of Q is
+  ordered once per problem by reverse Cuthill-McKee (cached on the problem)
+  and each block takes I in that order.  For a symmetric positive definite
+  matrix, the Cholesky fill of a principal submatrix under the induced order
+  lies inside the fill of the whole matrix restricted to I, so restricting
+  the order never adds fill.  Q[I,I] is positive definite, so Gaussian
+  elimination on its diagonal is stable without pivoting: SuperLU runs in
+  symmetric mode with the natural column order and a diagonal pivot
+  threshold of 0, so it keeps the given order and pivots on the diagonal.
+
 The densified Q[I,I] is a temporary, so the Cholesky factorizes it in
 place, handed whichever of the block and its transpose (the same matrix, by
 symmetry) is in Fortran order, so LAPACK works on it without a copy.
@@ -29,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .model import KktPoint, QpProblem
@@ -43,8 +58,8 @@ __all__ = [
 ]
 
 #: Sparse-stored Q[I,I] blocks up to this size are densified before
-#: factorization; larger blocks go through a sparse LU with fill-reducing
-#: ordering (SuperLU), since SciPy ships no sparse Cholesky.
+#: factorization; larger blocks go through SuperLU in the problem's reverse
+#: Cuthill-McKee order, since SciPy ships no sparse Cholesky.
 DENSE_THRESHOLD = 1024
 
 
@@ -79,7 +94,8 @@ def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
     the caller's ordering does not affect the result.  With I empty the
     solution is x_I = [] and s_A = g.  A sparse Q[I,I] larger than
     :data:`DENSE_THRESHOLD` (read at call time) goes through SuperLU
-    instead.  No counters are touched here — callers count solves.
+    instead; the first such solve orders Q and stores the order on the
+    problem.  No counters are touched here — callers count solves.
 
     Raises :class:`FactorizationError` when the factorization fails, which
     cannot happen in exact arithmetic for a positive definite Q.
@@ -92,19 +108,55 @@ def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
         return SubsystemSolution(np.empty(0), g[A].copy())
 
     Q = problem.Q
-    if problem.is_sparse:
-        cols = Q[:, I]  # csc column slice, reused for both Q[I,I] and s_A
-        qii = cols[I, :]
-        if len(I) <= DENSE_THRESHOLD:
-            x_I = _dense_solve(qii.toarray(), g[I])
-        else:
-            x_I = _sparse_solve(qii, g[I])
-        s_A = (cols @ x_I)[A] + g[A] if len(A) else np.empty(0)
-    else:
+    if not problem.is_sparse:
         rows = np.take(Q, I, axis=0)  # Q[I,:]; by symmetry also Q[:,I]'
         x_I = _dense_solve(np.take(rows, I, axis=1), g[I])
         s_A = (x_I @ rows)[A] + g[A] if len(A) else np.empty(0)
+    elif len(I) <= DENSE_THRESHOLD:
+        x_I = _dense_solve(_csc_block(Q, I), g[I])
+        x = np.zeros(problem.n)
+        x[I] = x_I
+        s_A = (Q @ x)[A] + g[A]
+    else:
+        order = np.argsort(_rcm_rank(problem)[I])
+        J = I[order]  # I in the problem's fill-reducing order
+        cols = Q[:, J]  # csc column slice, reused for both Q[J,J] and s_A
+        y = _sparse_solve(cols[J, :], g[J])
+        x_I = np.empty_like(y)
+        x_I[order] = y
+        s_A = (cols @ y)[A] + g[A] if len(A) else np.empty(0)
     return SubsystemSolution(x_I, s_A)
+
+
+def _csc_block(Q, I: np.ndarray) -> np.ndarray:
+    """Dense Fortran-ordered Q[I,I], scattered from the CSC arrays of the columns I."""
+    m = len(I)
+    pos = np.full(Q.shape[0], -1, dtype=np.int64)  # row index -> position in I
+    pos[I] = np.arange(m)
+    start = Q.indptr[I]
+    lens = Q.indptr[I + 1] - start
+    # Every stored entry of the columns I, column after column.
+    k = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
+    rows = pos[Q.indices[k]]
+    keep = rows >= 0
+    block = np.zeros(m * m)
+    block[rows[keep] + np.repeat(np.arange(0, m * m, m), lens)[keep]] = Q.data[k[keep]]
+    return block.reshape((m, m), order="F")
+
+
+def _rcm_rank(problem: QpProblem) -> np.ndarray:
+    """Each index's position in a reverse Cuthill-McKee order of Q, computed once."""
+    rank = problem._rcm_rank
+    if rank is None:
+        # Imported on first use, so a run that never reaches SuperLU does
+        # not load csgraph (about 1 MB of resident memory).
+        from scipy.sparse import csgraph
+
+        perm = csgraph.reverse_cuthill_mckee(problem.Q, symmetric_mode=True)
+        rank = np.empty(problem.n, dtype=np.int64)
+        rank[perm] = np.arange(problem.n)
+        problem._rcm_rank = rank
+    return rank
 
 
 def _dense_solve(qii: np.ndarray, g_I: np.ndarray) -> np.ndarray:
@@ -118,8 +170,10 @@ def _dense_solve(qii: np.ndarray, g_I: np.ndarray) -> np.ndarray:
 
 
 def _sparse_solve(qii, g_I: np.ndarray) -> np.ndarray:
+    """Factorize the CSC block ``qii`` in its given order, without pivoting, and solve."""
     try:
-        lu = spla.splu(sp.csc_matrix(qii))
+        lu = spla.splu(qii, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU signals singularity this way
         raise FactorizationError(str(exc)) from exc
     x = lu.solve(-g_I)

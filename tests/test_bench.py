@@ -113,7 +113,7 @@ class TestRunPlan:
             assert a.status == b.status
 
     def test_timeout_marks_failures_and_empties_means(self):
-        records = run_plan(tiny_plan(time_limit_per_trial=0.0))
+        records = run_plan(tiny_plan(time_limit_per_trial=1e-9))
         for record in records:
             assert all(r.status == "Timeout" for r in record.rows)
             assert record.fail_count == 3
@@ -192,6 +192,11 @@ class TestRunPlan:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             tiny_plan(trials=0)
+
+    @pytest.mark.parametrize("limit", [-1.0, 0.0, math.nan])
+    def test_time_limit_validated(self, limit):
+        with pytest.raises(ValueError, match="time_limit_per_trial"):
+            tiny_plan(time_limit_per_trial=limit)
 
 
 class TestEmitTable:

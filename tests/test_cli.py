@@ -131,7 +131,11 @@ class TestUsageErrors:
          "--tol: must be >= 0"),
         (["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--trials", "0"],
          "trials must be >= 1"),
-    ], ids=["trace-n", "trace-cond", "trace-tol", "bench-trials"])
+        *((["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--trials", "2",
+            "--solvers", "ras", "--time-limit", limit], "time_limit_per_trial must be > 0")
+          for limit in ("-1", "0", "nan")),
+    ], ids=["trace-n", "trace-cond", "trace-tol", "bench-trials",
+            "bench-time-limit-negative", "bench-time-limit-zero", "bench-time-limit-nan"])
     def test_bad_value_is_a_one_line_usage_error(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.csgraph
 
 import rasqp.subsystem
 from conftest import rand_spd_problem
+from rasqp.generators import gen_easy, gen_medium
 from rasqp.model import QpProblem, kkt_residual, stationarity_tol
 from rasqp.subsystem import (
     FactorizationError,
@@ -104,24 +106,60 @@ class TestSolveSubsystem:
                 np.testing.assert_allclose(a.s_A, b.s_A, rtol=1e-12, atol=1e-14)
 
     def test_sparse_lu_path_agrees_with_cholesky(self, monkeypatch):
+        # With the threshold at 0 every nonempty block goes through SuperLU,
+        # in the problem's reverse Cuthill-McKee order.  The reference is the
+        # dense Cholesky of Q[I,I] in sorted order, on a dense pattern, the
+        # banded easy family and an unstructured medium matrix.
         rng = np.random.default_rng(11)
         dense = rand_spd_problem(20, rng)
-        sparse = QpProblem(sp.csc_array(dense.Q), dense.g)
-        I, A = random_partition(20, rng)
-        chol = solve_subsystem(sparse, I, A)
+        problems = (QpProblem(sp.csc_array(dense.Q), dense.g),
+                    gen_easy(150, 1.0, seed=2),
+                    gen_medium(150, 0.05, 1e4, seed=2))
         splu = rasqp.subsystem.spla.splu
-        lu_calls = []
+        rcm = scipy.sparse.csgraph.reverse_cuthill_mckee
+        lu_calls, rcm_calls = [], []
 
         def counted_splu(*args, **kwargs):
             lu_calls.append(args[0].shape)
             return splu(*args, **kwargs)
 
+        def counted_rcm(*args, **kwargs):
+            rcm_calls.append(args[0].shape)
+            return rcm(*args, **kwargs)
+
         monkeypatch.setattr(rasqp.subsystem.spla, "splu", counted_splu)
+        monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", counted_rcm)
         monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
-        lu = solve_subsystem(sparse, I, A)
-        assert lu_calls == [(len(I), len(I))]  # the threshold is read at call time
-        np.testing.assert_allclose(chol.x_I, lu.x_I, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(chol.s_A, lu.s_A, rtol=1e-10, atol=1e-12)
+        for p in problems:
+            n, Q, g = p.n, p.Q.toarray(), p.g
+            for _ in range(3):
+                I, A = random_partition(n, rng)
+                lu_calls.clear()
+                lu = solve_subsystem(p, rng.permutation(I), rng.permutation(A))
+                assert lu_calls == [(len(I), len(I))]  # the threshold is read at call time
+                chol = sla.cho_solve(sla.cho_factor(Q[np.ix_(I, I)], lower=True), -g[I])
+                np.testing.assert_allclose(lu.x_I, chol, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(lu.s_A, Q[np.ix_(A, I)] @ chol + g[A],
+                                           rtol=1e-10, atol=1e-12)
+            assert rcm_calls == [(n, n)]  # one ordering per problem
+            rcm_calls.clear()
+            np.testing.assert_array_equal(np.sort(p._rcm_rank), np.arange(n))
+
+    def test_sparse_densified_path_matches_direct_cholesky(self):
+        # A small sparse block is scattered into a dense Q[I,I]: the factor
+        # sees the same matrix as a direct gather, so x_I is bit-identical.
+        rng = np.random.default_rng(31)
+        p = gen_medium(150, 0.05, 1e6, seed=4)
+        n, Q, g = p.n, p.Q.toarray(), p.g
+        for I, A in (random_partition(n, rng), (np.arange(n), np.arange(0))):
+            sol = solve_subsystem(p, rng.permutation(I), rng.permutation(A))
+            x_ref = sla.cho_solve(sla.cho_factor(Q[np.ix_(I, I)], lower=True), -g[I])
+            np.testing.assert_array_equal(sol.x_I, x_ref)
+            Q_AI = Q[np.ix_(A, I)]
+            rounding = 4 * n * np.finfo(float).eps * (np.abs(Q_AI) @ np.abs(x_ref) + np.abs(g[A]))
+            assert sol.s_A.shape == A.shape
+            assert np.all(np.abs(sol.s_A - (Q_AI @ x_ref + g[A])) <= rounding)
+        assert p._rcm_rank is None  # only the SuperLU branch orders Q
 
     def test_stationarity_holds_for_any_partition(self):
         # The first two KKT equations hold by construction for every split,

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rasqp.generators import gen_hard
+import rasqp.subsystem
+from rasqp.generators import gen_easy, gen_hard
 from rasqp.solvers import (
     GenericRasConfig,
     KrConfig,
@@ -59,4 +60,28 @@ def test_solver_calls_reach_the_wrappers(tracer, solve, cfg, expected):
     assert expected | {"solve_subsystem", "embed_point", "cho_factor", "cho_solve"} <= names
     assert (traced.status, traced.solves) == (untraced.status, untraced.solves)
     assert sum(span[0] == "solve_subsystem" for span in t.spans) == untraced.solves
+    np.testing.assert_array_equal(traced.point.x, untraced.point.x)
+
+
+def test_sparse_factor_reaches_the_splu_wrapper(tracer, monkeypatch):
+    """A large sparse block is factorized through ``scipy.sparse.linalg.splu``.
+
+    The tracer reads ``subsystem.sparse_factor_s`` from the ``splu`` spans,
+    so the factor must be called through that attribute.  The reverse
+    Cuthill-McKee ordering is not an entry point: its one-off cost per
+    problem lands in the ``solve_subsystem`` self time, ``subsystem.gather_s``.
+    """
+    monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+    problem = gen_easy(200, 1.0, seed=1)
+    cfg = RasConfig(seed=3)
+    untraced = ras_solve(problem, cfg)
+    t = tracer.Tracer()
+    with t.installed():
+        traced = ras_solve(problem, cfg)
+    names = [span[0] for span in t.spans]
+    nonempty = [len(span[5][0]) > 0 for span in t.spans if span[0] == "solve_subsystem"]
+    assert len(nonempty) == untraced.solves
+    assert names.count("splu") == sum(nonempty) > 0  # every nonempty block
+    assert "cho_factor" not in names
+    assert (traced.status, traced.solves) == (untraced.status, untraced.solves)
     np.testing.assert_array_equal(traced.point.x, untraced.point.x)
