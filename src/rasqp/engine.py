@@ -6,26 +6,27 @@ After each subsystem solve the infeasible parts of I and A are
 
 (a zero-valued inactive variable counts as infeasible; an active variable
 with s_j exactly at -tol counts as feasible).  A randomized method then
-draws the subsets Imc of Im and Amc of Am that change sides; every other
-index stays where it is.
+draws a subset of Im and Am whose indexes change sides; every other index
+stays where it is.
 
-Between iterations each index carries two pieces of state: whether it is in
-I or in A (a boolean ``inactive`` mask, which :func:`next_sets` flips), and
-an ``int8`` origin label recording what the previous selection did with it:
-``FEASIBLE`` (it was feasible), ``FROZEN`` (it was infeasible and kept) or
-``EXCHANGED`` (it was infeasible and moved).  An infeasible index's origin
-category is its label together with the side it is on now; an index in Im
-labelled ``EXCHANGED``, for instance, has just moved in from A (NImc).  The
-refined selection rule applies one exchange probability per category.
-Before the first selection every index is labelled ``FROZEN``.
+The loop state is two arrays of length n: a boolean ``inactive`` mask (I is
+where it is true, A where it is false), which :func:`next_sets` flips, and,
+for the refined rule, an ``int8`` origin label recording what the previous
+selection did with each index: ``FEASIBLE`` (it was feasible), ``FROZEN``
+(it was infeasible and kept) or ``EXCHANGED`` (it was infeasible and moved).
+An infeasible index's origin category is its label together with the side
+it is on now: the label itself on the I side and the label + 3 on the A
+side, giving NImp0, NImf, NImc, NAmp0, NAmf, NAmc as categories 0-5.  An
+index in Im labelled ``EXCHANGED``, for instance, has just moved in from A
+(NImc).  The refined selection rule applies one exchange probability per
+category.  Before the first selection every index is labelled ``FROZEN``.
 
-Index sets (I, A, the infeasible parts, the six categories and the
-selections) are sorted int64 arrays built with O(n) masks and gathers.
 Random draws are consumed in a fixed, documented order: one uniform per
-element, Im-side categories before Am-side ones, ascending index order
-inside each.  Each selection makes one draw of length |Im| + |Am|, which
-yields the same numbers as consecutive per-category draws, so every seeded
-run is reproducible.
+infeasible index, in the stable sort by (side, label, index), i.e. category
+by category from NImp0 to NAmc and ascending inside each; the generic rule
+draws over Im, then Am, each ascending.  Each selection makes one draw over
+all candidates, which yields the same numbers as consecutive per-category
+draws, so every seeded run is reproducible.
 """
 
 from __future__ import annotations
@@ -38,15 +39,12 @@ import numpy as np
 from .model import KktPoint
 
 __all__ = [
-    "Partition",
-    "Categories",
     "ChangeProbabilities",
     "FEASIBLE",
     "FROZEN",
     "EXCHANGED",
     "classify",
     "categorize",
-    "origin_labels",
     "select_exchange_generic",
     "select_exchange_ras",
     "next_sets",
@@ -55,48 +53,6 @@ __all__ = [
 
 #: Origin labels: what the previous selection did with an index.
 FEASIBLE, FROZEN, EXCHANGED = 0, 1, 2
-
-
-def _as_index_array(ix) -> np.ndarray:
-    a = np.asarray(ix, dtype=np.int64)
-    return a if a.ndim == 1 else a.reshape(-1)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Current split of {0..n-1} into I/A and their infeasible parts Im/Am."""
-
-    I: np.ndarray
-    A: np.ndarray
-    Im: np.ndarray
-    Am: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.I) + len(self.A)
-
-    @property
-    def optimal(self) -> bool:
-        """True when no index is infeasible, i.e. the partition is optimal."""
-        return len(self.Im) == 0 and len(self.Am) == 0
-
-
-@dataclass(frozen=True)
-class Categories:
-    """Currently infeasible indexes, classified by their origin label.
-
-    Im splits into NImp0 (were feasible inactive), NImf (were infeasible
-    inactive but kept), NImc (were just moved in from A); Am splits into
-    NAmp0 / NAmf / NAmc symmetrically, NAmc being indexes just moved out
-    of I.
-    """
-
-    NImp0: np.ndarray
-    NImf: np.ndarray
-    NImc: np.ndarray
-    NAmp0: np.ndarray
-    NAmf: np.ndarray
-    NAmc: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,101 +82,62 @@ class ChangeProbabilities:
         return (self.p1, self.p2, self.p3, self.p4, self.p5, self.p6)
 
 
-def classify(point: KktPoint, I, A, tol: float) -> Partition:
-    """Split I by the sign of x (x_i <= 0 infeasible) and A by s_j < -tol."""
+def classify(point: KktPoint, inactive: np.ndarray, tol: float) -> np.ndarray:
+    """The infeasible mask: x_i <= 0 where ``inactive``, s_j < -tol elsewhere."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    I = _as_index_array(I)
-    A = _as_index_array(A)
-    return Partition(I=I, A=A, Im=I[point.x[I] <= 0.0], Am=A[point.s[A] < -tol])
+    return np.where(inactive, point.x <= 0.0, point.s < -tol)
 
 
-def categorize(partition: Partition, origin: np.ndarray) -> Categories:
-    """Split Im and Am by the origin label of each index.
+def categorize(infeasible: np.ndarray, inactive: np.ndarray, origin: np.ndarray):
+    """The infeasible indexes in draw order, with their category 0-5.
 
-    ``origin`` holds one label per index (see :func:`origin_labels`).  Every
-    index has exactly one label, so the three Im-side categories partition
-    Im and the three Am-side ones partition Am.
+    The category is the origin label on the I side and the label + 3 on the
+    A side.  A stable sort on it keeps ascending index order inside each
+    category, so the result runs NImp0, NImf, NImc, NAmp0, NAmf, NAmc.
     """
-    Im, Am = partition.Im, partition.Am
-    im, am = origin[Im], origin[Am]
-    return Categories(
-        NImp0=Im[im == FEASIBLE],
-        NImf=Im[im == FROZEN],
-        NImc=Im[im == EXCHANGED],
-        NAmp0=Am[am == FEASIBLE],
-        NAmf=Am[am == FROZEN],
-        NAmc=Am[am == EXCHANGED],
-    )
+    cand = np.flatnonzero(infeasible)
+    cat = origin[cand] + np.where(inactive[cand], 0, 3)
+    order = np.argsort(cat, kind="stable")
+    return cand[order], cat[order]
 
 
-def origin_labels(partition: Partition, Imc, Amc) -> np.ndarray:
-    """Labels after a selection on ``partition`` that exchanged Imc and Amc.
-
-    Feasible indexes become ``FEASIBLE``, the exchanged ones ``EXCHANGED``
-    and the infeasible indexes kept in place ``FROZEN``.  An empty selection
-    therefore marks every infeasible index as frozen.
-    """
-    origin = np.full(partition.n, FEASIBLE, dtype=np.int8)
-    origin[partition.Im] = FROZEN
-    origin[partition.Am] = FROZEN
-    origin[Imc] = EXCHANGED
-    origin[Amc] = EXCHANGED
-    return origin
-
-
-def select_exchange_generic(partition: Partition, p_Im, p_Am, sigma: float, rng):
+def select_exchange_generic(Im, Am, p_Im, p_Am, sigma: float, rng) -> np.ndarray:
     """One-shot random exchange selection with probabilities in [sigma, 1-sigma].
 
-    Returns the exchanged sets (Imc, Amc), subsets of Im and Am in ascending
-    order.  One draw covers Im, then Am, each in ascending order.
+    Returns the chosen indexes: the picks from Im, then those from Am, in
+    the order of the one draw that covers Im, then Am.
     """
     if not 0.0 < sigma <= 0.5:
         raise ValueError("sigma must lie in (0, 0.5]")
-    Im, Am = partition.Im, partition.Am
     p = np.concatenate([
         np.broadcast_to(np.asarray(p_Im, dtype=np.float64), Im.shape),
         np.broadcast_to(np.asarray(p_Am, dtype=np.float64), Am.shape),
     ])
     if p.size and (p.min() < sigma - 1e-15 or p.max() > 1.0 - sigma + 1e-15):
         raise ValueError(f"probabilities must lie in [{sigma}, {1.0 - sigma}]")
-    hit = rng.random(p.size) < p
-    return Im[hit[:len(Im)]], Am[hit[len(Im):]]
+    return np.concatenate((Im, Am))[rng.random(p.size) < p]
 
 
-def select_exchange_ras(cats: Categories, probs: ChangeProbabilities, rng):
-    """Category-wise random exchange selection.
+def select_exchange_ras(cand: np.ndarray, cat: np.ndarray, probs: ChangeProbabilities,
+                        rng) -> np.ndarray:
+    """Category-wise random exchange selection over :func:`categorize`'s output.
 
-    Each origin category is thinned with its own probability; the Im-side
-    picks form Imc and the Am-side picks Amc.  Returns (Imc, Amc) in
-    ascending order like :func:`select_exchange_generic`.  Draw order is
-    NImp0, NImf, NImc, then NAmp0, NAmf, NAmc (each ascending), in one draw.
+    Each candidate is exchanged with its category's probability, one uniform
+    per candidate in the given order.  Returns the chosen indexes in that
+    order.
     """
-    groups = (cats.NImp0, cats.NImf, cats.NImc, cats.NAmp0, cats.NAmf, cats.NAmc)
-    sizes = [len(g) for g in groups]
-    candidates = np.concatenate(groups)
-    hit = rng.random(len(candidates)) < np.repeat(probs.as_tuple(), sizes)
-    k = sizes[0] + sizes[1] + sizes[2]
-    Imc, Amc = candidates[:k][hit[:k]], candidates[k:][hit[k:]]
-    Imc.sort()  # each is a fresh copy from the boolean gather
-    Amc.sort()
-    return Imc, Amc
+    return cand[rng.random(len(cand)) < np.asarray(probs.as_tuple())[cat]]
 
 
-def next_sets(partition: Partition, Imc, Amc):
-    """Apply an exchange: Imc moves from I to A and Amc from A to I.
+def next_sets(inactive: np.ndarray, chosen):
+    """Move the ``chosen`` indexes to the other side.
 
-    Every other index stays on its side.  Raises ``ValueError`` unless
-    Imc is a subset of I and Amc a subset of A.  Flips the exchanged entries
-    of the ``inactive`` mask and returns the sorted (I_new, A_new).
+    Flips their entries of the ``inactive`` mask in place and returns
+    ``(inactive, I, A)`` with I and A sorted.
     """
-    inactive = np.zeros(partition.n, dtype=bool)
-    inactive[partition.I] = True
-    if not inactive[Imc].all() or inactive[Amc].any():
-        raise ValueError("Imc must be a subset of I and Amc a subset of A")
-    inactive[Imc] = False
-    inactive[Amc] = True
-    return np.flatnonzero(inactive), np.flatnonzero(~inactive)
+    inactive[chosen] = ~inactive[chosen]
+    return inactive, np.flatnonzero(inactive), np.flatnonzero(~inactive)
 
 
 def exchange_asymmetry_montecarlo(samples: int, rng: np.random.Generator, *,

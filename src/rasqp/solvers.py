@@ -30,13 +30,13 @@ from typing import Callable
 import numpy as np
 
 from .engine import (
+    EXCHANGED,
+    FEASIBLE,
     FROZEN,
     ChangeProbabilities,
-    Partition,
     categorize,
     classify,
     next_sets,
-    origin_labels,
     select_exchange_generic,
     select_exchange_ras,
 )
@@ -60,13 +60,15 @@ __all__ = [
 class GenericRasConfig:
     """Configuration for :func:`generic_ras_solve`.
 
-    ``probability_rule`` maps the current :class:`Partition` to a pair of
-    probability vectors (for Im and Am); every produced probability must lie
-    in [sigma, 1-sigma].  ``None`` means the constant rule 0.5.
+    ``probability_rule`` is called as ``rule(point, Im, Am)`` with the
+    current iterate (a :class:`~rasqp.model.KktPoint`) and the ascending
+    infeasible indexes of I and of A; it returns the exchange probabilities
+    for Im and for Am (scalars or one per index), each in [sigma, 1-sigma].
+    ``None`` means the constant rule 0.5.
     """
 
     sigma: float = 0.5
-    probability_rule: Callable[[Partition], tuple] | None = None
+    probability_rule: Callable[[KktPoint, np.ndarray, np.ndarray], tuple] | None = None
     tol: float = 1e-10
     initial_A: object = None
     max_solves: int = 10_000
@@ -109,13 +111,16 @@ class NoKktPointError(RuntimeError):
     """No partition satisfied the KKT conditions; impossible for valid input."""
 
 
-def _initial_sets(n: int, initial_A) -> tuple[np.ndarray, np.ndarray]:
-    A = np.arange(n) if initial_A is None else np.asarray(initial_A, dtype=np.int64).ravel()
+def _initial_sets(n: int, initial_A):
+    """The inactive mask and the sorted (I, A) for a starting active set."""
+    A = np.arange(n) if initial_A is None else np.asarray(initial_A).ravel()
+    if len(A) and A.dtype.kind not in "iu":
+        raise ValueError(f"initial_A must hold integer indexes, not {A.dtype}")
     if len(A) and (A.min() < 0 or A.max() >= n):
         raise ValueError("initial_A index out of range")
     inactive = np.ones(n, dtype=bool)
-    inactive[A] = False
-    return np.flatnonzero(inactive), np.flatnonzero(~inactive)
+    inactive[A.astype(np.int64)] = False
+    return inactive, np.flatnonzero(inactive), np.flatnonzero(~inactive)
 
 
 class _RunRecorder:
@@ -158,54 +163,48 @@ class _RunRecorder:
         )
 
 
-def _zero_point(n: int) -> KktPoint:
-    return KktPoint(x=np.zeros(n), s=np.zeros(n))
-
-
-def _solve_and_classify(problem, I, A, tol, rec):
-    sol = solve_subsystem(problem, I, A)
-    point = embed_point(problem.n, I, A, sol)
-    partition = classify(point, I, A, tol)
-    rec.note(partition.I, len(partition.Im), len(partition.Am))
-    return point, partition
-
-
 def _exchange_loop(problem: QpProblem, cfg, select, cap: int, cap_status: Status,
                    detect_cycles: bool = False) -> SolveResult:
     """The iteration shared by the exchange solvers (``cfg`` gives tol,
     initial_A and record_sets).
 
+    The state is the ``inactive`` mask; I and A are its two index arrays.
     Each round solves the subsystem for (I, A) and classifies the result.  It
     stops with ``Optimal`` when nothing is infeasible and with ``cap_status``
-    after ``cap`` solves; otherwise it moves the sets (Imc, Amc) that
-    ``select(partition)`` returns to the other side, or stops with
-    ``IterationCapReached`` when that is ``None``.  With ``detect_cycles`` an
-    active set met before stops the run with ``CycleDetected`` instead of
-    being solved again.
+    after ``cap`` solves; otherwise it moves the indexes that
+    ``select(point, infeasible, inactive)`` returns to the other side, or
+    stops with ``IterationCapReached`` when that is ``None``.  With
+    ``detect_cycles`` an active set met before stops the run with
+    ``CycleDetected`` instead of being solved again.
     """
     n = problem.n
-    I, A = _initial_sets(n, cfg.initial_A)
+    inactive, I, A = _initial_sets(n, cfg.initial_A)
     rec = _RunRecorder(cfg.record_sets)
-    point = _zero_point(n)
+    point = KktPoint(x=np.zeros(n), s=np.zeros(n))  # returned if the first solve fails
     visited = set() if detect_cycles else None
     while True:
         if visited is not None:
-            key = A.tobytes()
+            key = inactive.tobytes()
             if key in visited:
                 return rec.result(problem, point, Status.CYCLE_DETECTED)
             visited.add(key)
         try:
-            point, part = _solve_and_classify(problem, I, A, cfg.tol, rec)
+            sol = solve_subsystem(problem, I, A)
         except FactorizationError:
             return rec.result(problem, point, Status.NUMERICAL_FAILURE)
-        if part.optimal:
+        point = embed_point(n, I, A, sol)
+        infeasible = classify(point, inactive, cfg.tol)
+        n_inf = np.count_nonzero(infeasible)
+        n_im = np.count_nonzero(infeasible & inactive)
+        rec.note(I, n_im, n_inf - n_im)
+        if n_inf == 0:
             return rec.result(problem, point, Status.OPTIMAL)
         if rec.solves >= cap:
             return rec.result(problem, point, cap_status)
-        picks = select(part)
-        if picks is None:
+        chosen = select(point, infeasible, inactive)
+        if chosen is None:
             return rec.result(problem, point, Status.ITERATION_CAP)
-        I, A = next_sets(part, *picks)
+        inactive, I, A = next_sets(inactive, chosen)
 
 
 def generic_ras_solve(problem: QpProblem, cfg: GenericRasConfig) -> SolveResult:
@@ -218,11 +217,12 @@ def generic_ras_solve(problem: QpProblem, cfg: GenericRasConfig) -> SolveResult:
     turns astronomically unlucky runs into ``IterationCapReached``.
     """
     rng = np.random.default_rng(cfg.seed)
-    rule = cfg.probability_rule or (lambda part: (0.5, 0.5))
+    rule = cfg.probability_rule or (lambda point, Im, Am: (0.5, 0.5))
 
-    def select(part):
-        p_Im, p_Am = rule(part)
-        return select_exchange_generic(part, p_Im, p_Am, cfg.sigma, rng)
+    def select(point, infeasible, inactive):
+        Im = np.flatnonzero(infeasible & inactive)
+        Am = np.flatnonzero(infeasible & ~inactive)
+        return select_exchange_generic(Im, Am, *rule(point, Im, Am), cfg.sigma, rng)
 
     return _exchange_loop(problem, cfg, select, cfg.max_solves, Status.ITERATION_CAP)
 
@@ -242,13 +242,15 @@ def ras_solve(problem: QpProblem, cfg: RasConfig) -> SolveResult:
     rng = np.random.default_rng(cfg.seed)
     origin = np.full(n, FROZEN, dtype=np.int8)
 
-    def select(part):
+    def select(point, infeasible, inactive):
         nonlocal origin
         for _ in range(10 * n + 1):
-            Imc, Amc = select_exchange_ras(categorize(part, origin), cfg.probs, rng)
-            origin = origin_labels(part, Imc, Amc)
-            if len(Imc) or len(Amc):
-                return Imc, Amc
+            chosen = select_exchange_ras(*categorize(infeasible, inactive, origin),
+                                         cfg.probs, rng)
+            origin = np.where(infeasible, np.int8(FROZEN), np.int8(FEASIBLE))
+            origin[chosen] = EXCHANGED
+            if len(chosen):
+                return chosen
         return None
 
     return _exchange_loop(problem, cfg, select, cfg.max_solves, Status.ITERATION_CAP)
@@ -259,10 +261,10 @@ def kr_solve(problem: QpProblem, cfg: KrConfig) -> SolveResult:
 
     Stops with ``Optimal`` when nothing is infeasible and with
     ``CycleDetected`` either when the iteration cap is reached or as soon as
-    an active set repeats (detected via a set of visited A's, which yields
+    an active set repeats (detected via a set of visited masks, which yields
     the same fail verdict as running out the cap, only sooner).
     """
-    return _exchange_loop(problem, cfg, lambda part: (part.Im, part.Am),
+    return _exchange_loop(problem, cfg, lambda _, infeasible, __: np.flatnonzero(infeasible),
                           cfg.max_iterations, Status.CYCLE_DETECTED, detect_cycles=True)
 
 
@@ -292,7 +294,7 @@ def fletcher_solve(
     defensive.
     """
     n = problem.n
-    I, A = _initial_sets(n, initial_A)
+    _, I, A = _initial_sets(n, initial_A)
     x = np.zeros(n)
     rec = _RunRecorder(record_sets=False)
     cap = 10 * n * n

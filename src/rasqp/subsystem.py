@@ -97,8 +97,9 @@ def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
     instead; the first such solve orders Q and stores the order on the
     problem.  No counters are touched here — callers count solves.
 
-    Raises :class:`FactorizationError` when the factorization fails, which
-    cannot happen in exact arithmetic for a positive definite Q.
+    Raises :class:`FactorizationError` when the factorization fails or x_I
+    or s_A comes out non-finite (an overflow on a nearly singular Q[I,I]);
+    neither can happen in exact arithmetic for a positive definite Q.
     """
     I = np.sort(np.asarray(I, dtype=np.int64))
     A = np.sort(np.asarray(A, dtype=np.int64))
@@ -125,6 +126,8 @@ def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
         x_I = np.empty_like(y)
         x_I[order] = y
         s_A = (cols @ y)[A] + g[A] if len(A) else np.empty(0)
+    if not (np.isfinite(x_I).all() and np.isfinite(s_A).all()):
+        raise FactorizationError("the subsystem solve produced non-finite values")
     return SubsystemSolution(x_I, s_A)
 
 
@@ -176,10 +179,7 @@ def _sparse_solve(qii, g_I: np.ndarray) -> np.ndarray:
                        options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU signals singularity this way
         raise FactorizationError(str(exc)) from exc
-    x = lu.solve(-g_I)
-    if not np.all(np.isfinite(x)):
-        raise FactorizationError("sparse factorization produced non-finite values")
-    return x
+    return lu.solve(-g_I)
 
 
 def embed_point(n: int, I, A, sol: SubsystemSolution) -> KktPoint:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,25 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rasqp.solvers as solvers
 from rasqp.engine import (
     EXCHANGED,
     FEASIBLE,
     FROZEN,
-    Categories,
     ChangeProbabilities,
-    Partition,
     categorize,
     classify,
     exchange_asymmetry_montecarlo,
     next_sets,
-    origin_labels,
     select_exchange_generic,
     select_exchange_ras,
 )
-from rasqp.model import KktPoint
+from rasqp.generators import gen_hard
+from rasqp.model import KktPoint, QpProblem
+from rasqp.solvers import RasConfig, ras_solve
 
 IX = lambda *v: np.array(v, dtype=np.int64)  # noqa: E731
 EMPTY = np.empty(0, dtype=np.int64)
+MASK = lambda *v: np.array(v, dtype=bool)  # noqa: E731
 
 
 def all_frozen(n):
@@ -31,76 +33,93 @@ def all_frozen(n):
     return np.full(n, FROZEN, dtype=np.int8)
 
 
-def make_partition(n, rng):
-    """Random split of {0..n-1} into I/A and of those into feasible/infeasible."""
-    ix = np.arange(n, dtype=np.int64)
-    in_I = rng.random(n) < 0.5
-    I, A = ix[in_I], ix[~in_I]
-    im = rng.random(len(I)) < 0.5
-    am = rng.random(len(A)) < 0.5
-    return Partition(I=I, A=A, Im=I[im], Am=A[am])
+def make_masks(n, rng):
+    """Random (inactive, infeasible) masks: I/A and the infeasible part of each."""
+    return rng.random(n) < 0.5, rng.random(n) < 0.5
 
 
-def feasible_parts(part):
-    """(Ip, Ap): the indexes of I and A that are not infeasible."""
-    return np.setdiff1d(part.I, part.Im), np.setdiff1d(part.A, part.Am)
+def parts(inactive, infeasible):
+    """(Ip, Im, Ap, Am): the feasible and infeasible indexes of I and A."""
+    return (np.flatnonzero(inactive & ~infeasible), np.flatnonzero(inactive & infeasible),
+            np.flatnonzero(~inactive & ~infeasible), np.flatnonzero(~inactive & infeasible))
+
+
+def split(chosen, inactive):
+    """The chosen indexes that lie in I, then those that lie in A."""
+    return chosen[inactive[chosen]], chosen[~inactive[chosen]]
+
+
+def labels_after(infeasible, chosen):
+    """Origin labels after a selection, from their definition, one index at a time."""
+    picked = set(chosen.tolist())
+    return np.array([EXCHANGED if i in picked else FROZEN if bad else FEASIBLE
+                     for i, bad in enumerate(infeasible)], dtype=np.int8)
 
 
 class TestClassify:
     def test_zero_counts_as_infeasible(self):
         point = KktPoint(x=np.array([1.0, 0.0, -2.0, 0.0]), s=np.zeros(4))
-        part = classify(point, [0, 1, 2], [3], tol=1e-10)
-        np.testing.assert_array_equal(part.Im, [1, 2])
-        np.testing.assert_array_equal(feasible_parts(part)[0], [0])
+        inactive = MASK(1, 1, 1, 0)
+        Ip, Im, _, _ = parts(inactive, classify(point, inactive, tol=1e-10))
+        np.testing.assert_array_equal(Im, [1, 2])
+        np.testing.assert_array_equal(Ip, [0])
 
     def test_dual_tolerance_is_strict(self):
         tol = 1e-10
         s = np.array([0.0, -tol, -tol * 1.001, 5.0])
         point = KktPoint(x=np.zeros(4), s=s)
-        part = classify(point, [], [0, 1, 2, 3], tol=tol)
+        inactive = MASK(0, 0, 0, 0)
+        _, _, Ap, Am = parts(inactive, classify(point, inactive, tol=tol))
         # s_j == -tol is feasible; only the strictly smaller entry lands in Am.
-        np.testing.assert_array_equal(part.Am, [2])
-        np.testing.assert_array_equal(feasible_parts(part)[1], [0, 1, 3])
+        np.testing.assert_array_equal(Am, [2])
+        np.testing.assert_array_equal(Ap, [0, 1, 3])
 
     def test_optimal_flag(self):
         point = KktPoint(x=np.array([1.0, 0.0]), s=np.array([0.0, 2.0]))
-        assert classify(point, [0], [1], tol=0.0).optimal
-        assert not classify(point, [1], [0], tol=0.0).optimal
+        assert not classify(point, MASK(1, 0), tol=0.0).any()
+        assert classify(point, MASK(0, 1), tol=0.0).any()
 
     def test_negative_tol_rejected(self):
         point = KktPoint(x=np.zeros(1), s=np.zeros(1))
         with pytest.raises(ValueError):
-            classify(point, [0], [], tol=-1e-3)
+            classify(point, MASK(1), tol=-1e-3)
 
     def test_partition_n(self):
         point = KktPoint(x=np.zeros(3), s=np.zeros(3))
-        assert classify(point, [0, 2], [1], tol=0.0).n == 3
+        assert classify(point, MASK(1, 0, 1), tol=0.0).shape == (3,)
+
+
+def by_category(cand, cat):
+    """categorize's output as six index arrays, NImp0 .. NAmc."""
+    return [cand[cat == c] for c in range(6)]
 
 
 class TestCategorize:
     def test_hand_case(self):
-        part = Partition(
-            I=IX(0, 1, 2, 3), A=IX(4, 5, 6),
-            Im=IX(0, 1, 2), Am=IX(4, 5),
-        )
+        inactive = MASK(1, 1, 1, 1, 0, 0, 0)
+        infeasible = MASK(1, 1, 1, 0, 1, 1, 0)
         # Previous step: 0 and 4 feasible, 1, 3 and 6 kept, 2 moved in, 5 moved out.
         origin = np.array([FEASIBLE, FROZEN, EXCHANGED, FROZEN, FEASIBLE, EXCHANGED, FROZEN],
                           dtype=np.int8)
-        cats = categorize(part, origin)
-        np.testing.assert_array_equal(cats.NImp0, [0])
-        np.testing.assert_array_equal(cats.NImf, [1])
-        np.testing.assert_array_equal(cats.NImc, [2])
-        np.testing.assert_array_equal(cats.NAmp0, [4])
-        np.testing.assert_array_equal(cats.NAmf, [])
-        np.testing.assert_array_equal(cats.NAmc, [5])
+        cand, cat = categorize(infeasible, inactive, origin)
+        NImp0, NImf, NImc, NAmp0, NAmf, NAmc = by_category(cand, cat)
+        np.testing.assert_array_equal(NImp0, [0])
+        np.testing.assert_array_equal(NImf, [1])
+        np.testing.assert_array_equal(NImc, [2])
+        np.testing.assert_array_equal(NAmp0, [4])
+        np.testing.assert_array_equal(NAmf, [])
+        np.testing.assert_array_equal(NAmc, [5])
+        np.testing.assert_array_equal(cand, [0, 1, 2, 4, 5])
+        np.testing.assert_array_equal(cat, [0, 1, 2, 3, 5])
 
     def test_initial_labels_mark_everything_frozen(self):
-        part = make_partition(12, np.random.default_rng(4))
-        cats = categorize(part, all_frozen(12))
-        np.testing.assert_array_equal(cats.NImf, part.Im)
-        np.testing.assert_array_equal(cats.NAmf, part.Am)
-        for name in ("NImp0", "NImc", "NAmp0", "NAmc"):
-            assert len(getattr(cats, name)) == 0
+        inactive, infeasible = make_masks(12, np.random.default_rng(4))
+        _, Im, _, Am = parts(inactive, infeasible)
+        cats = by_category(*categorize(infeasible, inactive, all_frozen(12)))
+        np.testing.assert_array_equal(cats[1], Im)
+        np.testing.assert_array_equal(cats[4], Am)
+        for c in (0, 2, 3, 5):
+            assert len(cats[c]) == 0
 
     def test_counts_partition_im_and_am(self):
         # After any (exchange -> classify) round-trip, the six categories
@@ -109,40 +128,63 @@ class TestCategorize:
         probs = ChangeProbabilities()
         for _ in range(100):
             n = int(rng.integers(1, 9))
-            part = make_partition(n, rng)
-            cats = categorize(part, all_frozen(n))
-            Imc, Amc = select_exchange_ras(cats, probs, rng)
-            I_new, A_new = next_sets(part, Imc, Amc)
-            origin = origin_labels(part, Imc, Amc)
+            inactive, infeasible = make_masks(n, rng)
+            chosen = select_exchange_ras(
+                *categorize(infeasible, inactive, all_frozen(n)), probs, rng)
+            origin = labels_after(infeasible, chosen)
+            inactive_new, _, _ = next_sets(inactive, chosen)
             point = KktPoint(x=rng.standard_normal(n), s=rng.standard_normal(n))
-            part_new = classify(point, I_new, A_new, tol=1e-10)
-            cats_new = categorize(part_new, origin)
-            np.testing.assert_array_equal(
-                np.sort(np.concatenate([cats_new.NImp0, cats_new.NImf, cats_new.NImc])),
-                part_new.Im)
-            np.testing.assert_array_equal(
-                np.sort(np.concatenate([cats_new.NAmp0, cats_new.NAmf, cats_new.NAmc])),
-                part_new.Am)
-            assert (len(cats_new.NImp0) + len(cats_new.NImf) + len(cats_new.NImc)
-                    == len(part_new.Im))
-            assert (len(cats_new.NAmp0) + len(cats_new.NAmf) + len(cats_new.NAmc)
-                    == len(part_new.Am))
+            infeasible_new = classify(point, inactive_new, tol=1e-10)
+            _, Im_new, _, Am_new = parts(inactive_new, infeasible_new)
+            cats_new = by_category(*categorize(infeasible_new, inactive_new, origin))
+            np.testing.assert_array_equal(np.sort(np.concatenate(cats_new[:3])), Im_new)
+            np.testing.assert_array_equal(np.sort(np.concatenate(cats_new[3:])), Am_new)
+            assert sum(len(c) for c in cats_new[:3]) == len(Im_new)
+            assert sum(len(c) for c in cats_new[3:]) == len(Am_new)
+
+
+def ras_draws(problem, cfg, monkeypatch):
+    """[infeasible, inactive, origin, chosen] of every draw of a ras run."""
+    draws = []
+    real_categorize, real_select = solvers.categorize, solvers.select_exchange_ras
+
+    def spy_categorize(infeasible, inactive, origin):
+        draws.append([infeasible.copy(), inactive.copy(), origin.copy(), None])
+        return real_categorize(infeasible, inactive, origin)
+
+    def spy_select(*args):
+        draws[-1][3] = real_select(*args)
+        return draws[-1][3]
+
+    monkeypatch.setattr(solvers, "categorize", spy_categorize)
+    monkeypatch.setattr(solvers, "select_exchange_ras", spy_select)
+    ras_solve(problem, cfg)
+    return draws
 
 
 class TestOriginLabels:
-    def test_labels_after_a_selection(self):
-        part = Partition(I=IX(0, 1, 2), A=IX(3, 4, 5), Im=IX(0, 1), Am=IX(3, 4))
-        origin = origin_labels(part, IX(1), IX(3))
-        np.testing.assert_array_equal(
-            origin, [FROZEN, EXCHANGED, FEASIBLE, EXCHANGED, FROZEN, FEASIBLE])
-        assert origin.dtype == np.int8
+    """The labels ``ras_solve`` hands to :func:`categorize`, draw after draw."""
 
-    def test_empty_selection_freezes_every_infeasible_index(self):
-        part = make_partition(10, np.random.default_rng(8))
-        origin = origin_labels(part, EMPTY, EMPTY)
-        infeasible = np.union1d(part.Im, part.Am)
-        assert (origin[infeasible] == FROZEN).all()
-        assert (np.delete(origin, infeasible) == FEASIBLE).all()
+    def test_labels_after_a_selection(self, monkeypatch):
+        draws = ras_draws(gen_hard(30, 1e8, seed=1), RasConfig(seed=2), monkeypatch)
+        assert len(draws) > 10
+        np.testing.assert_array_equal(draws[0][2], all_frozen(30))
+        for (infeasible, _, _, chosen), (_, _, origin, _) in zip(draws, draws[1:]):
+            np.testing.assert_array_equal(origin, labels_after(infeasible, chosen))
+            assert origin.dtype == np.int8
+
+    def test_empty_selection_freezes_every_infeasible_index(self, monkeypatch):
+        # Probabilities this small make every draw come back empty.  From
+        # A = everything, s = g, so the odd indexes start out feasible.
+        problem = QpProblem(np.eye(10), np.tile([-1.0, 1.0], 5))
+        draws = ras_draws(problem, RasConfig(probs=ChangeProbabilities(*(1e-15,) * 6)),
+                          monkeypatch)
+        assert len(draws) == 10 * 10 + 1
+        for (infeasible, _, _, chosen), (_, _, origin, _) in zip(draws, draws[1:]):
+            assert len(chosen) == 0
+            np.testing.assert_array_equal(infeasible, np.arange(10) % 2 == 0)
+            assert (origin[infeasible] == FROZEN).all()
+            assert (origin[~infeasible] == FEASIBLE).all()
 
 
 class TestChangeProbabilities:
@@ -162,142 +204,154 @@ class TestSelectExchangeGeneric:
     def test_outputs_partition_the_infeasible_sets(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            part = make_partition(8, rng)
-            Imc, Amc = select_exchange_generic(part, 0.5, 0.5, 0.5, rng)
+            inactive, infeasible = make_masks(8, rng)
+            _, Im, _, Am = parts(inactive, infeasible)
+            chosen = select_exchange_generic(Im, Am, 0.5, 0.5, 0.5, rng)
+            Imc, Amc = split(chosen, inactive)
+            np.testing.assert_array_equal(chosen, np.concatenate((Imc, Amc)))
             # The picks and the rest partition Im (Am) when the picks are a subset.
-            for picked, full in ((Imc, part.Im), (Amc, part.Am)):
+            for picked, full in ((Imc, Im), (Amc, Am)):
                 assert (np.diff(picked) > 0).all()
                 assert np.isin(picked, full).all()
 
     def test_sigma_validation(self):
-        part = make_partition(4, np.random.default_rng(0))
         for bad in (0.0, -0.1, 0.6):
             with pytest.raises(ValueError):
-                select_exchange_generic(part, 0.5, 0.5, bad, np.random.default_rng(0))
+                select_exchange_generic(IX(0, 1), IX(2), 0.5, 0.5, bad,
+                                        np.random.default_rng(0))
 
     def test_probabilities_outside_sigma_band_rejected(self):
         rng = np.random.default_rng(2)
-        part = Partition(I=IX(0, 1), A=EMPTY, Im=IX(0, 1), Am=EMPTY)
         with pytest.raises(ValueError):
-            select_exchange_generic(part, 0.05, 0.5, 0.1, rng)
+            select_exchange_generic(IX(0, 1), EMPTY, 0.05, 0.5, 0.1, rng)
         with pytest.raises(ValueError):
-            select_exchange_generic(part, 0.95, 0.5, 0.1, rng)
+            select_exchange_generic(IX(0, 1), EMPTY, 0.95, 0.5, 0.1, rng)
 
     def test_im_draws_come_before_am_draws(self):
-        part = Partition(I=IX(0, 1), A=IX(2, 3), Im=IX(0, 1), Am=IX(2, 3))
+        Im, Am = IX(0, 1), IX(2, 3)
         seed = 7
-        got = select_exchange_generic(part, 0.5, 0.5, 0.5, np.random.default_rng(seed))
+        got = select_exchange_generic(Im, Am, 0.5, 0.5, 0.5, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
-        want_imc = part.Im[rng.random(2) < 0.5]
-        want_amc = part.Am[rng.random(2) < 0.5]
-        np.testing.assert_array_equal(got[0], want_imc)
-        np.testing.assert_array_equal(got[1], want_amc)
+        want_imc = Im[rng.random(2) < 0.5]
+        want_amc = Am[rng.random(2) < 0.5]
+        np.testing.assert_array_equal(got, np.concatenate((want_imc, want_amc)))
 
 
 class TestSelectExchangeRas:
     def test_all_ones_selects_everything(self):
         rng = np.random.default_rng(3)
-        part = make_partition(10, rng)
-        cats = categorize(part, all_frozen(10))
-        Imc, Amc = select_exchange_ras(
-            cats, ChangeProbabilities(1, 1, 1, 1, 1, 1), rng
-        )
-        np.testing.assert_array_equal(Imc, part.Im)
-        np.testing.assert_array_equal(Amc, part.Am)
+        inactive, infeasible = make_masks(10, rng)
+        _, Im, _, Am = parts(inactive, infeasible)
+        chosen = select_exchange_ras(*categorize(infeasible, inactive, all_frozen(10)),
+                                     ChangeProbabilities(1, 1, 1, 1, 1, 1), rng)
+        Imc, Amc = split(chosen, inactive)
+        np.testing.assert_array_equal(Imc, Im)
+        np.testing.assert_array_equal(Amc, Am)
 
     def test_category_draw_order(self):
         # One uniform per element, category by category:
         # NImp0, NImf, NImc, then NAmp0, NAmf, NAmc.
-        cats = Categories(
-            NImp0=IX(0), NImf=IX(1, 2), NImc=IX(3),
-            NAmp0=IX(4), NAmf=IX(5), NAmc=IX(6, 7),
-        )
+        cand = IX(0, 1, 2, 3, 4, 5, 6, 7)
+        cat = IX(0, 1, 1, 2, 3, 4, 5, 5)
         probs = ChangeProbabilities(0.3, 0.6, 0.2, 0.9, 0.5, 0.7)
         seed = 123
-        got = select_exchange_ras(cats, probs, np.random.default_rng(seed))
+        got = select_exchange_ras(cand, cat, probs, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
-        parts = []
-        for ix, p in zip(
-            (cats.NImp0, cats.NImf, cats.NImc, cats.NAmp0, cats.NAmf, cats.NAmc),
-            probs.as_tuple(),
-        ):
-            parts.append(ix[rng.random(len(ix)) < p])
-        want_imc = np.union1d(np.union1d(parts[0], parts[1]), parts[2])
-        want_amc = np.union1d(np.union1d(parts[3], parts[4]), parts[5])
-        np.testing.assert_array_equal(got[0], want_imc)
-        np.testing.assert_array_equal(got[1], want_amc)
+        picks = [ix[rng.random(len(ix)) < p]
+                 for ix, p in zip(by_category(cand, cat), probs.as_tuple())]
+        np.testing.assert_array_equal(got[got < 4], np.union1d(np.union1d(picks[0], picks[1]),
+                                                               picks[2]))
+        np.testing.assert_array_equal(got[got >= 4], np.union1d(np.union1d(picks[3], picks[4]),
+                                                                picks[5]))
+        np.testing.assert_array_equal(got, np.concatenate(picks))
 
     def test_one_draw_per_infeasible_index(self):
-        part = make_partition(20, np.random.default_rng(6))
-        cats = categorize(part, all_frozen(20))
+        inactive, infeasible = make_masks(20, np.random.default_rng(6))
         rng = np.random.default_rng(11)
-        select_exchange_ras(cats, ChangeProbabilities(), rng)
+        select_exchange_ras(*categorize(infeasible, inactive, all_frozen(20)),
+                            ChangeProbabilities(), rng)
         ref = np.random.default_rng(11)
-        ref.random(len(part.Im) + len(part.Am))
+        ref.random(np.count_nonzero(infeasible))
         assert rng.random() == ref.random()
 
-    def test_outputs_are_sorted_and_partition_the_infeasible_sets(self):
+    def test_outputs_are_distinct_and_partition_the_infeasible_sets(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            part = make_partition(16, rng)
+            inactive, infeasible = make_masks(16, rng)
+            _, Im, _, Am = parts(inactive, infeasible)
             origin = rng.integers(0, 3, 16).astype(np.int8)
-            Imc, Amc = select_exchange_ras(
-                categorize(part, origin), ChangeProbabilities(), rng)
+            cand, cat = categorize(infeasible, inactive, origin)
+            chosen = select_exchange_ras(cand, cat, ChangeProbabilities(), rng)
+            # The picks keep the draw order, ascending inside each category.
+            np.testing.assert_array_equal(chosen, cand[np.isin(cand, chosen)])
             # The picks and the rest partition Im (Am) when the picks are a subset.
-            for picked, full in ((Imc, part.Im), (Amc, part.Am)):
-                assert (np.diff(picked) > 0).all()
+            for picked, full in zip(split(chosen, inactive), (Im, Am)):
+                assert (np.diff(np.sort(picked)) > 0).all()
                 assert np.isin(picked, full).all()
 
     def test_kr_update_when_all_probabilities_are_one(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
-            part = make_partition(8, rng)
-            cats = categorize(part, all_frozen(8))
-            picks = select_exchange_ras(
-                cats, ChangeProbabilities(1, 1, 1, 1, 1, 1), rng
-            )
-            I_new, _ = next_sets(part, *picks)
-            np.testing.assert_array_equal(I_new, np.union1d(feasible_parts(part)[0], part.Am))
+            inactive, infeasible = make_masks(8, rng)
+            Ip, _, _, Am = parts(inactive, infeasible)
+            chosen = select_exchange_ras(*categorize(infeasible, inactive, all_frozen(8)),
+                                         ChangeProbabilities(1, 1, 1, 1, 1, 1), rng)
+            _, I_new, _ = next_sets(inactive, chosen)
+            np.testing.assert_array_equal(I_new, np.union1d(Ip, Am))
+
+    @given(st.integers(1, 24), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_six_per_category_draws(self, n, seed):
+        rng = np.random.default_rng(seed)
+        inactive, infeasible = make_masks(n, rng)
+        origin = rng.integers(0, 3, n).astype(np.int8)
+        probs = ChangeProbabilities(*rng.uniform(0.05, 1.0, 6))
+        got = np.random.default_rng(seed + 1)
+        chosen = select_exchange_ras(*categorize(infeasible, inactive, origin), probs, got)
+        ref = np.random.default_rng(seed + 1)
+        want = []
+        # NImp0, NImf, NImc, then NAmp0, NAmf, NAmc, one draw each.
+        categories = itertools.product((inactive, ~inactive), (FEASIBLE, FROZEN, EXCHANGED))
+        for (side, label), p in zip(categories, probs.as_tuple()):
+            ix = np.flatnonzero(infeasible & side & (origin == label))
+            want.append(ix[ref.random(len(ix)) < p])
+        np.testing.assert_array_equal(chosen, np.concatenate(want))
+        assert got.random() == ref.random()
 
 
 class TestNextSets:
     def test_full_exchange(self):
-        part = make_partition(9, np.random.default_rng(21))
-        Ip, Ap = feasible_parts(part)
-        I_new, A_new = next_sets(part, part.Im, part.Am)
-        np.testing.assert_array_equal(I_new, np.union1d(Ip, part.Am))
-        np.testing.assert_array_equal(A_new, np.union1d(Ap, part.Im))
+        inactive, infeasible = make_masks(9, np.random.default_rng(21))
+        Ip, Im, Ap, Am = parts(inactive, infeasible)
+        _, I_new, A_new = next_sets(inactive, np.flatnonzero(infeasible))
+        np.testing.assert_array_equal(I_new, np.union1d(Ip, Am))
+        np.testing.assert_array_equal(A_new, np.union1d(Ap, Im))
 
     def test_no_change(self):
-        part = make_partition(9, np.random.default_rng(22))
-        I_new, A_new = next_sets(part, EMPTY, EMPTY)
-        np.testing.assert_array_equal(I_new, np.sort(part.I))
-        np.testing.assert_array_equal(A_new, np.sort(part.A))
+        inactive, _ = make_masks(9, np.random.default_rng(22))
+        I, A = np.flatnonzero(inactive), np.flatnonzero(~inactive)
+        _, I_new, A_new = next_sets(inactive, EMPTY)
+        np.testing.assert_array_equal(I_new, I)
+        np.testing.assert_array_equal(A_new, A)
 
     def test_hand_case(self):
-        part = Partition(I=IX(0, 1), A=IX(2), Im=IX(1), Am=IX(2))
-        I_new, A_new = next_sets(part, IX(1), IX(2))
+        inactive = MASK(1, 1, 0)
+        inactive_new, I_new, A_new = next_sets(inactive, IX(1, 2))
         np.testing.assert_array_equal(I_new, [0, 2])
         np.testing.assert_array_equal(A_new, [1])
-
-    def test_rejects_imc_outside_i(self):
-        part = Partition(I=IX(0, 1), A=IX(2), Im=IX(0), Am=IX(2))
-        with pytest.raises(ValueError):
-            next_sets(part, IX(0, 2), EMPTY)
-
-    def test_rejects_amc_outside_a(self):
-        part = Partition(I=IX(0, 1), A=IX(2), Im=IX(0), Am=IX(2))
-        with pytest.raises(ValueError):
-            next_sets(part, EMPTY, IX(1, 2))
+        np.testing.assert_array_equal(inactive_new, [True, False, True])
 
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_result_partitions_the_index_range(self, n, seed):
         rng = np.random.default_rng(seed)
-        part = make_partition(n, rng)
-        I_new, A_new = next_sets(part, *select_exchange_generic(part, 0.5, 0.5, 0.5, rng))
+        inactive, infeasible = make_masks(n, rng)
+        _, Im, _, Am = parts(inactive, infeasible)
+        inactive_new, I_new, A_new = next_sets(
+            inactive, select_exchange_generic(Im, Am, 0.5, 0.5, 0.5, rng))
         merged = np.concatenate([I_new, A_new])
         np.testing.assert_array_equal(np.sort(merged), np.arange(n))
+        np.testing.assert_array_equal(I_new, np.flatnonzero(inactive_new))
 
 
 def scalar_asymmetry_reference(samples: int, rng: np.random.Generator):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import assert_certificate, rand_spd_problem
 from rasqp.engine import ChangeProbabilities
-from rasqp.generators import gen_medium
+from rasqp.generators import gen_hard, gen_medium
 from rasqp.model import QpProblem, Status, objective
 from rasqp.solvers import (
     DimensionTooLargeError,
@@ -127,6 +128,38 @@ class TestMetricBookkeeping:
         with pytest.raises(ValueError):
             ras_solve(QpProblem(Q22, G22), RasConfig(initial_A=[5]))
 
+    @pytest.mark.parametrize("initial_A", [
+        np.array([True, False]),  # a mask would read as the indexes {1, 0}
+        np.array([1.7, 0.2]),  # floats would be truncated to {1, 0}
+    ])
+    @pytest.mark.parametrize("solve", [
+        lambda p, a: ras_solve(p, RasConfig(initial_A=a)),
+        lambda p, a: generic_ras_solve(p, GenericRasConfig(initial_A=a)),
+        lambda p, a: kr_solve(p, KrConfig(initial_A=a)),
+        lambda p, a: fletcher_solve(p, initial_A=a),
+    ], ids=["ras", "generic", "kr", "fletcher"])
+    def test_initial_a_must_hold_integer_indexes(self, solve, initial_A):
+        with pytest.raises(ValueError, match="integer indexes"):
+            solve(QpProblem(Q22, G22), initial_A)
+
+    def test_initial_a_accepts_integer_and_empty_arrays(self):
+        for initial_A in (np.array([1], dtype=np.uint8), np.array([1, 1]), np.array([])):
+            assert fletcher_solve(QpProblem(Q22, G22), initial_A=initial_A).status is (
+                Status.OPTIMAL)
+
+    def test_trace_counts_match_an_independent_solve(self):
+        problem = gen_hard(30, 1e6, seed=4)
+        tol = 1e-10
+        result = ras_solve(problem, RasConfig(seed=5, tol=tol, record_sets=True))
+        assert result.status is Status.OPTIMAL and result.solves > 5
+        Q, g = problem.dense_q(), problem.g
+        for row, I in zip(result.trace, result.inactive_sets):
+            A = np.setdiff1d(np.arange(problem.n), I)
+            x_I = np.linalg.solve(Q[np.ix_(I, I)], -g[I])
+            s_A = Q[np.ix_(A, I)] @ x_I + g[A]
+            assert (row.n_im, row.n_am) == ((x_I <= 0.0).sum(), (s_A < -tol).sum())
+            assert row.subsystem_size == len(I)
+
     def test_record_sets(self):
         result = ras_solve(QpProblem(Q22, G22), RasConfig(seed=1, record_sets=True))
         assert len(result.inactive_sets) == result.solves
@@ -135,6 +168,19 @@ class TestMetricBookkeeping:
 
     def test_sets_not_recorded_by_default(self):
         assert ras_solve(QpProblem(Q22, G22), RasConfig()).inactive_sets is None
+
+
+class TestNonFiniteIterates:
+    # x_0 = 1e10 / 1e-300 overflows to inf, although Q[I,I] factorizes.
+    Q = np.diag([1e-300, 1.0])
+    G = np.array([-1e10, -1.0])
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_overflow_is_a_numerical_failure(self, sparse):
+        problem = QpProblem(sp.csc_array(self.Q) if sparse else self.Q, self.G)
+        for name, result in all_solver_runs(problem).items():
+            assert result.status is Status.NUMERICAL_FAILURE, name
+            assert np.isfinite(result.point.x).all(), name
 
 
 class TestRasSolve:
@@ -188,11 +234,8 @@ class TestGenericRasSolve:
 
     def test_custom_probability_rule(self):
         # A rule returning per-index probabilities inside [sigma, 1 - sigma].
-        def rule(partition):
-            return (
-                np.full(len(partition.Im), 0.75),
-                np.full(len(partition.Am), 0.25),
-            )
+        def rule(point, Im, Am):
+            return np.full(len(Im), 0.75), np.full(len(Am), 0.25)
 
         result = generic_ras_solve(
             QpProblem(Q22, G22), GenericRasConfig(sigma=0.25, probability_rule=rule)
@@ -201,7 +244,7 @@ class TestGenericRasSolve:
         np.testing.assert_allclose(result.point.x, X22, atol=1e-12)
 
     def test_rule_outside_band_rejected(self):
-        def rule(partition):
+        def rule(point, Im, Am):
             return 0.9, 0.9
 
         with pytest.raises(ValueError):
