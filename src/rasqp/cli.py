@@ -148,7 +148,11 @@ def cmd_solve(args) -> int:
         return 1
     problem = loaded.problem
     options = {"max_solves": args.max_solves} if args.solver in ("ras", "generic") else {}
-    result = build_solver(args.solver, options, args.tol, args.seed)(problem)
+    try:
+        solve = build_solver(args.solver, options, args.tol, args.seed)
+    except ValueError as exc:  # an out-of-range option such as --max-solves 0
+        raise _UsageError(f"rasqp: error: {exc}")
+    result = solve(problem)
     stat, primal, dual, comp = kkt_residual(problem, result.point)
     if args.machine:
         print(

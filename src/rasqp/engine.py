@@ -84,7 +84,7 @@ class ChangeProbabilities:
 
 def classify(point: KktPoint, inactive: np.ndarray, tol: float) -> np.ndarray:
     """The infeasible mask: x_i <= 0 where ``inactive``, s_j < -tol elsewhere."""
-    if tol < 0:
+    if not tol >= 0:  # also rejects nan, which would pass every s_j
         raise ValueError("tol must be >= 0")
     return np.where(inactive, point.x <= 0.0, point.s < -tol)
 

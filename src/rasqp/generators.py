@@ -141,10 +141,8 @@ def gen_medium(n: int, density: float, cond: float, seed: int,
         return QpProblem(Q, g)
 
     spectrum = np.logspace(-np.log10(cond), 0.0, n)
-    W = np.zeros((n, n))
-    np.fill_diagonal(W, spectrum)
-    nonzero = W != 0.0
-    nnz = int(nonzero.sum())
+    W = np.diag(spectrum)
+    nnz = np.count_nonzero(W)
     target_nnz = int(round(density * n * n))
     budget = int(round(rotation_budget_factor * target_nnz))
     rotations = 0
@@ -157,15 +155,12 @@ def gen_medium(n: int, density: float, cond: float, seed: int,
         c, s = np.cos(theta), np.sin(theta)
         G = np.array([[c, s], [-s, c]])
         pair = [i, j]
-        before = int(nonzero[pair, :].sum() + nonzero[:, pair].sum()
-                     - nonzero[np.ix_(pair, pair)].sum())
+        # Two rows change, then two columns: count what they hold before and after.
+        nnz -= np.count_nonzero(W[pair, :])
         W[pair, :] = G @ W[pair, :]
+        nnz += np.count_nonzero(W[pair, :]) - np.count_nonzero(W[:, pair])
         W[:, pair] = W[:, pair] @ G.T
-        nonzero[pair, :] = W[pair, :] != 0.0
-        nonzero[:, pair] = W[:, pair] != 0.0
-        after = int(nonzero[pair, :].sum() + nonzero[:, pair].sum()
-                    - nonzero[np.ix_(pair, pair)].sum())
-        nnz += after - before
+        nnz += np.count_nonzero(W[:, pair])
         rotations += 1
     if nnz < target_nnz:
         warnings.warn(

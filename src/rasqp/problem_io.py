@@ -225,7 +225,8 @@ def save_problem(problem_file: ProblemFile, path, form: str = "auto") -> None:
 
     Numbers are written with full precision, so load(save(p)) reproduces Q
     and g exactly.  Sparse matrices are stored as their upper triangle
-    (1-based), relying on the mirroring rule of the parser.
+    (1-based), relying on the mirroring rule of the parser.  Metadata that
+    would not read back unchanged raises ``ValueError``.
     """
     problem = problem_file.problem
     if form == "auto":
@@ -234,6 +235,9 @@ def save_problem(problem_file: ProblemFile, path, form: str = "auto") -> None:
         raise ValueError(f"form must be 'dense', 'coo' or 'auto', got {form!r}")
     out = []
     for key, value in problem_file.meta.items():
+        words = value.split()  # the parser cuts a line at "#" and splits it on whitespace
+        if key.split() != [key] or not words or " ".join(words) != value or "#" in key + value:
+            raise ValueError(f"meta {key!r}: the key or its value would not read back unchanged")
         out.append(f"meta {key} {value}")
     out.append(f"n {problem.n}")
     if form == "dense":

@@ -75,6 +75,10 @@ class GenericRasConfig:
     seed: int = 0
     record_sets: bool = False
 
+    def __post_init__(self):
+        if self.max_solves < 1:
+            raise ValueError("max_solves must be >= 1")
+
 
 @dataclass
 class RasConfig:
@@ -86,6 +90,10 @@ class RasConfig:
     max_solves: int = 10_000
     seed: int = 0
     record_sets: bool = False
+
+    def __post_init__(self):
+        if self.max_solves < 1:
+            raise ValueError("max_solves must be >= 1")
 
 
 @dataclass
@@ -140,14 +148,14 @@ class _RunRecorder:
         self.trace.append(
             TraceRow(
                 iteration=self.solves,
-                n_im=n_im,
-                n_am=n_am,
+                n_im=int(n_im),
+                n_am=int(n_am),
                 subsystem_size=len(I),
                 elapsed_s=time.perf_counter() - self.t0,
             )
         )
         if self.sets is not None:
-            self.sets.append(I.copy())
+            self.sets.append(I)
 
     def result(self, problem: QpProblem, point: KktPoint, status: Status,
                **extra) -> SolveResult:
@@ -275,83 +283,61 @@ def fletcher_solve(
     *,
     record_iterates: bool = False,
 ) -> SolveResult:
-    """Primal-feasible active-set method changing one index at a time.
+    """Primal-feasible active-set method moving one index per solve.
 
-    Inner loop: solve for the target x_I* = -Q[I,I]^{-1} g[I]; if the target
-    is nonnegative, accept it, otherwise step from the current (feasible) x_I
-    toward the target until the first coordinate hits zero — the blocking
-    index, the one with the smallest ratio x_i / (x_i - x_i*) among targets
-    x_i* < 0, ties broken by smallest index — move it to A (pinning it at
-    exactly 0, with any round-off negatives clamped), and repeat.  Outer
-    loop: with x_I accepted, check s_A; if min s_A >= -tol the point is
-    optimal, otherwise release the most negative index (ties by smallest
+    Each pass solves for the target x_I* = -Q[I,I]^{-1} g[I].  If some
+    x_i* < 0, it steps from the current (feasible) x_I toward the target
+    until the first coordinate hits zero: that blocking index, the one with
+    the smallest ratio x_i / (x_i - x_i*) among x_i* < 0 (ties by smallest
+    index), moves to A pinned at exactly 0, with round-off negatives
+    clamped.  Otherwise it accepts the target and stops as optimal if
+    min s_A >= -tol, or else moves the most negative s_j (ties by smallest
     index) into I.
 
     Every iterate is exactly nonnegative and the objective never increases;
     the run terminates finitely.  ``objective_history`` records the objective
-    at the start and after each outer acceptance; ``record_iterates``
-    additionally stores every iterate x.  The 10*n^2 solve cap is purely
-    defensive.
+    at the start and after each acceptance; ``record_iterates`` also stores
+    every iterate x.  The 10*n^2 solve cap is purely defensive.
     """
+    if not tol >= 0.0:  # also rejects nan
+        raise ValueError("tol must be >= 0")
     n = problem.n
-    _, I, A = _initial_sets(n, initial_A)
+    inactive, I, A = _initial_sets(n, initial_A)
     x = np.zeros(n)
     rec = _RunRecorder(record_sets=False)
-    cap = 10 * n * n
     obj_hist = [objective(problem, x)]
     iter_hist = [x.copy()] if record_iterates else None
-    status = None
-    sol = None
-    while status is None:
-        # Inner loop: reach the subsystem target on the current I.
-        while True:
-            try:
-                sol = solve_subsystem(problem, I, A)
-            except FactorizationError:
-                status = Status.NUMERICAL_FAILURE
-                break
-            n_im = int((sol.x_I < 0.0).sum())
-            rec.note(I, n_im, int((sol.s_A < -tol).sum()))
-            if rec.solves > cap:
-                status = Status.ITERATION_CAP
-                break
-            if n_im == 0:
-                x[I] = sol.x_I
-                break
+
+    def stop(status: Status, s: np.ndarray) -> SolveResult:
+        return rec.result(problem, KktPoint(x=x, s=s), status, objective_history=tuple(obj_hist),
+                          iterate_history=tuple(iter_hist) if record_iterates else None)
+
+    while True:
+        try:
+            sol = solve_subsystem(problem, I, A)
+        except FactorizationError:
+            return stop(Status.NUMERICAL_FAILURE, np.zeros(n))
+        blocking = sol.x_I < 0.0
+        n_am = np.count_nonzero(sol.s_A < -tol)
+        rec.note(I, np.count_nonzero(blocking), n_am)
+        if rec.solves > 10 * n * n:
+            return stop(Status.ITERATION_CAP, embed_point(n, I, A, sol).s)
+        if blocking.any():  # step to the blocking index
             current = x[I]
-            target = sol.x_I
-            neg = target < 0.0
-            ratios = current[neg] / (current[neg] - target[neg])
+            ratios = current[blocking] / (current[blocking] - sol.x_I[blocking])
             k = int(np.argmin(ratios))  # first minimum = smallest blocking index
-            blocked = I[neg][k]
-            x[I] = np.maximum(current + ratios[k] * (target - current), 0.0)
-            x[blocked] = 0.0
-            I = I[I != blocked]
-            A = np.sort(np.append(A, blocked))
-            if record_iterates:
-                iter_hist.append(x.copy())
-        if status is not None:
-            break
+            x[I] = np.maximum(current + ratios[k] * (sol.x_I - current), 0.0)
+            moved = I[blocking][k]
+            x[moved] = 0.0
+        else:  # accept the target; release the most negative s_j, ties by index
+            x[I] = sol.x_I
+            obj_hist.append(objective(problem, x))
+            moved = A[int(np.argmin(sol.s_A))] if n_am else None
         if record_iterates:
             iter_hist.append(x.copy())
-        obj_hist.append(objective(problem, x))
-        if len(A) == 0 or sol.s_A.min() >= -tol:
-            status = Status.OPTIMAL
-            break
-        released = A[int(np.argmin(sol.s_A))]  # most negative, ties by index
-        I = np.sort(np.append(I, released))
-        A = A[A != released]
-
-    s = np.zeros(n)
-    if sol is not None and len(sol.s_A) == len(A):
-        s[A] = sol.s_A
-    return rec.result(
-        problem,
-        KktPoint(x=x, s=s),
-        status,
-        objective_history=tuple(obj_hist),
-        iterate_history=tuple(iter_hist) if iter_hist is not None else None,
-    )
+        if moved is None:
+            return stop(Status.OPTIMAL, embed_point(n, I, A, sol).s)
+        inactive, I, A = next_sets(inactive, moved)
 
 
 def brute_force_solve(problem: QpProblem, tol: float = 1e-10) -> KktPoint:

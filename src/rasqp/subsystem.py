@@ -8,9 +8,9 @@ candidate point fixes x_A = 0 and solves
 with s_I = 0.  Q[I,I] is a principal submatrix of a positive definite matrix,
 hence positive definite, and is factorized fresh on every call (no rank-one
 updating); the per-call cost is exactly what the benchmark ``solve`` metric
-counts.  I and A may come in any order; they are sorted on entry and checked
-to partition {0..n-1} with one O(n) coverage mask, which rejects an overlap,
-a missing index and an index out of range.
+counts.  I and A are taken in the order given, and x_I and s_A follow that
+order.  They are checked to partition {0..n-1} with one O(n) coverage mask,
+which rejects an overlap, a missing index and an index out of range.
 
 Each solve gathers Q once, in one of three ways.
 
@@ -90,9 +90,9 @@ def _check_partition(n: int, I: np.ndarray, A: np.ndarray) -> None:
 def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
     """Solve Q[I,I] x_I = -g[I] by Cholesky and back out s_A.
 
-    ``I`` and ``A`` must partition {0..n-1}; they are sorted internally, so
-    the caller's ordering does not affect the result.  With I empty the
-    solution is x_I = [] and s_A = g.  A sparse Q[I,I] larger than
+    ``I`` and ``A`` must partition {0..n-1}, in any order; x_I and s_A
+    follow the order of I and A as passed.  With I empty the solution is
+    x_I = [] and s_A = g.  A sparse Q[I,I] larger than
     :data:`DENSE_THRESHOLD` (read at call time) goes through SuperLU
     instead; the first such solve orders Q and stores the order on the
     problem.  No counters are touched here — callers count solves.
@@ -101,8 +101,8 @@ def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
     or s_A comes out non-finite (an overflow on a nearly singular Q[I,I]);
     neither can happen in exact arithmetic for a positive definite Q.
     """
-    I = np.sort(np.asarray(I, dtype=np.int64))
-    A = np.sort(np.asarray(A, dtype=np.int64))
+    I = np.asarray(I, dtype=np.int64)
+    A = np.asarray(A, dtype=np.int64)
     _check_partition(problem.n, I, A)
     g = problem.g
     if len(I) == 0:
@@ -126,9 +126,7 @@ def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
         x_I = np.empty_like(y)
         x_I[order] = y
         s_A = (cols @ y)[A] + g[A] if len(A) else np.empty(0)
-    if not (np.isfinite(x_I).all() and np.isfinite(s_A).all()):
-        raise FactorizationError("the subsystem solve produced non-finite values")
-    return SubsystemSolution(x_I, s_A)
+    return SubsystemSolution(x_I, _finite(s_A))
 
 
 def _csc_block(Q, I: np.ndarray) -> np.ndarray:
@@ -169,7 +167,7 @@ def _dense_solve(qii: np.ndarray, g_I: np.ndarray) -> np.ndarray:
         c = sla.cho_factor(fortran, lower=True, overwrite_a=True, check_finite=False)
     except sla.LinAlgError as exc:
         raise FactorizationError(str(exc)) from exc
-    return sla.cho_solve(c, -g_I, check_finite=False)
+    return _finite(sla.cho_solve(c, -g_I, check_finite=False))
 
 
 def _sparse_solve(qii, g_I: np.ndarray) -> np.ndarray:
@@ -179,19 +177,24 @@ def _sparse_solve(qii, g_I: np.ndarray) -> np.ndarray:
                        options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU signals singularity this way
         raise FactorizationError(str(exc)) from exc
-    return lu.solve(-g_I)
+    return _finite(lu.solve(-g_I))
+
+
+def _finite(v: np.ndarray) -> np.ndarray:
+    if not np.isfinite(v).all():
+        raise FactorizationError("the subsystem solve produced non-finite values")
+    return v
 
 
 def embed_point(n: int, I, A, sol: SubsystemSolution) -> KktPoint:
     """Scatter a subsystem solution into full-length vectors.
 
     x gets x_I on I and exact zeros on A; s gets s_A on A and exact zeros on
-    I, so x's = 0 structurally.  As in :func:`solve_subsystem`, index sets
-    are sorted internally and the solution vectors are taken in sorted order,
-    so any permutation of I yields the same embedded point.
+    I, so x's = 0 structurally.  x_I and s_A are read in the order of I and
+    A as passed, the order :func:`solve_subsystem` returned them in.
     """
-    I = np.sort(np.asarray(I, dtype=np.int64))
-    A = np.sort(np.asarray(A, dtype=np.int64))
+    I = np.asarray(I, dtype=np.int64)
+    A = np.asarray(A, dtype=np.int64)
     if len(sol.x_I) != len(I) or len(sol.s_A) != len(A):
         raise ValueError("solution does not match the partition sizes")
     x = np.zeros(n)

@@ -143,6 +143,15 @@ class TestUsageErrors:
         assert captured.err.splitlines() == [captured.err.strip()]
         assert message in captured.err
 
+    @pytest.mark.parametrize("solver", ["ras", "generic"])
+    @pytest.mark.parametrize("max_solves", ["0", "-3"])
+    def test_solve_max_solves_below_one(self, problem_file, capsys, solver, max_solves):
+        assert main(["solve", problem_file, "--solver", solver,
+                     "--max-solves", max_solves]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["rasqp: error: max_solves must be >= 1"]
+
     def test_solve_negative_tol(self, problem_file, capsys):
         assert main(["solve", problem_file, "--tol", "-1"]) == 1
         err = capsys.readouterr().err

@@ -83,6 +83,8 @@ class TestClassify:
         point = KktPoint(x=np.zeros(1), s=np.zeros(1))
         with pytest.raises(ValueError):
             classify(point, MASK(1), tol=-1e-3)
+        with pytest.raises(ValueError):  # nan would count every s_j as feasible
+            classify(point, MASK(1), tol=float("nan"))
 
     def test_partition_n(self):
         point = KktPoint(x=np.zeros(3), s=np.zeros(3))

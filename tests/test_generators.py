@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -119,6 +121,21 @@ class TestGenMedium:
         b = gen_medium(30, 0.4, 1e5, seed=4)
         np.testing.assert_array_equal(a.dense_q(), b.dense_q())
         np.testing.assert_array_equal(a.g, b.g)
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "cff2e2a370fd3c3f688716bdbafcff31160f3b2341486162d7a24a37e1de83c3"),
+        (1, "21104d78081c9fb0a737446dc14912706fa3c880c20d924607bc175e120be554"),
+        (2, "32e31efa445d23a20eb63ef328c4db7320803f7e48210a13ddc129cdbccb2925"),
+    ])
+    def test_pinned_output(self, seed, digest):
+        # SHA-256 of Q's CSC arrays and g for the spec of the benchmark's
+        # plan-grid workload: the rotation loop must produce the same bytes.
+        p = gen_medium(300, 0.03, 1e10, seed=seed)
+        h = hashlib.sha256()
+        for a in (p.Q.indptr.astype("<i8"), p.Q.indices.astype("<i8"),
+                  p.Q.data.astype("<f8"), p.g.astype("<f8")):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -163,6 +163,32 @@ class TestSaveRoundTrip:
         assert not loaded.problem.is_sparse
         np.testing.assert_array_equal(loaded.problem.dense_q(), problem.dense_q())
 
+    def test_metadata_reads_back(self, tmp_path):
+        meta = {"family": "hard", "note": "run 3 of 10", "cond": "1e+10"}
+        path = tmp_path / "meta.txt"
+        save_problem(ProblemFile(QpProblem(np.eye(2), [0.0, 0.0]), meta), path)
+        assert load_problem(path).meta == meta
+
+    @pytest.mark.parametrize("meta", [
+        {"note": "run #3"},  # would read back as "run"
+        {"tag#": "x"},
+        {"two words": "x"},  # would read back as {"two": "words x"}
+        {"": "x"},
+        {"k": "a  b"},  # would read back as "a b"
+        {"k": " a"},
+        {"k": "a "},
+        {"k": "a\tb"},
+        {"k": "a\nn 5"},  # would add a line "n 5" to the file
+        {"k": "a\rb"},
+        {"k": ""},
+    ], ids=repr)
+    def test_metadata_that_would_not_read_back(self, tmp_path, meta):
+        problem = QpProblem(np.eye(2), [0.0, 0.0])
+        path = tmp_path / "meta.txt"
+        with pytest.raises(ValueError, match=repr(next(iter(meta)))):
+            save_problem(ProblemFile(problem, meta), path)
+        assert not path.exists()
+
     def test_bad_form(self, tmp_path):
         problem = QpProblem(np.eye(2), [0.0, 0.0])
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -113,6 +115,10 @@ class TestMetricBookkeeping:
             (1, 0, 2, 0), (2, 0, 1, 1), (3, 0, 0, 2)]
         assert (result.solves, result.avg_subsystem_size) == (3, 1.0)
 
+    def test_trace_counts_are_python_ints(self):
+        for name, result in all_solver_runs(QpProblem(Q22, G22)).items():
+            assert all(type(v) is int for row in result.trace for v in (row.n_im, row.n_am)), name
+
     def test_default_start_is_everything_active(self):
         result = ras_solve(QpProblem(Q22, G22), RasConfig(seed=0))
         assert result.trace[0].subsystem_size == 0
@@ -193,6 +199,12 @@ class TestRasSolve:
         assert a.avg_subsystem_size == b.avg_subsystem_size
         assert np.array_equal(a.point.x, b.point.x)
         assert np.array_equal(a.point.s, b.point.s)
+
+    @pytest.mark.parametrize("config", [RasConfig, GenericRasConfig])
+    @pytest.mark.parametrize("max_solves", [0, -3])
+    def test_cap_validation(self, config, max_solves):
+        with pytest.raises(ValueError, match="max_solves must be >= 1"):
+            config(max_solves=max_solves)
 
     def test_solve_cap(self):
         result = ras_solve(QpProblem(Q22, G22), RasConfig(max_solves=1))
@@ -323,6 +335,26 @@ class TestFletcherSolve:
             # nonnegativity is exact, not epsilon-sized.
             if (x == 0.0).any():
                 assert x.min() == 0.0
+
+
+    def test_pinned_histories(self):
+        # One index moves per solve, so a seeded hard instance has one
+        # iterate per solve after the start; both histories are pinned by a
+        # SHA-256 of their float64 bytes.
+        result = fletcher_solve(gen_hard(30, 1e10, seed=3), record_iterates=True)
+        assert (result.status, result.solves) == (Status.OPTIMAL, 31)
+        assert (len(result.objective_history), len(result.iterate_history)) == (26, 32)
+        digests = [hashlib.sha256(np.array(h).astype("<f8").tobytes()).hexdigest()
+                   for h in (result.iterate_history, result.objective_history)]
+        assert digests == [
+            "d56c1fa5163a709745f3d97e8e2f3f89395c93a5b632099dd07e09dbf0c723f6",
+            "66e8b2bf6f2460fd4ebd301a3f3788f1399ba73ac761cefd70dcb153e43622a1",
+        ]
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_tol_validation(self, tol):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            fletcher_solve(QpProblem(Q22, G22), tol=tol)
 
 
 class TestBruteForce:

@@ -61,27 +61,51 @@ class TestSolveSubsystem:
         with pytest.raises(ValueError):
             solve_subsystem(p, [-1], [1])  # would wrap around to index 1
 
-    def test_input_order_is_irrelevant(self):
+    def test_permuted_input_permutes_the_output(self):
+        # x_I and s_A follow the order of I and A as passed.  Permuting A
+        # alone leaves the factor untouched, so s_A is permuted exactly;
+        # permuting I factors a permuted Q[I,I], which only rounds
+        # differently: x_I within the componentwise bound of a backward
+        # stable solve, s_A within the file's bound plus Q[A,I] times that.
         rng = np.random.default_rng(3)
-        p = rand_spd_problem(9, rng)
-        I, A = random_partition(9, rng)
+        n = 9
+        p = rand_spd_problem(n, rng)
+        I, A = random_partition(n, rng)
+        pi, pa = rng.permutation(len(I)), rng.permutation(len(A))
         base = solve_subsystem(p, I, A)
-        shuffled = solve_subsystem(p, rng.permutation(I), rng.permutation(A))
-        np.testing.assert_array_equal(base.x_I, shuffled.x_I)
-        np.testing.assert_array_equal(base.s_A, shuffled.s_A)
+        only_a = solve_subsystem(p, I, A[pa])
+        np.testing.assert_array_equal(only_a.x_I, base.x_I)
+        np.testing.assert_array_equal(only_a.s_A, base.s_A[pa])
+
+        both = solve_subsystem(p, I[pi], A[pa])
+        Q, g, eps = p.Q, p.g, np.finfo(float).eps
+        Q_II, Q_AI, x = Q[np.ix_(I, I)], Q[np.ix_(A, I)], base.x_I
+        x_bound = 4 * n * eps * (np.abs(np.linalg.inv(Q_II))
+                                 @ (np.abs(Q_II) @ np.abs(x) + np.abs(g[I])))
+        s_bound = (4 * n * eps * (np.abs(Q_AI) @ np.abs(x) + np.abs(g[A]))
+                   + np.abs(Q_AI) @ x_bound)
+        assert np.all(np.abs(both.x_I - x[pi]) <= x_bound[pi])
+        assert np.all(np.abs(both.s_A - base.s_A[pa]) <= s_bound[pa])
+        # Either call embeds to the same point, within the same bounds.
+        a = embed_point(n, I, A, base)
+        b = embed_point(n, I[pi], A[pa], both)
+        assert np.all(np.abs(a.x[I] - b.x[I]) <= x_bound) and np.all(b.x[A] == 0.0)
+        assert np.all(np.abs(a.s[A] - b.s[A]) <= s_bound) and np.all(b.s[I] == 0.0)
 
     @pytest.mark.parametrize("split", ["random", "A empty", "I empty"])
     def test_dense_matches_direct_gathers(self, split):
         # The solver gathers one row block Q[I,:]; the reference gathers
-        # Q[I,I] and Q[A,I] directly.  The factor sees the same matrix, so
-        # x_I is bit-identical; s_A only sums in another order.
+        # Q[I,I] and Q[A,I] directly, in the same (shuffled) order.  The
+        # factor sees the same matrix, so x_I is bit-identical; s_A only sums
+        # in another order.
         rng = np.random.default_rng(29)
         n = 150
         p = rand_spd_problem(n, rng)
         I, A = {"random": random_partition(n, rng),
                 "A empty": (np.arange(n), np.arange(0)),
                 "I empty": (np.arange(0), np.arange(n))}[split]
-        sol = solve_subsystem(p, rng.permutation(I), rng.permutation(A))
+        I, A = rng.permutation(I), rng.permutation(A)
+        sol = solve_subsystem(p, I, A)
         Q, g = p.Q, p.g
         if len(I):
             x_ref = sla.cho_solve(sla.cho_factor(Q[np.ix_(I, I)], lower=True), -g[I])
@@ -108,8 +132,8 @@ class TestSolveSubsystem:
     def test_sparse_lu_path_agrees_with_cholesky(self, monkeypatch):
         # With the threshold at 0 every nonempty block goes through SuperLU,
         # in the problem's reverse Cuthill-McKee order.  The reference is the
-        # dense Cholesky of Q[I,I] in sorted order, on a dense pattern, the
-        # banded easy family and an unstructured medium matrix.
+        # dense Cholesky of Q[I,I] in the (shuffled) order passed, on a dense
+        # pattern, the banded easy family and an unstructured medium matrix.
         rng = np.random.default_rng(11)
         dense = rand_spd_problem(20, rng)
         problems = (QpProblem(sp.csc_array(dense.Q), dense.g),
@@ -133,9 +157,9 @@ class TestSolveSubsystem:
         for p in problems:
             n, Q, g = p.n, p.Q.toarray(), p.g
             for _ in range(3):
-                I, A = random_partition(n, rng)
+                I, A = map(rng.permutation, random_partition(n, rng))
                 lu_calls.clear()
-                lu = solve_subsystem(p, rng.permutation(I), rng.permutation(A))
+                lu = solve_subsystem(p, I, A)
                 assert lu_calls == [(len(I), len(I))]  # the threshold is read at call time
                 chol = sla.cho_solve(sla.cho_factor(Q[np.ix_(I, I)], lower=True), -g[I])
                 np.testing.assert_allclose(lu.x_I, chol, rtol=1e-10, atol=1e-12)
@@ -147,12 +171,14 @@ class TestSolveSubsystem:
 
     def test_sparse_densified_path_matches_direct_cholesky(self):
         # A small sparse block is scattered into a dense Q[I,I]: the factor
-        # sees the same matrix as a direct gather, so x_I is bit-identical.
+        # sees the same matrix as a direct gather in the same (shuffled)
+        # order, so x_I is bit-identical.
         rng = np.random.default_rng(31)
         p = gen_medium(150, 0.05, 1e6, seed=4)
         n, Q, g = p.n, p.Q.toarray(), p.g
         for I, A in (random_partition(n, rng), (np.arange(n), np.arange(0))):
-            sol = solve_subsystem(p, rng.permutation(I), rng.permutation(A))
+            I, A = rng.permutation(I), rng.permutation(A)
+            sol = solve_subsystem(p, I, A)
             x_ref = sla.cho_solve(sla.cho_factor(Q[np.ix_(I, I)], lower=True), -g[I])
             np.testing.assert_array_equal(sol.x_I, x_ref)
             Q_AI = Q[np.ix_(A, I)]
