@@ -46,7 +46,9 @@ class GeneratorSpec:
     """Parameters identifying one generated problem.
 
     ``epsilon`` applies to the easy family only, ``density`` to medium only,
-    ``cond`` to medium and hard.
+    ``cond`` to medium and hard.  The values go through the same range
+    check as the generator's arguments, so a bad value fails here, before
+    any plan that holds the spec runs.
     """
 
     family: str
@@ -68,6 +70,27 @@ class GeneratorSpec:
                     raise ValueError(f"{fam} family requires {name}")
             elif value is not None:
                 raise ValueError(f"{name} does not apply to the {fam} family")
+        _check_parameters(fam, self.n, epsilon=self.epsilon, density=self.density,
+                          cond=self.cond)
+
+
+def _check_parameters(family: str, n: int, *, epsilon: float | None = None,
+                      density: float | None = None, cond: float | None = None) -> None:
+    """Raise ValueError naming the first generator parameter out of range.
+
+    n >= 1 for the easy family and n >= 2 otherwise; epsilon finite and
+    > 0; density in (0, 1]; cond finite and >= 1.  A parameter passed as
+    None is not checked; NaN fails every comparison, so it is rejected.
+    """
+    n_min = 1 if family == "easy" else 2
+    if n < n_min:
+        raise ValueError(f"n must be >= {n_min}")
+    if epsilon is not None and not 0.0 < epsilon < np.inf:
+        raise ValueError("epsilon must be > 0 and finite")
+    if density is not None and not 0.0 < density <= 1.0:
+        raise ValueError("density must lie in (0, 1]")
+    if cond is not None and not 1.0 <= cond < np.inf:
+        raise ValueError("cond must be >= 1 and finite")
 
 
 def generate(spec: GeneratorSpec) -> QpProblem:
@@ -82,27 +105,30 @@ def generate(spec: GeneratorSpec) -> QpProblem:
 def gen_easy(n: int, epsilon: float, seed: int) -> QpProblem:
     """Sparse banded family: Q = P P' + epsilon * I.
 
-    P starts as a sparse matrix of ~10% density with standard normal values
-    plus the identity, then is restricted to its lower-triangular band of
-    bandwidth 100 (kept literal even when n < 100, where the band covers the
-    whole triangle).  epsilon > 0 guarantees positive definiteness and sets
-    the smallest eigenvalue scale.  g is standard normal.  Draw order:
-    sparsity pattern and values of P together, then g.
+    P is a sparse matrix of ~10% density with standard normal values plus
+    the identity, restricted to its lower-triangular band of bandwidth 100
+    (kept literal even when n < 100, where the band covers the whole
+    triangle).  epsilon > 0 guarantees positive definiteness and sets the
+    smallest eigenvalue scale.  g is standard normal.  Draw order: sparsity
+    pattern and values of P together, then g.  The band is cut from the
+    random entries before the unit diagonal is added, which gives the same
+    P as adding first (the diagonal lies in the band) without summing the
+    ~96% of the draws that the band drops.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _check_parameters("easy", n, epsilon=epsilon)
     rng = np.random.default_rng(seed)
-    P = sp.random_array(
+    R = sp.random_array(
         (n, n), density=0.1, format="coo", rng=rng,
         data_sampler=rng.standard_normal,
-    ) + sp.eye_array(n, format="coo")
-    P = sp.coo_array(P)
-    keep = (P.coords[1] <= P.coords[0]) & (P.coords[1] >= P.coords[0] - EASY_BANDWIDTH)
-    P = sp.csr_array(
-        (P.data[keep], (P.coords[0][keep], P.coords[1][keep])), shape=(n, n)
     )
+    row, col = R.coords
+    keep = (col <= row) & (col >= row - EASY_BANDWIDTH)
+    diag = np.arange(n, dtype=row.dtype)  # the draw's index dtype, so P's bytes match
+    P = sp.csr_array(
+        (np.concatenate((R.data[keep], np.ones(n))),
+         (np.concatenate((row[keep], diag)), np.concatenate((col[keep], diag)))),
+        shape=(n, n),
+    )  # a diagonal drawn twice sums to v + 1.0
     Q = (P @ P.T).tocsc()
     Q = Q + sp.eye_array(n, format="csc") * epsilon
     g = rng.standard_normal(n)
@@ -128,12 +154,7 @@ def gen_medium(n: int, density: float, cond: float, seed: int,
     failure).  g is standard normal; draw order: rotations (pair, then
     angle, per rotation), then g.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must lie in (0, 1]")
-    if cond < 1.0:
-        raise ValueError("cond must be >= 1")
+    _check_parameters("medium", n, density=density, cond=cond)
     rng = np.random.default_rng(seed)
     if cond == 1.0:
         Q = sp.eye_array(n, format="csc")
@@ -145,22 +166,26 @@ def gen_medium(n: int, density: float, cond: float, seed: int,
     nnz = np.count_nonzero(W)
     target_nnz = int(round(density * n * n))
     budget = int(round(rotation_budget_factor * target_nnz))
+    integers, uniform, count = rng.integers, rng.uniform, np.count_nonzero
     rotations = 0
     while nnz < target_nnz and rotations < budget:
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
+        i = int(integers(n))
+        j = int(integers(n - 1))
         if j >= i:
             j += 1
-        theta = rng.uniform(0.0, 2.0 * np.pi)
+        theta = uniform(0.0, 2.0 * np.pi)
         c, s = np.cos(theta), np.sin(theta)
         G = np.array([[c, s], [-s, c]])
         pair = [i, j]
         # Two rows change, then two columns: count what they hold before and after.
-        nnz -= np.count_nonzero(W[pair, :])
-        W[pair, :] = G @ W[pair, :]
-        nnz += np.count_nonzero(W[pair, :]) - np.count_nonzero(W[:, pair])
-        W[:, pair] = W[:, pair] @ G.T
-        nnz += np.count_nonzero(W[:, pair])
+        old = W[pair, :]
+        new = G @ old
+        nnz += count(new) - count(old)
+        W[pair, :] = new
+        old = W[:, pair]
+        new = old @ G.T
+        nnz += count(new) - count(old)
+        W[:, pair] = new
         rotations += 1
     if nnz < target_nnz:
         warnings.warn(
@@ -181,10 +206,7 @@ def gen_hard(n: int, cond: float, seed: int) -> QpProblem:
     Draw order: g uniform on [-0.5, 0.5] first, then the normal matrix whose
     QR factor supplies the random orthogonal basis O; Q = O D O' symmetrized.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if cond < 1.0:
-        raise ValueError("cond must be >= 1")
+    _check_parameters("hard", n, cond=cond)
     rng = np.random.default_rng(seed)
     g = rng.uniform(-0.5, 0.5, n)
     O, _ = np.linalg.qr(rng.standard_normal((n, n)))

@@ -33,6 +33,11 @@ Each solve gathers Q once, in one of three ways.
   elimination on its diagonal is stable without pivoting: SuperLU runs in
   symmetric mode with the natural column order and a diagonal pivot
   threshold of 0, so it keeps the given order and pivots on the diagonal.
+  The block reaches SuperLU in CSC with sorted indexes, so SuperLU has
+  nothing to sort: the column slice Q[:, J] is converted to CSR, whose
+  rows J are Q[J,J] row by row with sorted column indexes.  Read as CSC,
+  those arrays are Q[J,J]', which equals Q[J,J] bit for bit because Q is
+  exactly symmetric.
 
 The densified Q[I,I] is a temporary, so the Cholesky factorizes it in
 place, handed whichever of the block and its transpose (the same matrix, by
@@ -45,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .model import KktPoint, QpProblem
@@ -122,7 +128,8 @@ def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
         order = np.argsort(_rcm_rank(problem)[I])
         J = I[order]  # I in the problem's fill-reducing order
         cols = Q[:, J]  # csc column slice, reused for both Q[J,J] and s_A
-        y = _sparse_solve(cols[J, :], g[J])
+        r = cols.tocsr()[J]  # Q[J,J] row by row, indexes sorted; by symmetry its CSC
+        y = _sparse_solve(sp.csc_array((r.data, r.indices, r.indptr), shape=r.shape), g[J])
         x_I = np.empty_like(y)
         x_I[order] = y
         s_A = (cols @ y)[A] + g[A] if len(A) else np.empty(0)

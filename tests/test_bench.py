@@ -25,6 +25,25 @@ EASY = GeneratorSpec("easy", 15, seed=0, epsilon=1e-2)
 CYCLING = GeneratorSpec("medium", 30, seed=0, density=0.5, cond=1e12)
 
 
+@pytest.fixture
+def bad(monkeypatch):
+    """A valid spec whose generation raises, as a failing generator would.
+
+    GeneratorSpec rejects out-of-range values itself, so a generator error
+    inside run_plan is injected rather than reached through a bad value.
+    """
+    spec = GeneratorSpec("easy", 10, seed=0, epsilon=1e-2)
+    original = rasqp.bench.generate
+
+    def generate(s):
+        if dataclasses.replace(s, seed=0) == spec:
+            raise ValueError("generation failed")
+        return original(s)
+
+    monkeypatch.setattr(rasqp.bench, "generate", generate)
+    return spec
+
+
 def tiny_plan(**overrides):
     kwargs = dict(
         cells=((EASY, "ras", {}), (EASY, "kr", {})),
@@ -135,8 +154,7 @@ class TestRunPlan:
         assert ras.fail_count == 0
         assert math.isfinite(ras.solve_mean)
 
-    def test_generator_error_marks_cell_and_continues(self):
-        bad = GeneratorSpec("easy", 10, seed=0, epsilon=-1.0)
+    def test_generator_error_marks_cell_and_continues(self, bad):
         records = run_plan(
             BenchmarkPlan(cells=((bad, "ras", {}), (EASY, "ras", {})), trials=1)
         )
@@ -181,8 +199,7 @@ class TestRunPlan:
             assert (got.solve_mean, got.avgI_mean, got.fail_count) == (
                 want.solve_mean, want.avgI_mean, want.fail_count)
 
-    def test_generator_error_marks_every_cell_of_its_spec(self):
-        bad = GeneratorSpec("easy", 10, seed=0, epsilon=-1.0)
+    def test_generator_error_marks_every_cell_of_its_spec(self, bad):
         records = run_plan(tiny_plan(
             cells=((bad, "ras", {}), (EASY, "ras", {}), (bad, "kr", {}))))
         assert "ValueError" in records[0].error
@@ -212,8 +229,7 @@ class TestEmitTable:
         parsed = parse_machine_rows(machine)
         assert parsed == [r for rec in records for r in rec.rows]
 
-    def test_errored_cell_rendered(self):
-        bad = GeneratorSpec("easy", 10, seed=0, epsilon=-1.0)
+    def test_errored_cell_rendered(self, bad):
         records = run_plan(BenchmarkPlan(cells=((bad, "ras", {}),), trials=1))
         human, machine = emit_table(records)
         assert "error: ValueError" in human

@@ -134,8 +134,17 @@ class TestUsageErrors:
         *((["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--trials", "2",
             "--solvers", "ras", "--time-limit", limit], "time_limit_per_trial must be > 0")
           for limit in ("-1", "0", "nan")),
+        *((["bench", "--family", "hard", "--n", "10", "--cond", cond, "--trials", "1",
+            "--solvers", "ras"], "cond must be >= 1 and finite")
+          for cond in ("0.5", "inf", "nan")),
+        (["bench", "--family", "easy", "--n", "10", "--epsilon", "nan", "--trials", "1",
+          "--solvers", "ras"], "epsilon must be > 0 and finite"),
+        (["trace", "--family", "hard", "--n", "20", "--cond", "inf"],
+         "cond must be >= 1 and finite"),
     ], ids=["trace-n", "trace-cond", "trace-tol", "bench-trials",
-            "bench-time-limit-negative", "bench-time-limit-zero", "bench-time-limit-nan"])
+            "bench-time-limit-negative", "bench-time-limit-zero", "bench-time-limit-nan",
+            "bench-cond-below-one", "bench-cond-inf", "bench-cond-nan", "bench-epsilon-nan",
+            "trace-cond-inf"])
     def test_bad_value_is_a_one_line_usage_error(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()

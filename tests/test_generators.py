@@ -16,6 +16,17 @@ from rasqp.generators import (
 from rasqp.model import validate_problem
 
 
+def digest(p) -> str:
+    """SHA-256 of Q's stored arrays (CSC indptr, indices, data, or the dense
+    array) and g, each preceded by its dtype, so a changed index width fails."""
+    h = hashlib.sha256()
+    arrays = (p.Q.indptr, p.Q.indices, p.Q.data) if p.is_sparse else (p.Q,)
+    for a in (*arrays, p.g):
+        h.update(a.dtype.str.encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 class TestGeneratorSpec:
     def test_valid_specs(self):
         GeneratorSpec("easy", 10, seed=0, epsilon=1e-3)
@@ -38,6 +49,20 @@ class TestGeneratorSpec:
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ValueError):
             GeneratorSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(family="easy", n=0, epsilon=1.0), "n"),
+        (dict(family="hard", n=1, cond=10.0), "n"),
+        *((dict(family="easy", n=5, epsilon=e), "epsilon") for e in (0.0, np.inf, np.nan)),
+        *((dict(family="medium", n=5, density=d, cond=10.0), "density")
+          for d in (0.0, 1.5, np.nan)),
+        *((dict(family="medium", n=5, density=0.5, cond=c), "cond")
+          for c in (0.5, np.inf, np.nan)),
+        *((dict(family="hard", n=5, cond=c), "cond") for c in (0.5, np.inf, np.nan)),
+    ])
+    def test_out_of_range_value_names_the_parameter(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            GeneratorSpec(seed=0, **kwargs)
 
     def test_generate_dispatches(self):
         pairs = [
@@ -81,6 +106,18 @@ class TestGenEasy:
     def test_seed_changes_output(self):
         a, b = gen_easy(30, 1e-4, seed=0), gen_easy(30, 1e-4, seed=1)
         assert not np.array_equal(a.g, b.g)
+
+    @pytest.mark.parametrize("n, epsilon, seed, want", [
+        (3000, 1.0, 0, "997f0e36c0a0ae19feec41e0056efbafe7f3599eab12f6fe7d64c829c9aa95d9"),
+        (3000, 1.0, 1, "461d5921964a76f8235c1eb3c6199424658c16f68167e769af6c4fefffe769fe"),
+        (3000, 1e-10, 0, "64db420cccc26aa76b1b6ae3f04e023b7f4c221125b8f88249b5ac65af4deec3"),
+        (3000, 1e-10, 1, "65b73e57f57bf826fbcdae46fb8628e1234f6cd87cfff39bd81c7d84ca42f3b7"),
+        (60, 1e-3, 5, "c2efe2eee0eedd34a264575190ca82dd4a5a0e2abffb7a16b1ac3d7deedcebb4"),
+    ])
+    def test_pinned_output(self, n, epsilon, seed, want):
+        # The sparse-mixed benchmark specs and one n below EASY_BANDWIDTH:
+        # the generator must keep producing the same bytes.
+        assert digest(gen_easy(n, epsilon, seed)) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -168,8 +205,31 @@ class TestGenHard:
         np.testing.assert_array_equal(a.dense_q(), b.dense_q())
         np.testing.assert_array_equal(a.g, b.g)
 
+    @pytest.mark.parametrize("cond, want", [
+        (1e10, "471f7dc032ad43d642b1976d5c093525a5bc30d151dbd0dcef2827340ff316c4"),
+        (1e14, "2df8e5fc4d83f30fc6e921f7c822245e7f09d36d6219da19c2efd1ec12f608a4"),
+    ])
+    def test_pinned_output(self, cond, want):
+        # The hard-dense benchmark specs.
+        assert digest(gen_hard(800, cond, seed=0)) == want
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gen_hard(1, 10.0, seed=0)
         with pytest.raises(ValueError):
             gen_hard(10, 0.9, seed=0)
+
+
+@pytest.mark.parametrize("generator, args, name", [
+    (gen_easy, (10, np.nan), "epsilon"),
+    (gen_easy, (10, np.inf), "epsilon"),
+    (gen_medium, (10, 0.5, np.inf), "cond"),
+    (gen_medium, (10, 0.5, np.nan), "cond"),
+    (gen_hard, (20, np.inf), "cond"),
+    (gen_hard, (20, np.nan), "cond"),
+])
+def test_non_finite_parameter_is_named(generator, args, name):
+    # Rejected up front, not reported later as a non-finite Q (or a NumPy
+    # RuntimeWarning from building it).
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        generator(*args, seed=0)

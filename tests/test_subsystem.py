@@ -169,6 +169,38 @@ class TestSolveSubsystem:
             rcm_calls.clear()
             np.testing.assert_array_equal(np.sort(p._rcm_rank), np.arange(n))
 
+    @pytest.mark.parametrize("family", ["easy", "medium"])
+    def test_superlu_receives_a_sorted_csc_block(self, family, monkeypatch):
+        # The block reaches splu as CSC with sorted indexes, so splu has
+        # nothing to convert or sort, and x_I and s_A are bit-identical to
+        # the route that hands splu the unsorted row slice Q[:, J][J, :].
+        p = (gen_easy(200, 1.0, seed=4) if family == "easy"
+             else gen_medium(150, 0.05, 1e4, seed=4))
+        rng = np.random.default_rng(5)
+        splu = rasqp.subsystem.spla.splu
+        received = []
+
+        def spy(a, *args, **kwargs):
+            received.append((a.format, a.has_canonical_format))
+            return splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(rasqp.subsystem.spla, "splu", spy)
+        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        for _ in range(3):
+            I, A = map(rng.permutation, random_partition(p.n, rng))
+            received.clear()
+            sol = solve_subsystem(p, I, A)
+            assert received == [("csc", True)]
+            order = np.argsort(p._rcm_rank[I])
+            J = I[order]
+            cols = p.Q[:, J]
+            y = splu(cols[J, :], permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True}).solve(-p.g[J])
+            x_ref = np.empty_like(y)
+            x_ref[order] = y
+            np.testing.assert_array_equal(sol.x_I, x_ref)
+            np.testing.assert_array_equal(sol.s_A, (cols @ y)[A] + p.g[A])
+
     def test_sparse_densified_path_matches_direct_cholesky(self):
         # A small sparse block is scattered into a dense Q[I,I]: the factor
         # sees the same matrix as a direct gather in the same (shuffled)
