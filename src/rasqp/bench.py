@@ -78,9 +78,9 @@ class BenchmarkPlan:
 
     The ``seed`` field of each template is a placeholder: trial t replaces it
     with ``base_seed + t``.  ``options`` may carry solver keywords (``tol``,
-    ``max_solves``, ``probs`` as a 6-tuple, ``sigma``, ``max_iterations``);
-    ``tol`` defaults to the family tolerance.  ``time_limit_per_trial`` (in
-    seconds) must be > 0; a trial that ran longer is recorded as ``Timeout``.
+    ``max_solves``, ``probs`` as a 6-tuple, ``sigma``); ``tol`` defaults to
+    the family tolerance.  ``time_limit_per_trial`` (in seconds) must be
+    > 0; a trial that ran longer is recorded as ``Timeout``.
     """
 
     cells: tuple

@@ -68,8 +68,8 @@ def _build_parser() -> _Parser:
                     help="RNG seed for randomized solvers (default 0)")
     ps.add_argument("--tol", type=_tolerance, default=1e-10,
                     help="dual violation tolerance (default 1e-10)")
-    ps.add_argument("--max-solves", type=int, default=10_000,
-                    help="cap for the randomized solvers")
+    ps.add_argument("--max-solves", type=int, default=None,
+                    help="cap on subsystem solves (default: the solver's own)")
     ps.add_argument("--machine", action="store_true",
                     help="print one machine-readable CSV line instead of the report")
 
@@ -147,7 +147,7 @@ def cmd_solve(args) -> int:
         print(f"rasqp: {args.path}: {exc}", file=sys.stderr)
         return 1
     problem = loaded.problem
-    options = {"max_solves": args.max_solves} if args.solver in ("ras", "generic") else {}
+    options = {} if args.max_solves is None else {"max_solves": args.max_solves}
     try:
         solve = build_solver(args.solver, options, args.tol, args.seed)
     except ValueError as exc:  # an out-of-range option such as --max-solves 0

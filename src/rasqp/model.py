@@ -61,14 +61,11 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(f"matrix is not positive definite (leading minor {self.pivot})")
 
 
-def _symmetrize(Q, *, sparse: bool):
-    """Return (Q + Q')/2, raising NotSymmetricError when the input is too skew."""
-    if sparse:
-        scale = abs(Q).max() if Q.nnz else 0.0
-        asym = abs(Q - Q.T).max() if Q.nnz else 0.0
-    else:
-        scale = np.abs(Q).max() if Q.size else 0.0
-        asym = np.abs(Q - Q.T).max() if Q.size else 0.0
+def _symmetrize(Q):
+    """Return (Q + Q')/2 of a dense or sparse Q, raising NotSymmetricError
+    when the input is too skew."""
+    scale = abs(Q).max()
+    asym = abs(Q - Q.T).max()
     if asym > SYMMETRY_RTOL * max(scale, 1e-300):
         raise NotSymmetricError(
             f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|Q| = "
@@ -119,7 +116,7 @@ class QpProblem:
             if Q.shape != (n, n):
                 raise ValueError(f"Q has shape {Q.shape}, expected ({n}, {n})")
             _require_finite(Q.data, "Q")
-            Q = sp.csc_array(_symmetrize(Q, sparse=True))
+            Q = sp.csc_array(_symmetrize(Q))
             Q.sort_indices()
             self.is_sparse = True
         else:
@@ -127,7 +124,7 @@ class QpProblem:
             if Q.shape != (n, n):
                 raise ValueError(f"Q has shape {Q.shape}, expected ({n}, {n})")
             _require_finite(Q, "Q")
-            Q = np.ascontiguousarray(_symmetrize(Q, sparse=False))
+            Q = np.ascontiguousarray(_symmetrize(Q))
             Q.setflags(write=False)
             self.is_sparse = False
         g = g.copy()

@@ -56,59 +56,56 @@ __all__ = [
     "NoKktPointError",
 ]
 
-@dataclass
-class GenericRasConfig:
+@dataclass(kw_only=True)
+class _ExchangeConfig:
+    """Options every exchange solver takes: the dual tolerance, the starting
+    active set (``None`` means every index), the cap on subsystem solves and
+    whether to record each inactive set.  Keyword-only, like its subclasses."""
+
+    tol: float = 1e-10
+    initial_A: object = None
+    max_solves: int = 10_000
+    record_sets: bool = False
+
+    def __post_init__(self):
+        if self.max_solves < 1:
+            raise ValueError("max_solves must be >= 1")
+
+
+@dataclass(kw_only=True)
+class GenericRasConfig(_ExchangeConfig):
     """Configuration for :func:`generic_ras_solve`.
 
     ``probability_rule`` is called as ``rule(point, Im, Am)`` with the
     current iterate (a :class:`~rasqp.model.KktPoint`) and the ascending
     infeasible indexes of I and of A; it returns the exchange probabilities
     for Im and for Am (scalars or one per index), each in [sigma, 1-sigma].
-    ``None`` means the constant rule 0.5.
+    ``None`` means the constant rule 0.5.  ``sigma`` must lie in (0, 0.5].
     """
 
     sigma: float = 0.5
     probability_rule: Callable[[KktPoint, np.ndarray, np.ndarray], tuple] | None = None
-    tol: float = 1e-10
-    initial_A: object = None
-    max_solves: int = 10_000
     seed: int = 0
-    record_sets: bool = False
 
     def __post_init__(self):
-        if self.max_solves < 1:
-            raise ValueError("max_solves must be >= 1")
+        super().__post_init__()
+        if not 0.0 < self.sigma <= 0.5:  # also rejects nan
+            raise ValueError("sigma must lie in (0, 0.5]")
 
 
-@dataclass
-class RasConfig:
+@dataclass(kw_only=True)
+class RasConfig(_ExchangeConfig):
     """Configuration for :func:`ras_solve` (defaults are the tuned probabilities)."""
 
     probs: ChangeProbabilities = field(default_factory=ChangeProbabilities)
-    tol: float = 1e-10
-    initial_A: object = None
-    max_solves: int = 10_000
     seed: int = 0
-    record_sets: bool = False
-
-    def __post_init__(self):
-        if self.max_solves < 1:
-            raise ValueError("max_solves must be >= 1")
 
 
-@dataclass
-class KrConfig:
-    """Configuration for :func:`kr_solve`; the iteration cap treats one
-    subsystem solve as one iteration."""
+@dataclass(kw_only=True)
+class KrConfig(_ExchangeConfig):
+    """Configuration for :func:`kr_solve`; its solve cap defaults to 200."""
 
-    tol: float = 1e-10
-    initial_A: object = None
-    max_iterations: int = 200
-    record_sets: bool = False
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+    max_solves: int = 200
 
 
 class DimensionTooLargeError(ValueError):
@@ -171,15 +168,15 @@ class _RunRecorder:
         )
 
 
-def _exchange_loop(problem: QpProblem, cfg, select, cap: int, cap_status: Status,
+def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
+                   cap_status: Status = Status.ITERATION_CAP,
                    detect_cycles: bool = False) -> SolveResult:
-    """The iteration shared by the exchange solvers (``cfg`` gives tol,
-    initial_A and record_sets).
+    """The iteration shared by the exchange solvers.
 
     The state is the ``inactive`` mask; I and A are its two index arrays.
     Each round solves the subsystem for (I, A) and classifies the result.  It
     stops with ``Optimal`` when nothing is infeasible and with ``cap_status``
-    after ``cap`` solves; otherwise it moves the indexes that
+    after ``cfg.max_solves`` solves; otherwise it moves the indexes that
     ``select(point, infeasible, inactive)`` returns to the other side, or
     stops with ``IterationCapReached`` when that is ``None``.  With
     ``detect_cycles`` an active set met before stops the run with
@@ -207,7 +204,7 @@ def _exchange_loop(problem: QpProblem, cfg, select, cap: int, cap_status: Status
         rec.note(I, n_im, n_inf - n_im)
         if n_inf == 0:
             return rec.result(problem, point, Status.OPTIMAL)
-        if rec.solves >= cap:
+        if rec.solves >= cfg.max_solves:
             return rec.result(problem, point, cap_status)
         chosen = select(point, infeasible, inactive)
         if chosen is None:
@@ -232,7 +229,7 @@ def generic_ras_solve(problem: QpProblem, cfg: GenericRasConfig) -> SolveResult:
         Am = np.flatnonzero(infeasible & ~inactive)
         return select_exchange_generic(Im, Am, *rule(point, Im, Am), cfg.sigma, rng)
 
-    return _exchange_loop(problem, cfg, select, cfg.max_solves, Status.ITERATION_CAP)
+    return _exchange_loop(problem, cfg, select)
 
 
 def ras_solve(problem: QpProblem, cfg: RasConfig) -> SolveResult:
@@ -261,19 +258,19 @@ def ras_solve(problem: QpProblem, cfg: RasConfig) -> SolveResult:
                 return chosen
         return None
 
-    return _exchange_loop(problem, cfg, select, cfg.max_solves, Status.ITERATION_CAP)
+    return _exchange_loop(problem, cfg, select)
 
 
 def kr_solve(problem: QpProblem, cfg: KrConfig) -> SolveResult:
     """Deterministic full-exchange iteration: every infeasible index changes sides.
 
     Stops with ``Optimal`` when nothing is infeasible and with
-    ``CycleDetected`` either when the iteration cap is reached or as soon as
-    an active set repeats (detected via a set of visited masks, which yields
+    ``CycleDetected`` either after ``max_solves`` solves or as soon as an
+    active set repeats (detected via a set of visited masks, which yields
     the same fail verdict as running out the cap, only sooner).
     """
     return _exchange_loop(problem, cfg, lambda _, infeasible, __: np.flatnonzero(infeasible),
-                          cfg.max_iterations, Status.CYCLE_DETECTED, detect_cycles=True)
+                          Status.CYCLE_DETECTED, detect_cycles=True)
 
 
 def fletcher_solve(

@@ -118,7 +118,7 @@ def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
     if not problem.is_sparse:
         rows = np.take(Q, I, axis=0)  # Q[I,:]; by symmetry also Q[:,I]'
         x_I = _dense_solve(np.take(rows, I, axis=1), g[I])
-        s_A = (x_I @ rows)[A] + g[A] if len(A) else np.empty(0)
+        s_A = (x_I @ rows)[A] + g[A]
     elif len(I) <= DENSE_THRESHOLD:
         x_I = _dense_solve(_csc_block(Q, I), g[I])
         x = np.zeros(problem.n)
@@ -132,7 +132,7 @@ def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
         y = _sparse_solve(sp.csc_array((r.data, r.indices, r.indptr), shape=r.shape), g[J])
         x_I = np.empty_like(y)
         x_I[order] = y
-        s_A = (cols @ y)[A] + g[A] if len(A) else np.empty(0)
+        s_A = (cols @ y)[A] + g[A]
     return SubsystemSolution(x_I, _finite(s_A))
 
 

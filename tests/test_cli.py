@@ -66,6 +66,19 @@ class TestSolve:
         assert main(["solve", problem_file, "--max-solves", "1"]) == 2
         assert "IterationCapReached" in capsys.readouterr().out
 
+    def test_max_solves_reaches_every_capped_solver(self, problem_file, capsys):
+        # kr stops after its one allowed solve; fletcher has no cap to set.
+        assert main(["solve", problem_file, "--solver", "kr", "--max-solves", "1",
+                     "--machine"]) == 2
+        fields = capsys.readouterr().out.strip().split(",")
+        assert fields[0] == "CycleDetected"
+        assert int(fields[2]) == 1
+        assert main(["solve", problem_file, "--solver", "fletcher", "--max-solves", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "max_solves" in captured.err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.txt")]) == 1
         assert "cannot read" in capsys.readouterr().err
@@ -152,7 +165,7 @@ class TestUsageErrors:
         assert captured.err.splitlines() == [captured.err.strip()]
         assert message in captured.err
 
-    @pytest.mark.parametrize("solver", ["ras", "generic"])
+    @pytest.mark.parametrize("solver", ["ras", "generic", "kr"])
     @pytest.mark.parametrize("max_solves", ["0", "-3"])
     def test_solve_max_solves_below_one(self, problem_file, capsys, solver, max_solves):
         assert main(["solve", problem_file, "--solver", solver,

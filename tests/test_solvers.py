@@ -200,7 +200,7 @@ class TestRasSolve:
         assert np.array_equal(a.point.x, b.point.x)
         assert np.array_equal(a.point.s, b.point.s)
 
-    @pytest.mark.parametrize("config", [RasConfig, GenericRasConfig])
+    @pytest.mark.parametrize("config", [RasConfig, GenericRasConfig, KrConfig])
     @pytest.mark.parametrize("max_solves", [0, -3])
     def test_cap_validation(self, config, max_solves):
         with pytest.raises(ValueError, match="max_solves must be >= 1"):
@@ -240,9 +240,13 @@ class TestRasSolve:
 
 
 class TestGenericRasSolve:
-    def test_sigma_validated_at_selection(self):
-        with pytest.raises(ValueError):
-            generic_ras_solve(QpProblem(Q22, G22), GenericRasConfig(sigma=0.7))
+    @pytest.mark.parametrize("initial_A", [None, []], ids=["all-active", "none-active"])
+    def test_sigma_validated_in_config(self, initial_A):
+        # With initial_A=[] the first solve is optimal, so no draw would
+        # ever reach the engine's own check.
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            generic_ras_solve(QpProblem(Q22, G22),
+                              GenericRasConfig(sigma=0.7, initial_A=initial_A))
 
     def test_custom_probability_rule(self):
         # A rule returning per-index probabilities inside [sigma, 1 - sigma].
@@ -287,13 +291,9 @@ class TestKrSolve:
         assert_certificate(problem, result, tol=1e-10)
 
     def test_iteration_cap_reports_cycle(self):
-        result = kr_solve(QpProblem(Q22, G22), KrConfig(max_iterations=1))
+        result = kr_solve(QpProblem(Q22, G22), KrConfig(max_solves=1))
         assert result.status is Status.CYCLE_DETECTED
         assert result.solves == 1
-
-    def test_cap_validation(self):
-        with pytest.raises(ValueError):
-            KrConfig(max_iterations=0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(303)
