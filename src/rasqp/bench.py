@@ -173,7 +173,7 @@ def build_solver(name: str, options: dict, tol: float, seed: int):
         return lambda problem: kr_solve(problem, cfg)
     if name == "fletcher":
         if opts:
-            raise ValueError(f"fletcher takes no options beyond tol, got {sorted(opts)}")
+            raise ValueError(f"fletcher takes only tol, not {', '.join(sorted(opts))}")
         return lambda problem: fletcher_solve(problem, tol=tol)
     raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
 

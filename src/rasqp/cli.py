@@ -3,8 +3,9 @@
 Exit codes: 0 — the requested run ended optimally (``bench`` always exits 0
 once the plan ran; failed trials are data, not errors); 2 — the solver
 stopped on an iteration cap, a detected cycle, or a numerical failure;
-1 — unusable input (bad flags or flag values, malformed problem file,
-non-PD matrix).
+1 — unusable input (bad flags or values such as a negative ``--seed`` or an
+empty list; an unreadable, malformed or non-PD problem file; an unwritable
+``--output``), which ``main`` reports as one stderr line ``rasqp: error: ...``.
 
 Every random choice flows from ``--seed`` (default 0); nothing is seeded
 from entropy, so equal invocations produce equal outputs apart from
@@ -35,26 +36,36 @@ from .problem_io import load_problem
 __all__ = ["main", "cmd_solve", "cmd_bench", "cmd_trace"]
 
 
-class _UsageError(Exception):
-    """Flag/argument problem; rendered to stderr and mapped to exit 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     # The exit-code contract reserves 2 for solver non-convergence, so
     # argparse's default SystemExit(2) on bad flags is replaced.
     def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}")
+        raise ValueError(message)
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of ``--tol``: a number >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
-    if not value >= 0.0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
+def _at_least(low, kind):
+    """argparse type: a ``kind`` (int or float) value >= ``low``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"expects {noun}, got {text!r}") from None
+        if not value >= low:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _list_of(kind):
+    """argparse type: a comma-separated list of at least one ``kind`` value."""
+    def parse(text: str) -> list:
+        values = [kind(v.strip()) for v in text.split(",") if v.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expects at least one value, got {text!r}")
+        return values
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse: "invalid <name> value"
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -64,9 +75,9 @@ def _build_parser() -> _Parser:
     ps = sub.add_parser("solve", help="solve a problem file")
     ps.add_argument("path", help="problem file (see rasqp.problem_io)")
     ps.add_argument("--solver", default="ras", choices=SOLVER_NAMES)
-    ps.add_argument("--seed", type=int, default=0,
+    ps.add_argument("--seed", type=_at_least(0, int), default=0,
                     help="RNG seed for randomized solvers (default 0)")
-    ps.add_argument("--tol", type=_tolerance, default=1e-10,
+    ps.add_argument("--tol", type=_at_least(0, float), default=1e-10,
                     help="dual violation tolerance (default 1e-10)")
     ps.add_argument("--max-solves", type=int, default=None,
                     help="cap on subsystem solves (default: the solver's own)")
@@ -75,15 +86,16 @@ def _build_parser() -> _Parser:
 
     pb = sub.add_parser("bench", help="run a benchmark grid")
     pb.add_argument("--family", required=True, choices=("easy", "medium", "hard"))
-    pb.add_argument("--n", required=True, help="comma-separated dimensions")
-    pb.add_argument("--cond", help="comma-separated condition numbers (medium, hard)")
-    pb.add_argument("--density", help="comma-separated densities (medium)")
-    pb.add_argument("--epsilon", help="comma-separated regularizations (easy)")
-    pb.add_argument("--solvers", default="ras,kr",
+    floats = _list_of(float)
+    pb.add_argument("--n", type=_list_of(int), required=True, help="comma-separated dimensions")
+    pb.add_argument("--cond", type=floats, help="comma-separated condition numbers (medium, hard)")
+    pb.add_argument("--density", type=floats, help="comma-separated densities (medium)")
+    pb.add_argument("--epsilon", type=floats, help="comma-separated regularizations (easy)")
+    pb.add_argument("--solvers", type=_list_of(str), default="ras,kr",
                     help=f"comma-separated subset of {','.join(SOLVER_NAMES)}")
     pb.add_argument("--trials", type=int, default=10)
-    pb.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    pb.add_argument("--tol", type=_tolerance, default=None,
+    pb.add_argument("--seed", type=_at_least(0, int), default=0, help="base seed (default 0)")
+    pb.add_argument("--tol", type=_at_least(0, float), default=None,
                     help="override the per-family tolerance")
     pb.add_argument("--time-limit", type=float, default=300.0,
                     help="per-trial wall-clock limit in seconds")
@@ -97,28 +109,14 @@ def _build_parser() -> _Parser:
     pt.add_argument("--density", type=float, default=None)
     pt.add_argument("--epsilon", type=float, default=None)
     pt.add_argument("--solver", default="ras", choices=SOLVER_NAMES)
-    pt.add_argument("--seed", type=int, default=0,
+    pt.add_argument("--seed", type=_at_least(0, int), default=0,
                     help="generator seed; the solver seed is derived from it "
                          "exactly as in bench trials (default 0)")
-    pt.add_argument("--tol", type=_tolerance, default=None,
+    pt.add_argument("--tol", type=_at_least(0, float), default=None,
                     help="override the per-family tolerance")
     pt.add_argument("--output", default=None,
                     help="write the trace CSV here (default stdout)")
     return parser
-
-
-def _float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise _UsageError(f"rasqp: error: {flag} expects comma-separated numbers, got {text!r}")
-
-
-def _int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise _UsageError(f"rasqp: error: {flag} expects comma-separated integers, got {text!r}")
 
 
 def _given_axes(args) -> dict:
@@ -127,32 +125,15 @@ def _given_axes(args) -> dict:
             if getattr(args, name) is not None}
 
 
-def _family_specs(args, ns: list[int]) -> list[GeneratorSpec]:
-    """Cross the n-list with every axis given; GeneratorSpec checks they fit the family."""
-    axes = {name: _float_list(text, f"--{name}") for name, text in _given_axes(args).items()}
-    try:
-        return [GeneratorSpec(args.family, n, seed=0, **dict(zip(axes, values)))
-                for n in ns for values in itertools.product(*axes.values())]
-    except ValueError as exc:
-        raise _UsageError(f"rasqp: error: {exc}")
-
-
 def cmd_solve(args) -> int:
     try:
-        loaded = load_problem(args.path)
-    except FileNotFoundError:
-        print(f"rasqp: cannot read {args.path}", file=sys.stderr)
-        return 1
+        problem = load_problem(args.path).problem
+    except OSError as exc:
+        raise OSError(f"cannot read {args.path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # malformed file, non-finite, asymmetric or non-PD matrix
-        print(f"rasqp: {args.path}: {exc}", file=sys.stderr)
-        return 1
-    problem = loaded.problem
+        raise ValueError(f"{args.path}: {exc}") from None
     options = {} if args.max_solves is None else {"max_solves": args.max_solves}
-    try:
-        solve = build_solver(args.solver, options, args.tol, args.seed)
-    except ValueError as exc:  # an out-of-range option such as --max-solves 0
-        raise _UsageError(f"rasqp: error: {exc}")
-    result = solve(problem)
+    result = build_solver(args.solver, options, args.tol, args.seed)(problem)
     stat, primal, dual, comp = kkt_residual(problem, result.point)
     if args.machine:
         print(
@@ -174,23 +155,22 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    ns = _int_list(args.n, "--n")
-    specs = _family_specs(args, ns)
-    solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
-    for s in solvers:
+    axes = _given_axes(args)  # crossed with the n-list; GeneratorSpec checks they fit the family
+    specs = [GeneratorSpec(args.family, n, seed=0, **dict(zip(axes, values)))
+             for n in args.n for values in itertools.product(*axes.values())]
+    for s in args.solvers:
         if s not in SOLVER_NAMES:
-            raise _UsageError(f"rasqp: error: unknown solver {s!r}")
+            raise ValueError(f"unknown solver {s!r}")
     options = {} if args.tol is None else {"tol": args.tol}
-    cells = tuple((spec, solver, options) for spec in specs for solver in solvers)
-    try:
-        plan = BenchmarkPlan(
-            cells=cells,
-            trials=args.trials,
-            base_seed=args.seed,
-            time_limit_per_trial=args.time_limit,
-        )
-    except ValueError as exc:
-        raise _UsageError(f"rasqp: error: {exc}")
+    cells = tuple((spec, solver, options) for spec in specs for solver in args.solvers)
+    plan = BenchmarkPlan(
+        cells=cells,
+        trials=args.trials,
+        base_seed=args.seed,
+        time_limit_per_trial=args.time_limit,
+    )
+    if args.output is not None:
+        Path(args.output).write_text("")  # an unwritable path fails before any trial
     records = run_plan(plan)
     human, machine = emit_table(records)
     print(human, end="")
@@ -204,10 +184,8 @@ def cmd_bench(args) -> int:
 
 def cmd_trace(args) -> int:
     fam = args.family
-    try:  # the spec checks the axes fit the family, the generator their values
-        problem = generate(GeneratorSpec(fam, args.n, seed=args.seed, **_given_axes(args)))
-    except ValueError as exc:
-        raise _UsageError(f"rasqp: error: {exc}")
+    # the spec checks the axes fit the family, the generator their values
+    problem = generate(GeneratorSpec(fam, args.n, seed=args.seed, **_given_axes(args)))
     tol = args.tol if args.tol is not None else default_tol(fam)
     result = build_solver(args.solver, {}, tol, solver_seed_for_trial(args.seed))(problem)
     csv = trace_to_csv(result, args.solver)
@@ -227,8 +205,10 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return cmd_bench(args)
         return cmd_trace(args)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
+    # Every boundary rejects a bad value with ValueError, and a path that cannot be
+    # read or written raises OSError; any other exception is a fault: a traceback.
+    except (ValueError, OSError) as exc:
+        print(f"rasqp: error: {exc}", file=sys.stderr)
         return 1
 
 

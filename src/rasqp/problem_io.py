@@ -15,8 +15,10 @@ Line-oriented format; ``#`` starts a comment, blank lines are ignored::
 A ``dense`` section instead holds n rows of n whitespace-separated numbers.
 If a coo file lists both (i, j) and (j, i), the two values must agree
 exactly; listing the same cell twice is an error.  Every number must be
-finite: ``nan`` and ``inf`` are rejected on the line that holds them.  The
-parsed matrix must pass :func:`rasqp.model.validate_problem`.
+finite: ``nan`` and ``inf`` are rejected on the line that holds them.  A
+coo section becomes a sparse matrix straight from its entries, with no
+dense n×n staging.  The parsed matrix must pass
+:func:`rasqp.model.validate_problem`.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ def load_problem(path) -> ProblemFile:
     n = None
     Q = None
     g = None
-    q_sparse = False
 
     while True:
         item = lines.next()
@@ -108,7 +109,6 @@ def load_problem(path) -> ProblemFile:
             if Q is not None:
                 raise ProblemFileError(line_no, "duplicate matrix section")
             Q = _parse_coo(line_no, tokens, lines, n)
-            q_sparse = True
         elif word == "g":
             _require_n(line_no, n)
             if g is not None:
@@ -124,7 +124,7 @@ def load_problem(path) -> ProblemFile:
         raise ProblemFileError(last, "missing matrix section (dense or coo)")
     if g is None:
         raise ProblemFileError(last, "missing g section")
-    problem = QpProblem(sp.csc_array(Q) if q_sparse else Q, g)
+    problem = QpProblem(Q, g)
     validate_problem(problem)
     return ProblemFile(problem=problem, meta=meta)
 
@@ -166,11 +166,10 @@ def _parse_dense(lines: _Lines, n: int) -> np.ndarray:
     return Q
 
 
-def _parse_coo(header_line: int, header_tokens: list[str], lines: _Lines, n: int) -> np.ndarray:
+def _parse_coo(header_line: int, header_tokens: list[str], lines: _Lines, n: int) -> sp.coo_array:
     count = _parse_int(header_line, header_tokens)
     if count < 0:
         raise ProblemFileError(header_line, "entry count must be >= 0")
-    Q = np.zeros((n, n))
     seen: dict[tuple[int, int], tuple[float, int, tuple[int, int]]] = {}
     for _ in range(count):
         item = lines.next()
@@ -199,9 +198,16 @@ def _parse_coo(header_line: int, header_tokens: list[str], lines: _Lines, n: int
                 )
             continue
         seen[key] = (value, line_no, (i, j))
-        Q[i - 1, j - 1] = value
-        Q[j - 1, i - 1] = value
-    return Q
+    # One stored entry per upper-triangle cell, mirrored off the diagonal.
+    # int32 coordinates give Q the same index width as a generated problem.
+    # COO holds no per-column array, so nothing of size n is allocated until
+    # QpProblem converts it, after g has shown that the file really has n values.
+    upper = np.array(list(seen), dtype=np.int32).reshape(-1, 2) - 1
+    values = np.array([entry[0] for entry in seen.values()])
+    off = upper[:, 0] != upper[:, 1]
+    rows = np.concatenate([upper[:, 0], upper[off, 1]])
+    cols = np.concatenate([upper[:, 1], upper[off, 0]])
+    return sp.coo_array((np.concatenate([values, values[off]]), (rows, cols)), shape=(n, n))
 
 
 def _parse_vector(lines: _Lines, n: int, header_line: int) -> np.ndarray:

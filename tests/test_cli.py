@@ -10,6 +10,15 @@ from rasqp.problem_io import ProblemFile, save_problem
 TWO_BY_TWO = "n 2\ndense\n4 1\n1 3\ng\n-1 -2\n"
 
 
+def one_line_error(capsys) -> str:
+    """The single stderr line of a rejected input, after checking stdout is empty."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("rasqp: error: ")
+    return captured.err
+
+
 @pytest.fixture
 def problem_file(tmp_path):
     path = tmp_path / "small.txt"
@@ -76,8 +85,7 @@ class TestSolve:
         assert main(["solve", problem_file, "--solver", "fletcher", "--max-solves", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert "max_solves" in captured.err
+        assert captured.err.splitlines() == ["rasqp: error: fletcher takes only tol, not max_solves"]
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.txt")]) == 1
@@ -183,6 +191,46 @@ class TestUsageErrors:
     def test_non_numeric_tol(self, problem_file, capsys):
         assert main(["solve", problem_file, "--tol", "tiny"]) == 1
         assert "--tol: expects a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "{file}"],
+        ["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--trials", "1",
+         "--solvers", "ras"],
+        ["trace", "--family", "hard", "--n", "10", "--cond", "1e4"],
+    ], ids=["solve", "bench", "trace"])
+    def test_negative_seed(self, problem_file, command, capsys):
+        argv = [a.format(file=problem_file) for a in command] + ["--seed", "-1"]
+        assert main(argv) == 1
+        assert "--seed" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", ","), ("--cond", ","), ("--solvers", ","),
+    ])
+    def test_empty_bench_list(self, flag, value, capsys):
+        args = {"--n": "10", "--cond": "1e4", "--solvers": "ras", flag: value}
+        argv = ["bench", "--family", "hard", "--trials", "1"]
+        assert main(argv + [a for item in args.items() for a in item]) == 1
+        assert flag in one_line_error(capsys)
+
+    def test_solve_directory(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path)]) == 1
+        assert f"cannot read {tmp_path}" in one_line_error(capsys)
+
+    def test_bench_unwritable_output_fails_before_any_trial(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def run_plan(plan):
+            raise AssertionError("run_plan ran although --output cannot be written")
+
+        monkeypatch.setattr("rasqp.cli.run_plan", run_plan)
+        assert main(["bench", "--family", "hard", "--n", "10", "--cond", "1e4",
+                     "--trials", "1", "--solvers", "ras",
+                     "--output", str(tmp_path / "missing" / "x.csv")]) == 1
+        assert "missing" in one_line_error(capsys)
+
+    def test_trace_unwritable_output(self, tmp_path, capsys):
+        assert main(["trace", "--family", "hard", "--n", "10", "--cond", "1e4",
+                     "--output", str(tmp_path / "missing" / "t.csv")]) == 1
+        assert "missing" in one_line_error(capsys)
 
 
 class TestBench:

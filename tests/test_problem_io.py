@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import rand_spd_problem
-from rasqp.generators import gen_easy
+from rasqp.generators import gen_easy, gen_medium
 from rasqp.model import NotPositiveDefiniteError, NotSymmetricError, QpProblem
 from rasqp.problem_io import ProblemFile, ProblemFileError, load_problem, save_problem
 
@@ -145,6 +145,19 @@ class TestSaveRoundTrip:
         assert loaded.problem.is_sparse
         assert (loaded.problem.Q - problem.Q).nnz == 0
         np.testing.assert_array_equal(loaded.problem.g, problem.g)
+
+    @pytest.mark.parametrize("problem", [
+        gen_easy(300, 1.0, seed=0),
+        gen_medium(120, 0.1, 1e8, seed=1),
+    ], ids=["easy", "medium"])
+    def test_sparse_arrays_byte_equal(self, tmp_path, problem):
+        path = tmp_path / "sparse.txt"
+        save_problem(ProblemFile(problem, {}), path)
+        Q = load_problem(path).problem.Q
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(Q, name), getattr(problem.Q, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_forced_coo_form(self, tmp_path):
         problem = QpProblem(np.array([[4.0, 1.0], [1.0, 3.0]]), [-1.0, -2.0])
