@@ -279,6 +279,7 @@ def fletcher_solve(
     initial_A=None,
     *,
     record_iterates: bool = False,
+    record_sets: bool = False,
 ) -> SolveResult:
     """Primal-feasible active-set method moving one index per solve.
 
@@ -294,14 +295,15 @@ def fletcher_solve(
     Every iterate is exactly nonnegative and the objective never increases;
     the run terminates finitely.  ``objective_history`` records the objective
     at the start and after each acceptance; ``record_iterates`` also stores
-    every iterate x.  The 10*n^2 solve cap is purely defensive.
+    every iterate x and ``record_sets`` every inactive set, as in the
+    exchange solvers.  The 10*n^2 solve cap is purely defensive.
     """
     if not tol >= 0.0:  # also rejects nan
         raise ValueError("tol must be >= 0")
     n = problem.n
     inactive, I, A = _initial_sets(n, initial_A)
     x = np.zeros(n)
-    rec = _RunRecorder(record_sets=False)
+    rec = _RunRecorder(record_sets)
     obj_hist = [objective(problem, x)]
     iter_hist = [x.copy()] if record_iterates else None
 

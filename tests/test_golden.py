@@ -75,7 +75,7 @@ def _runs(spec: GeneratorSpec, seed: int, solvers=SOLVERS) -> dict[str, dict]:
             problem, GenericRasConfig(sigma=0.5, tol=tol, seed=solver_seed, record_sets=True)
         ),
         "kr": lambda: kr_solve(problem, KrConfig(tol=tol, record_sets=True)),
-        "fletcher": lambda: fletcher_solve(problem, tol=tol),
+        "fletcher": lambda: fletcher_solve(problem, tol=tol, record_sets=True),
     }
     out = {}
     for name in solvers:
