@@ -1,7 +1,8 @@
 """Active-set solvers for nonnegativity-constrained strictly convex QPs.
 
 Four methods share the same metric semantics (``solves`` = number of reduced
-KKT subsystem factorizations, ``avg_subsystem_size`` = mean |I| over them):
+KKT subsystem solves, each a fresh or an updated factorization,
+``avg_subsystem_size`` = mean |I| over them):
 
 * :func:`generic_ras_solve` — randomized exchange with probabilities bounded
   away from 0 and 1 by a constant sigma; the simplest convergent scheme.
@@ -41,7 +42,7 @@ from .engine import (
     select_exchange_ras,
 )
 from .model import KktPoint, QpProblem, SolveResult, Status, TraceRow, objective
-from .subsystem import FactorizationError, embed_point, solve_subsystem
+from .subsystem import FactorizationError, _UpdatedCholesky, embed_point, solve_subsystem
 
 __all__ = [
     "GenericRasConfig",
@@ -292,6 +293,14 @@ def fletcher_solve(
     min s_A >= -tol, or else moves the most negative s_j (ties by smallest
     index) into I.
 
+    Since I gains or loses exactly one index per solve, the run keeps the
+    Cholesky factor of Q[I,I] and the rows Q[I,:] between solves: each
+    solve appends one row to the factor or deletes one row and column from
+    it, in O(|I|^2), where a fresh solve would gather Q[I,I] and factor it
+    in O(|I|^3).  A new pivot that is not positive in floating point, and a
+    sparse Q[I,I] too large to densify, refactor afresh.  The working sets
+    are those of refactoring every solve; x agrees to round-off.
+
     Every iterate is exactly nonnegative and the objective never increases;
     the run terminates finitely.  ``objective_history`` records the objective
     at the start and after each acceptance; ``record_iterates`` also stores
@@ -304,6 +313,7 @@ def fletcher_solve(
     inactive, I, A = _initial_sets(n, initial_A)
     x = np.zeros(n)
     rec = _RunRecorder(record_sets)
+    factor = _UpdatedCholesky()
     obj_hist = [objective(problem, x)]
     iter_hist = [x.copy()] if record_iterates else None
 
@@ -313,7 +323,7 @@ def fletcher_solve(
 
     while True:
         try:
-            sol = solve_subsystem(problem, I, A)
+            sol = solve_subsystem(problem, I, A, factor=factor)
         except FactorizationError:
             return stop(Status.NUMERICAL_FAILURE, np.zeros(n))
         blocking = sol.x_I < 0.0

@@ -6,13 +6,15 @@ candidate point fixes x_A = 0 and solves
     Q[I,I] x_I = -g[I],        s_A = Q[A,I] x_I + g[A],
 
 with s_I = 0.  Q[I,I] is a principal submatrix of a positive definite matrix,
-hence positive definite, and is factorized fresh on every call (no rank-one
-updating); the per-call cost is exactly what the benchmark ``solve`` metric
-counts.  I and A are taken in the order given, and x_I and s_A follow that
-order.  They are checked to partition {0..n-1} with one O(n) coverage mask,
-which rejects an overlap, a missing index and an index out of range.
+hence positive definite.  One call is one subsystem solve, the unit the
+solvers' and the benchmark's ``solves`` count, whether Q[I,I] was factorized
+afresh or its factor was updated.  I and A are taken in the order given, and
+x_I and s_A follow that order.  They are checked to partition {0..n-1} with
+one O(n) coverage mask, which rejects an overlap, a missing index and an
+index out of range.
 
-Each solve gathers Q once, in one of three ways.
+Without a ``factor`` argument each solve factorizes Q[I,I] afresh and
+gathers Q once, in one of three ways.
 
 * Dense Q: the row block Q[I,:], one contiguous copy of |I| rows.  Q[I,I]
   is its columns I and s_A is the full product x_I Q[I,:] read at the
@@ -42,6 +44,19 @@ Each solve gathers Q once, in one of three ways.
 The densified Q[I,I] is a temporary, so the Cholesky factorizes it in
 place, handed whichever of the block and its transpose (the same matrix, by
 symmetry) is in Fortran order, so LAPACK works on it without a copy.
+
+A solver that moves one index per solve passes a factor it keeps between
+calls instead (``fletcher_solve`` does).  The factor holds the Cholesky
+factor L of Q[I,I] and the dense rows Q[I,:], with I in the order its
+indexes joined.  When I gains one index j, L gains the row
+(L^{-1} Q[I,j], sqrt(Q[j,j] - |L^{-1} Q[I,j]|^2)); when I loses the index
+at position p, L loses row and column p and its trailing block takes the
+rank-one update with the old column below the diagonal (Gill, Golub, Murray
+& Saunders, "Methods for modifying matrix factorizations", Math. Comp. 28,
+1974).  That costs O(|I|^2) instead of a gather and an O(|I|^3) factor.
+Any other change of I, a new pivot that is not positive in floating point
+and a sparse Q[I,I] above :data:`DENSE_THRESHOLD` (which keeps SuperLU)
+fall back to the fresh path, so the factor needs no option to switch.
 """
 
 from __future__ import annotations
@@ -62,6 +77,8 @@ __all__ = [
     "embed_point",
     "DENSE_THRESHOLD",
 ]
+
+_potrf, _potrs, _trtrs = sla.get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
 
 #: Sparse-stored Q[I,I] blocks up to this size are densified before
 #: factorization; larger blocks go through SuperLU in the problem's reverse
@@ -93,7 +110,7 @@ def _check_partition(n: int, I: np.ndarray, A: np.ndarray) -> None:
         raise ValueError("I and A must partition {0..n-1}")
 
 
-def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
+def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> SubsystemSolution:
     """Solve Q[I,I] x_I = -g[I] by Cholesky and back out s_A.
 
     ``I`` and ``A`` must partition {0..n-1}, in any order; x_I and s_A
@@ -103,6 +120,11 @@ def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
     instead; the first such solve orders Q and stores the order on the
     problem.  No counters are touched here — callers count solves.
 
+    ``factor``, a private ``_UpdatedCholesky`` the caller keeps between
+    calls, is brought to the new I by one append or one delete where that is
+    the change, and refactored otherwise; a sparse block above the threshold
+    still goes through SuperLU and makes the next solve refactor.
+
     Raises :class:`FactorizationError` when the factorization fails or x_I
     or s_A comes out non-finite (an overflow on a nearly singular Q[I,I]);
     neither can happen in exact arithmetic for a positive definite Q.
@@ -111,6 +133,11 @@ def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
     A = np.asarray(A, dtype=np.int64)
     _check_partition(problem.n, I, A)
     g = problem.g
+    if factor is not None:
+        if not problem.is_sparse or len(I) <= DENSE_THRESHOLD:
+            x_I, s_A = factor.solve(problem, I, A)
+            return SubsystemSolution(x_I, _finite(s_A))
+        factor.clear()  # SuperLU below; the next solve refactors
     if len(I) == 0:
         return SubsystemSolution(np.empty(0), g[A].copy())
 
@@ -127,13 +154,146 @@ def solve_subsystem(problem: QpProblem, I, A) -> SubsystemSolution:
     else:
         order = np.argsort(_rcm_rank(problem)[I])
         J = I[order]  # I in the problem's fill-reducing order
-        cols = Q[:, J]  # csc column slice, reused for both Q[J,J] and s_A
-        r = cols.tocsr()[J]  # Q[J,J] row by row, indexes sorted; by symmetry its CSC
+        cols = Q[:, J].tocsr()  # the columns J row by row, reused for Q[J,J] and s_A
+        r = cols[J]  # Q[J,J] row by row, indexes sorted; by symmetry its CSC
         y = _sparse_solve(sp.csc_array((r.data, r.indices, r.indptr), shape=r.shape), g[J])
         x_I = np.empty_like(y)
         x_I[order] = y
         s_A = (cols @ y)[A] + g[A]
     return SubsystemSolution(x_I, _finite(s_A))
+
+
+class _UpdatedCholesky:
+    """The Cholesky factor of Q[I,I] for one problem, kept in step with a
+    one-index change of I.
+
+    Indexes keep the order in which they joined I: ``L`` is the factor of
+    Q[order,order], contiguous and in Fortran order, with its upper triangle
+    exactly zero; ``rows[:m]`` holds the dense rows Q[order,:]; and ``pos``
+    maps an index to its place in ``order`` (-1 off it, ``None`` while there
+    is no factor).  ``rows`` is allocated once with room for every row a
+    solve can hold (n, or :data:`DENSE_THRESHOLD` for a sparse Q), so an
+    append writes one row and ``rows[:m]`` stays contiguous.  A solve for
+    an I that differs from ``order`` by one added index appends a row to L
+    and one that differs by one removed index deletes a row and column of
+    L; any other I, or an append whose new pivot is not positive, refactors
+    from scratch.  LAPACK is called directly, without SciPy's wrappers,
+    since at these sizes their checks cost about as much as the update.
+    """
+
+    def __init__(self):
+        self.pos = None  # no factor until the first solve
+        self.rows = None
+
+    def clear(self) -> None:
+        """Forget the factor, so the next solve refactors."""
+        self.pos = None
+
+    def solve(self, problem: QpProblem, I: np.ndarray, A: np.ndarray):
+        """x_I and s_A for a partition (I, A), in the order they are given."""
+        if not self._update(problem, I):
+            self._refactor(problem, I)
+        g = problem.g
+        m = len(self.order)
+        if m == 0:
+            return np.empty(0), g[A].copy()
+        y = _finite(_potrs(self.L, -g[self.order], lower=1)[0])
+        s = y @ self.rows[:m] + g  # (Q x)' + g' by symmetry, x zero off I
+        return y[self.pos[I]], s[A]
+
+    def _update(self, problem: QpProblem, I: np.ndarray) -> bool:
+        """Bring the factor to I by one append or one delete, if that is the change."""
+        if self.pos is None:
+            return False
+        m = len(self.order)
+        if len(I) == m + 1:
+            new = I[self.pos[I] < 0]
+            return len(new) == 1 and self._append(problem, int(new[0]))
+        if len(I) == m - 1:
+            kept = self.pos[I]
+            if (kept >= 0).all():
+                gone = np.ones(m, dtype=bool)
+                gone[kept] = False
+                self._delete(int(np.flatnonzero(gone)[0]))
+                return True
+        return False
+
+    def _refactor(self, problem: QpProblem, I: np.ndarray) -> None:
+        n, m = problem.n, len(I)
+        self.pos = None  # no factor until this one succeeds
+        capacity = n if not problem.is_sparse else min(n, DENSE_THRESHOLD)
+        if self.rows is None or self.rows.shape != (capacity, n):
+            self.rows = np.empty((capacity, n))
+        rows = self.rows[:m]
+        if problem.is_sparse:
+            _scatter_columns(problem.Q, I, rows)
+        else:
+            np.take(problem.Q, I, axis=0, out=rows)
+        L = np.zeros((0, 0), order="F")
+        if m:
+            # Q[I,I] is symmetric, so its C-ordered copy read in Fortran order is itself.
+            L, info = _potrf(np.take(rows, I, axis=1).T, lower=1, clean=1, overwrite_a=1)
+            if info != 0:
+                raise FactorizationError(f"Cholesky factorization failed (potrf info {info})")
+        self.L = L
+        self.order = I.copy()
+        self.pos = np.full(n, -1, dtype=np.int64)
+        self.pos[I] = np.arange(m)
+
+    def _append(self, problem: QpProblem, j: int) -> bool:
+        m = len(self.order)
+        if m == len(self.rows):
+            return False
+        row = self.rows[m]
+        if problem.is_sparse:  # column j, which is row j by symmetry
+            Q = problem.Q
+            span = slice(Q.indptr[j], Q.indptr[j + 1])
+            row.fill(0.0)
+            row[Q.indices[span]] = Q.data[span]
+        else:
+            row[:] = problem.Q[j]
+        l = _trtrs(self.L, row[self.order], lower=1)[0] if m else np.empty(0)
+        d2 = row[j] - l @ l
+        if not 0.0 < d2 < np.inf:  # not positive in floating point, or nan
+            return False
+        L = np.zeros((m + 1, m + 1), order="F")
+        L[:m, :m] = self.L
+        L[m, :m] = l
+        L[m, m] = np.sqrt(d2)
+        self.L = L
+        self.order = np.concatenate((self.order, [j]))
+        self.pos[j] = m
+        return True
+
+    def _delete(self, p: int) -> None:
+        L = self.L
+        m = len(L)
+        k = m - p - 1  # size of the trailing block
+        out = np.zeros((m - 1, m - 1), order="F")
+        out[:p, :p] = L[:p, :p]
+        out[p:, :p] = L[p + 1:, :p]
+        if k:
+            # L22 L22' + l l' = R'R for the R of the QR of [L22'; l'].
+            _, R = sla.qr_insert(np.eye(k), L[p + 1:, p + 1:].T, L[p + 1:, p], k,
+                                 which="row", overwrite_qru=True, check_finite=False)
+            R = R[:k]
+            R[np.diagonal(R) < 0.0] *= -1.0  # qr_insert does not promise a positive diagonal
+            out[p:, p:] = R.T
+        self.L = out
+        self.pos[self.order[p]] = -1
+        self.pos[self.order[p + 1:]] -= 1
+        self.order = np.delete(self.order, p)
+        self.rows[p:m - 1] = self.rows[p + 1:m]
+
+
+def _scatter_columns(Q, J: np.ndarray, out: np.ndarray) -> None:
+    """Write the columns J of the CSC ``Q`` into the rows of ``out``: Q[:,J]' = Q[J,:]."""
+    start = Q.indptr[J]
+    lens = Q.indptr[J + 1] - start
+    # Every stored entry of the columns J, column after column.
+    k = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
+    out.fill(0.0)
+    out[np.repeat(np.arange(len(J)), lens), Q.indices[k]] = Q.data[k]
 
 
 def _csc_block(Q, I: np.ndarray) -> np.ndarray:

@@ -4,13 +4,16 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.csgraph
 
+import rasqp.solvers
 import rasqp.subsystem
 from conftest import rand_spd_problem
 from rasqp.generators import gen_easy, gen_medium
-from rasqp.model import QpProblem, kkt_residual, stationarity_tol
+from rasqp.model import QpProblem, Status, kkt_residual, stationarity_tol
+from rasqp.solvers import fletcher_solve
 from rasqp.subsystem import (
     FactorizationError,
     SubsystemSolution,
+    _UpdatedCholesky,
     embed_point,
     solve_subsystem,
 )
@@ -236,6 +239,112 @@ class TestSolveSubsystem:
         p = QpProblem(np.diag([1.0, -1.0]), [0.0, 0.0])
         with pytest.raises(FactorizationError):
             solve_subsystem(p, [1], [0])
+
+
+class TestUpdatedCholesky:
+    """The factor fletcher keeps between solves gives the fresh answer."""
+
+    @staticmethod
+    def well_conditioned(n: int, sparse: bool, rng) -> QpProblem:
+        B = rng.standard_normal((n, n))
+        if sparse:
+            B[rng.random((n, n)) < 0.8] = 0.0
+        Q = B @ B.T / n + np.eye(n)
+        return QpProblem(sp.csc_array(Q) if sparse else Q, rng.standard_normal(n))
+
+    @staticmethod
+    def counted_potrf(monkeypatch) -> list:
+        potrf = rasqp.subsystem._potrf
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return potrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(rasqp.subsystem, "_potrf", counted)
+        return calls
+
+    @staticmethod
+    def assert_fresh_answer(p, I, A, factor):
+        got = solve_subsystem(p, I, A, factor=factor)
+        ref = solve_subsystem(p, I, A)
+        for a, b in ((got.x_I, ref.x_I), (got.s_A, ref.s_A)):
+            assert a.shape == b.shape
+            if len(b):
+                assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_appends_and_deletes_match_fresh_solves(self, sparse, monkeypatch):
+        # Shrink to an empty I one index at a time, grow back to all of
+        # {0..n-1}, then toggle random indexes; I and A come in shuffled
+        # order.  Only the first solve factorizes, every later one updates.
+        rng = np.random.default_rng(41)
+        n = 30
+        p = self.well_conditioned(n, sparse, rng)
+        Q = p.dense_q()
+        potrf_calls = self.counted_potrf(monkeypatch)
+        inactive = rng.random(n) < 0.5
+        moves = [*rng.permutation(np.flatnonzero(inactive)), *rng.permutation(n),
+                 *rng.integers(0, n, 60)]
+        factor = _UpdatedCholesky()
+        self.assert_fresh_answer(p, np.flatnonzero(inactive), np.flatnonzero(~inactive), factor)
+        sizes = []
+        for j in moves:
+            inactive[j] = not inactive[j]
+            I, A = rng.permutation(np.flatnonzero(inactive)), rng.permutation(np.flatnonzero(~inactive))
+            self.assert_fresh_answer(p, I, A, factor)
+            sizes.append(len(I))
+            # The kept L is the Cholesky factor of Q[order,order], with
+            # its positive diagonal, not just some square root of it.
+            order = factor.order
+            np.testing.assert_allclose(factor.L, np.linalg.cholesky(Q[np.ix_(order, order)]),
+                                       rtol=0, atol=1e-12)
+        assert 0 in sizes and n in sizes
+        assert len(potrf_calls) == 1
+
+    def test_nonpositive_pivot_refactors(self, monkeypatch):
+        # An append whose new pivot comes out <= 0 in floating point falls
+        # back to a fresh factor of Q[I,I].
+        rng = np.random.default_rng(43)
+        p = self.well_conditioned(12, False, rng)
+        potrf_calls = self.counted_potrf(monkeypatch)
+        factor = _UpdatedCholesky()
+        solve_subsystem(p, np.arange(5), np.arange(5, 12), factor=factor)
+        trtrs = rasqp.subsystem._trtrs
+        monkeypatch.setattr(rasqp.subsystem, "_trtrs",
+                            lambda *args, **kwargs: (1e3 * trtrs(*args, **kwargs)[0], 0))
+        self.assert_fresh_answer(p, np.arange(6), np.arange(6, 12), factor)
+        assert potrf_calls == [(5, 5), (6, 6)]
+
+    def test_indefinite_block_raises_and_the_next_solve_refactors(self):
+        p = QpProblem(np.diag([1.0, -1.0, 2.0]), [0.0, 0.0, -1.0])
+        factor = _UpdatedCholesky()
+        with pytest.raises(FactorizationError):
+            solve_subsystem(p, [1, 2], [0], factor=factor)
+        self.assert_fresh_answer(p, [0, 2], [1], factor)
+
+    def test_large_sparse_blocks_keep_superlu(self, monkeypatch):
+        # Above the threshold a sparse block takes the SuperLU path, the
+        # same as without a factor: one splu per nonempty block.
+        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        splu = rasqp.subsystem.spla.splu
+        solve = rasqp.solvers.solve_subsystem
+        lu_calls, sizes = [], []
+
+        def counted_splu(*args, **kwargs):
+            lu_calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        def spy(problem, I, A, **kwargs):
+            sizes.append(len(I))
+            return solve(problem, I, A, **kwargs)
+
+        monkeypatch.setattr(rasqp.subsystem.spla, "splu", counted_splu)
+        monkeypatch.setattr(rasqp.solvers, "solve_subsystem", spy)
+        result = fletcher_solve(gen_medium(80, 0.1, 1e6, seed=2))
+        assert result.status is Status.OPTIMAL
+        assert len(sizes) == result.solves
+        assert lu_calls == [(m, m) for m in sizes if m] and lu_calls
 
 
 class TestEmbedPoint:

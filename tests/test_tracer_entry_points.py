@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 import rasqp.subsystem
-from rasqp.generators import gen_easy, gen_hard
+from rasqp.generators import gen_easy, gen_hard, gen_medium
 from rasqp.solvers import (
     GenericRasConfig,
     KrConfig,
     RasConfig,
+    fletcher_solve,
     generic_ras_solve,
     kr_solve,
     ras_solve,
@@ -83,5 +84,22 @@ def test_sparse_factor_reaches_the_splu_wrapper(tracer, monkeypatch):
     assert len(nonempty) == untraced.solves
     assert names.count("splu") == sum(nonempty) > 0  # every nonempty block
     assert "cho_factor" not in names
+    assert (traced.status, traced.solves) == (untraced.status, untraced.solves)
+    np.testing.assert_array_equal(traced.point.x, untraced.point.x)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_hard(20, 1e6, seed=1),
+                                  lambda: gen_medium(60, 0.1, 1e8, 1)], ids=["hard", "medium"])
+def test_fletcher_solves_are_counted_by_their_spans(tracer, make):
+    """Each fletcher solve is one ``solve_subsystem`` call, whether its factor
+    was updated or refactored, so the benchmark's traced solve count matches
+    the solver's own.  The factor kernels call LAPACK directly and have no
+    spans of their own."""
+    problem = make()
+    untraced = fletcher_solve(problem)
+    t = tracer.Tracer()
+    with t.installed():
+        traced = fletcher_solve(problem)
+    assert sum(span[0] == "solve_subsystem" for span in t.spans) == untraced.solves
     assert (traced.status, traced.solves) == (untraced.status, untraced.solves)
     np.testing.assert_array_equal(traced.point.x, untraced.point.x)
