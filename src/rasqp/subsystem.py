@@ -47,8 +47,8 @@ symmetry) is in Fortran order, so LAPACK works on it without a copy.
 
 A solver that moves one index per solve passes a factor it keeps between
 calls instead (``fletcher_solve`` does).  The factor holds the Cholesky
-factor L of Q[I,I] and the dense rows Q[I,:], with I in the order its
-indexes joined.  When I gains one index j, L gains the row
+factor L of Q[I,I], with I in the order its indexes joined, and for a
+dense Q also the rows Q[I,:].  When I gains one index j, L gains the row
 (L^{-1} Q[I,j], sqrt(Q[j,j] - |L^{-1} Q[I,j]|^2)); when I loses the index
 at position p, L loses row and column p and its trailing block takes the
 rank-one update with the old column below the diagonal (Gill, Golub, Murray
@@ -169,16 +169,20 @@ class _UpdatedCholesky:
 
     Indexes keep the order in which they joined I: ``L`` is the factor of
     Q[order,order], contiguous and in Fortran order, with its upper triangle
-    exactly zero; ``rows[:m]`` holds the dense rows Q[order,:]; and ``pos``
-    maps an index to its place in ``order`` (-1 off it, ``None`` while there
-    is no factor).  ``rows`` is allocated once with room for every row a
-    solve can hold (n, or :data:`DENSE_THRESHOLD` for a sparse Q), so an
-    append writes one row and ``rows[:m]`` stays contiguous.  A solve for
-    an I that differs from ``order`` by one added index appends a row to L
-    and one that differs by one removed index deletes a row and column of
-    L; any other I, or an append whose new pivot is not positive, refactors
-    from scratch.  LAPACK is called directly, without SciPy's wrappers,
-    since at these sizes their checks cost about as much as the update.
+    exactly zero, and ``pos`` maps an index to its place in ``order`` (-1
+    off it, ``None`` while there is no factor).  For a dense Q, ``rows[:m]``
+    holds the rows Q[order,:] in a buffer of n rows allocated once, so an
+    append copies one row, ``rows[:m]`` stays contiguous and s is one
+    product with it, as on the fresh dense path.  A sparse Q keeps no rows:
+    an append reads column j from the CSC arrays and s is (Q x) + g, as on
+    the fresh sparse path, so the factor holds no more than L beside Q.
+
+    A solve for an I that differs from ``order`` by one added index appends
+    a row to L and one that differs by one removed index deletes a row and
+    column of L; any other I, or an append whose new pivot is not positive,
+    refactors from scratch.  LAPACK is called directly, without SciPy's
+    wrappers, since at these sizes their checks cost about as much as the
+    update.
     """
 
     def __init__(self):
@@ -198,7 +202,12 @@ class _UpdatedCholesky:
         if m == 0:
             return np.empty(0), g[A].copy()
         y = _finite(_potrs(self.L, -g[self.order], lower=1)[0])
-        s = y @ self.rows[:m] + g  # (Q x)' + g' by symmetry, x zero off I
+        if problem.is_sparse:
+            x = np.zeros(problem.n)
+            x[self.order] = y
+            s = problem.Q @ x + g
+        else:
+            s = y @ self.rows[:m] + g  # (Q x)' + g' by symmetry, x zero off I
         return y[self.pos[I]], s[A]
 
     def _update(self, problem: QpProblem, I: np.ndarray) -> bool:
@@ -221,18 +230,16 @@ class _UpdatedCholesky:
     def _refactor(self, problem: QpProblem, I: np.ndarray) -> None:
         n, m = problem.n, len(I)
         self.pos = None  # no factor until this one succeeds
-        capacity = n if not problem.is_sparse else min(n, DENSE_THRESHOLD)
-        if self.rows is None or self.rows.shape != (capacity, n):
-            self.rows = np.empty((capacity, n))
-        rows = self.rows[:m]
-        if problem.is_sparse:
-            _scatter_columns(problem.Q, I, rows)
-        else:
-            np.take(problem.Q, I, axis=0, out=rows)
+        if not problem.is_sparse:
+            if self.rows is None:
+                self.rows = np.empty((n, n))
+            np.take(problem.Q, I, axis=0, out=self.rows[:m])
         L = np.zeros((0, 0), order="F")
         if m:
-            # Q[I,I] is symmetric, so its C-ordered copy read in Fortran order is itself.
-            L, info = _potrf(np.take(rows, I, axis=1).T, lower=1, clean=1, overwrite_a=1)
+            # A symmetric C-ordered Q[I,I] read in Fortran order is itself.
+            block = (_csc_block(problem.Q, I) if problem.is_sparse
+                     else np.take(self.rows[:m], I, axis=1).T)
+            L, info = _potrf(block, lower=1, clean=1, overwrite_a=1)
             if info != 0:
                 raise FactorizationError(f"Cholesky factorization failed (potrf info {info})")
         self.L = L
@@ -242,16 +249,14 @@ class _UpdatedCholesky:
 
     def _append(self, problem: QpProblem, j: int) -> bool:
         m = len(self.order)
-        if m == len(self.rows):
-            return False
-        row = self.rows[m]
+        Q = problem.Q
         if problem.is_sparse:  # column j, which is row j by symmetry
-            Q = problem.Q
+            row = np.zeros(problem.n)
             span = slice(Q.indptr[j], Q.indptr[j + 1])
-            row.fill(0.0)
             row[Q.indices[span]] = Q.data[span]
         else:
-            row[:] = problem.Q[j]
+            row = self.rows[m]
+            row[:] = Q[j]
         l = _trtrs(self.L, row[self.order], lower=1)[0] if m else np.empty(0)
         d2 = row[j] - l @ l
         if not 0.0 < d2 < np.inf:  # not positive in floating point, or nan
@@ -283,17 +288,8 @@ class _UpdatedCholesky:
         self.pos[self.order[p]] = -1
         self.pos[self.order[p + 1:]] -= 1
         self.order = np.delete(self.order, p)
-        self.rows[p:m - 1] = self.rows[p + 1:m]
-
-
-def _scatter_columns(Q, J: np.ndarray, out: np.ndarray) -> None:
-    """Write the columns J of the CSC ``Q`` into the rows of ``out``: Q[:,J]' = Q[J,:]."""
-    start = Q.indptr[J]
-    lens = Q.indptr[J + 1] - start
-    # Every stored entry of the columns J, column after column.
-    k = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
-    out.fill(0.0)
-    out[np.repeat(np.arange(len(J)), lens), Q.indices[k]] = Q.data[k]
+        if self.rows is not None:
+            self.rows[p:m - 1] = self.rows[p + 1:m]
 
 
 def _csc_block(Q, I: np.ndarray) -> np.ndarray:
