@@ -51,8 +51,9 @@ factor L of Q[I,I], with I in the order its indexes joined, and for a
 dense Q also the rows Q[I,:].  When I gains one index j, L gains the row
 (L^{-1} Q[I,j], sqrt(Q[j,j] - |L^{-1} Q[I,j]|^2)); when I loses the index
 at position p, L loses row and column p and its trailing block takes the
-rank-one update with the old column below the diagonal (Gill, Golub, Murray
-& Saunders, "Methods for modifying matrix factorizations", Math. Comp. 28,
+rank-one update with the old column below the diagonal, as the QR of that
+block's transpose with the column appended as a row (Gill, Golub, Murray &
+Saunders, "Methods for modifying matrix factorizations", Math. Comp. 28,
 1974).  That costs O(|I|^2) instead of a gather and an O(|I|^3) factor.
 Any other change of I, a new pivot that is not positive in floating point
 and a sparse Q[I,I] above :data:`DENSE_THRESHOLD` (which keeps SuperLU)
@@ -78,7 +79,8 @@ __all__ = [
     "DENSE_THRESHOLD",
 ]
 
-_potrf, _potrs, _trtrs = sla.get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
+_potrf, _potrs, _trtrs, _tpqrt = sla.get_lapack_funcs(("potrf", "potrs", "trtrs", "tpqrt"),
+                                                     dtype=np.float64)
 
 #: Sparse-stored Q[I,I] blocks up to this size are densified before
 #: factorization; larger blocks go through SuperLU in the problem's reverse
@@ -278,11 +280,13 @@ class _UpdatedCholesky:
         out[:p, :p] = L[:p, :p]
         out[p:, :p] = L[p + 1:, :p]
         if k:
-            # L22 L22' + l l' = R'R for the R of the QR of [L22'; l'].
-            _, R = sla.qr_insert(np.eye(k), L[p + 1:, p + 1:].T, L[p + 1:, p], k,
-                                 which="row", overwrite_qru=True, check_finite=False)
-            R = R[:k]
-            R[np.diagonal(R) < 0.0] *= -1.0  # qr_insert does not promise a positive diagonal
+            # L22 L22' + l l' = R'R for the R of the QR of [L22'; l'], which
+            # tpqrt computes in place of the triangle without forming Q.  Its
+            # Householder R may have negative diagonal entries.  A block of
+            # 32 columns was the fastest of 1, 8, 32 and k at k = 138.
+            R = _tpqrt(0, min(k, 32), np.asfortranarray(L[p + 1:, p + 1:].T),
+                       L[p + 1:, p][None, :], overwrite_a=1)[0]
+            R[np.diagonal(R) < 0.0] *= -1.0
             out[p:, p:] = R.T
         self.L = out
         self.pos[self.order[p]] = -1
