@@ -79,8 +79,7 @@ __all__ = [
     "DENSE_THRESHOLD",
 ]
 
-_potrf, _potrs, _trtrs, _tpqrt = sla.get_lapack_funcs(("potrf", "potrs", "trtrs", "tpqrt"),
-                                                     dtype=np.float64)
+_potrf, _potrs, _trtrs = sla.get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
 
 #: Sparse-stored Q[I,I] blocks up to this size are densified before
 #: factorization; larger blocks go through SuperLU in the problem's reverse
@@ -167,24 +166,18 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> SubsystemSoluti
 
 class _UpdatedCholesky:
     """The Cholesky factor of Q[I,I] for one problem, kept in step with a
-    one-index change of I.
+    one-index change of I (see the module docstring).
 
-    Indexes keep the order in which they joined I: ``L`` is the factor of
-    Q[order,order], contiguous and in Fortran order, with its upper triangle
-    exactly zero, and ``pos`` maps an index to its place in ``order`` (-1
-    off it, ``None`` while there is no factor).  For a dense Q, ``rows[:m]``
-    holds the rows Q[order,:] in a buffer of n rows allocated once, so an
-    append copies one row, ``rows[:m]`` stays contiguous and s is one
-    product with it, as on the fresh dense path.  A sparse Q keeps no rows:
-    an append reads column j from the CSC arrays and s is (Q x) + g, as on
-    the fresh sparse path, so the factor holds no more than L beside Q.
-
-    A solve for an I that differs from ``order`` by one added index appends
-    a row to L and one that differs by one removed index deletes a row and
-    column of L; any other I, or an append whose new pivot is not positive,
-    refactors from scratch.  LAPACK is called directly, without SciPy's
-    wrappers, since at these sizes their checks cost about as much as the
-    update.
+    ``L`` is the factor of Q[order,order], with ``order`` the indexes of I
+    in the order they joined; it is contiguous and in Fortran order, with
+    its upper triangle exactly zero.  ``pos`` maps an index to its place in
+    ``order`` (-1 off it, ``None`` while there is no factor).  For a dense
+    Q, ``rows[:m]`` holds Q[order,:] in a buffer of n rows allocated once,
+    so an append copies one row and s is one product with ``rows[:m]``.  A
+    sparse Q keeps no rows: an append reads column j from the CSC arrays
+    and s is Q x + g, as on the fresh sparse path.  LAPACK is called
+    directly, since at these sizes SciPy's wrappers cost about as much as
+    the update.
     """
 
     def __init__(self):
@@ -280,13 +273,11 @@ class _UpdatedCholesky:
         out[:p, :p] = L[:p, :p]
         out[p:, :p] = L[p + 1:, :p]
         if k:
-            # L22 L22' + l l' = R'R for the R of the QR of [L22'; l'], which
-            # tpqrt computes in place of the triangle without forming Q.  Its
-            # Householder R may have negative diagonal entries.  A block of
-            # 32 columns was the fastest of 1, 8, 32 and k at k = 138.
-            R = _tpqrt(0, min(k, 32), np.asfortranarray(L[p + 1:, p + 1:].T),
-                       L[p + 1:, p][None, :], overwrite_a=1)[0]
-            R[np.diagonal(R) < 0.0] *= -1.0
+            # L22 L22' + l l' = R'R for the R of the QR of [L22'; l'].
+            _, R = sla.qr_insert(np.eye(k), L[p + 1:, p + 1:].T, L[p + 1:, p], k,
+                                 which="row", overwrite_qru=True, check_finite=False)
+            R = R[:k]
+            R[np.diagonal(R) < 0.0] *= -1.0  # qr_insert does not promise a positive diagonal
             out[p:, p:] = R.T
         self.L = out
         self.pos[self.order[p]] = -1
