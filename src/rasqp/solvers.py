@@ -294,14 +294,13 @@ def fletcher_solve(
     index) into I.
 
     Since I gains or loses exactly one index per solve, the run keeps the
-    Cholesky factor of Q[I,I] (and, for a dense Q, the rows Q[I,:]) between
-    solves: each solve appends one row to the factor or deletes one row and
-    column from it, in O(|I|^2), where a fresh solve would gather Q[I,I]
-    and factor it in O(|I|^3).  A new pivot that is not positive in
-    floating point refactors afresh, and a sparse Q[I,I] above
-    :data:`~rasqp.subsystem.DENSE_THRESHOLD` goes through SuperLU as in the
-    other solvers.  The working sets are those of refactoring every solve;
-    x agrees to round-off.
+    Cholesky factor of Q[I,I] between solves: each solve appends one row
+    to the factor or deletes one row and column from it, in O(|I|^2), where
+    a fresh solve would gather Q[I,I] and factor it in O(|I|^3).  A new
+    pivot that is not positive in floating point refactors afresh, and a
+    sparse Q[I,I] above :data:`~rasqp.subsystem.DENSE_THRESHOLD` goes
+    through SuperLU as in the other solvers.  The working sets are those of
+    refactoring every solve; x agrees to round-off.
 
     Every iterate is exactly nonnegative and the objective never increases;
     the run terminates finitely.  ``objective_history`` records the objective

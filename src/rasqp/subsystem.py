@@ -47,14 +47,15 @@ symmetry) is in Fortran order, so LAPACK works on it without a copy.
 
 A solver that moves one index per solve passes a factor it keeps between
 calls instead (``fletcher_solve`` does).  The factor holds the Cholesky
-factor L of Q[I,I], with I in the order its indexes joined, and for a
-dense Q also the rows Q[I,:].  When I gains one index j, L gains the row
+factor L of Q[I,I], with I in the order its indexes joined, and nothing
+else of Q.  When I gains one index j, L gains the row
 (L^{-1} Q[I,j], sqrt(Q[j,j] - |L^{-1} Q[I,j]|^2)); when I loses the index
 at position p, L loses row and column p and its trailing block takes the
 rank-one update with the old column below the diagonal, as the QR of that
 block's transpose with the column appended as a row (Gill, Golub, Murray &
 Saunders, "Methods for modifying matrix factorizations", Math. Comp. 28,
-1974).  That costs O(|I|^2) instead of a gather and an O(|I|^3) factor.
+1974).  That costs O(|I|^2) instead of a gather and an O(|I|^3) factor;
+s is then Q x + g with x zero off I, for a dense Q as for a sparse one.
 Any other change of I, a new pivot that is not positive in floating point
 and a sparse Q[I,I] above :data:`DENSE_THRESHOLD` (which keeps SuperLU)
 fall back to the fresh path, so the factor needs no option to switch.
@@ -171,18 +172,15 @@ class _UpdatedCholesky:
     ``L`` is the factor of Q[order,order], with ``order`` the indexes of I
     in the order they joined; it is contiguous and in Fortran order, with
     its upper triangle exactly zero.  ``pos`` maps an index to its place in
-    ``order`` (-1 off it, ``None`` while there is no factor).  For a dense
-    Q, ``rows[:m]`` holds Q[order,:] in a buffer of n rows allocated once,
-    so an append copies one row and s is one product with ``rows[:m]``.  A
-    sparse Q keeps no rows: an append reads column j from the CSC arrays
-    and s is Q x + g, as on the fresh sparse path.  LAPACK is called
-    directly, since at these sizes SciPy's wrappers cost about as much as
-    the update.
+    ``order`` (-1 off it, ``None`` while there is no factor).  Nothing else
+    of Q is kept: an append reads row j of a dense Q or column j of a sparse
+    one (the same vector, by symmetry), and s is Q x + g with x zero off I,
+    as on the fresh sparse path.  LAPACK is called directly, since at these
+    sizes SciPy's wrappers cost about as much as the update.
     """
 
     def __init__(self):
         self.pos = None  # no factor until the first solve
-        self.rows = None
 
     def clear(self) -> None:
         """Forget the factor, so the next solve refactors."""
@@ -193,16 +191,12 @@ class _UpdatedCholesky:
         if not self._update(problem, I):
             self._refactor(problem, I)
         g = problem.g
-        m = len(self.order)
-        if m == 0:
+        if len(self.order) == 0:
             return np.empty(0), g[A].copy()
         y = _finite(_potrs(self.L, -g[self.order], lower=1)[0])
-        if problem.is_sparse:
-            x = np.zeros(problem.n)
-            x[self.order] = y
-            s = problem.Q @ x + g
-        else:
-            s = y @ self.rows[:m] + g  # (Q x)' + g' by symmetry, x zero off I
+        x = np.zeros(problem.n)
+        x[self.order] = y
+        s = problem.Q @ x + g
         return y[self.pos[I]], s[A]
 
     def _update(self, problem: QpProblem, I: np.ndarray) -> bool:
@@ -223,23 +217,19 @@ class _UpdatedCholesky:
         return False
 
     def _refactor(self, problem: QpProblem, I: np.ndarray) -> None:
-        n, m = problem.n, len(I)
+        m = len(I)
         self.pos = None  # no factor until this one succeeds
-        if not problem.is_sparse:
-            if self.rows is None:
-                self.rows = np.empty((n, n))
-            np.take(problem.Q, I, axis=0, out=self.rows[:m])
         L = np.zeros((0, 0), order="F")
         if m:
             # A symmetric C-ordered Q[I,I] read in Fortran order is itself.
-            block = (_csc_block(problem.Q, I) if problem.is_sparse
-                     else np.take(self.rows[:m], I, axis=1).T)
+            Q = problem.Q
+            block = _csc_block(Q, I) if problem.is_sparse else Q[I[:, None], I].T
             L, info = _potrf(block, lower=1, clean=1, overwrite_a=1)
             if info != 0:
                 raise FactorizationError(f"Cholesky factorization failed (potrf info {info})")
         self.L = L
         self.order = I.copy()
-        self.pos = np.full(n, -1, dtype=np.int64)
+        self.pos = np.full(problem.n, -1, dtype=np.int64)
         self.pos[I] = np.arange(m)
 
     def _append(self, problem: QpProblem, j: int) -> bool:
@@ -250,8 +240,7 @@ class _UpdatedCholesky:
             span = slice(Q.indptr[j], Q.indptr[j + 1])
             row[Q.indices[span]] = Q.data[span]
         else:
-            row = self.rows[m]
-            row[:] = Q[j]
+            row = Q[j]
         l = _trtrs(self.L, row[self.order], lower=1)[0] if m else np.empty(0)
         d2 = row[j] - l @ l
         if not 0.0 < d2 < np.inf:  # not positive in floating point, or nan
@@ -283,8 +272,6 @@ class _UpdatedCholesky:
         self.pos[self.order[p]] = -1
         self.pos[self.order[p + 1:]] -= 1
         self.order = np.delete(self.order, p)
-        if self.rows is not None:
-            self.rows[p:m - 1] = self.rows[p + 1:m]
 
 
 def _csc_block(Q, I: np.ndarray) -> np.ndarray:

@@ -277,7 +277,8 @@ class TestUpdatedCholesky:
     def test_appends_and_deletes_match_fresh_solves(self, sparse, monkeypatch):
         # Shrink to an empty I one index at a time, grow back to all of
         # {0..n-1}, then toggle random indexes; I and A come in shuffled
-        # order.  Only the first solve factorizes, every later one updates.
+        # order, from the first solve on.  Only the first solve factorizes,
+        # every later one updates.
         rng = np.random.default_rng(41)
         n = 30
         p = self.well_conditioned(n, sparse, rng)
@@ -287,7 +288,8 @@ class TestUpdatedCholesky:
         moves = [*rng.permutation(np.flatnonzero(inactive)), *rng.permutation(n),
                  *rng.integers(0, n, 60)]
         factor = _UpdatedCholesky()
-        self.assert_fresh_answer(p, np.flatnonzero(inactive), np.flatnonzero(~inactive), factor)
+        self.assert_fresh_answer(p, rng.permutation(np.flatnonzero(inactive)),
+                                 rng.permutation(np.flatnonzero(~inactive)), factor)
         sizes = []
         for j in moves:
             inactive[j] = not inactive[j]
