@@ -174,6 +174,22 @@ class TestGenMedium:
             h.update(a.tobytes())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("args, want", [
+        ((100, 0.1, 1e10, 0), "b4857ca1b31f1f7b1f490cca617236b12a373bbd387d45a925e7c30fdc2183fa"),
+        ((100, 0.1, 1e10, 1), "d0369a8199565bf51f4dd4ae1675d238d03a0564309d0c155dee3405d1332797"),
+        ((100, 0.1, 1e10, 2), "b057afafd78f7e0e0945914a6f977af0b4f2233419b5cf9b16477fb86a2e6dc9"),
+        ((40, 0.8, 1e6, 0), "6d695153831e9de5c23eea2c21a6b05bb6d7f341ef5b60281a6f40bdabfe1b57"),
+    ], ids=["golden-0", "golden-1", "golden-2", "dense-fill"])
+    def test_pinned_output_beyond_plan_grid(self, args, want):
+        # The golden grid's medium spec and a dense fill, so a rotation loop
+        # that matches only plan-grid's n=300 spec fails.
+        assert digest(gen_medium(*args)) == want
+
+    def test_pinned_output_when_budget_runs_out(self):
+        with pytest.warns(DensityUnreachableWarning):
+            p = gen_medium(40, 0.9, 1e4, 0, rotation_budget_factor=0.01)
+        assert digest(p) == "bb6f694b29742242f59a3cdf284ed5aa2840e8fa25eee7c91333a40d55011bf6"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gen_medium(1, 0.5, 10.0, seed=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import rasqp.subsystem
 from conftest import assert_certificate, rand_spd_problem
 from rasqp.engine import ChangeProbabilities
 from rasqp.generators import gen_hard, gen_medium
@@ -315,7 +316,7 @@ class TestFletcherSolve:
             hist = result.objective_history
             assert all(b <= a for a, b in zip(hist, hist[1:]))
             assert hist[0] == 0.0  # starts from x = 0
-            assert hist[-1] == pytest.approx(result.objective, abs=1e-12)
+            assert hist[-1] == result.objective  # both from the same x
             for x in result.iterate_history:
                 assert x.min() >= 0.0
 
@@ -357,6 +358,25 @@ class TestFletcherSolve:
     def test_tol_validation(self, tol):
         with pytest.raises(ValueError, match="tol must be >= 0"):
             fletcher_solve(QpProblem(Q22, G22), tol=tol)
+
+    @pytest.mark.parametrize("threshold, want", [
+        (None, ["4c610f6ad55821438fd0e13eb320b2626ee54ad7d461107953ba41e3ebac85d6",
+                "3f9415ed58020e24e87b0d259c5e49cf330abbd0c2da2fa25ce706e09e8bfffe"]),
+        (0, ["ff326e38a60ed4cbf458488a11f779da51ecc91de64cd77ffe7174c2c46861cf",
+             "610721ae9532b39c406b562bebb5afafb2412968d99d869907ac6cc62dcf90aa"]),
+    ], ids=["factor", "superlu"])
+    def test_pinned_sparse_histories(self, monkeypatch, threshold, want):
+        # A sparse medium instance, once on the updated factor and once with
+        # every nonempty block sent to SuperLU, whose objectives are then
+        # evaluated afresh; the digests were recorded before the objective
+        # was read from the factor's Q x.
+        if threshold is not None:
+            monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", threshold)
+        result = fletcher_solve(gen_medium(60, 0.1, 1e8, 1), record_iterates=True)
+        assert (result.status, result.solves) == (Status.OPTIMAL, 35)
+        digests = [hashlib.sha256(np.array(h).astype("<f8").tobytes()).hexdigest()
+                   for h in (result.iterate_history, result.objective_history)]
+        assert digests == want
 
 
 class TestBruteForce:
