@@ -166,7 +166,8 @@ def gen_medium(n: int, density: float, cond: float, seed: int,
     nnz = np.count_nonzero(W)
     target_nnz = int(round(density * n * n))
     budget = int(round(rotation_budget_factor * target_nnz))
-    integers, uniform, count = rng.integers, rng.uniform, np.count_nonzero
+    integers, uniform, count, array = rng.integers, rng.uniform, np.count_nonzero, np.array
+    WT = W.T  # column k of W is row k of this view
     rotations = 0
     while nnz < target_nnz and rotations < budget:
         i = int(integers(n))
@@ -175,17 +176,18 @@ def gen_medium(n: int, density: float, cond: float, seed: int,
             j += 1
         theta = uniform(0.0, 2.0 * np.pi)
         c, s = np.cos(theta), np.sin(theta)
-        G = np.array([[c, s], [-s, c]])
-        pair = [i, j]
-        # Two rows change, then two columns: count what they hold before and after.
-        old = W[pair, :]
+        G = array([[c, s], [-s, c]])
+        # Two rows change, then two columns: count what they hold before and
+        # after.  Each pair is read through views of W into one copy and
+        # written back through the same views.
+        old = array((W[i], W[j]))
         new = G @ old
         nnz += count(new) - count(old)
-        W[pair, :] = new
-        old = W[:, pair]
+        W[i], W[j] = new
+        old = array((WT[i], WT[j])).T
         new = old @ G.T
         nnz += count(new) - count(old)
-        W[:, pair] = new
+        WT[i], WT[j] = new.T
         rotations += 1
     if nnz < target_nnz:
         warnings.warn(

@@ -304,9 +304,12 @@ def fletcher_solve(
 
     Every iterate is exactly nonnegative and the objective never increases;
     the run terminates finitely.  ``objective_history`` records the objective
-    at the start and after each acceptance; ``record_iterates`` also stores
-    every iterate x and ``record_sets`` every inactive set, as in the
-    exchange solvers.  The 10*n^2 solve cap is purely defensive.
+    at the start (0 at x = 0) and after each acceptance, where it is read
+    from the Q x the solve formed for s, as 0.5 x'(Qx) + g'x, the same
+    expression as :func:`~rasqp.model.objective`; after a SuperLU solve it
+    is evaluated afresh.  ``record_iterates`` also stores every iterate x
+    and ``record_sets`` every inactive set, as in the exchange solvers.  The
+    cap of 10*n^2 solves is purely defensive.
     """
     if not tol >= 0.0:  # also rejects nan
         raise ValueError("tol must be >= 0")
@@ -315,7 +318,7 @@ def fletcher_solve(
     x = np.zeros(n)
     rec = _RunRecorder(record_sets)
     factor = _UpdatedCholesky()
-    obj_hist = [objective(problem, x)]
+    obj_hist = [0.0]  # the objective at x = 0
     iter_hist = [x.copy()] if record_iterates else None
 
     def stop(status: Status, s: np.ndarray) -> SolveResult:
@@ -330,7 +333,7 @@ def fletcher_solve(
         blocking = sol.x_I < 0.0
         n_am = np.count_nonzero(sol.s_A < -tol)
         rec.note(I, np.count_nonzero(blocking), n_am)
-        if rec.solves > 10 * n * n:
+        if rec.solves >= 10 * n * n:
             return stop(Status.ITERATION_CAP, embed_point(n, I, A, sol).s)
         if blocking.any():  # step to the blocking index
             current = x[I]
@@ -341,7 +344,9 @@ def fletcher_solve(
             x[moved] = 0.0
         else:  # accept the target; release the most negative s_j, ties by index
             x[I] = sol.x_I
-            obj_hist.append(objective(problem, x))
+            qx = factor.qx  # Q x, formed by this solve unless SuperLU ran
+            obj_hist.append(objective(problem, x) if qx is None
+                            else float(0.5 * (x @ qx) + problem.g @ x))
             moved = A[int(np.argmin(sol.s_A))] if n_am else None
         if record_iterates:
             iter_hist.append(x.copy())

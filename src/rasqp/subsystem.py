@@ -55,7 +55,8 @@ rank-one update with the old column below the diagonal, as the QR of that
 block's transpose with the column appended as a row (Gill, Golub, Murray &
 Saunders, "Methods for modifying matrix factorizations", Math. Comp. 28,
 1974).  That costs O(|I|^2) instead of a gather and an O(|I|^3) factor;
-s is then Q x + g with x zero off I, for a dense Q as for a sparse one.
+s is then Q x + g with x zero off I, for a dense Q as for a sparse one,
+and the factor keeps that Q x, from which the caller reads x'Qx.
 Any other change of I, a new pivot that is not positive in floating point
 and a sparse Q[I,I] above :data:`DENSE_THRESHOLD` (which keeps SuperLU)
 fall back to the fresh path, so the factor needs no option to switch.
@@ -177,27 +178,35 @@ class _UpdatedCholesky:
     one (the same vector, by symmetry), and s is Q x + g with x zero off I,
     as on the fresh sparse path.  LAPACK is called directly, since at these
     sizes SciPy's wrappers cost about as much as the update.
+
+    ``qx`` is the product Q x of the last solve, with x zero off I, so a
+    caller can read x'Qx without a second product; it is ``None`` while the
+    factor holds no product (before the first solve and after ``clear``).
     """
 
     def __init__(self):
         self.pos = None  # no factor until the first solve
+        self.qx = None
 
     def clear(self) -> None:
-        """Forget the factor, so the next solve refactors."""
+        """Forget the factor and its product, so the next solve refactors."""
         self.pos = None
+        self.qx = None
 
     def solve(self, problem: QpProblem, I: np.ndarray, A: np.ndarray):
         """x_I and s_A for a partition (I, A), in the order they are given."""
+        self.qx = None  # until this solve forms its own
         if not self._update(problem, I):
             self._refactor(problem, I)
         g = problem.g
         if len(self.order) == 0:
+            self.qx = np.zeros(problem.n)  # x = 0
             return np.empty(0), g[A].copy()
         y = _finite(_potrs(self.L, -g[self.order], lower=1)[0])
         x = np.zeros(problem.n)
         x[self.order] = y
-        s = problem.Q @ x + g
-        return y[self.pos[I]], s[A]
+        self.qx = problem.Q @ x
+        return y[self.pos[I]], (self.qx + g)[A]
 
     def _update(self, problem: QpProblem, I: np.ndarray) -> bool:
         """Bring the factor to I by one append or one delete, if that is the change."""

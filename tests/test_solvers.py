@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import rasqp.solvers
 import rasqp.subsystem
 from conftest import assert_certificate, rand_spd_problem
 from rasqp.engine import ChangeProbabilities
@@ -20,6 +21,7 @@ from rasqp.solvers import (
     kr_solve,
     ras_solve,
 )
+from rasqp.subsystem import SubsystemSolution
 
 Q22 = np.array([[4.0, 1.0], [1.0, 3.0]])
 G22 = np.array([-1.0, -2.0])
@@ -377,6 +379,18 @@ class TestFletcherSolve:
         digests = [hashlib.sha256(np.array(h).astype("<f8").tobytes()).hexdigest()
                    for h in (result.iterate_history, result.objective_history)]
         assert digests == want
+
+    def test_solve_cap(self, monkeypatch):
+        # A subsystem that always blocks: a negative x_I while I is nonempty,
+        # a negative s_A otherwise, so the run alternates forever and stops
+        # at the cap of 10*n^2 solves.
+        def never_done(problem, I, A, *, factor=None):
+            return SubsystemSolution(-np.ones(len(I)), -np.ones(len(A)))
+
+        monkeypatch.setattr(rasqp.solvers, "solve_subsystem", never_done)
+        result = fletcher_solve(QpProblem(Q22, G22))
+        assert result.status is Status.ITERATION_CAP
+        assert result.solves == 40
 
 
 class TestBruteForce:

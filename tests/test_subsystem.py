@@ -318,6 +318,27 @@ class TestUpdatedCholesky:
         self.assert_fresh_answer(p, np.arange(6), np.arange(6, 12), factor)
         assert potrf_calls == [(5, 5), (6, 6)]
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_keeps_the_product_of_the_last_solve(self, sparse, monkeypatch):
+        # A refactor, an append, a delete and an empty I each leave Q x of
+        # their own x, bit for bit; clear() and a SuperLU solve leave none.
+        rng = np.random.default_rng(47)
+        n = 12
+        p = self.well_conditioned(n, sparse, rng)
+        factor = _UpdatedCholesky()
+        assert factor.qx is None
+        for I in (np.arange(5), np.arange(6), np.arange(1, 6), np.arange(0)):
+            A = np.setdiff1d(np.arange(n), I)
+            x = embed_point(n, I, A, solve_subsystem(p, I, A, factor=factor)).x
+            np.testing.assert_array_equal(factor.qx, p.Q @ x)
+        factor.clear()
+        assert factor.qx is None
+        if sparse:
+            solve_subsystem(p, np.arange(4), np.arange(4, n), factor=factor)
+            monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+            solve_subsystem(p, np.arange(5), np.arange(5, n), factor=factor)
+            assert factor.qx is None
+
     def test_indefinite_block_raises_and_the_next_solve_refactors(self):
         p = QpProblem(np.diag([1.0, -1.0, 2.0]), [0.0, 0.0, -1.0])
         factor = _UpdatedCholesky()

@@ -94,12 +94,15 @@ def test_fletcher_solves_are_counted_by_their_spans(tracer, make):
     """Each fletcher solve is one ``solve_subsystem`` call, whether its factor
     was updated or refactored, so the benchmark's traced solve count matches
     the solver's own.  The factor kernels call LAPACK directly and have no
-    spans of their own."""
+    spans of their own.  Each accepted objective is read from the factor's
+    Q x, so the only ``objective`` span is the result's."""
     problem = make()
     untraced = fletcher_solve(problem)
     t = tracer.Tracer()
     with t.installed():
         traced = fletcher_solve(problem)
-    assert sum(span[0] == "solve_subsystem" for span in t.spans) == untraced.solves
+    names = [span[0] for span in t.spans]
+    assert names.count("solve_subsystem") == untraced.solves
+    assert names.count("objective") == 1
     assert (traced.status, traced.solves) == (untraced.status, untraced.solves)
     np.testing.assert_array_equal(traced.point.x, untraced.point.x)
