@@ -180,8 +180,8 @@ class _UpdatedCholesky:
     sizes SciPy's wrappers cost about as much as the update.
 
     ``qx`` is the product Q x of the last solve, with x zero off I, so a
-    caller can read x'Qx without a second product; it is ``None`` while the
-    factor holds no product (before the first solve and after ``clear``).
+    caller can read x'Qx without a second product; it is ``None`` before
+    the first solve and after ``clear``.
     """
 
     def __init__(self):
@@ -195,7 +195,6 @@ class _UpdatedCholesky:
 
     def solve(self, problem: QpProblem, I: np.ndarray, A: np.ndarray):
         """x_I and s_A for a partition (I, A), in the order they are given."""
-        self.qx = None  # until this solve forms its own
         if not self._update(problem, I):
             self._refactor(problem, I)
         g = problem.g
