@@ -63,6 +63,11 @@ class ChangeProbabilities:
     additionally allowed as the degenerate certainty setting under which the
     selection reduces to the full exchange (useful for tests and for
     emulating the full-exchange method).  Defaults are the tuned values.
+
+    The six values are also kept as one read-only array indexed by category,
+    built once here instead of on every draw.  It is not a field, so equality,
+    hashing, repr and :func:`dataclasses.replace` see only p1..p6, and a
+    pickle holds the six values alone.
     """
 
     p1: float = 0.5
@@ -77,6 +82,17 @@ class ChangeProbabilities:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} = {v!r} outside (0, 1]")
+        by_category = np.array(self.as_tuple(), dtype=np.float64)
+        by_category.setflags(write=False)
+        object.__setattr__(self, "_by_category", by_category)
+
+    def __getstate__(self):
+        state = dict(vars(self))
+        del state["_by_category"]
+        return state
+
+    def __setstate__(self, state):
+        self.__init__(**state)  # validates and rebuilds the array
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.p1, self.p2, self.p3, self.p4, self.p5, self.p6)
@@ -96,9 +112,9 @@ def categorize(infeasible: np.ndarray, inactive: np.ndarray, origin: np.ndarray)
     A side.  A stable sort on it keeps ascending index order inside each
     category, so the result runs NImp0, NImf, NImc, NAmp0, NAmf, NAmc.
     """
-    cand = np.flatnonzero(infeasible)
+    cand = infeasible.nonzero()[0]
     cat = origin[cand] + np.where(inactive[cand], 0, 3)
-    order = np.argsort(cat, kind="stable")
+    order = cat.argsort(kind="stable")
     return cand[order], cat[order]
 
 
@@ -114,7 +130,8 @@ def select_exchange_generic(Im, Am, p_Im, p_Am, sigma: float, rng) -> np.ndarray
         np.broadcast_to(np.asarray(p_Im, dtype=np.float64), Im.shape),
         np.broadcast_to(np.asarray(p_Am, dtype=np.float64), Am.shape),
     ])
-    if p.size and (p.min() < sigma - 1e-15 or p.max() > 1.0 - sigma + 1e-15):
+    # Written so that a NaN, which fails every comparison, fails the check.
+    if p.size and not (p.min() >= sigma - 1e-15 and p.max() <= 1.0 - sigma + 1e-15):
         raise ValueError(f"probabilities must lie in [{sigma}, {1.0 - sigma}]")
     return np.concatenate((Im, Am))[rng.random(p.size) < p]
 
@@ -127,7 +144,7 @@ def select_exchange_ras(cand: np.ndarray, cat: np.ndarray, probs: ChangeProbabil
     per candidate in the given order.  Returns the chosen indexes in that
     order.
     """
-    return cand[rng.random(len(cand)) < np.asarray(probs.as_tuple())[cat]]
+    return cand[rng.random(len(cand)) < probs._by_category[cat]]
 
 
 def next_sets(inactive: np.ndarray, chosen):
@@ -137,7 +154,7 @@ def next_sets(inactive: np.ndarray, chosen):
     ``(inactive, I, A)`` with I and A sorted.
     """
     inactive[chosen] = ~inactive[chosen]
-    return inactive, np.flatnonzero(inactive), np.flatnonzero(~inactive)
+    return inactive, inactive.nonzero()[0], (~inactive).nonzero()[0]
 
 
 def exchange_asymmetry_montecarlo(samples: int, rng: np.random.Generator, *,

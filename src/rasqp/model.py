@@ -41,6 +41,10 @@ __all__ = [
 #: Relative asymmetry beyond which a matrix is rejected instead of symmetrized.
 SYMMETRY_RTOL = 1e-12
 
+# Above this magnitude Q + Q' overflows for a symmetric pair (or a diagonal
+# entry); up to it, |Q_ij + Q_ji| <= the largest double, so the sum is finite.
+_SYMMETRIZE_MAX = np.finfo(np.float64).max / 2
+
 
 class NotSymmetricError(ValueError):
     """Raised when a matrix is too far from symmetric to be repaired."""
@@ -62,9 +66,13 @@ class NotPositiveDefiniteError(ValueError):
 
 
 def _symmetrize(Q):
-    """Return (Q + Q')/2 of a dense or sparse Q, raising NotSymmetricError
-    when the input is too skew."""
+    """Return (Q + Q')/2 of a dense or sparse Q, raising ValueError when an
+    entry is too large for the sum to stay finite and NotSymmetricError when
+    the input is too skew."""
     scale = abs(Q).max()
+    if scale > _SYMMETRIZE_MAX:
+        raise ValueError(f"Q has an entry of magnitude {scale:.3e}; (Q + Q')/2 would "
+                         f"overflow above {_SYMMETRIZE_MAX:.3e}")
     asym = abs(Q - Q.T).max()
     if asym > SYMMETRY_RTOL * max(scale, 1e-300):
         raise NotSymmetricError(
@@ -94,7 +102,8 @@ class QpProblem:
         Linear term.
 
     A NaN or infinite entry in Q (dense, or stored sparse) or g raises
-    ``ValueError``.
+    ``ValueError``, and so does an entry of Q above half the largest double
+    in magnitude, for which (Q + Q')/2 would overflow.
 
     Dense inputs are stored as read-only ``float64`` arrays, sparse inputs in
     CSC form.  Instances are treated as immutable and may be shared across

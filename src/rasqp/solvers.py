@@ -32,7 +32,6 @@ import numpy as np
 
 from .engine import (
     EXCHANGED,
-    FEASIBLE,
     FROZEN,
     ChangeProbabilities,
     categorize,
@@ -226,8 +225,9 @@ def generic_ras_solve(problem: QpProblem, cfg: GenericRasConfig) -> SolveResult:
     rule = cfg.probability_rule or (lambda point, Im, Am: (0.5, 0.5))
 
     def select(point, infeasible, inactive):
-        Im = np.flatnonzero(infeasible & inactive)
-        Am = np.flatnonzero(infeasible & ~inactive)
+        cand = infeasible.nonzero()[0]
+        on_I = inactive[cand]
+        Im, Am = cand[on_I], cand[~on_I]
         return select_exchange_generic(Im, Am, *rule(point, Im, Am), cfg.sigma, rng)
 
     return _exchange_loop(problem, cfg, select)
@@ -253,7 +253,7 @@ def ras_solve(problem: QpProblem, cfg: RasConfig) -> SolveResult:
         for _ in range(10 * n + 1):
             chosen = select_exchange_ras(*categorize(infeasible, inactive, origin),
                                          cfg.probs, rng)
-            origin = np.where(infeasible, np.int8(FROZEN), np.int8(FEASIBLE))
+            origin = infeasible.astype(np.int8)  # FROZEN (1) where infeasible, else FEASIBLE (0)
             origin[chosen] = EXCHANGED
             if len(chosen):
                 return chosen

@@ -9,21 +9,22 @@ with s_I = 0.  Q[I,I] is a principal submatrix of a positive definite matrix,
 hence positive definite.  One call is one subsystem solve, the unit the
 solvers' and the benchmark's ``solves`` count, whether Q[I,I] was factorized
 afresh or its factor was updated.  I and A are taken in the order given, and
-x_I and s_A follow that order.  They are checked to partition {0..n-1} with
-one O(n) coverage mask, which rejects an overlap, a missing index and an
-index out of range.
+x_I and s_A follow that order.  They must hold integers (an empty list of any
+dtype is empty), and are checked to partition {0..n-1} with one O(n) count of
+each index, which rejects an overlap, a missing index and an index out of
+range.
 
 Without a ``factor`` argument each solve factorizes Q[I,I] afresh and
 gathers Q once, in one of three ways.
 
 * Dense Q: the row block Q[I,:], one contiguous copy of |I| rows.  Q[I,I]
-  is its columns I and s_A is the full product x_I Q[I,:] read at the
+  is its columns I and s_A is the full product x_I Q[I,:] + g read at the
   positions A.  That relies on Q being exactly symmetric in floating point,
   which :class:`~rasqp.model.QpProblem` guarantees by storing (Q + Q')/2:
   row i of Q equals column i bit for bit.
 * Sparse Q with |I| <= :data:`DENSE_THRESHOLD`: the stored entries of the
   columns I are scattered straight into a dense Fortran-ordered Q[I,I]
-  through a position map of I, and s_A is (Q x)[A] + g[A] with x zero on A.
+  through a position map of I, and s_A is (Q x + g)[A] with x zero on A.
 * Sparse Q with a larger I: SuperLU on the CSC block.  SciPy ships no sparse
   Cholesky, and letting SuperLU compute a COLAMD ordering for every block
   costs more than the factorization itself.  Instead the whole of Q is
@@ -69,7 +70,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .model import KktPoint, QpProblem
 
@@ -101,27 +101,37 @@ class SubsystemSolution:
     s_A: np.ndarray
 
 
+def _indexes(v) -> np.ndarray:
+    """``v`` as an int64 index array, rejecting a nonempty one of another kind."""
+    v = np.asarray(v)
+    if v.size and v.dtype.kind not in "iu":  # a float would truncate, a bool read as 0/1
+        raise ValueError(f"I and A must hold integer indexes, not {v.dtype}")
+    return v.astype(np.int64, copy=False)
+
+
 def _check_partition(n: int, I: np.ndarray, A: np.ndarray) -> None:
     if len(I) + len(A) != n:
         raise ValueError("I and A must partition {0..n-1}")
     both = np.concatenate((I, A))
-    if both.min() < 0 or both.max() >= n:
+    # Read as unsigned, a negative index is beyond n too, so one max rejects
+    # both before bincount sizes its output by the largest index.
+    if both.view(np.uint64).max() >= n:
         raise ValueError("index out of range")
-    covered = np.zeros(n, dtype=bool)
-    covered[both] = True
-    if not covered.all():  # n indexes in range cover {0..n-1} only without repeats
+    # n indexes in range cover {0..n-1} only without repeats.
+    if np.count_nonzero(np.bincount(both, minlength=n)) != n:
         raise ValueError("I and A must partition {0..n-1}")
 
 
 def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> SubsystemSolution:
     """Solve Q[I,I] x_I = -g[I] by Cholesky and back out s_A.
 
-    ``I`` and ``A`` must partition {0..n-1}, in any order; x_I and s_A
-    follow the order of I and A as passed.  With I empty the solution is
-    x_I = [] and s_A = g.  A sparse Q[I,I] larger than
-    :data:`DENSE_THRESHOLD` (read at call time) goes through SuperLU
-    instead; the first such solve orders Q and stores the order on the
-    problem.  No counters are touched here — callers count solves.
+    ``I`` and ``A`` must hold integers and partition {0..n-1}, in any order
+    (``ValueError`` otherwise); x_I and s_A follow the order of I and A as
+    passed.  With I empty the solution is x_I = [] and s_A = g.  A sparse
+    Q[I,I] larger than :data:`DENSE_THRESHOLD` (read at call time) goes
+    through SuperLU instead; the first such solve orders Q and stores the
+    order on the problem.  No counters are touched here — callers count
+    solves.
 
     ``factor``, a private ``_UpdatedCholesky`` the caller keeps between
     calls, is brought to the new I by one append or one delete where that is
@@ -132,8 +142,8 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> SubsystemSoluti
     or s_A comes out non-finite (an overflow on a nearly singular Q[I,I]);
     neither can happen in exact arithmetic for a positive definite Q.
     """
-    I = np.asarray(I, dtype=np.int64)
-    A = np.asarray(A, dtype=np.int64)
+    I = _indexes(I)
+    A = _indexes(A)
     _check_partition(problem.n, I, A)
     g = problem.g
     if factor is not None:
@@ -146,14 +156,14 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> SubsystemSoluti
 
     Q = problem.Q
     if not problem.is_sparse:
-        rows = np.take(Q, I, axis=0)  # Q[I,:]; by symmetry also Q[:,I]'
-        x_I = _dense_solve(np.take(rows, I, axis=1), g[I])
-        s_A = (x_I @ rows)[A] + g[A]
+        rows = Q.take(I, axis=0)  # Q[I,:]; by symmetry also Q[:,I]'
+        x_I = _dense_solve(rows.take(I, axis=1), g[I])
+        s_A = (x_I @ rows + g)[A]
     elif len(I) <= DENSE_THRESHOLD:
         x_I = _dense_solve(_csc_block(Q, I), g[I])
         x = np.zeros(problem.n)
         x[I] = x_I
-        s_A = (Q @ x)[A] + g[A]
+        s_A = (Q @ x + g)[A]
     else:
         order = np.argsort(_rcm_rank(problem)[I])
         J = I[order]  # I in the problem's fill-reducing order
@@ -162,7 +172,7 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> SubsystemSoluti
         y = _sparse_solve(sp.csc_array((r.data, r.indices, r.indptr), shape=r.shape), g[J])
         x_I = np.empty_like(y)
         x_I[order] = y
-        s_A = (cols @ y)[A] + g[A]
+        s_A = (cols @ y + g)[A]
     return SubsystemSolution(x_I, _finite(s_A))
 
 
@@ -325,6 +335,11 @@ def _dense_solve(qii: np.ndarray, g_I: np.ndarray) -> np.ndarray:
 
 def _sparse_solve(qii, g_I: np.ndarray) -> np.ndarray:
     """Factorize the CSC block ``qii`` in its given order, without pivoting, and solve."""
+    # Imported on first use, like csgraph: a run that never reaches SuperLU
+    # does not load scipy.sparse.linalg.  splu is looked up on the module at
+    # each call, so a wrapper set on scipy.sparse.linalg.splu sees it.
+    import scipy.sparse.linalg as spla
+
     try:
         lu = spla.splu(qii, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -334,7 +349,7 @@ def _sparse_solve(qii, g_I: np.ndarray) -> np.ndarray:
 
 
 def _finite(v: np.ndarray) -> np.ndarray:
-    if not np.isfinite(v).all():
+    if np.count_nonzero(np.isfinite(v)) != v.size:
         raise FactorizationError("the subsystem solve produced non-finite values")
     return v
 
@@ -344,10 +359,12 @@ def embed_point(n: int, I, A, sol: SubsystemSolution) -> KktPoint:
 
     x gets x_I on I and exact zeros on A; s gets s_A on A and exact zeros on
     I, so x's = 0 structurally.  x_I and s_A are read in the order of I and
-    A as passed, the order :func:`solve_subsystem` returned them in.
+    A as passed, the order :func:`solve_subsystem` returned them in.  A
+    nonempty I or A that does not hold integers raises ``ValueError``, as in
+    :func:`solve_subsystem`.
     """
-    I = np.asarray(I, dtype=np.int64)
-    A = np.asarray(A, dtype=np.int64)
+    I = _indexes(I)
+    A = _indexes(A)
     if len(sol.x_I) != len(I) or len(sol.s_A) != len(A):
         raise ValueError("solution does not match the partition sizes")
     x = np.zeros(n)

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -201,6 +204,31 @@ class TestChangeProbabilities:
         with pytest.raises(ValueError):
             ChangeProbabilities(p3=bad)
 
+    def test_category_array_is_read_only_and_invisible(self):
+        # The array select_exchange_ras reads is built once, cannot be
+        # written, and leaves every dataclass behaviour to p1..p6 alone.
+        values = (0.3, 0.6, 0.2, 0.9, 0.5, 0.7)
+        probs = ChangeProbabilities(*values)
+        np.testing.assert_array_equal(probs._by_category, values)
+        with pytest.raises(ValueError):
+            probs._by_category[0] = 1.0
+        assert [f.name for f in dataclasses.fields(probs)] == ["p1", "p2", "p3", "p4", "p5", "p6"]
+        assert probs == ChangeProbabilities(*values)
+        assert hash(probs) == hash(ChangeProbabilities(*values))
+        assert repr(probs) == "ChangeProbabilities(p1=0.3, p2=0.6, p3=0.2, p4=0.9, p5=0.5, p6=0.7)"
+        assert dataclasses.astuple(probs) == values
+        copies = [pickle.loads(pickle.dumps(probs, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in (*copies, copy.copy(probs), copy.deepcopy(probs)):
+            assert other == probs
+            np.testing.assert_array_equal(other._by_category, values)
+            assert not other._by_category.flags.writeable
+        assert b"_by_category" not in pickle.dumps(probs)
+        replaced = dataclasses.replace(probs, p4=0.1)
+        assert replaced._by_category[3] == 0.1 and probs._by_category[3] == 0.9
+        with pytest.raises(ValueError):
+            dataclasses.replace(probs, p4=0.0)
+
 
 class TestSelectExchangeGeneric:
     def test_outputs_partition_the_infeasible_sets(self):
@@ -228,6 +256,17 @@ class TestSelectExchangeGeneric:
             select_exchange_generic(IX(0, 1), EMPTY, 0.05, 0.5, 0.1, rng)
         with pytest.raises(ValueError):
             select_exchange_generic(IX(0, 1), EMPTY, 0.95, 0.5, 0.1, rng)
+
+    @pytest.mark.parametrize("p_Im, p_Am", [
+        (np.nan, 0.5),
+        (0.5, np.nan),
+        (np.array([0.5, np.nan]), 0.5),
+        (0.5, np.array([np.nan])),
+    ])
+    def test_nan_probabilities_rejected(self, p_Im, p_Am):
+        # A NaN fails every comparison, so it would never be exchanged.
+        with pytest.raises(ValueError, match="probabilities must lie in"):
+            select_exchange_generic(IX(0, 1), IX(2), p_Im, p_Am, 0.1, np.random.default_rng(2))
 
     def test_im_draws_come_before_am_draws(self):
         Im, Am = IX(0, 1), IX(2, 3)
@@ -335,6 +374,12 @@ class TestNextSets:
         _, I_new, A_new = next_sets(inactive, EMPTY)
         np.testing.assert_array_equal(I_new, I)
         np.testing.assert_array_equal(A_new, A)
+
+    def test_a_repeated_index_flips_once(self):
+        inactive_new, I_new, A_new = next_sets(MASK(1, 0, 1, 0), IX(0, 0, 1, 1, 1, 3, 3))
+        np.testing.assert_array_equal(inactive_new, [False, True, True, True])
+        np.testing.assert_array_equal(I_new, [1, 2, 3])
+        np.testing.assert_array_equal(A_new, [0])
 
     def test_hand_case(self):
         inactive = MASK(1, 1, 0)

@@ -24,8 +24,8 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg
 
-import rasqp.subsystem
 from rasqp.bench import default_tol, solver_seed_for_trial
 from rasqp.generators import GeneratorSpec, generate
 from rasqp.solvers import (
@@ -102,14 +102,14 @@ def test_seeded_runs_match_golden_file(spec):
 
 @pytest.mark.parametrize("spec", SUPERLU_SPECS, ids=_spec_key)
 def test_seeded_superlu_runs_match_golden_file(spec, monkeypatch):
-    splu = rasqp.subsystem.spla.splu
+    splu = scipy.sparse.linalg.splu
     lu_calls = []
 
     def counted_splu(*args, **kwargs):
         lu_calls.append(args[0].shape)
         return splu(*args, **kwargs)
 
-    monkeypatch.setattr(rasqp.subsystem.spla, "splu", counted_splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
     golden = json.loads(SUPERLU_GOLDEN.read_text())
     for seed in SUPERLU_SEEDS:
         key = f"{_spec_key(spec)} seed={seed}"

@@ -61,6 +61,19 @@ class TestQpProblem:
         with pytest.raises(ValueError, match="Q has a NaN"):
             QpProblem(Q, G22)
 
+    @pytest.mark.parametrize("store", [np.asarray, sp.csc_array], ids=["dense", "sparse"])
+    def test_entries_whose_sum_would_overflow_rejected(self, store):
+        # (Q + Q')/2 would store inf where Q_ij + Q_ji exceeds the largest
+        # double; half of it is the largest magnitude that stays finite.
+        half = np.finfo(np.float64).max / 2
+        above = np.nextafter(half, np.inf)
+        for Q in ([[1.7e308, 1.0], [1.0, 1.7e308]], [[1.0, 1.7e308], [1.7e308, 1.0]],
+                  [[above, 0.0], [0.0, 1.0]], [[1.0, -above], [-above, 1.0]]):
+            with pytest.raises(ValueError, match="would overflow"):
+                QpProblem(store(np.array(Q)), G22)
+        Q = np.array([[half, -half], [-half, half]])
+        np.testing.assert_array_equal(QpProblem(store(Q), G22).dense_q(), Q)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_g_rejected(self, bad):
         with pytest.raises(ValueError, match="g has a NaN"):

@@ -272,6 +272,18 @@ class TestGenericRasSolve:
                 GenericRasConfig(sigma=0.5, probability_rule=rule),
             )
 
+    def test_rule_with_a_nan_rejected(self):
+        # The start has both indexes in Am; a NaN for one of them would
+        # never be exchanged.
+        def rule(point, Im, Am):
+            return 0.5, np.where(Am == Am[-1], np.nan, 0.5)
+
+        with pytest.raises(ValueError):
+            generic_ras_solve(
+                QpProblem(Q22, G22),
+                GenericRasConfig(sigma=0.5, probability_rule=rule),
+            )
+
     def test_solve_cap(self):
         result = generic_ras_solve(QpProblem(Q22, G22), GenericRasConfig(max_solves=1))
         assert result.status is Status.ITERATION_CAP

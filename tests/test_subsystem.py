@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 import rasqp.solvers
 import rasqp.subsystem
@@ -63,6 +64,60 @@ class TestSolveSubsystem:
             solve_subsystem(p, [0, 0], [])  # right count, index 1 missing
         with pytest.raises(ValueError):
             solve_subsystem(p, [-1], [1])  # would wrap around to index 1
+
+    @pytest.mark.parametrize("I, A, match", [
+        ([0], [0, 1], "partition"),  # too many indexes
+        ([0], [], "partition"),  # too few
+        ([0, 3], [1], "out of range"),
+        ([0, 1, 3], [], "out of range"),  # I alone, A empty
+        ([], [3, 0, 1], "out of range"),  # A alone, I empty
+        ([-1, 0], [1], "out of range"),
+        ([0], [-3, 1], "out of range"),  # would wrap around to index 0
+        ([0, 2**62], [1], "out of range"),  # rejected before anything is sized by it
+        ([0, 0], [1], "partition"),  # a repeat, so index 2 is missing
+        ([2], [1, 2], "partition"),  # an overlap
+        ([1, 1, 1], [], "partition"),
+        ([], [2, 0, 0], "partition"),
+    ])
+    def test_partition_check_cases(self, I, A, match):
+        p = QpProblem(np.eye(3), np.ones(3))
+        with pytest.raises(ValueError, match=match):
+            solve_subsystem(p, I, A)
+
+    @pytest.mark.parametrize("I, A", [([0], []), ([], [0])])
+    def test_a_single_index_partitions_either_way(self, I, A):
+        p = QpProblem([[4.0]], [-2.0])
+        point = embed_point(1, I, A, solve_subsystem(p, I, A))
+        np.testing.assert_array_equal((point.x, point.s), ([0.5], [0.0]) if I else ([0.0], [-2.0]))
+        for bad_I, bad_A in (([0], [0]), ([1], []), ([], [-1]), ([], [])):
+            with pytest.raises(ValueError):
+                solve_subsystem(p, bad_I, bad_A)
+
+    @pytest.mark.parametrize("I, A", [
+        ([0.7], [1]),  # a float would be truncated to I = [0]
+        ([0], [1.0]),
+        ([True], [False]),  # a mask would read as I = [1], A = [0]
+        (np.array([0, 1], dtype=np.float64), []),
+    ])
+    def test_rejects_non_integer_indexes(self, I, A):
+        p = QpProblem(Q22, G22)
+        with pytest.raises(ValueError, match="integer indexes"):
+            solve_subsystem(p, I, A)
+        sol = SubsystemSolution(np.zeros(len(I)), np.zeros(len(A)))
+        with pytest.raises(ValueError, match="integer indexes"):
+            embed_point(2, I, A, sol)
+
+    def test_accepts_empty_and_any_integer_dtype(self):
+        # An empty list is float64 to NumPy; it still means no indexes.
+        p = QpProblem(Q22, G22)
+        want = solve_subsystem(p, np.array([0]), np.array([1]))
+        for I, A in (([0], [1]), (np.array([0], dtype=np.uint8), np.array([1], dtype=np.int32))):
+            got = solve_subsystem(p, I, A)
+            np.testing.assert_array_equal(got.x_I, want.x_I)
+            np.testing.assert_array_equal(got.s_A, want.s_A)
+        for I, A in (([], [0, 1]), ([0, 1], [])):
+            point = embed_point(2, I, A, solve_subsystem(p, I, A))
+            assert point.x.shape == point.s.shape == (2,)
 
     def test_permuted_input_permutes_the_output(self):
         # x_I and s_A follow the order of I and A as passed.  Permuting A
@@ -142,7 +197,7 @@ class TestSolveSubsystem:
         problems = (QpProblem(sp.csc_array(dense.Q), dense.g),
                     gen_easy(150, 1.0, seed=2),
                     gen_medium(150, 0.05, 1e4, seed=2))
-        splu = rasqp.subsystem.spla.splu
+        splu = scipy.sparse.linalg.splu
         rcm = scipy.sparse.csgraph.reverse_cuthill_mckee
         lu_calls, rcm_calls = [], []
 
@@ -154,7 +209,7 @@ class TestSolveSubsystem:
             rcm_calls.append(args[0].shape)
             return rcm(*args, **kwargs)
 
-        monkeypatch.setattr(rasqp.subsystem.spla, "splu", counted_splu)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
         monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", counted_rcm)
         monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
         for p in problems:
@@ -180,14 +235,14 @@ class TestSolveSubsystem:
         p = (gen_easy(200, 1.0, seed=4) if family == "easy"
              else gen_medium(150, 0.05, 1e4, seed=4))
         rng = np.random.default_rng(5)
-        splu = rasqp.subsystem.spla.splu
+        splu = scipy.sparse.linalg.splu
         received = []
 
         def spy(a, *args, **kwargs):
             received.append((a.format, a.has_canonical_format))
             return splu(a, *args, **kwargs)
 
-        monkeypatch.setattr(rasqp.subsystem.spla, "splu", spy)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
         monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
         for _ in range(3):
             I, A = map(rng.permutation, random_partition(p.n, rng))
@@ -350,7 +405,7 @@ class TestUpdatedCholesky:
         # Above the threshold a sparse block takes the SuperLU path, the
         # same as without a factor: one splu per nonempty block.
         monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
-        splu = rasqp.subsystem.spla.splu
+        splu = scipy.sparse.linalg.splu
         solve = rasqp.solvers.solve_subsystem
         lu_calls, sizes = [], []
 
@@ -362,7 +417,7 @@ class TestUpdatedCholesky:
             sizes.append(len(I))
             return solve(problem, I, A, **kwargs)
 
-        monkeypatch.setattr(rasqp.subsystem.spla, "splu", counted_splu)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
         monkeypatch.setattr(rasqp.solvers, "solve_subsystem", spy)
         result = fletcher_solve(gen_medium(80, 0.1, 1e6, seed=2))
         assert result.status is Status.OPTIMAL
