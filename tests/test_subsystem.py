@@ -66,20 +66,14 @@ class TestSolveSubsystem:
             solve_subsystem(p, [-1], [1])  # would wrap around to index 1
 
     @pytest.mark.parametrize("I, A, match", [
-        ([0], [0, 1], "partition"),  # too many indexes
-        ([0], [], "partition"),  # too few
-        ([0, 3], [1], "out of range"),
-        ([0, 1, 3], [], "out of range"),  # I alone, A empty
-        ([], [3, 0, 1], "out of range"),  # A alone, I empty
-        ([-1, 0], [1], "out of range"),
-        ([0], [-3, 1], "out of range"),  # would wrap around to index 0
-        ([0, 2**62], [1], "out of range"),  # rejected before anything is sized by it
-        ([0, 0], [1], "partition"),  # a repeat, so index 2 is missing
-        ([2], [1, 2], "partition"),  # an overlap
+        ([0, 1, 3], [], "out of range"),  # A empty
+        ([], [3, 0, 1], "out of range"),  # I empty
         ([1, 1, 1], [], "partition"),
         ([], [2, 0, 0], "partition"),
+        ([0], [-3, 1], "out of range"),  # would wrap around to index 0
+        ([0, 2**62], [1], "out of range"),  # rejected before anything is sized by it
     ])
-    def test_partition_check_cases(self, I, A, match):
+    def test_rejects_one_sided_and_far_out_indexes(self, I, A, match):
         p = QpProblem(np.eye(3), np.ones(3))
         with pytest.raises(ValueError, match=match):
             solve_subsystem(p, I, A)
