@@ -278,7 +278,7 @@ class TestGenericRasSolve:
         def rule(point, Im, Am):
             return 0.5, np.where(Am == Am[-1], np.nan, 0.5)
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="probabilities must lie in"):
             generic_ras_solve(
                 QpProblem(Q22, G22),
                 GenericRasConfig(sigma=0.5, probability_rule=rule),
