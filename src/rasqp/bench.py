@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -79,8 +80,9 @@ class BenchmarkPlan:
     The ``seed`` field of each template is a placeholder: trial t replaces it
     with ``base_seed + t``.  ``options`` may carry solver keywords (``tol``,
     ``max_solves``, ``probs`` as a 6-tuple, ``sigma``); ``tol`` defaults to
-    the family tolerance.  ``time_limit_per_trial`` (in seconds) must be
-    > 0; a trial that ran longer is recorded as ``Timeout``.
+    the family tolerance.  ``trials`` must be an integer >= 1 and
+    ``time_limit_per_trial`` (in seconds) must be > 0; a trial that ran
+    longer is recorded as ``Timeout``.
     """
 
     cells: tuple
@@ -89,6 +91,8 @@ class BenchmarkPlan:
     time_limit_per_trial: float = 300.0
 
     def __post_init__(self):
+        if not isinstance(self.trials, numbers.Integral):
+            raise ValueError(f"trials must be an integer, not {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.time_limit_per_trial > 0:  # also rejects NaN
@@ -260,19 +264,11 @@ def emit_table(records) -> tuple[str, str]:
     )
     for rec in records:
         spec = rec.spec
-        if rec.error is not None:
-            human.write(
-                f"{spec.family:<8}{spec.n:>7}{_axis(spec.density):>9}"
-                f"{_axis(spec.cond):>10}{_axis(spec.epsilon):>10}{rec.solver:>10}"
-                f"  error: {rec.error}\n"
-            )
-            continue
-        human.write(
-            f"{spec.family:<8}{spec.n:>7}{_axis(spec.density):>9}"
-            f"{_axis(spec.cond):>10}{_axis(spec.epsilon):>10}{rec.solver:>10}"
-            f"{rec.time_mean:>10.3g}{rec.solve_mean:>8.1f}{rec.avgI_mean:>9.1f}"
-            f"{rec.fail_count:>6}\n"
-        )
+        human.write(f"{spec.family:<8}{spec.n:>7}{_axis(spec.density):>9}"
+                    f"{_axis(spec.cond):>10}{_axis(spec.epsilon):>10}{rec.solver:>10}")
+        human.write(f"  error: {rec.error}\n" if rec.error is not None else
+                    f"{rec.time_mean:>10.3g}{rec.solve_mean:>8.1f}{rec.avgI_mean:>9.1f}"
+                    f"{rec.fail_count:>6}\n")
     machine_lines = [MACHINE_HEADER]
     for rec in records:
         machine_lines.extend(row.to_csv() for row in rec.rows)

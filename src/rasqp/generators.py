@@ -16,6 +16,7 @@ the respective docstring.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -78,10 +79,13 @@ def _check_parameters(family: str, n: int, *, epsilon: float | None = None,
                       density: float | None = None, cond: float | None = None) -> None:
     """Raise ValueError naming the first generator parameter out of range.
 
-    n >= 1 for the easy family and n >= 2 otherwise; epsilon finite and
-    > 0; density in (0, 1]; cond finite and >= 1.  A parameter passed as
-    None is not checked; NaN fails every comparison, so it is rejected.
+    n an integer, >= 1 for the easy family and >= 2 otherwise; epsilon
+    finite and > 0; density in (0, 1]; cond finite and >= 1.  A parameter
+    passed as None is not checked; NaN fails every comparison, so it is
+    rejected.
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, not {n!r}")
     n_min = 1 if family == "easy" else 2
     if n < n_min:
         raise ValueError(f"n must be >= {n_min}")

@@ -120,22 +120,17 @@ class QpProblem:
         if n < 1:
             raise ValueError("g must have length >= 1")
         _require_finite(g, "g")
-        if sp.issparse(Q):
-            Q = sp.csc_array(Q, dtype=np.float64)
-            if Q.shape != (n, n):
-                raise ValueError(f"Q has shape {Q.shape}, expected ({n}, {n})")
-            _require_finite(Q.data, "Q")
+        self.is_sparse = sp.issparse(Q)
+        Q = (sp.csc_array if self.is_sparse else np.asarray)(Q, dtype=np.float64)
+        if Q.shape != (n, n):
+            raise ValueError(f"Q has shape {Q.shape}, expected ({n}, {n})")
+        _require_finite(Q.data if self.is_sparse else Q, "Q")
+        if self.is_sparse:
             Q = sp.csc_array(_symmetrize(Q))
             Q.sort_indices()
-            self.is_sparse = True
         else:
-            Q = np.asarray(Q, dtype=np.float64)
-            if Q.shape != (n, n):
-                raise ValueError(f"Q has shape {Q.shape}, expected ({n}, {n})")
-            _require_finite(Q, "Q")
             Q = np.ascontiguousarray(_symmetrize(Q))
             Q.setflags(write=False)
-            self.is_sparse = False
         g = g.copy()
         g.setflags(write=False)
         self.n = n
@@ -203,8 +198,10 @@ class SolveResult:
 
     ``solves`` counts linear subsystem solves, the unit all benchmarks use;
     ``avg_subsystem_size`` is the arithmetic mean of |I| over exactly those
-    solves.  ``trace`` has one row per counted solve.  The optional history
-    fields are populated only when a solver is asked to record them.
+    solves.  ``trace`` has one row per counted solve.  ``inactive_sets`` and
+    ``iterate_history`` are populated only when a solver is asked to record
+    them; ``objective_history`` is always populated by ``fletcher_solve``
+    and never by the exchange solvers.
     """
 
     point: KktPoint

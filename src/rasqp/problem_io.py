@@ -99,16 +99,12 @@ def load_problem(path) -> ProblemFile:
             n = _parse_int(line_no, tokens)
             if n < 1:
                 raise ProblemFileError(line_no, "n must be >= 1")
-        elif word == "dense":
+        elif word in ("dense", "coo"):
             _require_n(line_no, n)
             if Q is not None:
                 raise ProblemFileError(line_no, "duplicate matrix section")
-            Q = _parse_dense(lines, n)
-        elif word == "coo":
-            _require_n(line_no, n)
-            if Q is not None:
-                raise ProblemFileError(line_no, "duplicate matrix section")
-            Q = _parse_coo(line_no, tokens, lines, n)
+            Q = (_parse_dense(lines, n) if word == "dense"
+                 else _parse_coo(line_no, tokens, lines, n))
         elif word == "g":
             _require_n(line_no, n)
             if g is not None:

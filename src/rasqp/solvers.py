@@ -14,9 +14,13 @@ KKT subsystem solves, each a fresh or an updated factorization,
 * :func:`fletcher_solve` — classical primal-feasible method moving one index
   at a time; finitely convergent, used as a deterministic baseline.
 
-The first three share one loop and differ only in their selection rule and
-in what an empty selection does: ``ras`` redraws without a solve, ``generic``
-re-solves (and counts it), and ``kr`` never draws, exchanging everything.
+The first three share one loop and differ only in their selection rule,
+which returns either the indexes to exchange or the status that ends the
+run.  The loop itself stops a run as ``Optimal``, at the solve cap and on a
+failed factorization; ``ras``'s selection stops it when its redraws run out
+(an empty draw is redrawn without a solve), and ``kr``'s when the exchange
+would return to an active set already solved.  ``generic`` re-solves after
+an empty draw (and counts it), and ``kr`` never draws, exchanging everything.
 
 :func:`brute_force_solve` enumerates all 2^n partitions as a correctness
 oracle for the others.
@@ -24,6 +28,7 @@ oracle for the others.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -58,9 +63,10 @@ __all__ = [
 
 @dataclass(kw_only=True)
 class _ExchangeConfig:
-    """Options every exchange solver takes: the dual tolerance, the starting
-    active set (``None`` means every index), the cap on subsystem solves and
-    whether to record each inactive set.  Keyword-only, like its subclasses."""
+    """Options every exchange solver takes: the dual tolerance (>= 0), the
+    starting active set (``None`` means every index), the cap on subsystem
+    solves (an integer >= 1) and whether to record each inactive set.
+    Keyword-only, like its subclasses."""
 
     tol: float = 1e-10
     initial_A: object = None
@@ -68,8 +74,12 @@ class _ExchangeConfig:
     record_sets: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.max_solves, numbers.Integral):  # also rejects nan
+            raise ValueError(f"max_solves must be an integer, not {self.max_solves!r}")
         if self.max_solves < 1:
             raise ValueError("max_solves must be >= 1")
+        if not self.tol >= 0.0:  # also rejects nan
+            raise ValueError("tol must be >= 0")
 
 
 @dataclass(kw_only=True)
@@ -129,22 +139,19 @@ def _initial_sets(n: int, initial_A):
 
 
 class _RunRecorder:
-    """Accumulates the per-solve metrics every solver reports."""
+    """Accumulates the per-solve metrics every solver reports; the trace has
+    one row per solve, so it also counts them."""
 
     def __init__(self, record_sets: bool):
         self.t0 = time.perf_counter()
-        self.solves = 0
-        self.size_total = 0
         self.trace: list[TraceRow] = []
         self.sets: list[np.ndarray] | None = [] if record_sets else None
 
     def note(self, I: np.ndarray, n_im: int, n_am: int) -> None:
         """Count one solve on inactive set ``I`` with ``n_im``/``n_am`` infeasible."""
-        self.solves += 1
-        self.size_total += len(I)
         self.trace.append(
             TraceRow(
-                iteration=self.solves,
+                iteration=len(self.trace) + 1,
                 n_im=int(n_im),
                 n_am=int(n_am),
                 subsystem_size=len(I),
@@ -156,11 +163,13 @@ class _RunRecorder:
 
     def result(self, problem: QpProblem, point: KktPoint, status: Status,
                **extra) -> SolveResult:
+        solves = len(self.trace)
         return SolveResult(
             point=point,
             status=status,
-            solves=self.solves,
-            avg_subsystem_size=self.size_total / self.solves if self.solves else 0.0,
+            solves=solves,
+            avg_subsystem_size=(sum(row.subsystem_size for row in self.trace) / solves
+                                if solves else 0.0),
             trace=tuple(self.trace),
             objective=objective(problem, point.x),
             inactive_sets=tuple(self.sets) if self.sets is not None else None,
@@ -169,46 +178,38 @@ class _RunRecorder:
 
 
 def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
-                   cap_status: Status = Status.ITERATION_CAP,
-                   detect_cycles: bool = False) -> SolveResult:
+                   cap_status: Status = Status.ITERATION_CAP) -> SolveResult:
     """The iteration shared by the exchange solvers.
 
     The state is the ``inactive`` mask; I and A are its two index arrays.
     Each round solves the subsystem for (I, A) and classifies the result.  It
-    stops with ``Optimal`` when nothing is infeasible and with ``cap_status``
-    after ``cfg.max_solves`` solves; otherwise it moves the indexes that
-    ``select(point, infeasible, inactive)`` returns to the other side, or
-    stops with ``IterationCapReached`` when that is ``None``.  With
-    ``detect_cycles`` an active set met before stops the run with
-    ``CycleDetected`` instead of being solved again.
+    stops with ``Optimal`` when nothing is infeasible, with ``cap_status``
+    after ``cfg.max_solves`` solves and with ``NumericalFailure`` when a
+    solve fails; otherwise ``select(point, infeasible, inactive)`` returns
+    either the indexes to move to the other side or the :class:`Status`
+    that ends the run.
     """
     n = problem.n
     inactive, I, A = _initial_sets(n, cfg.initial_A)
     rec = _RunRecorder(cfg.record_sets)
     point = KktPoint(x=np.zeros(n), s=np.zeros(n))  # returned if the first solve fails
-    visited = set() if detect_cycles else None
     while True:
-        if visited is not None:
-            key = inactive.tobytes()
-            if key in visited:
-                return rec.result(problem, point, Status.CYCLE_DETECTED)
-            visited.add(key)
         try:
-            sol = solve_subsystem(problem, I, A)
+            x_I, s_A = solve_subsystem(problem, I, A)
         except FactorizationError:
             return rec.result(problem, point, Status.NUMERICAL_FAILURE)
-        point = embed_point(n, I, A, sol)
+        point = embed_point(n, I, A, x_I, s_A)
         infeasible = classify(point, inactive, cfg.tol)
         n_inf = np.count_nonzero(infeasible)
         n_im = np.count_nonzero(infeasible & inactive)
         rec.note(I, n_im, n_inf - n_im)
         if n_inf == 0:
             return rec.result(problem, point, Status.OPTIMAL)
-        if rec.solves >= cfg.max_solves:
+        if len(rec.trace) >= cfg.max_solves:
             return rec.result(problem, point, cap_status)
         chosen = select(point, infeasible, inactive)
-        if chosen is None:
-            return rec.result(problem, point, Status.ITERATION_CAP)
+        if isinstance(chosen, Status):
+            return rec.result(problem, point, chosen)
         inactive, I, A = next_sets(inactive, chosen)
 
 
@@ -257,7 +258,7 @@ def ras_solve(problem: QpProblem, cfg: RasConfig) -> SolveResult:
             origin[chosen] = EXCHANGED
             if len(chosen):
                 return chosen
-        return None
+        return Status.ITERATION_CAP
 
     return _exchange_loop(problem, cfg, select)
 
@@ -266,12 +267,21 @@ def kr_solve(problem: QpProblem, cfg: KrConfig) -> SolveResult:
     """Deterministic full-exchange iteration: every infeasible index changes sides.
 
     Stops with ``Optimal`` when nothing is infeasible and with
-    ``CycleDetected`` either after ``max_solves`` solves or as soon as an
-    active set repeats (detected via a set of visited masks, which yields
-    the same fail verdict as running out the cap, only sooner).
+    ``CycleDetected`` either after ``max_solves`` solves or as soon as the
+    exchange would lead back to an active set already solved.  The
+    selection remembers every solved mask, so a cycle stops the run before
+    the move, with the point of its last solve; that is the same fail
+    verdict as running out the cap, only sooner.
     """
-    return _exchange_loop(problem, cfg, lambda _, infeasible, __: np.flatnonzero(infeasible),
-                          Status.CYCLE_DETECTED, detect_cycles=True)
+    visited = set()
+
+    def select(point, infeasible, inactive):
+        visited.add(inactive.tobytes())
+        if (inactive ^ infeasible).tobytes() in visited:
+            return Status.CYCLE_DETECTED
+        return np.flatnonzero(infeasible)
+
+    return _exchange_loop(problem, cfg, select, Status.CYCLE_DETECTED)
 
 
 def fletcher_solve(
@@ -327,31 +337,31 @@ def fletcher_solve(
 
     while True:
         try:
-            sol = solve_subsystem(problem, I, A, factor=factor)
+            x_I, s_A = solve_subsystem(problem, I, A, factor=factor)
         except FactorizationError:
             return stop(Status.NUMERICAL_FAILURE, np.zeros(n))
-        blocking = sol.x_I < 0.0
-        n_am = np.count_nonzero(sol.s_A < -tol)
+        blocking = x_I < 0.0
+        n_am = np.count_nonzero(s_A < -tol)
         rec.note(I, np.count_nonzero(blocking), n_am)
-        if rec.solves >= 10 * n * n:
-            return stop(Status.ITERATION_CAP, embed_point(n, I, A, sol).s)
+        if len(rec.trace) >= 10 * n * n:
+            return stop(Status.ITERATION_CAP, embed_point(n, I, A, x_I, s_A).s)
         if blocking.any():  # step to the blocking index
             current = x[I]
-            ratios = current[blocking] / (current[blocking] - sol.x_I[blocking])
+            ratios = current[blocking] / (current[blocking] - x_I[blocking])
             k = int(np.argmin(ratios))  # first minimum = smallest blocking index
-            x[I] = np.maximum(current + ratios[k] * (sol.x_I - current), 0.0)
+            x[I] = np.maximum(current + ratios[k] * (x_I - current), 0.0)
             moved = I[blocking][k]
             x[moved] = 0.0
         else:  # accept the target; release the most negative s_j, ties by index
-            x[I] = sol.x_I
+            x[I] = x_I
             qx = factor.qx  # Q x, formed by this solve unless SuperLU ran
             obj_hist.append(objective(problem, x) if qx is None
                             else float(0.5 * (x @ qx) + problem.g @ x))
-            moved = A[int(np.argmin(sol.s_A))] if n_am else None
+            moved = A[int(np.argmin(s_A))] if n_am else None
         if record_iterates:
             iter_hist.append(x.copy())
         if moved is None:
-            return stop(Status.OPTIMAL, embed_point(n, I, A, sol).s)
+            return stop(Status.OPTIMAL, embed_point(n, I, A, x_I, s_A).s)
         inactive, I, A = next_sets(inactive, moved)
 
 

@@ -8,7 +8,9 @@ candidate point fixes x_A = 0 and solves
 with s_I = 0.  Q[I,I] is a principal submatrix of a positive definite matrix,
 hence positive definite.  One call is one subsystem solve, the unit the
 solvers' and the benchmark's ``solves`` count, whether Q[I,I] was factorized
-afresh or its factor was updated.  I and A are taken in the order given, and
+afresh or its factor was updated.  A solve returns the pair (x_I, s_A), and
+:func:`embed_point` scatters that pair into a full-length
+:class:`~rasqp.model.KktPoint`.  I and A are taken in the order given, and
 x_I and s_A follow that order.  They must hold integers (an empty list of any
 dtype is empty), and are checked to partition {0..n-1} with one O(n) count of
 each index, which rejects an overlap, a missing index and an index out of
@@ -65,8 +67,6 @@ fall back to the fresh path, so the factor needs no option to switch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -74,7 +74,6 @@ import scipy.sparse as sp
 from .model import KktPoint, QpProblem
 
 __all__ = [
-    "SubsystemSolution",
     "FactorizationError",
     "solve_subsystem",
     "embed_point",
@@ -91,14 +90,6 @@ DENSE_THRESHOLD = 1024
 
 class FactorizationError(RuntimeError):
     """The subsystem matrix could not be factorized (numerically indefinite)."""
-
-
-@dataclass(frozen=True)
-class SubsystemSolution:
-    """Values on I and A for one subsystem solve: x_I and s_A."""
-
-    x_I: np.ndarray
-    s_A: np.ndarray
 
 
 def _indexes(v) -> np.ndarray:
@@ -122,8 +113,8 @@ def _check_partition(n: int, I: np.ndarray, A: np.ndarray) -> None:
         raise ValueError("I and A must partition {0..n-1}")
 
 
-def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> SubsystemSolution:
-    """Solve Q[I,I] x_I = -g[I] by Cholesky and back out s_A.
+def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> tuple[np.ndarray, np.ndarray]:
+    """Solve Q[I,I] x_I = -g[I] by Cholesky and back out s_A; return (x_I, s_A).
 
     ``I`` and ``A`` must hold integers and partition {0..n-1}, in any order
     (``ValueError`` otherwise); x_I and s_A follow the order of I and A as
@@ -149,10 +140,10 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> SubsystemSoluti
     if factor is not None:
         if not problem.is_sparse or len(I) <= DENSE_THRESHOLD:
             x_I, s_A = factor.solve(problem, I, A)
-            return SubsystemSolution(x_I, _finite(s_A))
+            return x_I, _finite(s_A)
         factor.clear()  # SuperLU below; the next solve refactors
     if len(I) == 0:
-        return SubsystemSolution(np.empty(0), g[A].copy())
+        return np.empty(0), g[A].copy()
 
     Q = problem.Q
     if not problem.is_sparse:
@@ -173,7 +164,7 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> SubsystemSoluti
         x_I = np.empty_like(y)
         x_I[order] = y
         s_A = (cols @ y + g)[A]
-    return SubsystemSolution(x_I, _finite(s_A))
+    return x_I, _finite(s_A)
 
 
 class _UpdatedCholesky:
@@ -354,21 +345,21 @@ def _finite(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def embed_point(n: int, I, A, sol: SubsystemSolution) -> KktPoint:
-    """Scatter a subsystem solution into full-length vectors.
+def embed_point(n: int, I, A, x_I, s_A) -> KktPoint:
+    """Scatter a subsystem solution (x_I, s_A) into full-length vectors.
 
     x gets x_I on I and exact zeros on A; s gets s_A on A and exact zeros on
-    I, so x's = 0 structurally.  x_I and s_A are read in the order of I and
-    A as passed, the order :func:`solve_subsystem` returned them in.  A
-    nonempty I or A that does not hold integers raises ``ValueError``, as in
-    :func:`solve_subsystem`.
+    I, so x's = 0 structurally.  x_I and s_A are the pair
+    :func:`solve_subsystem` returns, read in the order of I and A as passed.
+    A nonempty I or A that does not hold integers, and an x_I or s_A whose
+    length differs from that of I or A, raise ``ValueError``.
     """
     I = _indexes(I)
     A = _indexes(A)
-    if len(sol.x_I) != len(I) or len(sol.s_A) != len(A):
+    if len(x_I) != len(I) or len(s_A) != len(A):
         raise ValueError("solution does not match the partition sizes")
     x = np.zeros(n)
     s = np.zeros(n)
-    x[I] = sol.x_I
-    s[A] = sol.s_A
+    x[I] = x_I
+    s[A] = s_A
     return KktPoint(x=x, s=s)

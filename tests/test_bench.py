@@ -210,6 +210,12 @@ class TestRunPlan:
         with pytest.raises(ValueError):
             tiny_plan(trials=0)
 
+    @pytest.mark.parametrize("trials", [2.5, 2.0, math.nan])
+    def test_trials_must_be_an_integer(self, trials):
+        # 2.5 used to pass the check and fail later in run_plan's range().
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            tiny_plan(trials=trials)
+
     @pytest.mark.parametrize("limit", [-1.0, 0.0, math.nan])
     def test_time_limit_validated(self, limit):
         with pytest.raises(ValueError, match="time_limit_per_trial"):

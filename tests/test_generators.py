@@ -249,3 +249,21 @@ def test_non_finite_parameter_is_named(generator, args, name):
     # RuntimeWarning from building it).
     with pytest.raises(ValueError, match=f"^{name} must"):
         generator(*args, seed=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GeneratorSpec("hard", 2.5, seed=0, cond=10.0),
+    lambda: GeneratorSpec("easy", 3.0, seed=0, epsilon=1.0),
+    lambda: GeneratorSpec("medium", 4.0, seed=0, density=0.5, cond=10.0),
+    lambda: gen_easy(3.0, 1.0, seed=0),
+    lambda: gen_medium(4.5, 0.5, 10.0, seed=0),
+    lambda: gen_hard(2.5, 10.0, seed=0),
+], ids=["spec-hard", "spec-easy", "spec-medium", "easy", "medium", "hard"])
+def test_non_integer_n_is_named(make):
+    # Rejected up front, not later by NumPy or SciPy inside the generator.
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        make()
+
+
+def test_numpy_integer_n_is_accepted():
+    assert gen_hard(np.int64(5), 10.0, seed=0).n == 5

@@ -21,7 +21,6 @@ from rasqp.solvers import (
     kr_solve,
     ras_solve,
 )
-from rasqp.subsystem import SubsystemSolution
 
 Q22 = np.array([[4.0, 1.0], [1.0, 3.0]])
 G22 = np.array([-1.0, -2.0])
@@ -209,6 +208,24 @@ class TestRasSolve:
         with pytest.raises(ValueError, match="max_solves must be >= 1"):
             config(max_solves=max_solves)
 
+    @pytest.mark.parametrize("config", [RasConfig, GenericRasConfig, KrConfig])
+    @pytest.mark.parametrize("max_solves", [float("nan"), 2.5, 3.0])
+    def test_cap_must_be_an_integer(self, config, max_solves):
+        # A NaN cap passed the >= 1 check and lifted the cap; 2.5 allowed 3 solves.
+        with pytest.raises(ValueError, match="max_solves must be an integer"):
+            config(max_solves=max_solves)
+
+    def test_cap_accepts_numpy_integers(self):
+        result = kr_solve(gen_hard(30, 1e14, seed=1), KrConfig(max_solves=np.int64(2)))
+        assert result.solves <= 2
+
+    @pytest.mark.parametrize("config", [RasConfig, GenericRasConfig, KrConfig])
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_tol_validated_in_config(self, config, tol):
+        # Rejected when the options are built, not by classify after a solve.
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            config(tol=tol)
+
     def test_solve_cap(self):
         result = ras_solve(QpProblem(Q22, G22), RasConfig(max_solves=1))
         assert result.status is Status.ITERATION_CAP
@@ -298,6 +315,29 @@ class TestKrSolve:
         # Detection fires on the first revisited active set, well before the
         # iteration cap.
         assert result.solves < 200
+
+    def test_cycle_is_caught_before_the_move(self, monkeypatch):
+        # kr's selection sees that the exchange would return to a solved
+        # active set, so next_sets runs once per solve that is followed by
+        # another, and the point returned is the one of the last solve.
+        moves = []
+        next_sets = rasqp.solvers.next_sets
+
+        def counted(inactive, chosen):
+            moves.append(len(chosen))
+            return next_sets(inactive, chosen)
+
+        monkeypatch.setattr(rasqp.solvers, "next_sets", counted)
+        problem = gen_medium(**CYCLING)
+        result = kr_solve(problem, KrConfig(tol=1e-10, record_sets=True))
+        assert result.status is Status.CYCLE_DETECTED
+        assert (result.solves, len(moves)) == (13, 12)
+        I = result.inactive_sets[-1]
+        A = np.setdiff1d(np.arange(problem.n), I)
+        x_I, _ = rasqp.subsystem.solve_subsystem(problem, I, A)
+        x = np.zeros(problem.n)
+        x[I] = x_I
+        np.testing.assert_array_equal(result.point.x, x)
 
     def test_ras_survives_the_cycling_instance(self):
         problem = gen_medium(**CYCLING)
@@ -397,7 +437,7 @@ class TestFletcherSolve:
         # a negative s_A otherwise, so the run alternates forever and stops
         # at the cap of 10*n^2 solves.
         def never_done(problem, I, A, *, factor=None):
-            return SubsystemSolution(-np.ones(len(I)), -np.ones(len(A)))
+            return -np.ones(len(I)), -np.ones(len(A))
 
         monkeypatch.setattr(rasqp.solvers, "solve_subsystem", never_done)
         result = fletcher_solve(QpProblem(Q22, G22))

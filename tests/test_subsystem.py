@@ -13,7 +13,6 @@ from rasqp.model import QpProblem, Status, kkt_residual, stationarity_tol
 from rasqp.solvers import fletcher_solve
 from rasqp.subsystem import (
     FactorizationError,
-    SubsystemSolution,
     _UpdatedCholesky,
     embed_point,
     solve_subsystem,
@@ -32,22 +31,22 @@ def random_partition(n: int, rng: np.random.Generator):
 class TestSolveSubsystem:
     def test_everything_inactive_matches_linear_solve(self):
         p = QpProblem(Q22, G22)
-        sol = solve_subsystem(p, [0, 1], [])
-        np.testing.assert_allclose(sol.x_I, np.linalg.solve(Q22, -G22), rtol=1e-14)
-        assert sol.s_A.size == 0
+        x_I, s_A = solve_subsystem(p, [0, 1], [])
+        np.testing.assert_allclose(x_I, np.linalg.solve(Q22, -G22), rtol=1e-14)
+        assert s_A.size == 0
 
     def test_everything_active(self):
         p = QpProblem(Q22, G22)
-        sol = solve_subsystem(p, [], [0, 1])
-        assert sol.x_I.size == 0
-        np.testing.assert_array_equal(sol.s_A, G22)
+        x_I, s_A = solve_subsystem(p, [], [0, 1])
+        assert x_I.size == 0
+        np.testing.assert_array_equal(s_A, G22)
 
     def test_hand_split(self):
         # I = {0}: x_0 = -g_0 / Q_00 = 1/4; s_1 = Q_10 x_0 + g_1 = -7/4.
         p = QpProblem(Q22, G22)
-        sol = solve_subsystem(p, [0], [1])
-        np.testing.assert_allclose(sol.x_I, [0.25], rtol=1e-15)
-        np.testing.assert_allclose(sol.s_A, [-1.75], rtol=1e-15)
+        x_I, s_A = solve_subsystem(p, [0], [1])
+        np.testing.assert_allclose(x_I, [0.25], rtol=1e-15)
+        np.testing.assert_allclose(s_A, [-1.75], rtol=1e-15)
 
     def test_rejects_non_partitions(self):
         p = QpProblem(Q22, G22)
@@ -81,7 +80,7 @@ class TestSolveSubsystem:
     @pytest.mark.parametrize("I, A", [([0], []), ([], [0])])
     def test_a_single_index_partitions_either_way(self, I, A):
         p = QpProblem([[4.0]], [-2.0])
-        point = embed_point(1, I, A, solve_subsystem(p, I, A))
+        point = embed_point(1, I, A, *solve_subsystem(p, I, A))
         np.testing.assert_array_equal((point.x, point.s), ([0.5], [0.0]) if I else ([0.0], [-2.0]))
         for bad_I, bad_A in (([0], [0]), ([1], []), ([], [-1]), ([], [])):
             with pytest.raises(ValueError):
@@ -97,9 +96,8 @@ class TestSolveSubsystem:
         p = QpProblem(Q22, G22)
         with pytest.raises(ValueError, match="integer indexes"):
             solve_subsystem(p, I, A)
-        sol = SubsystemSolution(np.zeros(len(I)), np.zeros(len(A)))
         with pytest.raises(ValueError, match="integer indexes"):
-            embed_point(2, I, A, sol)
+            embed_point(2, I, A, np.zeros(len(I)), np.zeros(len(A)))
 
     def test_accepts_empty_and_any_integer_dtype(self):
         # An empty list is float64 to NumPy; it still means no indexes.
@@ -107,10 +105,10 @@ class TestSolveSubsystem:
         want = solve_subsystem(p, np.array([0]), np.array([1]))
         for I, A in (([0], [1]), (np.array([0], dtype=np.uint8), np.array([1], dtype=np.int32))):
             got = solve_subsystem(p, I, A)
-            np.testing.assert_array_equal(got.x_I, want.x_I)
-            np.testing.assert_array_equal(got.s_A, want.s_A)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
         for I, A in (([], [0, 1]), ([0, 1], [])):
-            point = embed_point(2, I, A, solve_subsystem(p, I, A))
+            point = embed_point(2, I, A, *solve_subsystem(p, I, A))
             assert point.x.shape == point.s.shape == (2,)
 
     def test_permuted_input_permutes_the_output(self):
@@ -126,21 +124,21 @@ class TestSolveSubsystem:
         pi, pa = rng.permutation(len(I)), rng.permutation(len(A))
         base = solve_subsystem(p, I, A)
         only_a = solve_subsystem(p, I, A[pa])
-        np.testing.assert_array_equal(only_a.x_I, base.x_I)
-        np.testing.assert_array_equal(only_a.s_A, base.s_A[pa])
+        np.testing.assert_array_equal(only_a[0], base[0])
+        np.testing.assert_array_equal(only_a[1], base[1][pa])
 
         both = solve_subsystem(p, I[pi], A[pa])
         Q, g, eps = p.Q, p.g, np.finfo(float).eps
-        Q_II, Q_AI, x = Q[np.ix_(I, I)], Q[np.ix_(A, I)], base.x_I
+        Q_II, Q_AI, x = Q[np.ix_(I, I)], Q[np.ix_(A, I)], base[0]
         x_bound = 4 * n * eps * (np.abs(np.linalg.inv(Q_II))
                                  @ (np.abs(Q_II) @ np.abs(x) + np.abs(g[I])))
         s_bound = (4 * n * eps * (np.abs(Q_AI) @ np.abs(x) + np.abs(g[A]))
                    + np.abs(Q_AI) @ x_bound)
-        assert np.all(np.abs(both.x_I - x[pi]) <= x_bound[pi])
-        assert np.all(np.abs(both.s_A - base.s_A[pa]) <= s_bound[pa])
+        assert np.all(np.abs(both[0] - x[pi]) <= x_bound[pi])
+        assert np.all(np.abs(both[1] - base[1][pa]) <= s_bound[pa])
         # Either call embeds to the same point, within the same bounds.
-        a = embed_point(n, I, A, base)
-        b = embed_point(n, I[pi], A[pa], both)
+        a = embed_point(n, I, A, *base)
+        b = embed_point(n, I[pi], A[pa], *both)
         assert np.all(np.abs(a.x[I] - b.x[I]) <= x_bound) and np.all(b.x[A] == 0.0)
         assert np.all(np.abs(a.s[A] - b.s[A]) <= s_bound) and np.all(b.s[I] == 0.0)
 
@@ -157,17 +155,17 @@ class TestSolveSubsystem:
                 "A empty": (np.arange(n), np.arange(0)),
                 "I empty": (np.arange(0), np.arange(n))}[split]
         I, A = rng.permutation(I), rng.permutation(A)
-        sol = solve_subsystem(p, I, A)
+        x_I, s_A = solve_subsystem(p, I, A)
         Q, g = p.Q, p.g
         if len(I):
             x_ref = sla.cho_solve(sla.cho_factor(Q[np.ix_(I, I)], lower=True), -g[I])
         else:
             x_ref = np.empty(0)
-        np.testing.assert_array_equal(sol.x_I, x_ref)
+        np.testing.assert_array_equal(x_I, x_ref)
         Q_AI = Q[np.ix_(A, I)]
         rounding = 4 * n * np.finfo(float).eps * (np.abs(Q_AI) @ np.abs(x_ref) + np.abs(g[A]))
-        assert sol.s_A.shape == A.shape
-        assert np.all(np.abs(sol.s_A - (Q_AI @ x_ref + g[A])) <= rounding)
+        assert s_A.shape == A.shape
+        assert np.all(np.abs(s_A - (Q_AI @ x_ref + g[A])) <= rounding)
 
     def test_sparse_and_dense_storage_agree(self):
         rng = np.random.default_rng(7)
@@ -178,8 +176,8 @@ class TestSolveSubsystem:
                 I, A = random_partition(n, rng)
                 a = solve_subsystem(dense, I, A)
                 b = solve_subsystem(sparse, I, A)
-                np.testing.assert_allclose(a.x_I, b.x_I, rtol=1e-12, atol=1e-14)
-                np.testing.assert_allclose(a.s_A, b.s_A, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(a[0], b[0], rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(a[1], b[1], rtol=1e-12, atol=1e-14)
 
     def test_sparse_lu_path_agrees_with_cholesky(self, monkeypatch):
         # With the threshold at 0 every nonempty block goes through SuperLU,
@@ -211,11 +209,11 @@ class TestSolveSubsystem:
             for _ in range(3):
                 I, A = map(rng.permutation, random_partition(n, rng))
                 lu_calls.clear()
-                lu = solve_subsystem(p, I, A)
+                x_I, s_A = solve_subsystem(p, I, A)
                 assert lu_calls == [(len(I), len(I))]  # the threshold is read at call time
                 chol = sla.cho_solve(sla.cho_factor(Q[np.ix_(I, I)], lower=True), -g[I])
-                np.testing.assert_allclose(lu.x_I, chol, rtol=1e-10, atol=1e-12)
-                np.testing.assert_allclose(lu.s_A, Q[np.ix_(A, I)] @ chol + g[A],
+                np.testing.assert_allclose(x_I, chol, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(s_A, Q[np.ix_(A, I)] @ chol + g[A],
                                            rtol=1e-10, atol=1e-12)
             assert rcm_calls == [(n, n)]  # one ordering per problem
             rcm_calls.clear()
@@ -241,7 +239,7 @@ class TestSolveSubsystem:
         for _ in range(3):
             I, A = map(rng.permutation, random_partition(p.n, rng))
             received.clear()
-            sol = solve_subsystem(p, I, A)
+            x_I, s_A = solve_subsystem(p, I, A)
             assert received == [("csc", True)]
             order = np.argsort(p._rcm_rank[I])
             J = I[order]
@@ -250,8 +248,8 @@ class TestSolveSubsystem:
                      options={"SymmetricMode": True}).solve(-p.g[J])
             x_ref = np.empty_like(y)
             x_ref[order] = y
-            np.testing.assert_array_equal(sol.x_I, x_ref)
-            np.testing.assert_array_equal(sol.s_A, (cols @ y)[A] + p.g[A])
+            np.testing.assert_array_equal(x_I, x_ref)
+            np.testing.assert_array_equal(s_A, (cols @ y)[A] + p.g[A])
 
     def test_sparse_densified_path_matches_direct_cholesky(self):
         # A small sparse block is scattered into a dense Q[I,I]: the factor
@@ -262,13 +260,13 @@ class TestSolveSubsystem:
         n, Q, g = p.n, p.Q.toarray(), p.g
         for I, A in (random_partition(n, rng), (np.arange(n), np.arange(0))):
             I, A = rng.permutation(I), rng.permutation(A)
-            sol = solve_subsystem(p, I, A)
+            x_I, s_A = solve_subsystem(p, I, A)
             x_ref = sla.cho_solve(sla.cho_factor(Q[np.ix_(I, I)], lower=True), -g[I])
-            np.testing.assert_array_equal(sol.x_I, x_ref)
+            np.testing.assert_array_equal(x_I, x_ref)
             Q_AI = Q[np.ix_(A, I)]
             rounding = 4 * n * np.finfo(float).eps * (np.abs(Q_AI) @ np.abs(x_ref) + np.abs(g[A]))
-            assert sol.s_A.shape == A.shape
-            assert np.all(np.abs(sol.s_A - (Q_AI @ x_ref + g[A])) <= rounding)
+            assert s_A.shape == A.shape
+            assert np.all(np.abs(s_A - (Q_AI @ x_ref + g[A])) <= rounding)
         assert p._rcm_rank is None  # only the SuperLU branch orders Q
 
     def test_stationarity_holds_for_any_partition(self):
@@ -279,7 +277,7 @@ class TestSolveSubsystem:
             n = int(rng.integers(1, 12))
             p = rand_spd_problem(n, rng)
             I, A = random_partition(n, rng)
-            point = embed_point(n, I, A, solve_subsystem(p, I, A))
+            point = embed_point(n, I, A, *solve_subsystem(p, I, A))
             stationarity, _, _, comp = kkt_residual(p, point)
             assert stationarity <= stationarity_tol(p)
             assert comp == 0.0
@@ -317,7 +315,7 @@ class TestUpdatedCholesky:
     def assert_fresh_answer(p, I, A, factor):
         got = solve_subsystem(p, I, A, factor=factor)
         ref = solve_subsystem(p, I, A)
-        for a, b in ((got.x_I, ref.x_I), (got.s_A, ref.s_A)):
+        for a, b in zip(got, ref):
             assert a.shape == b.shape
             if len(b):
                 assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
@@ -378,7 +376,7 @@ class TestUpdatedCholesky:
         assert factor.qx is None
         for I in (np.arange(5), np.arange(6), np.arange(1, 6), np.arange(0)):
             A = np.setdiff1d(np.arange(n), I)
-            x = embed_point(n, I, A, solve_subsystem(p, I, A, factor=factor)).x
+            x = embed_point(n, I, A, *solve_subsystem(p, I, A, factor=factor)).x
             np.testing.assert_array_equal(factor.qx, p.Q @ x)
         factor.clear()
         assert factor.qx is None
@@ -421,8 +419,7 @@ class TestUpdatedCholesky:
 
 class TestEmbedPoint:
     def test_scatter(self):
-        sol = SubsystemSolution(x_I=np.array([2.0, 3.0]), s_A=np.array([-1.0]))
-        point = embed_point(3, [0, 2], [1], sol)
+        point = embed_point(3, [0, 2], [1], np.array([2.0, 3.0]), np.array([-1.0]))
         np.testing.assert_array_equal(point.x, [2.0, 0.0, 3.0])
         np.testing.assert_array_equal(point.s, [0.0, -1.0, 0.0])
 
@@ -430,12 +427,11 @@ class TestEmbedPoint:
         rng = np.random.default_rng(23)
         p = rand_spd_problem(10, rng)
         I, A = random_partition(10, rng)
-        point = embed_point(10, I, A, solve_subsystem(p, I, A))
+        point = embed_point(10, I, A, *solve_subsystem(p, I, A))
         assert np.all(point.x[A] == 0.0)
         assert np.all(point.s[I] == 0.0)
         assert point.x @ point.s == 0.0
 
     def test_size_mismatch(self):
-        sol = SubsystemSolution(x_I=np.array([1.0]), s_A=np.empty(0))
         with pytest.raises(ValueError):
-            embed_point(3, [0, 1], [2], sol)
+            embed_point(3, [0, 1], [2], np.array([1.0]), np.empty(0))
