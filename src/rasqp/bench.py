@@ -27,7 +27,7 @@ import numpy as np
 
 from .engine import ChangeProbabilities
 from .generators import GeneratorSpec, generate
-from .model import SolveResult, Status
+from .model import SolveResult, Status, _require_seed
 from .solvers import (
     GenericRasConfig,
     KrConfig,
@@ -80,9 +80,9 @@ class BenchmarkPlan:
     The ``seed`` field of each template is a placeholder: trial t replaces it
     with ``base_seed + t``.  ``options`` may carry solver keywords (``tol``,
     ``max_solves``, ``probs`` as a 6-tuple, ``sigma``); ``tol`` defaults to
-    the family tolerance.  ``trials`` must be an integer >= 1 and
-    ``time_limit_per_trial`` (in seconds) must be > 0; a trial that ran
-    longer is recorded as ``Timeout``.
+    the family tolerance.  ``trials`` must be an integer >= 1,
+    ``base_seed`` an integer >= 0 and ``time_limit_per_trial`` (in seconds)
+    > 0; a trial that ran longer is recorded as ``Timeout``.
     """
 
     cells: tuple
@@ -97,6 +97,7 @@ class BenchmarkPlan:
             raise ValueError("trials must be >= 1")
         if not self.time_limit_per_trial > 0:  # also rejects NaN
             raise ValueError("time_limit_per_trial must be > 0")
+        _require_seed(self.base_seed, "base_seed")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .model import QpProblem
+from .model import QpProblem, _require_seed
 
 __all__ = [
     "GeneratorSpec",
@@ -49,7 +49,7 @@ class GeneratorSpec:
     ``epsilon`` applies to the easy family only, ``density`` to medium only,
     ``cond`` to medium and hard.  The values go through the same range
     check as the generator's arguments, so a bad value fails here, before
-    any plan that holds the spec runs.
+    any plan that holds the spec runs; ``seed`` must be an integer >= 0.
     """
 
     family: str
@@ -73,6 +73,7 @@ class GeneratorSpec:
                 raise ValueError(f"{name} does not apply to the {fam} family")
         _check_parameters(fam, self.n, epsilon=self.epsilon, density=self.density,
                           cond=self.cond)
+        _require_seed(self.seed, "seed")
 
 
 def _check_parameters(family: str, n: int, *, epsilon: float | None = None,

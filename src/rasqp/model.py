@@ -18,6 +18,7 @@ and :class:`SolveResult`.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,13 +52,16 @@ class NotSymmetricError(ValueError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Raised when the Cholesky factorization of Q fails.
+    """Raised when the factorization of Q fails (see :func:`validate_problem`).
 
     Attributes
     ----------
     pivot : int
-        1-based order of the leading minor that is not positive definite
-        (the LAPACK ``info`` value from ``dpotrf``).
+        1-based order of the leading minor that is not positive definite.
+        For a dense Q that is the LAPACK ``info`` value from ``dpotrf``; for
+        a sparse Q it counts elimination steps in the problem's reverse
+        Cuthill-McKee order, and is n when SuperLU reports the matrix
+        exactly singular without naming a step.
     """
 
     def __init__(self, pivot: int):
@@ -87,6 +91,12 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} has a NaN or infinite entry")
 
 
+def _require_seed(value, name: str) -> None:
+    """Raise ValueError naming the field unless ``value`` is an integer >= 0."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, not {value!r}")
+
+
 class QpProblem:
     """Immutable container for one QP instance.
 
@@ -108,8 +118,9 @@ class QpProblem:
     Dense inputs are stored as read-only ``float64`` arrays, sparse inputs in
     CSC form.  Instances are treated as immutable and may be shared across
     threads.  The private ``_rcm_rank`` caches a fill-reducing order of a
-    sparse Q, computed by :mod:`rasqp.subsystem` on first use; it is a
-    function of Q alone, so caching it changes no observable value.
+    sparse Q, computed on first use by a SuperLU solve in
+    :mod:`rasqp.subsystem` or by :func:`validate_problem`; it is a function
+    of Q alone, so caching it changes no observable value.
     """
 
     __slots__ = ("n", "Q", "g", "is_sparse", "_rcm_rank")
@@ -265,12 +276,38 @@ def validate_problem(problem: QpProblem) -> None:
     """Check storage-level symmetry and positive definiteness of Q.
 
     Raises :class:`NotSymmetricError` or :class:`NotPositiveDefiniteError`
-    (carrying the 1-based failing leading minor).  Factorizes a dense copy of
-    Q, so intended for setup-time validation, not inner loops.
+    (carrying the 1-based failing leading minor).  A dense Q is factorized
+    by Cholesky on a copy.  A sparse Q is never densified: it is eliminated
+    by SuperLU in its reverse Cuthill-McKee order (computed here and cached
+    on the problem, so later SuperLU solves reuse it), on the diagonal and
+    without pivoting.  A symmetric matrix is positive definite iff every
+    pivot of that elimination is positive, so Q is rejected at the first
+    step whose pivot is not, which is also where SuperLU would leave the
+    diagonal (a zero pivot moves it), or when SuperLU finds Q exactly
+    singular.  Intended for setup-time validation, not inner loops.
     """
-    Q = problem.dense_q()
-    if not np.array_equal(Q, Q.T):
+    Q = problem.Q
+    if (Q != Q.T).sum():  # the same test on dense and sparse storage
         raise NotSymmetricError("Q is not symmetric at storage level")
+    if problem.is_sparse:
+        # Imported here: subsystem imports this module, and it loads
+        # scipy.sparse.linalg on first use too.
+        import scipy.sparse.linalg as spla
+
+        from .subsystem import _rcm_rank
+
+        order = np.argsort(_rcm_rank(problem))
+        rows = Q[:, order].tocsr()[order]  # Q in RCM order, row by row
+        try:  # read as CSC the rows are the transpose, equal to Q by symmetry
+            lu = spla.splu(rows.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError:  # exactly singular; SuperLU names no step
+            raise NotPositiveDefiniteError(problem.n) from None
+        # A moved pivot or one that is not > 0 (NaN included) fails.
+        bad = (lu.perm_r != np.arange(problem.n)) | ~(lu.U.diagonal() > 0.0)
+        if bad.any():
+            raise NotPositiveDefiniteError(np.argmax(bad) + 1)
+        return
     # Lower-triangular Cholesky attempt; info > 0 is the failing minor.
     # The explicit copy keeps the in-place factorization away from the
     # problem's own (dense-stored) array.

@@ -17,8 +17,8 @@ If a coo file lists both (i, j) and (j, i), the two values must agree
 exactly; listing the same cell twice is an error.  Every number must be
 finite: ``nan`` and ``inf`` are rejected on the line that holds them.  A
 coo section becomes a sparse matrix straight from its entries, with no
-dense n×n staging.  The parsed matrix must pass
-:func:`rasqp.model.validate_problem`.
+dense n×n staging, and stays sparse through
+:func:`rasqp.model.validate_problem`, which the parsed matrix must pass.
 """
 
 from __future__ import annotations
@@ -51,83 +51,77 @@ class ProblemFile:
     meta: dict[str, str] = field(default_factory=dict)
 
 
-class _Lines:
-    """Iterator over semantic lines, tracking 1-based line numbers."""
-
-    def __init__(self, text: str):
-        self.raw = text.splitlines()
-        self.pos = 0
-
-    def next(self) -> tuple[int, list[str]] | None:
-        while self.pos < len(self.raw):
-            self.pos += 1
-            line = self.raw[self.pos - 1]
-            body = line.split("#", 1)[0].strip()
-            if body:
-                return self.pos, body.split()
-        return None
+def _semantic_lines(raw: list[str]):
+    """Yield (1-based line number, tokens) of each line with words left once
+    its comment is cut."""
+    for line_no, line in enumerate(raw, 1):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            yield line_no, tokens
 
 
 def load_problem(path) -> ProblemFile:
     """Parse and validate a problem file.
 
+    The file is read in one pass.  ``n`` must come before the matrix and g;
+    each of the three appears exactly once, and a missing one is reported
+    on the file's last line, as is a section the file ends inside.
+
     Raises :class:`ProblemFileError` for malformed input and the model
     validation errors (:class:`rasqp.model.NotPositiveDefiniteError`,
     :class:`rasqp.model.NotSymmetricError`) for a well-formed file whose
-    matrix is unusable.
+    matrix is unusable.  A coo file stays sparse throughout: its matrix is
+    validated by a sparse factorization, with no dense copy of Q.
     """
-    text = Path(path).read_text()
-    lines = _Lines(text)
+    raw = Path(path).read_text().splitlines()
+    end = max(len(raw), 1)  # the line an error at the end of the file names
+    lines = _semantic_lines(raw)
     meta: dict[str, str] = {}
-    n = None
-    Q = None
-    g = None
+    found: dict[str, object] = {}  # section name -> its parsed value
 
-    while True:
-        item = lines.next()
-        if item is None:
-            break
-        line_no, tokens = item
+    for line_no, tokens in lines:
         word = tokens[0]
         if word == "meta":
             if len(tokens) < 3:
                 raise ProblemFileError(line_no, "meta needs a key and a value")
             meta[tokens[1]] = " ".join(tokens[2:])
-        elif word == "n":
-            if n is not None:
-                raise ProblemFileError(line_no, "duplicate n")
+            continue
+        name = _SECTION_OF.get(word)
+        if name is None:
+            raise ProblemFileError(line_no, f"unknown directive {word!r}")
+        n = found.get("n")
+        if n is None and word != "n":
+            raise ProblemFileError(line_no, "n must be declared first")
+        if name in found:
+            raise ProblemFileError(line_no, f"duplicate {name}")
+        if word == "n":
             n = _parse_int(line_no, tokens)
             if n < 1:
                 raise ProblemFileError(line_no, "n must be >= 1")
-        elif word in ("dense", "coo"):
-            _require_n(line_no, n)
-            if Q is not None:
-                raise ProblemFileError(line_no, "duplicate matrix section")
-            Q = (_parse_dense(lines, n) if word == "dense"
-                 else _parse_coo(line_no, tokens, lines, n))
-        elif word == "g":
-            _require_n(line_no, n)
-            if g is not None:
-                raise ProblemFileError(line_no, "duplicate g section")
-            g = _parse_vector(lines, n, line_no)
+            found[name] = n
+        elif word == "dense":
+            found[name] = _parse_dense(lines, n, end)
+        elif word == "coo":
+            found[name] = _parse_coo(line_no, tokens, lines, n, end)
         else:
-            raise ProblemFileError(line_no, f"unknown directive {word!r}")
+            found[name] = _parse_vector(lines, n, end)
 
-    last = len(lines.raw) if lines.raw else 1
-    if n is None:
-        raise ProblemFileError(last, "missing n")
-    if Q is None:
-        raise ProblemFileError(last, "missing matrix section (dense or coo)")
-    if g is None:
-        raise ProblemFileError(last, "missing g section")
-    problem = QpProblem(Q, g)
+    for name, (_, missing) in _SECTIONS.items():
+        if name not in found:
+            raise ProblemFileError(end, missing)
+    problem = QpProblem(found["matrix section"], found["g section"])
     validate_problem(problem)
     return ProblemFile(problem=problem, meta=meta)
 
 
-def _require_n(line_no: int, n) -> None:
-    if n is None:
-        raise ProblemFileError(line_no, "n must be declared first")
+# The once-only sections, by their name in "duplicate <name>" and in the order
+# a missing one is reported: the directives that open each, and its message.
+_SECTIONS = {
+    "n": (("n",), "missing n"),
+    "matrix section": (("dense", "coo"), "missing matrix section (dense or coo)"),
+    "g section": (("g",), "missing g section"),
+}
+_SECTION_OF = {word: name for name, (words, _) in _SECTIONS.items() for word in words}
 
 
 def _parse_int(line_no: int, tokens: list[str]) -> int:
@@ -149,29 +143,28 @@ def _parse_float(line_no: int, token: str) -> float:
     return value
 
 
-def _parse_dense(lines: _Lines, n: int) -> np.ndarray:
+def _parse_dense(lines, n: int, end: int) -> np.ndarray:
     Q = np.empty((n, n))
     for i in range(n):
-        item = lines.next()
-        if item is None:
-            raise ProblemFileError(len(lines.raw), f"dense matrix ends after {i} of {n} rows")
-        line_no, tokens = item
+        line_no, tokens = next(lines, (end, None))
+        if tokens is None:
+            raise ProblemFileError(end, f"dense matrix ends after {i} of {n} rows")
         if len(tokens) != n:
             raise ProblemFileError(line_no, f"matrix row has {len(tokens)} entries, expected {n}")
         Q[i] = [_parse_float(line_no, t) for t in tokens]
     return Q
 
 
-def _parse_coo(header_line: int, header_tokens: list[str], lines: _Lines, n: int) -> sp.coo_array:
+def _parse_coo(header_line: int, header_tokens: list[str], lines, n: int,
+               end: int) -> sp.coo_array:
     count = _parse_int(header_line, header_tokens)
     if count < 0:
         raise ProblemFileError(header_line, "entry count must be >= 0")
     seen: dict[tuple[int, int], tuple[float, int, tuple[int, int]]] = {}
     for _ in range(count):
-        item = lines.next()
-        if item is None:
-            raise ProblemFileError(len(lines.raw), f"coo section ends before {count} entries")
-        line_no, tokens = item
+        line_no, tokens = next(lines, (end, None))
+        if tokens is None:
+            raise ProblemFileError(end, f"coo section ends before {count} entries")
         if len(tokens) != 3:
             raise ProblemFileError(line_no, "expected 'i j value'")
         i = _parse_int(line_no, ["i", tokens[0]])
@@ -206,15 +199,12 @@ def _parse_coo(header_line: int, header_tokens: list[str], lines: _Lines, n: int
     return sp.coo_array((np.concatenate([values, values[off]]), (rows, cols)), shape=(n, n))
 
 
-def _parse_vector(lines: _Lines, n: int, header_line: int) -> np.ndarray:
+def _parse_vector(lines, n: int, end: int) -> np.ndarray:
     values: list[float] = []
     while len(values) < n:
-        item = lines.next()
-        if item is None:
-            raise ProblemFileError(
-                len(lines.raw), f"g has {len(values)} of {n} entries"
-            )
-        line_no, tokens = item
+        line_no, tokens = next(lines, (end, None))
+        if tokens is None:
+            raise ProblemFileError(end, f"g has {len(values)} of {n} entries")
         for t in tokens:
             values.append(_parse_float(line_no, t))
         if len(values) > n:

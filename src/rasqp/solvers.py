@@ -45,7 +45,7 @@ from .engine import (
     select_exchange_generic,
     select_exchange_ras,
 )
-from .model import KktPoint, QpProblem, SolveResult, Status, TraceRow, objective
+from .model import KktPoint, QpProblem, SolveResult, Status, TraceRow, _require_seed, objective
 from .subsystem import FactorizationError, _UpdatedCholesky, embed_point, solve_subsystem
 
 __all__ = [
@@ -90,7 +90,8 @@ class GenericRasConfig(_ExchangeConfig):
     current iterate (a :class:`~rasqp.model.KktPoint`) and the ascending
     infeasible indexes of I and of A; it returns the exchange probabilities
     for Im and for Am (scalars or one per index), each in [sigma, 1-sigma].
-    ``None`` means the constant rule 0.5.  ``sigma`` must lie in (0, 0.5].
+    ``None`` means the constant rule 0.5.  ``sigma`` must lie in (0, 0.5]
+    and ``seed`` must be an integer >= 0.
     """
 
     sigma: float = 0.5
@@ -101,14 +102,20 @@ class GenericRasConfig(_ExchangeConfig):
         super().__post_init__()
         if not 0.0 < self.sigma <= 0.5:  # also rejects nan
             raise ValueError("sigma must lie in (0, 0.5]")
+        _require_seed(self.seed, "seed")
 
 
 @dataclass(kw_only=True)
 class RasConfig(_ExchangeConfig):
-    """Configuration for :func:`ras_solve` (defaults are the tuned probabilities)."""
+    """Configuration for :func:`ras_solve` (defaults are the tuned probabilities);
+    ``seed`` must be an integer >= 0."""
 
     probs: ChangeProbabilities = field(default_factory=ChangeProbabilities)
     seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require_seed(self.seed, "seed")
 
 
 @dataclass(kw_only=True)

@@ -216,6 +216,12 @@ class TestRunPlan:
         with pytest.raises(ValueError, match="trials must be an integer"):
             tiny_plan(trials=trials)
 
+    @pytest.mark.parametrize("base_seed", [-1, 1.5])
+    def test_base_seed_validated(self, base_seed):
+        # -1 used to construct, and run_plan then marked every cell errored.
+        with pytest.raises(ValueError, match="base_seed must be an integer >= 0"):
+            tiny_plan(base_seed=base_seed)
+
     @pytest.mark.parametrize("limit", [-1.0, 0.0, math.nan])
     def test_time_limit_validated(self, limit):
         with pytest.raises(ValueError, match="time_limit_per_trial"):

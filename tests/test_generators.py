@@ -64,6 +64,12 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match=f"^{name} must"):
             GeneratorSpec(seed=0, **kwargs)
 
+    @pytest.mark.parametrize("seed", [2.5, -1, None, "0"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # 2.5 used to construct and fail later inside generate with TypeError.
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            GeneratorSpec("hard", 5, seed=seed, cond=10.0)
+
     def test_generate_dispatches(self):
         pairs = [
             (GeneratorSpec("easy", 40, seed=3, epsilon=1e-2), gen_easy(40, 1e-2, 3)),

@@ -200,3 +200,49 @@ class TestValidateProblem:
         Q = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError):
             validate_problem(QpProblem(Q, [0.0, 0.0]))
+
+
+def _zero_diagonal_first_in_rcm():
+    """Q with a zero diagonal at node 5, the node its RCM order takes first.
+
+    Every other diagonal is 4 and every edge 1: 0-1, 1-{2,3,4}, 5-{2,3,4}.
+    The order starts from the leaf 0 and reverses the breadth-first sweep,
+    so node 5 is eliminated first, on an untouched zero diagonal, and
+    SuperLU must pivot off it (the pivot it takes instead is 1 > 0).
+    """
+    Q = np.diag([4.0, 4.0, 4.0, 4.0, 4.0, 0.0])
+    for i, j in [(0, 1), (1, 2), (1, 3), (1, 4), (5, 2), (5, 3), (5, 4)]:
+        Q[i, j] = Q[j, i] = 1.0
+    return Q
+
+
+class TestValidateSparse:
+    """A sparse Q is eliminated in its RCM order; ``pivot`` counts those steps."""
+
+    @pytest.mark.parametrize("Q, sparse_pivot, dense_pivot", [
+        # RCM order (2, 1, 0): pivots 4, 3.75, then -1 - 1/3.75 < 0.
+        ([[-1.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]], 3, 1),
+        # Exactly singular: SuperLU names no step, so the pivot is n.
+        ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 3, 2),
+        (_zero_diagonal_first_in_rcm(), 1, 6),
+    ], ids=["indefinite", "exactly-singular", "zero-diagonal"])
+    def test_rejection_names_the_rcm_step(self, Q, sparse_pivot, dense_pivot):
+        Q = np.array(Q)
+        g = np.zeros(len(Q))
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            validate_problem(QpProblem(sp.csc_array(Q), g))
+        assert exc.value.pivot == sparse_pivot
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            validate_problem(QpProblem(Q, g))
+        assert exc.value.pivot == dense_pivot
+
+    def test_never_densifies(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sparse Q was densified")
+
+        p = QpProblem(sp.csc_array(np.diag([2.0, 3.0, 4.0]) + np.eye(3, k=1) + np.eye(3, k=-1)),
+                      np.zeros(3))
+        monkeypatch.setattr(sp.csc_array, "toarray", refuse)
+        monkeypatch.setattr(sp.csr_array, "toarray", refuse)
+        validate_problem(p)
+        assert p._rcm_rank is not None  # cached for later SuperLU solves

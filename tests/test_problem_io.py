@@ -74,6 +74,7 @@ class TestLoadErrors:
             ("n 2\ncoo 1\n1 1\ng\n0 0\n", "expected 'i j value'"),
             ("n 2\ncoo 1\n1 1 abc\ng\n0 0\n", "not a number"),
             ("dense\n1\n", "n must be declared first"),
+            ("g\n0\nn 1\n", "line 1: n must be declared first"),
             ("n 1\nn 2\n", "duplicate n"),
             ("n 0\n", "n must be >= 1"),
             ("n x\n", "not an integer"),
@@ -83,6 +84,7 @@ class TestLoadErrors:
             ("n 2\ndense\n1 0\n0 1\ng\n0 0 0\n", "more than 2 entries"),
             ("n 2\ndense\n1 0\n0 1\ng\n0 0\ng\n0 0\n", "duplicate g"),
             ("n 2\ndense\n1 0\n0 1\ndense\n1 0\n0 1\ng\n0 0\n", "duplicate matrix"),
+            ("n 1\ndense\n1\ncoo 1\n1 1 1.0\ng\n0\n", "line 4: duplicate matrix section"),
             ("meta only_key\n", "meta needs a key and a value"),
             ("wat 3\n", "unknown directive"),
             ("n 2\ng\n0 0\n", "missing matrix"),
@@ -114,8 +116,27 @@ class TestLoadErrors:
             load_problem(write(tmp_path, text))
         assert exc.value.line_no == line_no
 
+    @pytest.mark.parametrize("text, fragment, line_no", [
+        ("n 2\ncoo 3\n1 1 1.0\n# end\n\n", "coo section ends before 3 entries", 5),
+        ("n 2\ndense\n1 0\n\n# end\n", "dense matrix ends after 1 of 2 rows", 5),
+        ("n 2\ndense\n1 0\n0 1\ng\n0\n# end\n", "g has 1 of 2 entries", 7),
+        ("", "missing n", 1),
+        ("# nothing\n\n\n", "missing n", 3),
+    ])
+    def test_end_of_file_errors_name_the_last_line(self, tmp_path, text, fragment, line_no):
+        with pytest.raises(ProblemFileError, match=fragment) as exc:
+            load_problem(write(tmp_path, text))
+        assert exc.value.line_no == line_no
+
     def test_not_positive_definite(self, tmp_path):
         text = "n 2\ndense\n1 0\n0 -1\ng\n0 0\n"
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            load_problem(write(tmp_path, text))
+        assert exc.value.pivot == 2
+
+    def test_sparse_not_positive_definite(self, tmp_path):
+        # Q = [[0, 1], [1, 2]]; its RCM order (1, 0) has pivots 2, then -1/2.
+        text = "n 2\ncoo 2\n1 2 1.0\n2 2 2.0\ng\n0 0\n"
         with pytest.raises(NotPositiveDefiniteError) as exc:
             load_problem(write(tmp_path, text))
         assert exc.value.pivot == 2

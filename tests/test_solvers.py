@@ -226,6 +226,13 @@ class TestRasSolve:
         with pytest.raises(ValueError, match="tol must be >= 0"):
             config(tol=tol)
 
+    @pytest.mark.parametrize("config", [RasConfig, GenericRasConfig])
+    @pytest.mark.parametrize("seed", [-3, 2.5])
+    def test_seed_validated_in_config(self, config, seed):
+        # Rejected when the options are built, not by default_rng inside the solve.
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            config(seed=seed)
+
     def test_solve_cap(self):
         result = ras_solve(QpProblem(Q22, G22), RasConfig(max_solves=1))
         assert result.status is Status.ITERATION_CAP
