@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "QpProblem",
@@ -276,43 +275,34 @@ def validate_problem(problem: QpProblem) -> None:
     """Check storage-level symmetry and positive definiteness of Q.
 
     Raises :class:`NotSymmetricError` or :class:`NotPositiveDefiniteError`
-    (carrying the 1-based failing leading minor).  A dense Q is factorized
-    by Cholesky on a copy.  A sparse Q is never densified: it is eliminated
-    by SuperLU in its reverse Cuthill-McKee order (computed here and cached
-    on the problem, so later SuperLU solves reuse it), on the diagonal and
-    without pivoting.  A symmetric matrix is positive definite iff every
-    pivot of that elimination is positive, so Q is rejected at the first
-    step whose pivot is not, which is also where SuperLU would leave the
-    diagonal (a zero pivot moves it), or when SuperLU finds Q exactly
-    singular.  Intended for setup-time validation, not inner loops.
+    (carrying the 1-based failing leading minor).  Q is factorized by the
+    kernels of :mod:`rasqp.subsystem`: a dense Q by Cholesky on a copy, and
+    a sparse Q, never densified, by SuperLU as a solve would, in its reverse
+    Cuthill-McKee order (cached on the problem), on the diagonal and without
+    pivoting.  A symmetric matrix is positive definite iff every pivot of
+    that elimination is positive, so Q is rejected at the first step whose
+    pivot is not, which is also where SuperLU would leave the diagonal (a
+    zero pivot moves it), or when SuperLU finds Q exactly singular.
+    Intended for setup-time validation, not inner loops.
     """
+    # Imported here: subsystem imports this module.
+    from .subsystem import FactorizationError, _factor_sparse, _potrf, _rcm_rank
+
     Q = problem.Q
     if (Q != Q.T).sum():  # the same test on dense and sparse storage
         raise NotSymmetricError("Q is not symmetric at storage level")
     if problem.is_sparse:
-        # Imported here: subsystem imports this module, and it loads
-        # scipy.sparse.linalg on first use too.
-        import scipy.sparse.linalg as spla
-
-        from .subsystem import _rcm_rank
-
         order = np.argsort(_rcm_rank(problem))
-        rows = Q[:, order].tocsr()[order]  # Q in RCM order, row by row
-        try:  # read as CSC the rows are the transpose, equal to Q by symmetry
-            lu = spla.splu(rows.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-        except RuntimeError:  # exactly singular; SuperLU names no step
+        try:
+            lu = _factor_sparse(Q[:, order].tocsr()[order])  # Q in RCM order, row by row
+        except FactorizationError:  # exactly singular; SuperLU names no step
             raise NotPositiveDefiniteError(problem.n) from None
         # A moved pivot or one that is not > 0 (NaN included) fails.
         bad = (lu.perm_r != np.arange(problem.n)) | ~(lu.U.diagonal() > 0.0)
         if bad.any():
             raise NotPositiveDefiniteError(np.argmax(bad) + 1)
         return
-    # Lower-triangular Cholesky attempt; info > 0 is the failing minor.
-    # The explicit copy keeps the in-place factorization away from the
-    # problem's own (dense-stored) array.
-    work = np.array(Q, dtype=np.float64, order="F", copy=True)
-    _, info = dpotrf(work, lower=1, clean=0, overwrite_a=1)
+    _, info = _potrf(Q, lower=1, clean=0)  # on a copy; info > 0 is the failing minor
     if info > 0:
         raise NotPositiveDefiniteError(info)
     if info < 0:

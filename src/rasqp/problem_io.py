@@ -1,6 +1,6 @@
 """Plain-text problem files.
 
-Line-oriented format; ``#`` starts a comment, blank lines are ignored::
+Line-oriented format; only a line feed ends a line, ``#`` starts a comment::
 
     meta family hard          # optional, repeatable key/value pairs
     n 3
@@ -12,8 +12,9 @@ Line-oriented format; ``#`` starts a comment, blank lines are ignored::
     g
     -1.0 -2.0 0.5
 
-A ``dense`` section instead holds n rows of n whitespace-separated numbers.
-If a coo file lists both (i, j) and (j, i), the two values must agree
+Blank lines are ignored, and the carriage return of a CRLF reads as
+whitespace.  A ``dense`` section instead holds n rows of n whitespace-separated
+numbers.  If a coo file lists both (i, j) and (j, i), the two values must agree
 exactly; listing the same cell twice is an error.  Every number must be
 finite: ``nan`` and ``inf`` are rejected on the line that holds them.  A
 coo section becomes a sparse matrix straight from its entries, with no
@@ -73,7 +74,8 @@ def load_problem(path) -> ProblemFile:
     matrix is unusable.  A coo file stays sparse throughout: its matrix is
     validated by a sparse factorization, with no dense copy of Q.
     """
-    raw = Path(path).read_text().splitlines()
+    with open(path, newline="") as f:  # no newline translation: only "\n" ends a line
+        raw = f.read().removesuffix("\n").split("\n")
     end = max(len(raw), 1)  # the line an error at the end of the file names
     lines = _semantic_lines(raw)
     meta: dict[str, str] = {}

@@ -90,8 +90,8 @@ class GenericRasConfig(_ExchangeConfig):
     current iterate (a :class:`~rasqp.model.KktPoint`) and the ascending
     infeasible indexes of I and of A; it returns the exchange probabilities
     for Im and for Am (scalars or one per index), each in [sigma, 1-sigma].
-    ``None`` means the constant rule 0.5.  ``sigma`` must lie in (0, 0.5]
-    and ``seed`` must be an integer >= 0.
+    ``None`` means the constant rule 0.5, and a rule must be callable;
+    ``sigma`` must lie in (0, 0.5] and ``seed`` must be an integer >= 0.
     """
 
     sigma: float = 0.5
@@ -102,19 +102,24 @@ class GenericRasConfig(_ExchangeConfig):
         super().__post_init__()
         if not 0.0 < self.sigma <= 0.5:  # also rejects nan
             raise ValueError("sigma must lie in (0, 0.5]")
+        if self.probability_rule is not None and not callable(self.probability_rule):
+            raise ValueError(f"probability_rule must be callable or None, "
+                             f"not {self.probability_rule!r}")
         _require_seed(self.seed, "seed")
 
 
 @dataclass(kw_only=True)
 class RasConfig(_ExchangeConfig):
     """Configuration for :func:`ras_solve` (defaults are the tuned probabilities);
-    ``seed`` must be an integer >= 0."""
+    ``probs`` must be a ChangeProbabilities and ``seed`` an integer >= 0."""
 
     probs: ChangeProbabilities = field(default_factory=ChangeProbabilities)
     seed: int = 0
 
     def __post_init__(self):
         super().__post_init__()
+        if not isinstance(self.probs, ChangeProbabilities):
+            raise ValueError(f"probs must be a ChangeProbabilities, not {self.probs!r}")
         _require_seed(self.seed, "seed")
 
 

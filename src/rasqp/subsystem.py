@@ -48,6 +48,10 @@ The densified Q[I,I] is a temporary, so the Cholesky factorizes it in
 place, handed whichever of the block and its transpose (the same matrix, by
 symmetry) is in Fortran order, so LAPACK works on it without a copy.
 
+:func:`~rasqp.model.validate_problem` is the kernels' second caller: it
+factorizes a whole dense Q with ``_potrf`` and a whole sparse Q with
+``_factor_sparse``, the only SuperLU call, as a SuperLU solve would.
+
 A solver that moves one index per solve passes a factor it keeps between
 calls instead (``fletcher_solve`` does).  The factor holds the Cholesky
 factor L of Q[I,I], with I in the order its indexes joined, and nothing
@@ -69,7 +73,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .model import KktPoint, QpProblem
 
@@ -159,8 +162,7 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> tuple[np.ndarra
         order = np.argsort(_rcm_rank(problem)[I])
         J = I[order]  # I in the problem's fill-reducing order
         cols = Q[:, J].tocsr()  # the columns J row by row, reused for Q[J,J] and s_A
-        r = cols[J]  # Q[J,J] row by row, indexes sorted; by symmetry its CSC
-        y = _sparse_solve(sp.csc_array((r.data, r.indices, r.indptr), shape=r.shape), g[J])
+        y = _finite(_factor_sparse(cols[J]).solve(-g[J]))
         x_I = np.empty_like(y)
         x_I[order] = y
         s_A = (cols @ y + g)[A]
@@ -230,9 +232,9 @@ class _UpdatedCholesky:
         self.pos = None  # no factor until this one succeeds
         L = np.zeros((0, 0), order="F")
         if m:
-            # A symmetric C-ordered Q[I,I] read in Fortran order is itself.
-            Q = problem.Q
-            block = _csc_block(Q, I) if problem.is_sparse else Q[I[:, None], I].T
+            Q = problem.Q  # dense Q[I,I] as on the fresh path; symmetric, so .T is itself
+            block = (_csc_block(Q, I) if problem.is_sparse
+                     else Q.take(I, axis=0).take(I, axis=1).T)
             L, info = _potrf(block, lower=1, clean=1, overwrite_a=1)
             if info != 0:
                 raise FactorizationError(f"Cholesky factorization failed (potrf info {info})")
@@ -324,19 +326,19 @@ def _dense_solve(qii: np.ndarray, g_I: np.ndarray) -> np.ndarray:
     return _finite(sla.cho_solve(c, -g_I, check_finite=False))
 
 
-def _sparse_solve(qii, g_I: np.ndarray) -> np.ndarray:
-    """Factorize the CSC block ``qii`` in its given order, without pivoting, and solve."""
+def _factor_sparse(rows):
+    """SuperLU factor, in the given order and without pivoting, of a symmetric block
+    given as CSR rows with sorted indexes, read as CSC (its transpose, the same)."""
     # Imported on first use, like csgraph: a run that never reaches SuperLU
     # does not load scipy.sparse.linalg.  splu is looked up on the module at
     # each call, so a wrapper set on scipy.sparse.linalg.splu sees it.
     import scipy.sparse.linalg as spla
 
     try:
-        lu = spla.splu(qii, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        return spla.splu(rows.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU signals singularity this way
         raise FactorizationError(str(exc)) from exc
-    return _finite(lu.solve(-g_I))
 
 
 def _finite(v: np.ndarray) -> np.ndarray:

@@ -63,6 +63,24 @@ class TestLoad:
         loaded = load_problem(write(tmp_path, text))
         assert loaded.problem.dense_q()[0, 0] == 1.5
 
+    @pytest.mark.parametrize("char", ["\f", "\v", "\x1c", "\x85", "\u2028"], ids=repr)
+    def test_only_a_line_feed_ends_a_line(self, tmp_path, char):
+        # str.splitlines would end a line at each of these and read "break"
+        # as a directive; here they stay inside their comments, and line
+        # numbers count line feeds, as an editor or wc -l does.
+        text = f"n 2 # page{char}break\ndense\n4 1\n1 3 # row{char}2\ng\n-1 -2\n"
+        loaded = load_problem(write(tmp_path, text))
+        np.testing.assert_array_equal(loaded.problem.dense_q(), [[4.0, 1.0], [1.0, 3.0]])
+        with pytest.raises(ProblemFileError, match="^line 7: unknown directive 'wat'$"):
+            load_problem(write(tmp_path, text + "wat\n"))
+
+    def test_crlf_line_ends(self, tmp_path):
+        loaded = load_problem(write(tmp_path, GOOD_COO.replace("\n", "\r\n"), "crlf.txt"))
+        want = load_problem(write(tmp_path, GOOD_COO))
+        assert loaded.meta == want.meta
+        np.testing.assert_array_equal(loaded.problem.dense_q(), want.problem.dense_q())
+        np.testing.assert_array_equal(loaded.problem.g, want.problem.g)
+
 
 class TestLoadErrors:
     @pytest.mark.parametrize(
@@ -87,6 +105,8 @@ class TestLoadErrors:
             ("n 1\ndense\n1\ncoo 1\n1 1 1.0\ng\n0\n", "line 4: duplicate matrix section"),
             ("meta only_key\n", "meta needs a key and a value"),
             ("wat 3\n", "unknown directive"),
+            ("n 2\r\nwat\r\n", "line 2: unknown directive 'wat'"),
+            ("n 2\rwat\n", "line 1: expected 'n <integer>'"),  # a lone \r ends no line
             ("n 2\ng\n0 0\n", "missing matrix"),
             ("n 2\ndense\n1 0\n0 1\n", "missing g"),
             ("# nothing\n", "missing n"),
@@ -122,6 +142,8 @@ class TestLoadErrors:
         ("n 2\ndense\n1 0\n0 1\ng\n0\n# end\n", "g has 1 of 2 entries", 7),
         ("", "missing n", 1),
         ("# nothing\n\n\n", "missing n", 3),
+        ("n 2\r\ndense\r\n1 0\r\n", "dense matrix ends after 1 of 2 rows", 3),
+        ("# nothing\r\n\r\n\r\n", "missing n", 3),
     ])
     def test_end_of_file_errors_name_the_last_line(self, tmp_path, text, fragment, line_no):
         with pytest.raises(ProblemFileError, match=fragment) as exc:
@@ -214,6 +236,10 @@ class TestSaveRoundTrip:
         {"k": "a\tb"},
         {"k": "a\nn 5"},  # would add a line "n 5" to the file
         {"k": "a\rb"},
+        {"k": "a\fb"},  # whitespace to str.split, as are the next three
+        {"k": "a\x1cb"},
+        {"k": "a\x85b"},
+        {"k": "a\u2028b"},
         {"k": ""},
     ], ids=repr)
     def test_metadata_that_would_not_read_back(self, tmp_path, meta):

@@ -233,6 +233,13 @@ class TestRasSolve:
         with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
             config(seed=seed)
 
+    @pytest.mark.parametrize("probs", [(0.5,) * 6, None], ids=repr)
+    def test_probs_validated_in_config(self, probs):
+        # Rejected when the options are built, not by an AttributeError after
+        # the first solve; bench.build_solver converts its 6-tuples itself.
+        with pytest.raises(ValueError, match="^probs must be a ChangeProbabilities"):
+            RasConfig(probs=probs)
+
     def test_solve_cap(self):
         result = ras_solve(QpProblem(Q22, G22), RasConfig(max_solves=1))
         assert result.status is Status.ITERATION_CAP
@@ -274,6 +281,12 @@ class TestGenericRasSolve:
         with pytest.raises(ValueError, match="sigma must lie in"):
             generic_ras_solve(QpProblem(Q22, G22),
                               GenericRasConfig(sigma=0.7, initial_A=initial_A))
+
+    @pytest.mark.parametrize("rule", [3, 0.5, (0.5, 0.5)], ids=repr)
+    def test_probability_rule_validated_in_config(self, rule):
+        # Rejected when the options are built, not by a TypeError at the first draw.
+        with pytest.raises(ValueError, match="^probability_rule must be callable or None"):
+            GenericRasConfig(probability_rule=rule)
 
     def test_custom_probability_rule(self):
         # A rule returning per-index probabilities inside [sigma, 1 - sigma].

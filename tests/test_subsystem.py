@@ -9,7 +9,7 @@ import rasqp.solvers
 import rasqp.subsystem
 from conftest import rand_spd_problem
 from rasqp.generators import gen_easy, gen_medium
-from rasqp.model import QpProblem, Status, kkt_residual, stationarity_tol
+from rasqp.model import QpProblem, Status, kkt_residual, stationarity_tol, validate_problem
 from rasqp.solvers import fletcher_solve
 from rasqp.subsystem import (
     FactorizationError,
@@ -250,6 +250,29 @@ class TestSolveSubsystem:
             x_ref[order] = y
             np.testing.assert_array_equal(x_I, x_ref)
             np.testing.assert_array_equal(s_A, (cols @ y)[A] + p.g[A])
+
+    def test_validation_factors_q_as_a_superlu_solve_does(self, monkeypatch):
+        # validate_problem's verdict stands for the solves only if it runs
+        # the elimination they run: the same splu options, and with every
+        # index inactive the same block, Q in its RCM order as sorted CSC.
+        p = gen_easy(200, 1.0, seed=4)
+        splu = scipy.sparse.linalg.splu
+        calls = []
+
+        def spy(a, *args, **kwargs):
+            calls.append(((a.data.copy(), a.indices.copy(), a.indptr.copy()), args, kwargs))
+            assert (a.format, a.has_canonical_format) == ("csc", True)
+            return splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        validate_problem(p)
+        solve_subsystem(p, np.arange(p.n), [])
+        (validated, v_args, v_kwargs), (solved, s_args, s_kwargs) = calls
+        assert (v_args, v_kwargs) == (s_args, s_kwargs)
+        assert v_kwargs["permc_spec"] == "NATURAL"  # the options reach splu by keyword
+        for a, b in zip(validated, solved):
+            np.testing.assert_array_equal(a, b)
 
     def test_sparse_densified_path_matches_direct_cholesky(self):
         # A small sparse block is scattered into a dense Q[I,I]: the factor
