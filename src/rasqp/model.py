@@ -59,8 +59,9 @@ class NotPositiveDefiniteError(ValueError):
         1-based order of the leading minor that is not positive definite.
         For a dense Q that is the LAPACK ``info`` value from ``dpotrf``; for
         a sparse Q it counts elimination steps in the problem's reverse
-        Cuthill-McKee order, and is n when SuperLU reports the matrix
-        exactly singular without naming a step.
+        Cuthill-McKee order (the band Cholesky's ``dpbtrf`` ``info``, or
+        SuperLU's first pivot that is moved or not positive), and is n when
+        SuperLU reports the matrix exactly singular without naming a step.
     """
 
     def __init__(self, pivot: int):
@@ -117,8 +118,9 @@ class QpProblem:
     Dense inputs are stored as read-only ``float64`` arrays, sparse inputs in
     CSC form.  Instances are treated as immutable and may be shared across
     threads.  The private ``_rcm_rank`` caches a fill-reducing order of a
-    sparse Q, computed on first use by a SuperLU solve in
-    :mod:`rasqp.subsystem` or by :func:`validate_problem`; it is a function
+    sparse Q, computed on first use by a solve of a sparse block above
+    :data:`~rasqp.subsystem.DENSE_THRESHOLD` or by
+    :func:`validate_problem`; it is a function
     of Q alone, so caching it changes no observable value.
     """
 
@@ -277,16 +279,18 @@ def validate_problem(problem: QpProblem) -> None:
     Raises :class:`NotSymmetricError` or :class:`NotPositiveDefiniteError`
     (carrying the 1-based failing leading minor).  Q is factorized by the
     kernels of :mod:`rasqp.subsystem`: a dense Q by Cholesky on a copy, and
-    a sparse Q, never densified, by SuperLU as a solve would, in its reverse
-    Cuthill-McKee order (cached on the problem), on the diagonal and without
-    pivoting.  A symmetric matrix is positive definite iff every pivot of
-    that elimination is positive, so Q is rejected at the first step whose
-    pivot is not, which is also where SuperLU would leave the diagonal (a
-    zero pivot moves it), or when SuperLU finds Q exactly singular.
-    Intended for setup-time validation, not inner loops.
+    a sparse Q, never densified, as a solve of a sparse block would, in its
+    reverse Cuthill-McKee order (cached on the problem), on the diagonal
+    and without pivoting: by a band Cholesky when Q is a full enough band
+    in that order, by SuperLU otherwise, under the rule the solves use.  A
+    symmetric matrix is positive definite iff every pivot of that
+    elimination is positive, so Q is rejected at the first step whose pivot
+    is not: the step where the band Cholesky stops, or where SuperLU would
+    leave the diagonal (a zero pivot moves it), or when SuperLU finds Q
+    exactly singular.  Intended for setup-time validation, not inner loops.
     """
     # Imported here: subsystem imports this module.
-    from .subsystem import FactorizationError, _factor_sparse, _potrf, _rcm_rank
+    from .subsystem import FactorizationError, _BandCholesky, _factor_sparse, _potrf, _rcm_rank
 
     Q = problem.Q
     if (Q != Q.T).sum():  # the same test on dense and sparse storage
@@ -297,6 +301,10 @@ def validate_problem(problem: QpProblem) -> None:
             lu = _factor_sparse(Q[:, order].tocsr()[order])  # Q in RCM order, row by row
         except FactorizationError:  # exactly singular; SuperLU names no step
             raise NotPositiveDefiniteError(problem.n) from None
+        if isinstance(lu, _BandCholesky):
+            if lu.info:
+                raise NotPositiveDefiniteError(lu.info)
+            return
         # A moved pivot or one that is not > 0 (NaN included) fails.
         bad = (lu.perm_r != np.arange(problem.n)) | ~(lu.U.diagonal() > 0.0)
         if bad.any():

@@ -320,18 +320,19 @@ def fletcher_solve(
     to the factor or deletes one row and column from it, in O(|I|^2), where
     a fresh solve would gather Q[I,I] and factor it in O(|I|^3).  A new
     pivot that is not positive in floating point refactors afresh, and a
-    sparse Q[I,I] above :data:`~rasqp.subsystem.DENSE_THRESHOLD` goes
-    through SuperLU as in the other solvers.  The working sets are those of
-    refactoring every solve; x agrees to round-off.
+    sparse Q[I,I] above :data:`~rasqp.subsystem.DENSE_THRESHOLD` is
+    factorized afresh by the sparse kernels (a band Cholesky or SuperLU) as
+    in the other solvers.  The working sets are those of refactoring every
+    solve; x agrees to round-off.
 
     Every iterate is exactly nonnegative and the objective never increases;
     the run terminates finitely.  ``objective_history`` records the objective
     at the start (0 at x = 0) and after each acceptance, where it is read
     from the Q x the solve formed for s, as 0.5 x'(Qx) + g'x, the same
-    expression as :func:`~rasqp.model.objective`; after a SuperLU solve it
-    is evaluated afresh.  ``record_iterates`` also stores every iterate x
-    and ``record_sets`` every inactive set, as in the exchange solvers.  The
-    cap of 10*n^2 solves is purely defensive.
+    expression as :func:`~rasqp.model.objective`; after a solve by the
+    sparse kernels it is evaluated afresh.  ``record_iterates`` also stores
+    every iterate x and ``record_sets`` every inactive set, as in the
+    exchange solvers.  The cap of 10*n^2 solves is purely defensive.
     """
     if not tol >= 0.0:  # also rejects nan
         raise ValueError("tol must be >= 0")
@@ -366,7 +367,7 @@ def fletcher_solve(
             x[moved] = 0.0
         else:  # accept the target; release the most negative s_j, ties by index
             x[I] = x_I
-            qx = factor.qx  # Q x, formed by this solve unless SuperLU ran
+            qx = factor.qx  # Q x, formed by this solve unless a sparse kernel ran
             obj_hist.append(objective(problem, x) if qx is None
                             else float(0.5 * (x @ qx) + problem.g @ x))
             moved = A[int(np.argmin(s_A))] if n_am else None

@@ -17,7 +17,7 @@ each index, which rejects an overlap, a missing index and an index out of
 range.
 
 Without a ``factor`` argument each solve factorizes Q[I,I] afresh and
-gathers Q once, in one of three ways.
+gathers Q once, in one of four ways.
 
 * Dense Q: the row block Q[I,:], one contiguous copy of |I| rows.  Q[I,I]
   is its columns I and s_A is the full product x_I Q[I,:] + g read at the
@@ -27,22 +27,33 @@ gathers Q once, in one of three ways.
 * Sparse Q with |I| <= :data:`DENSE_THRESHOLD`: the stored entries of the
   columns I are scattered straight into a dense Fortran-ordered Q[I,I]
   through a position map of I, and s_A is (Q x + g)[A] with x zero on A.
-* Sparse Q with a larger I: SuperLU on the CSC block.  SciPy ships no sparse
-  Cholesky, and letting SuperLU compute a COLAMD ordering for every block
-  costs more than the factorization itself.  Instead the whole of Q is
-  ordered once per problem by reverse Cuthill-McKee (cached on the problem)
-  and each block takes I in that order.  For a symmetric positive definite
-  matrix, the Cholesky fill of a principal submatrix under the induced order
-  lies inside the fill of the whole matrix restricted to I, so restricting
-  the order never adds fill.  Q[I,I] is positive definite, so Gaussian
-  elimination on its diagonal is stable without pivoting: SuperLU runs in
-  symmetric mode with the natural column order and a diagonal pivot
-  threshold of 0, so it keeps the given order and pivots on the diagonal.
-  The block reaches SuperLU in CSC with sorted indexes, so SuperLU has
-  nothing to sort: the column slice Q[:, J] is converted to CSR, whose
-  rows J are Q[J,J] row by row with sorted column indexes.  Read as CSC,
-  those arrays are Q[J,J]', which equals Q[J,J] bit for bit because Q is
-  exactly symmetric.
+* Sparse Q with a larger I: the whole of Q is ordered once per problem by
+  reverse Cuthill-McKee (cached on the problem) and each block takes I in
+  that order, J.  For a symmetric positive definite matrix, the Cholesky
+  fill of a principal submatrix under the induced order lies inside the
+  fill of the whole matrix restricted to I, so restricting the order never
+  adds fill.  The column slice Q[:, J] is converted to CSR, whose rows J
+  are Q[J,J] row by row with sorted column indexes, and s_A is read from
+  the same rows.  Q[J,J] is then factorized on its diagonal, in the order
+  J, in one of two ways, chosen from the block alone: let b be its
+  bandwidth, the largest i - j of a stored entry.
+
+  * A full band, whose lower triangle stores at least a tenth of the
+    |I|(b + 1) entries of its lower band: the band Cholesky, LAPACK
+    ``pbtrf``/``pbtrs`` on the band scattered into LAPACK's lower band
+    storage, O(|I| b^2) work (George & Liu, *Computer Solution of Large
+    Sparse Positive Definite Systems*, 1981, ch. 4).  The easy family's
+    blocks are such bands.
+  * Any other block: SuperLU on the CSC block.  SciPy ships no sparse
+    Cholesky, and letting SuperLU compute a COLAMD ordering for every
+    block costs more than the factorization itself.  Q[I,I] is positive
+    definite, so Gaussian elimination on its diagonal is stable without
+    pivoting: SuperLU runs in symmetric mode with the natural column order
+    and a diagonal pivot threshold of 0, so it keeps the given order and
+    pivots on the diagonal.  The block reaches SuperLU in CSC with sorted
+    indexes, so SuperLU has nothing to sort: read as CSC, the CSR arrays of
+    Q[J,J] are Q[J,J]', which equals Q[J,J] bit for bit because Q is
+    exactly symmetric.
 
 The densified Q[I,I] is a temporary, so the Cholesky factorizes it in
 place, handed whichever of the block and its transpose (the same matrix, by
@@ -50,7 +61,8 @@ symmetry) is in Fortran order, so LAPACK works on it without a copy.
 
 :func:`~rasqp.model.validate_problem` is the kernels' second caller: it
 factorizes a whole dense Q with ``_potrf`` and a whole sparse Q with
-``_factor_sparse``, the only SuperLU call, as a SuperLU solve would.
+``_factor_sparse``, which holds the choice between the band Cholesky and
+the only SuperLU call, as a solve of a sparse block would.
 
 A solver that moves one index per solve passes a factor it keeps between
 calls instead (``fletcher_solve`` does).  The factor holds the Cholesky
@@ -65,8 +77,9 @@ Saunders, "Methods for modifying matrix factorizations", Math. Comp. 28,
 s is then Q x + g with x zero off I, for a dense Q as for a sparse one,
 and the factor keeps that Q x, from which the caller reads x'Qx.
 Any other change of I, a new pivot that is not positive in floating point
-and a sparse Q[I,I] above :data:`DENSE_THRESHOLD` (which keeps SuperLU)
-fall back to the fresh path, so the factor needs no option to switch.
+and a sparse Q[I,I] above :data:`DENSE_THRESHOLD` (which keeps the sparse
+kernels) fall back to the fresh path, so the factor needs no option to
+switch.
 """
 
 from __future__ import annotations
@@ -83,12 +96,21 @@ __all__ = [
     "DENSE_THRESHOLD",
 ]
 
-_potrf, _potrs, _trtrs = sla.get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
+_potrf, _potrs, _trtrs, _pbtrf, _pbtrs = sla.get_lapack_funcs(
+    ("potrf", "potrs", "trtrs", "pbtrf", "pbtrs"), dtype=np.float64)
 
 #: Sparse-stored Q[I,I] blocks up to this size are densified before
-#: factorization; larger blocks go through SuperLU in the problem's reverse
-#: Cuthill-McKee order, since SciPy ships no sparse Cholesky.
+#: factorization; larger blocks are factorized in the problem's reverse
+#: Cuthill-McKee order, by a band Cholesky or by SuperLU, since SciPy ships
+#: no sparse Cholesky.
 DENSE_THRESHOLD = 1024
+
+# A sparse block takes the band Cholesky when its lower triangle stores at
+# least this share of the entries of its lower band, SuperLU otherwise, so
+# the band storage never exceeds ten times the entries stored.  Holey bands,
+# such as the medium family's at ~2%, keep SuperLU, which skips the holes.
+# Read at call time.
+_BAND_FILL = 0.1
 
 
 class FactorizationError(RuntimeError):
@@ -122,15 +144,17 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> tuple[np.ndarra
     ``I`` and ``A`` must hold integers and partition {0..n-1}, in any order
     (``ValueError`` otherwise); x_I and s_A follow the order of I and A as
     passed.  With I empty the solution is x_I = [] and s_A = g.  A sparse
-    Q[I,I] larger than :data:`DENSE_THRESHOLD` (read at call time) goes
-    through SuperLU instead; the first such solve orders Q and stores the
-    order on the problem.  No counters are touched here — callers count
-    solves.
+    Q[I,I] larger than :data:`DENSE_THRESHOLD` (read at call time) is
+    factorized instead by a band Cholesky when it is a full band in the
+    problem's reverse Cuthill-McKee order, and by SuperLU otherwise; the
+    first such solve orders Q and stores the order on the problem.  No
+    counters are touched here — callers count solves.
 
     ``factor``, a private ``_UpdatedCholesky`` the caller keeps between
     calls, is brought to the new I by one append or one delete where that is
     the change, and refactored otherwise; a sparse block above the threshold
-    still goes through SuperLU and makes the next solve refactor.
+    still goes through the sparse kernels and makes the next solve
+    refactor.
 
     Raises :class:`FactorizationError` when the factorization fails or x_I
     or s_A comes out non-finite (an overflow on a nearly singular Q[I,I]);
@@ -144,7 +168,7 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> tuple[np.ndarra
         if not problem.is_sparse or len(I) <= DENSE_THRESHOLD:
             x_I, s_A = factor.solve(problem, I, A)
             return x_I, _finite(s_A)
-        factor.clear()  # SuperLU below; the next solve refactors
+        factor.clear()  # the sparse kernels below; the next solve refactors
     if len(I) == 0:
         return np.empty(0), g[A].copy()
 
@@ -305,8 +329,9 @@ def _rcm_rank(problem: QpProblem) -> np.ndarray:
     """Each index's position in a reverse Cuthill-McKee order of Q, computed once."""
     rank = problem._rcm_rank
     if rank is None:
-        # Imported on first use, so a run that never reaches SuperLU does
-        # not load csgraph (about 1 MB of resident memory).
+        # Imported on first use, so a run that never factorizes a sparse
+        # block above the threshold does not load csgraph (about 1 MB of
+        # resident memory).
         from scipy.sparse import csgraph
 
         perm = csgraph.reverse_cuthill_mckee(problem.Q, symmetric_mode=True)
@@ -327,6 +352,42 @@ def _dense_solve(qii: np.ndarray, g_I: np.ndarray) -> np.ndarray:
 
 
 def _factor_sparse(rows):
+    """Factor of a symmetric block given as CSR rows with sorted indexes,
+    eliminated in the given order on the diagonal; its ``solve(rhs)`` solves.
+
+    The block's bandwidth b is the largest i - j of a stored entry (i, j).
+    When its lower triangle stores at least ``_BAND_FILL`` of the |I|(b + 1)
+    entries of its lower band, the band Cholesky factorizes it; otherwise
+    SuperLU does.  The choice reads the block alone.
+    """
+    m = rows.shape[0]
+    below = np.repeat(np.arange(m), np.diff(rows.indptr)) - rows.indices  # i - j
+    lower = below >= 0
+    b = int(below.max(initial=0))
+    if np.count_nonzero(lower) / (m * (b + 1)) < _BAND_FILL:
+        return _superlu(rows)
+    ab = np.zeros((b + 1, m), order="F")  # LAPACK lower band storage: ab[i-j, j] = Q[i,j]
+    ab[below[lower], rows.indices[lower]] = rows.data[lower]
+    return _BandCholesky(ab)
+
+
+class _BandCholesky:
+    """The Cholesky factor of a symmetric block in LAPACK lower band storage.
+
+    ``info`` is ``pbtrf``'s: 0, or the 1-based elimination step whose pivot
+    is not positive, and ``solve`` then raises :class:`FactorizationError`.
+    """
+
+    def __init__(self, ab: np.ndarray):
+        self.c, self.info = _pbtrf(ab, lower=1, overwrite_ab=1)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.info:
+            raise FactorizationError(f"band Cholesky factorization failed (pbtrf info {self.info})")
+        return _pbtrs(self.c, rhs, lower=1)[0]
+
+
+def _superlu(rows):
     """SuperLU factor, in the given order and without pivoting, of a symmetric block
     given as CSR rows with sorted indexes, read as CSC (its transpose, the same)."""
     # Imported on first use, like csgraph: a run that never reaches SuperLU

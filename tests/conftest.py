@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from rasqp import QpProblem, Status, kkt_residual
 
@@ -11,6 +14,11 @@ from rasqp import QpProblem, Status, kkt_residual
 # past failures to replay, so every Tier-1 run tests the same cases.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+# hypothesis still caches what it parses from the loaded modules under its
+# home directory (.hypothesis/ in the working directory by default); one
+# temporary directory per session, removed at exit, keeps the tree clean.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-home-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def rand_spd_problem(n: int, rng: np.random.Generator) -> QpProblem:

@@ -9,7 +9,10 @@ every other test still passes.
 That grid stops at easy n=200, so every block it factors is dense.
 ``tests/data/golden_superlu_runs.json`` records the same fields for ``ras``
 and ``kr`` on easy n=3000, whose blocks Q[I,I] (|I| around 1300) exceed
-``DENSE_THRESHOLD`` and go through SuperLU.
+``DENSE_THRESHOLD`` and were recorded through SuperLU.  Those blocks are
+full bands in the problem's reverse Cuthill-McKee order, so by default they
+take the band Cholesky; the grid runs once with SuperLU forced and once on
+the default rule, against the same file.
 
 Regenerate both files only when a change is meant to alter seeded runs:
 
@@ -23,9 +26,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import rasqp.subsystem
 from rasqp.bench import default_tol, solver_seed_for_trial
 from rasqp.generators import GeneratorSpec, generate
 from rasqp.solvers import (
@@ -100,21 +105,41 @@ def test_seeded_runs_match_golden_file(spec):
         assert _runs(spec, seed) == golden[key], key
 
 
-@pytest.mark.parametrize("spec", SUPERLU_SPECS, ids=_spec_key)
-def test_seeded_superlu_runs_match_golden_file(spec, monkeypatch):
-    splu = scipy.sparse.linalg.splu
-    lu_calls = []
+def _counted(monkeypatch, module, name) -> list:
+    """Record the first argument's shape on each call of ``module.name``."""
+    kernel = getattr(module, name)
+    calls = []
 
-    def counted_splu(*args, **kwargs):
-        lu_calls.append(args[0].shape)
-        return splu(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _check_superlu_grid(spec) -> None:
     golden = json.loads(SUPERLU_GOLDEN.read_text())
     for seed in SUPERLU_SEEDS:
         key = f"{_spec_key(spec)} seed={seed}"
         assert _runs(spec, seed, SUPERLU_SOLVERS) == golden[key], key
+
+
+@pytest.mark.parametrize("spec", SUPERLU_SPECS, ids=_spec_key)
+def test_seeded_superlu_runs_match_golden_file(spec, monkeypatch):
+    monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)  # SuperLU for every block
+    lu_calls = _counted(monkeypatch, scipy.sparse.linalg, "splu")
+    _check_superlu_grid(spec)
     assert lu_calls, "the grid no longer reaches the SuperLU branch"
+
+
+@pytest.mark.parametrize("spec", SUPERLU_SPECS, ids=_spec_key)
+def test_seeded_band_runs_match_the_superlu_golden_file(spec, monkeypatch):
+    band_calls = _counted(monkeypatch, rasqp.subsystem, "_pbtrf")
+    lu_calls = _counted(monkeypatch, scipy.sparse.linalg, "splu")
+    _check_superlu_grid(spec)
+    assert band_calls, "the grid no longer reaches the band Cholesky"
+    assert not lu_calls
 
 
 if __name__ == "__main__":

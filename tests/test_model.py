@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import rasqp.subsystem
+
 from rasqp.model import (
     KktPoint,
     NotPositiveDefiniteError,
@@ -217,21 +219,32 @@ def _zero_diagonal_first_in_rcm():
 
 
 class TestValidateSparse:
-    """A sparse Q is eliminated in its RCM order; ``pivot`` counts those steps."""
+    """A sparse Q is eliminated in its RCM order; ``pivot`` counts those steps.
 
-    @pytest.mark.parametrize("Q, sparse_pivot, dense_pivot", [
+    Each Q here is a full band in that order, so by default the band
+    Cholesky validates it; SuperLU is then forced for its own verdict.
+    """
+
+    @pytest.mark.parametrize("Q, band_pivot, superlu_pivot, dense_pivot", [
         # RCM order (2, 1, 0): pivots 4, 3.75, then -1 - 1/3.75 < 0.
-        ([[-1.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]], 3, 1),
-        # Exactly singular: SuperLU names no step, so the pivot is n.
-        ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 3, 2),
-        (_zero_diagonal_first_in_rcm(), 1, 6),
+        ([[-1.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]], 3, 3, 1),
+        # Exactly singular: the band names the zero pivot's step; SuperLU
+        # names no step, so its pivot is n.
+        ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 2, 3, 2),
+        (_zero_diagonal_first_in_rcm(), 1, 1, 6),
     ], ids=["indefinite", "exactly-singular", "zero-diagonal"])
-    def test_rejection_names_the_rcm_step(self, Q, sparse_pivot, dense_pivot):
+    def test_rejection_names_the_rcm_step(self, Q, band_pivot, superlu_pivot, dense_pivot,
+                                          monkeypatch):
         Q = np.array(Q)
         g = np.zeros(len(Q))
         with pytest.raises(NotPositiveDefiniteError) as exc:
             validate_problem(QpProblem(sp.csc_array(Q), g))
-        assert exc.value.pivot == sparse_pivot
+        assert exc.value.pivot == band_pivot
+        with monkeypatch.context() as m:
+            m.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)  # SuperLU
+            with pytest.raises(NotPositiveDefiniteError) as exc:
+                validate_problem(QpProblem(sp.csc_array(Q), g))
+        assert exc.value.pivot == superlu_pivot
         with pytest.raises(NotPositiveDefiniteError) as exc:
             validate_problem(QpProblem(Q, g))
         assert exc.value.pivot == dense_pivot

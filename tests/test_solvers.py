@@ -433,19 +433,23 @@ class TestFletcherSolve:
         with pytest.raises(ValueError, match="tol must be >= 0"):
             fletcher_solve(QpProblem(Q22, G22), tol=tol)
 
-    @pytest.mark.parametrize("threshold, want", [
+    @pytest.mark.parametrize("band_fill, want", [
         (None, ["4c610f6ad55821438fd0e13eb320b2626ee54ad7d461107953ba41e3ebac85d6",
                 "3f9415ed58020e24e87b0d259c5e49cf330abbd0c2da2fa25ce706e09e8bfffe"]),
-        (0, ["ff326e38a60ed4cbf458488a11f779da51ecc91de64cd77ffe7174c2c46861cf",
-             "610721ae9532b39c406b562bebb5afafb2412968d99d869907ac6cc62dcf90aa"]),
-    ], ids=["factor", "superlu"])
-    def test_pinned_sparse_histories(self, monkeypatch, threshold, want):
+        (np.inf, ["ff326e38a60ed4cbf458488a11f779da51ecc91de64cd77ffe7174c2c46861cf",
+                  "610721ae9532b39c406b562bebb5afafb2412968d99d869907ac6cc62dcf90aa"]),
+        (0.0, ["dafeb00348a4abc46c865bacb67fad25da5975fbcba46cfcdcf370ab9a4d3fc1",
+               "2fdf561cb925ab204c0954599b50c087c0c79acbaf645adf203bb5141b9d59cf"]),
+    ], ids=["factor", "superlu", "band"])
+    def test_pinned_sparse_histories(self, monkeypatch, band_fill, want):
         # A sparse medium instance, once on the updated factor and once with
-        # every nonempty block sent to SuperLU, whose objectives are then
-        # evaluated afresh; the digests were recorded before the objective
-        # was read from the factor's Q x.
-        if threshold is not None:
-            monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", threshold)
+        # every nonempty block sent to the sparse kernels, whose objectives
+        # are then evaluated afresh: SuperLU (digests recorded before the
+        # objective was read from the factor's Q x) or the band Cholesky
+        # (recorded when it was added).
+        if band_fill is not None:
+            monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+            monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", band_fill)
         result = fletcher_solve(gen_medium(60, 0.1, 1e8, 1), record_iterates=True)
         assert (result.status, result.solves) == (Status.OPTIMAL, 35)
         digests = [hashlib.sha256(np.array(h).astype("<f8").tobytes()).hexdigest()

@@ -9,10 +9,19 @@ import rasqp.solvers
 import rasqp.subsystem
 from conftest import rand_spd_problem
 from rasqp.generators import gen_easy, gen_medium
-from rasqp.model import QpProblem, Status, kkt_residual, stationarity_tol, validate_problem
+from rasqp.model import (
+    NotPositiveDefiniteError,
+    QpProblem,
+    Status,
+    kkt_residual,
+    stationarity_tol,
+    validate_problem,
+)
 from rasqp.solvers import fletcher_solve
 from rasqp.subsystem import (
     FactorizationError,
+    _BandCholesky,
+    _factor_sparse,
     _UpdatedCholesky,
     embed_point,
     solve_subsystem,
@@ -26,6 +35,19 @@ def random_partition(n: int, rng: np.random.Generator):
     mask = rng.random(n) < 0.5
     ix = np.arange(n)
     return ix[mask], ix[~mask]
+
+
+def counted_kernel(monkeypatch, name="_potrf") -> list:
+    """Record the first argument's shape on each call of ``rasqp.subsystem.<name>``."""
+    kernel = getattr(rasqp.subsystem, name)
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return kernel(a, *args, **kwargs)
+
+    monkeypatch.setattr(rasqp.subsystem, name, counted)
+    return calls
 
 
 class TestSolveSubsystem:
@@ -180,8 +202,9 @@ class TestSolveSubsystem:
                 np.testing.assert_allclose(a[1], b[1], rtol=1e-12, atol=1e-14)
 
     def test_sparse_lu_path_agrees_with_cholesky(self, monkeypatch):
-        # With the threshold at 0 every nonempty block goes through SuperLU,
-        # in the problem's reverse Cuthill-McKee order.  The reference is the
+        # With the threshold at 0 and the band fill out of reach every
+        # nonempty block goes through SuperLU, in the problem's reverse
+        # Cuthill-McKee order.  The reference is the
         # dense Cholesky of Q[I,I] in the (shuffled) order passed, on a dense
         # pattern, the banded easy family and an unstructured medium matrix.
         rng = np.random.default_rng(11)
@@ -204,6 +227,7 @@ class TestSolveSubsystem:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
         monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", counted_rcm)
         monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
         for p in problems:
             n, Q, g = p.n, p.Q.toarray(), p.g
             for _ in range(3):
@@ -236,6 +260,7 @@ class TestSolveSubsystem:
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
         monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
         for _ in range(3):
             I, A = map(rng.permutation, random_partition(p.n, rng))
             received.clear()
@@ -266,6 +291,7 @@ class TestSolveSubsystem:
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
         monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
         validate_problem(p)
         solve_subsystem(p, np.arange(p.n), [])
         (validated, v_args, v_kwargs), (solved, s_args, s_kwargs) = calls
@@ -273,6 +299,46 @@ class TestSolveSubsystem:
         assert v_kwargs["permc_spec"] == "NATURAL"  # the options reach splu by keyword
         for a, b in zip(validated, solved):
             np.testing.assert_array_equal(a, b)
+
+    def test_validation_factors_q_as_a_band_solve_does(self, monkeypatch):
+        # On the default rule the easy family's Q is a full band, so
+        # validation and a solve with every index inactive hand pbtrf the
+        # same band of Q in its RCM order.
+        p = gen_easy(200, 1.0, seed=4)
+        pbtrf = rasqp.subsystem._pbtrf
+        calls = []
+
+        def spy(ab, *args, **kwargs):
+            calls.append((ab.copy(order="F"), args, kwargs))
+            return pbtrf(ab, *args, **kwargs)
+
+        monkeypatch.setattr(rasqp.subsystem, "_pbtrf", spy)
+        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        validate_problem(p)
+        solve_subsystem(p, np.arange(p.n), [])
+        (validated, v_args, v_kwargs), (solved, s_args, s_kwargs) = calls
+        assert (v_args, v_kwargs) == (s_args, s_kwargs)
+        np.testing.assert_array_equal(validated, solved)
+
+    def test_band_and_superlu_verdicts_name_the_same_pivot(self, monkeypatch):
+        # A banded Q whose diagonal turns negative part way along: both
+        # kernels eliminate in the RCM order on the diagonal, so they stop
+        # at the same step.
+        n = 40
+        diag = np.full(n, 4.0)
+        diag[[5, 17, 30]] = -3.0
+        p = QpProblem(sp.diags_array([np.ones(n - 2), np.ones(n - 1), diag, np.ones(n - 1),
+                                      np.ones(n - 2)], offsets=[-2, -1, 0, 1, 2]).tocsc(),
+                      np.zeros(n))
+        pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
+        with pytest.raises(NotPositiveDefiniteError) as band:
+            validate_problem(p)
+        assert pbtrf_calls == [(3, n)]
+        monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
+        with pytest.raises(NotPositiveDefiniteError) as superlu:
+            validate_problem(p)
+        assert pbtrf_calls == [(3, n)]
+        assert band.value.pivot == superlu.value.pivot > 1
 
     def test_sparse_densified_path_matches_direct_cholesky(self):
         # A small sparse block is scattered into a dense Q[I,I]: the factor
@@ -311,6 +377,69 @@ class TestSolveSubsystem:
             solve_subsystem(p, [1], [0])
 
 
+class TestBandCholesky:
+    """Sparse blocks above the threshold whose band is full enough."""
+
+    @staticmethod
+    def dense_reference(p, I, A):
+        Q, g = p.Q.toarray(), p.g
+        x_I = sla.cho_solve(sla.cho_factor(Q[np.ix_(I, I)], lower=True), -g[I])
+        return x_I, Q[np.ix_(A, I)] @ x_I + g[A]
+
+    def test_easy_blocks_agree_with_dense_cholesky(self, monkeypatch):
+        # The easy family's blocks take the band kernel on the default rule,
+        # one pbtrf per solve, and x_I and s_A follow the shuffled order of
+        # I and A.
+        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
+        rng = np.random.default_rng(13)
+        for p in (gen_easy(150, 1.0, seed=2), gen_easy(200, 1e-10, seed=3)):
+            for _ in range(3):
+                I, A = map(rng.permutation, random_partition(p.n, rng))
+                pbtrf_calls.clear()
+                x_I, s_A = solve_subsystem(p, I, A)
+                assert len(pbtrf_calls) == 1 and pbtrf_calls[0][1] == len(I)
+                x_ref, s_ref = self.dense_reference(p, I, A)
+                np.testing.assert_allclose(x_I, x_ref, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(s_A, s_ref, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("I", [[1], [4, 0, 2]], ids=["1x1", "bandwidth-0"])
+    def test_smallest_bands(self, I, monkeypatch):
+        # A 1x1 block and a diagonal one: a band of one row, solved to
+        # round-off (the factor divides by sqrt(Q[i,i]) twice).
+        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
+        diag = np.array([2.0, 4.0, 8.0, 3.0, 0.5])
+        Q = np.diag(diag)
+        Q[3, 1] = Q[1, 3] = 1.0  # only off the blocks
+        p = QpProblem(sp.csc_array(Q), [-2.0, -4.0, 1.0, 6.0, -1.0])
+        I = np.array(I)
+        A = np.setdiff1d(np.arange(5), I)
+        x_I, s_A = solve_subsystem(p, I, A)
+        assert pbtrf_calls == [(1, len(I))]
+        np.testing.assert_allclose(x_I, -p.g[I] / diag[I], rtol=4e-16, atol=0)
+        np.testing.assert_allclose(s_A, self.dense_reference(p, I, A)[1], rtol=4e-16, atol=0)
+
+    def test_indefinite_band_raises(self, monkeypatch):
+        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        Q = sp.diags_array([np.ones(9), [4.0, 4.0, 4.0, -1.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0],
+                            np.ones(9)], offsets=[-1, 0, 1]).tocsc()
+        p = QpProblem(Q, np.ones(10))
+        with pytest.raises(FactorizationError, match="pbtrf"):
+            solve_subsystem(p, np.arange(10), [])
+
+    def test_rule_keeps_superlu_for_a_holey_band(self):
+        # In its RCM order the easy family's Q is a band a quarter full, the
+        # medium family's at density 0.002 one with about 2% of its band
+        # stored: the first takes the band kernel, the second SuperLU.
+        for p, band in ((gen_easy(3000, 1.0, seed=0), True),
+                        (gen_medium(3000, 0.002, 1e4, seed=0), False)):
+            order = np.argsort(rasqp.subsystem._rcm_rank(p))
+            factor = _factor_sparse(p.Q[:, order].tocsr()[order])
+            assert isinstance(factor, _BandCholesky) is band
+            assert isinstance(factor, scipy.sparse.linalg.SuperLU) is not band
+
+
 class TestUpdatedCholesky:
     """The factor fletcher keeps between solves gives the fresh answer."""
 
@@ -321,18 +450,6 @@ class TestUpdatedCholesky:
             B[rng.random((n, n)) < 0.8] = 0.0
         Q = B @ B.T / n + np.eye(n)
         return QpProblem(sp.csc_array(Q) if sparse else Q, rng.standard_normal(n))
-
-    @staticmethod
-    def counted_potrf(monkeypatch) -> list:
-        potrf = rasqp.subsystem._potrf
-        calls = []
-
-        def counted(a, *args, **kwargs):
-            calls.append(a.shape)
-            return potrf(a, *args, **kwargs)
-
-        monkeypatch.setattr(rasqp.subsystem, "_potrf", counted)
-        return calls
 
     @staticmethod
     def assert_fresh_answer(p, I, A, factor):
@@ -353,7 +470,7 @@ class TestUpdatedCholesky:
         n = 30
         p = self.well_conditioned(n, sparse, rng)
         Q = p.dense_q()
-        potrf_calls = self.counted_potrf(monkeypatch)
+        potrf_calls = counted_kernel(monkeypatch)
         inactive = rng.random(n) < 0.5
         moves = [*rng.permutation(np.flatnonzero(inactive)), *rng.permutation(n),
                  *rng.integers(0, n, 60)]
@@ -379,7 +496,7 @@ class TestUpdatedCholesky:
         # back to a fresh factor of Q[I,I].
         rng = np.random.default_rng(43)
         p = self.well_conditioned(12, False, rng)
-        potrf_calls = self.counted_potrf(monkeypatch)
+        potrf_calls = counted_kernel(monkeypatch)
         factor = _UpdatedCholesky()
         solve_subsystem(p, np.arange(5), np.arange(5, 12), factor=factor)
         trtrs = rasqp.subsystem._trtrs
@@ -417,9 +534,11 @@ class TestUpdatedCholesky:
         self.assert_fresh_answer(p, [0, 2], [1], factor)
 
     def test_large_sparse_blocks_keep_superlu(self, monkeypatch):
-        # Above the threshold a sparse block takes the SuperLU path, the
-        # same as without a factor: one splu per nonempty block.
+        # Above the threshold a sparse block takes the sparse kernels, the
+        # same as without a factor: with SuperLU forced, one splu per
+        # nonempty block.
         monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
         splu = scipy.sparse.linalg.splu
         solve = rasqp.solvers.solve_subsystem
         lu_calls, sizes = [], []

@@ -65,14 +65,22 @@ def test_solver_calls_reach_the_wrappers(tracer, solve, cfg, expected):
 
 
 def test_sparse_factor_reaches_the_splu_wrapper(tracer, monkeypatch):
-    """A large sparse block is factorized through ``scipy.sparse.linalg.splu``.
+    """A large sparse block that SuperLU factorizes goes through
+    ``scipy.sparse.linalg.splu``.
 
     The tracer reads ``subsystem.sparse_factor_s`` from the ``splu`` spans,
     so the factor must be called through that attribute.  The reverse
     Cuthill-McKee ordering is not an entry point: its one-off cost per
     problem lands in the ``solve_subsystem`` self time, ``subsystem.gather_s``.
+
+    SuperLU is forced here.  By default a block whose band is full enough
+    takes the band Cholesky instead, whose ``pbtrf``/``pbtrs`` calls the
+    tracer does not wrap: on the easy family, where every block is such a
+    band, ``subsystem.sparse_factor_s`` then falls and ``subsystem.gather_s``
+    holds the band factor's time, as it holds fletcher's updated factor.
     """
     monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+    monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
     problem = gen_easy(200, 1.0, seed=1)
     cfg = RasConfig(seed=3)
     untraced = ras_solve(problem, cfg)
