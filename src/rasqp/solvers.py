@@ -151,38 +151,34 @@ def _initial_sets(n: int, initial_A):
 
 
 class _RunRecorder:
-    """Accumulates the per-solve metrics every solver reports; the trace has
-    one row per solve, so it also counts them."""
+    """Accumulates the per-solve metrics every solver reports; ``rows`` has
+    one plain tuple per solve, so it also counts them, and :meth:`result`
+    turns them into :class:`~rasqp.model.TraceRow` records once, at the end
+    of the run."""
 
     def __init__(self, record_sets: bool):
         self.t0 = time.perf_counter()
-        self.trace: list[TraceRow] = []
+        self.rows: list[tuple] = []  # (n_im, n_am, |I|, elapsed_s) per solve
         self.sets: list[np.ndarray] | None = [] if record_sets else None
 
     def note(self, I: np.ndarray, n_im: int, n_am: int) -> None:
         """Count one solve on inactive set ``I`` with ``n_im``/``n_am`` infeasible."""
-        self.trace.append(
-            TraceRow(
-                iteration=len(self.trace) + 1,
-                n_im=int(n_im),
-                n_am=int(n_am),
-                subsystem_size=len(I),
-                elapsed_s=time.perf_counter() - self.t0,
-            )
-        )
+        self.rows.append((n_im, n_am, len(I), time.perf_counter() - self.t0))
         if self.sets is not None:
             self.sets.append(I)
 
     def result(self, problem: QpProblem, point: KktPoint, status: Status,
                **extra) -> SolveResult:
-        solves = len(self.trace)
+        trace = tuple(TraceRow(k, int(n_im), int(n_am), size, elapsed)
+                      for k, (n_im, n_am, size, elapsed) in enumerate(self.rows, 1))
+        solves = len(trace)
         return SolveResult(
             point=point,
             status=status,
             solves=solves,
-            avg_subsystem_size=(sum(row.subsystem_size for row in self.trace) / solves
+            avg_subsystem_size=(sum(row.subsystem_size for row in trace) / solves
                                 if solves else 0.0),
-            trace=tuple(self.trace),
+            trace=trace,
             objective=objective(problem, point.x),
             inactive_sets=tuple(self.sets) if self.sets is not None else None,
             **extra,
@@ -217,7 +213,7 @@ def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
         rec.note(I, n_im, n_inf - n_im)
         if n_inf == 0:
             return rec.result(problem, point, Status.OPTIMAL)
-        if len(rec.trace) >= cfg.max_solves:
+        if len(rec.rows) >= cfg.max_solves:
             return rec.result(problem, point, cap_status)
         chosen = select(point, infeasible, inactive)
         if isinstance(chosen, Status):
@@ -356,7 +352,7 @@ def fletcher_solve(
         blocking = x_I < 0.0
         n_am = np.count_nonzero(s_A < -tol)
         rec.note(I, np.count_nonzero(blocking), n_am)
-        if len(rec.trace) >= 10 * n * n:
+        if len(rec.rows) >= 10 * n * n:
             return stop(Status.ITERATION_CAP, embed_point(n, I, A, x_I, s_A).s)
         if blocking.any():  # step to the blocking index
             current = x[I]

@@ -57,7 +57,12 @@ gathers Q once, in one of four ways.
 
 The densified Q[I,I] is a temporary, so the Cholesky factorizes it in
 place, handed whichever of the block and its transpose (the same matrix, by
-symmetry) is in Fortran order, so LAPACK works on it without a copy.
+symmetry) is in Fortran order, so LAPACK works on it without a copy.  The
+fresh dense path and the kept factor below both call LAPACK ``potrf`` and
+``potrs`` directly, through one binding: on blocks of a few dozen rows,
+SciPy's ``cho_factor``/``cho_solve`` wrappers cost more than the LAPACK work
+they wrap.  A ``potrf`` info k > 0, the 1-based step whose pivot is not
+positive, raises :class:`FactorizationError` naming k.
 
 :func:`~rasqp.model.validate_problem` is the kernels' second caller: it
 factorizes a whole dense Q with ``_potrf`` and a whole sparse Q with
@@ -203,8 +208,9 @@ class _UpdatedCholesky:
     ``order`` (-1 off it, ``None`` while there is no factor).  Nothing else
     of Q is kept: an append reads row j of a dense Q or column j of a sparse
     one (the same vector, by symmetry), and s is Q x + g with x zero off I,
-    as on the fresh sparse path.  LAPACK is called directly, since at these
-    sizes SciPy's wrappers cost about as much as the update.
+    as on the fresh sparse path.  LAPACK is called directly, as on the
+    fresh dense path and for the same reason: at these sizes SciPy's
+    wrappers cost about as much as the LAPACK work.
 
     ``qx`` is the product Q x of the last solve, with x zero off I, so a
     caller can read x'Qx without a second product; it is ``None`` before
@@ -259,9 +265,7 @@ class _UpdatedCholesky:
             Q = problem.Q  # dense Q[I,I] as on the fresh path; symmetric, so .T is itself
             block = (_csc_block(Q, I) if problem.is_sparse
                      else Q.take(I, axis=0).take(I, axis=1).T)
-            L, info = _potrf(block, lower=1, clean=1, overwrite_a=1)
-            if info != 0:
-                raise FactorizationError(f"Cholesky factorization failed (potrf info {info})")
+            L = _cholesky(block, clean=1)
         self.L = L
         self.order = I.copy()
         self.pos = np.full(problem.n, -1, dtype=np.int64)
@@ -344,11 +348,17 @@ def _rcm_rank(problem: QpProblem) -> np.ndarray:
 def _dense_solve(qii: np.ndarray, g_I: np.ndarray) -> np.ndarray:
     """Factorize the symmetric temporary ``qii`` in place and solve."""
     fortran = qii if qii.flags.f_contiguous else qii.T  # the same matrix
-    try:
-        c = sla.cho_factor(fortran, lower=True, overwrite_a=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise FactorizationError(str(exc)) from exc
-    return _finite(sla.cho_solve(c, -g_I, check_finite=False))
+    return _finite(_potrs(_cholesky(fortran, clean=0), -g_I, lower=1)[0])
+
+
+def _cholesky(block: np.ndarray, clean: int) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric ``block``, in place when it is in
+    Fortran order; ``clean`` zeroes the upper triangle, which ``potrs`` does
+    not read."""
+    c, info = _potrf(block, lower=1, clean=clean, overwrite_a=1)
+    if info != 0:  # > 0: the 1-based step whose pivot is not positive
+        raise FactorizationError(f"Cholesky factorization failed (potrf info {info})")
+    return c
 
 
 def _factor_sparse(rows):

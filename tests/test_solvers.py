@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import rasqp.subsystem
 from conftest import assert_certificate, rand_spd_problem
 from rasqp.engine import ChangeProbabilities
 from rasqp.generators import gen_hard, gen_medium
-from rasqp.model import QpProblem, Status, objective
+from rasqp.model import QpProblem, Status, TraceRow, objective
 from rasqp.solvers import (
     DimensionTooLargeError,
     GenericRasConfig,
@@ -167,6 +168,36 @@ class TestMetricBookkeeping:
             s_A = Q[np.ix_(A, I)] @ x_I + g[A]
             assert (row.n_im, row.n_am) == ((x_I <= 0.0).sum(), (s_A < -tol).sum())
             assert row.subsystem_size == len(I)
+
+    def test_trace_rows_are_the_rows_each_solve_noted(self, monkeypatch):
+        # The recorder stores a plain tuple per solve and builds the rows at
+        # the end of the run.  Each row must equal, field by field, the row
+        # built when the solve was noted, with elapsed_s stamped then.
+        note = rasqp.solvers._RunRecorder.note
+        noted = []
+
+        def spy(rec, I, n_im, n_am):
+            before = time.perf_counter() - rec.t0
+            note(rec, I, n_im, n_am)
+            after = time.perf_counter() - rec.t0
+            noted.append((TraceRow(iteration=len(noted) + 1, n_im=int(n_im), n_am=int(n_am),
+                                   subsystem_size=len(I), elapsed_s=0.0), before, after))
+
+        monkeypatch.setattr(rasqp.solvers._RunRecorder, "note", spy)
+        problem = gen_hard(30, 1e8, seed=2)
+        for name, solve in (("ras", lambda: ras_solve(problem, RasConfig(seed=1))),
+                            ("generic", lambda: generic_ras_solve(problem, GenericRasConfig(seed=1))),
+                            ("kr", lambda: kr_solve(problem, KrConfig())),
+                            ("fletcher", lambda: fletcher_solve(problem))):
+            result = solve()
+            assert len(result.trace) == len(noted) == result.solves > 2, name
+            for row, (old, before, after) in zip(result.trace, noted):
+                assert type(row) is TraceRow
+                for f in ("iteration", "n_im", "n_am", "subsystem_size"):
+                    assert getattr(row, f) == getattr(old, f), (name, f)
+                    assert type(getattr(row, f)) is int, (name, f)
+                assert type(row.elapsed_s) is float and before <= row.elapsed_s <= after
+            noted.clear()
 
     def test_record_sets(self):
         result = ras_solve(QpProblem(Q22, G22), RasConfig(seed=1, record_sets=True))

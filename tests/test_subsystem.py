@@ -21,6 +21,7 @@ from rasqp.solvers import fletcher_solve
 from rasqp.subsystem import (
     FactorizationError,
     _BandCholesky,
+    _dense_solve,
     _factor_sparse,
     _UpdatedCholesky,
     embed_point,
@@ -37,7 +38,7 @@ def random_partition(n: int, rng: np.random.Generator):
     return ix[mask], ix[~mask]
 
 
-def counted_kernel(monkeypatch, name="_potrf") -> list:
+def counted_kernel(monkeypatch, name: str) -> list:
     """Record the first argument's shape on each call of ``rasqp.subsystem.<name>``."""
     kernel = getattr(rasqp.subsystem, name)
     calls = []
@@ -47,6 +48,20 @@ def counted_kernel(monkeypatch, name="_potrf") -> list:
         return kernel(a, *args, **kwargs)
 
     monkeypatch.setattr(rasqp.subsystem, name, counted)
+    return calls
+
+
+def counted_refactors(monkeypatch) -> list:
+    """Record |I| on each call of ``_UpdatedCholesky._refactor``: the kept
+    factor's own fresh factorizations, not the fresh path's."""
+    refactor = _UpdatedCholesky._refactor
+    calls = []
+
+    def counted(self, problem, I):
+        calls.append(len(I))
+        return refactor(self, problem, I)
+
+    monkeypatch.setattr(_UpdatedCholesky, "_refactor", counted)
     return calls
 
 
@@ -377,6 +392,35 @@ class TestSolveSubsystem:
             solve_subsystem(p, [1], [0])
 
 
+class TestDenseKernel:
+    """The fresh dense path: LAPACK potrf/potrs on the densified block."""
+
+    @pytest.mark.parametrize("m", [1, 2, 45, 300])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_scipy_cholesky_bit_for_bit(self, m, order):
+        rng = np.random.default_rng(m)
+        B = rng.standard_normal((m, m))
+        S = B @ B.T + m * np.eye(m)
+        qii = np.array((S + S.T) / 2, order=order)  # exactly symmetric
+        g_I = rng.standard_normal(m)
+        ref = sla.cho_solve(sla.cho_factor(qii, lower=True), -g_I)  # on a copy of qii
+        x_I = _dense_solve(qii, g_I)  # overwrites qii
+        assert x_I.dtype == ref.dtype and x_I.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_indefinite_block_names_the_potrf_pivot(self, sparse):
+        # The second pivot is -1 - 1/4 < 0 in either order of the indexes,
+        # so validation, which orders a sparse Q by reverse Cuthill-McKee,
+        # names the same step as a solve in the natural order.
+        Q = np.array([[4.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 4.0]])
+        p = QpProblem(sp.csc_array(Q) if sparse else Q, np.ones(3))
+        with pytest.raises(FactorizationError, match=r"\(potrf info 2\)"):
+            solve_subsystem(p, np.arange(3), [])
+        with pytest.raises(NotPositiveDefiniteError) as verdict:
+            validate_problem(p)
+        assert verdict.value.pivot == 2
+
+
 class TestBandCholesky:
     """Sparse blocks above the threshold whose band is full enough."""
 
@@ -464,13 +508,14 @@ class TestUpdatedCholesky:
     def test_appends_and_deletes_match_fresh_solves(self, sparse, monkeypatch):
         # Shrink to an empty I one index at a time, grow back to all of
         # {0..n-1}, then toggle random indexes; I and A come in shuffled
-        # order, from the first solve on.  Only the first solve factorizes,
-        # every later one updates.
+        # order, from the first solve on.  Only the first solve refactors,
+        # every later one updates (the fresh reference solves factor too,
+        # so the factor's refactors are counted, not potrf calls).
         rng = np.random.default_rng(41)
         n = 30
         p = self.well_conditioned(n, sparse, rng)
         Q = p.dense_q()
-        potrf_calls = counted_kernel(monkeypatch)
+        refactors = counted_refactors(monkeypatch)
         inactive = rng.random(n) < 0.5
         moves = [*rng.permutation(np.flatnonzero(inactive)), *rng.permutation(n),
                  *rng.integers(0, n, 60)]
@@ -489,21 +534,21 @@ class TestUpdatedCholesky:
             np.testing.assert_allclose(factor.L, np.linalg.cholesky(Q[np.ix_(order, order)]),
                                        rtol=0, atol=1e-12)
         assert 0 in sizes and n in sizes
-        assert len(potrf_calls) == 1
+        assert len(refactors) == 1
 
     def test_nonpositive_pivot_refactors(self, monkeypatch):
         # An append whose new pivot comes out <= 0 in floating point falls
         # back to a fresh factor of Q[I,I].
         rng = np.random.default_rng(43)
         p = self.well_conditioned(12, False, rng)
-        potrf_calls = counted_kernel(monkeypatch)
+        refactors = counted_refactors(monkeypatch)
         factor = _UpdatedCholesky()
         solve_subsystem(p, np.arange(5), np.arange(5, 12), factor=factor)
         trtrs = rasqp.subsystem._trtrs
         monkeypatch.setattr(rasqp.subsystem, "_trtrs",
                             lambda *args, **kwargs: (1e3 * trtrs(*args, **kwargs)[0], 0))
         self.assert_fresh_answer(p, np.arange(6), np.arange(6, 12), factor)
-        assert potrf_calls == [(5, 5), (6, 6)]
+        assert refactors == [5, 6]
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_keeps_the_product_of_the_last_solve(self, sparse, monkeypatch):

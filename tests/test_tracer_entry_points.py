@@ -50,15 +50,20 @@ def test_every_entry_point_exists_on_its_home_module(tracer):
     (kr_solve, KrConfig(), {"classify", "next_sets"}),
 ])
 def test_solver_calls_reach_the_wrappers(tracer, solve, cfg, expected):
+    """Every solve of an exchange solver is one ``solve_subsystem`` call
+    through the module attribute, so the traced solve count matches the
+    solver's own.  The dense kernel calls LAPACK ``potrf``/``potrs``
+    directly and has no span of its own: its time lands in the
+    ``solve_subsystem`` self time, as fletcher's factor and the band
+    Cholesky's do, and SciPy's Cholesky wrappers are never reached."""
     problem = gen_hard(20, 1e6, seed=1)
     untraced = solve(problem, cfg)
     t = tracer.Tracer()
     with t.installed():
         traced = solve(problem, cfg)
     names = {span[0] for span in t.spans}
-    # A dense Q is factorized through scipy.linalg's attributes, so a
-    # rewrite that calls LAPACK another way loses the factor/solve spans.
-    assert expected | {"solve_subsystem", "embed_point", "cho_factor", "cho_solve"} <= names
+    assert expected | {"solve_subsystem", "embed_point"} <= names
+    assert not names & {"cho_factor", "cho_solve"}
     assert (traced.status, traced.solves) == (untraced.status, untraced.solves)
     assert sum(span[0] == "solve_subsystem" for span in t.spans) == untraced.solves
     np.testing.assert_array_equal(traced.point.x, untraced.point.x)
