@@ -32,6 +32,7 @@ draws, so every seeded run is reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,10 +182,12 @@ def exchange_asymmetry_montecarlo(samples: int, rng: np.random.Generator, *,
     yields a mean of 0.0; with fewer than two qualifying samples on either
     side the standard error is +inf.  E(N1) < E(N2) strictly unless Q12 is
     identically zero (``diagonal_only=True`` forces Q12 = 0, making both
-    means exactly 0).
+    means exactly 0).  ``samples`` must be an integer >= 1 (a ``bool`` is
+    not one); anything else raises ``ValueError``.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    # A bool is an Integral too, but True is no sample count.
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, not {samples!r}")
     sum1 = sum2 = sq1 = sq2 = 0.0
     m1 = m2 = 0
     remaining = samples

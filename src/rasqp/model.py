@@ -51,17 +51,16 @@ class NotSymmetricError(ValueError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Raised when the factorization of Q fails (see :func:`validate_problem`).
+    """Raised when Q is not positive definite (see :func:`validate_problem`).
 
     Attributes
     ----------
     pivot : int
-        1-based order of the leading minor that is not positive definite.
-        For a dense Q that is the LAPACK ``info`` value from ``dpotrf``; for
-        a sparse Q it counts elimination steps in the problem's reverse
-        Cuthill-McKee order (the band Cholesky's ``dpbtrf`` ``info``, or
-        SuperLU's first pivot that is moved or not positive), and is n when
-        SuperLU reports the matrix exactly singular without naming a step.
+        The 1-based elimination step whose pivot is not positive, in the
+        order :func:`validate_problem` eliminates Q: the natural order for a
+        dense Q, the problem's reverse Cuthill-McKee order for a sparse one.
+        It is the ``pivot`` of the :class:`~rasqp.subsystem.FactorizationError`
+        the factor raised, which :mod:`rasqp.subsystem` defines per kernel.
     """
 
     def __init__(self, pivot: int):
@@ -86,9 +85,15 @@ def _symmetrize(Q):
     return (Q + Q.T) * 0.5
 
 
-def _require_finite(values: np.ndarray, name: str) -> None:
-    if not np.isfinite(values).all():
+def _real_array(values, name: str, convert=np.asarray):
+    """``convert(values, dtype=float64)``, raising ValueError naming the field
+    for a complex input or a NaN or infinite entry (stored, when sparse)."""
+    if np.iscomplexobj(values):  # the cast would drop the imaginary part
+        raise ValueError(f"{name} must be real, not complex")
+    values = convert(values, dtype=np.float64)
+    if not np.isfinite(values.data if sp.issparse(values) else values).all():
         raise ValueError(f"{name} has a NaN or infinite entry")
+    return values
 
 
 def _require_seed(value, name: str) -> None:
@@ -111,9 +116,9 @@ class QpProblem:
     g : (n,) array_like
         Linear term.
 
-    A NaN or infinite entry in Q (dense, or stored sparse) or g raises
-    ``ValueError``, and so does an entry of Q above half the largest double
-    in magnitude, for which (Q + Q')/2 would overflow.
+    A complex Q or g, and a NaN or infinite entry in Q (dense, or stored
+    sparse) or g, raise ``ValueError``, and so does an entry of Q above half
+    the largest double in magnitude, for which (Q + Q')/2 would overflow.
 
     Dense inputs are stored as read-only ``float64`` arrays, sparse inputs in
     CSC form.  Instances are treated as immutable and may be shared across
@@ -127,16 +132,14 @@ class QpProblem:
     __slots__ = ("n", "Q", "g", "is_sparse", "_rcm_rank")
 
     def __init__(self, Q, g):
-        g = np.asarray(g, dtype=np.float64).reshape(-1)
+        g = _real_array(g, "g").reshape(-1)
         n = g.shape[0]
         if n < 1:
             raise ValueError("g must have length >= 1")
-        _require_finite(g, "g")
         self.is_sparse = sp.issparse(Q)
-        Q = (sp.csc_array if self.is_sparse else np.asarray)(Q, dtype=np.float64)
+        Q = _real_array(Q, "Q", sp.csc_array if self.is_sparse else np.asarray)
         if Q.shape != (n, n):
             raise ValueError(f"Q has shape {Q.shape}, expected ({n}, {n})")
-        _require_finite(Q.data if self.is_sparse else Q, "Q")
         if self.is_sparse:
             Q = sp.csc_array(_symmetrize(Q))
             Q.sort_indices()
@@ -277,41 +280,25 @@ def validate_problem(problem: QpProblem) -> None:
     """Check storage-level symmetry and positive definiteness of Q.
 
     Raises :class:`NotSymmetricError` or :class:`NotPositiveDefiniteError`
-    (carrying the 1-based failing leading minor).  Q is factorized by the
-    kernels of :mod:`rasqp.subsystem`: a dense Q by Cholesky on a copy, and
-    a sparse Q, never densified, as a solve of a sparse block would, in its
-    reverse Cuthill-McKee order (cached on the problem), on the diagonal
-    and without pivoting: by a band Cholesky when Q is a full enough band
-    in that order, by SuperLU otherwise, under the rule the solves use.  A
-    symmetric matrix is positive definite iff every pivot of that
-    elimination is positive, so Q is rejected at the first step whose pivot
-    is not: the step where the band Cholesky stops, or where SuperLU would
-    leave the diagonal (a zero pivot moves it), or when SuperLU finds Q
-    exactly singular.  Intended for setup-time validation, not inner loops.
+    (carrying the 1-based failing pivot).  A symmetric matrix is positive
+    definite iff every pivot of its elimination on the diagonal is positive,
+    so Q is factorized once, by the kernels of :mod:`rasqp.subsystem` and
+    under the rule its solves use: a dense Q by Cholesky on a copy, a sparse
+    Q, never densified, in its reverse Cuthill-McKee order (cached on the
+    problem), as a solve of a sparse block would.  Q is rejected at the step
+    the factor names.  Intended for setup-time validation, not inner loops.
     """
     # Imported here: subsystem imports this module.
-    from .subsystem import FactorizationError, _BandCholesky, _factor_sparse, _potrf, _rcm_rank
+    from .subsystem import FactorizationError, _cholesky, _factor_sparse, _rcm_rank
 
     Q = problem.Q
     if (Q != Q.T).sum():  # the same test on dense and sparse storage
         raise NotSymmetricError("Q is not symmetric at storage level")
-    if problem.is_sparse:
-        order = np.argsort(_rcm_rank(problem))
-        try:
-            lu = _factor_sparse(Q[:, order].tocsr()[order])  # Q in RCM order, row by row
-        except FactorizationError:  # exactly singular; SuperLU names no step
-            raise NotPositiveDefiniteError(problem.n) from None
-        if isinstance(lu, _BandCholesky):
-            if lu.info:
-                raise NotPositiveDefiniteError(lu.info)
-            return
-        # A moved pivot or one that is not > 0 (NaN included) fails.
-        bad = (lu.perm_r != np.arange(problem.n)) | ~(lu.U.diagonal() > 0.0)
-        if bad.any():
-            raise NotPositiveDefiniteError(np.argmax(bad) + 1)
-        return
-    _, info = _potrf(Q, lower=1, clean=0)  # on a copy; info > 0 is the failing minor
-    if info > 0:
-        raise NotPositiveDefiniteError(info)
-    if info < 0:
-        raise ValueError(f"illegal value passed to dpotrf (argument {-info})")
+    try:
+        if problem.is_sparse:
+            order = np.argsort(_rcm_rank(problem))
+            _factor_sparse(Q[:, order].tocsr()[order])  # Q in RCM order, row by row
+        else:
+            _cholesky(Q.copy(order="F"), clean=0)
+    except FactorizationError as exc:
+        raise NotPositiveDefiniteError(exc.pivot) from exc

@@ -14,7 +14,9 @@ Line-oriented format; only a line feed ends a line, ``#`` starts a comment::
 
 Blank lines are ignored, and the carriage return of a CRLF reads as
 whitespace.  A ``dense`` section instead holds n rows of n whitespace-separated
-numbers.  If a coo file lists both (i, j) and (j, i), the two values must agree
+numbers; Q is built only once all n rows are read, so a file that declares
+a large n but does not hold it fails on the line where it falls short.  If
+a coo file lists both (i, j) and (j, i), the two values must agree
 exactly; listing the same cell twice is an error.  Every number must be
 finite: ``nan`` and ``inf`` are rejected on the line that holds them.  A
 coo section becomes a sparse matrix straight from its entries, with no
@@ -146,15 +148,17 @@ def _parse_float(line_no: int, token: str) -> float:
 
 
 def _parse_dense(lines, n: int, end: int) -> np.ndarray:
-    Q = np.empty((n, n))
+    # Q is built once all n rows are read, so a declared n that the file
+    # does not back allocates nothing of size n * n.
+    rows = []
     for i in range(n):
         line_no, tokens = next(lines, (end, None))
         if tokens is None:
             raise ProblemFileError(end, f"dense matrix ends after {i} of {n} rows")
         if len(tokens) != n:
             raise ProblemFileError(line_no, f"matrix row has {len(tokens)} entries, expected {n}")
-        Q[i] = [_parse_float(line_no, t) for t in tokens]
-    return Q
+        rows.append(np.array([_parse_float(line_no, t) for t in tokens]))
+    return np.vstack(rows)
 
 
 def _parse_coo(header_line: int, header_tokens: list[str], lines, n: int,

@@ -61,13 +61,20 @@ symmetry) is in Fortran order, so LAPACK works on it without a copy.  The
 fresh dense path and the kept factor below both call LAPACK ``potrf`` and
 ``potrs`` directly, through one binding: on blocks of a few dozen rows,
 SciPy's ``cho_factor``/``cho_solve`` wrappers cost more than the LAPACK work
-they wrap.  A ``potrf`` info k > 0, the 1-based step whose pivot is not
-positive, raises :class:`FactorizationError` naming k.
+they wrap.
 
-:func:`~rasqp.model.validate_problem` is the kernels' second caller: it
-factorizes a whole dense Q with ``_potrf`` and a whole sparse Q with
-``_factor_sparse``, which holds the choice between the band Cholesky and
-the only SuperLU call, as a solve of a sparse block would.
+A block is positive definite iff every pivot of its elimination on the
+diagonal is positive, and each kernel gives that one verdict itself, at
+factor time: it raises :class:`FactorizationError` whose ``pivot`` is the
+1-based step whose pivot is not positive.  That step is ``potrf``'s or
+``pbtrf``'s ``info``, or SuperLU's first pivot that is moved off the
+diagonal or is not positive, or |I| when SuperLU finds the block exactly
+singular without naming a step.  So which kernel factors a block, a choice
+of speed alone, never decides whether a run goes on.  A solve whose x_I or
+s_A comes out non-finite raises it too, with ``pivot`` ``None``.
+:func:`~rasqp.model.validate_problem` factors the whole of Q with the same
+kernels, a sparse Q through ``_factor_sparse`` as a solve of a sparse block
+would, and reports the same step.
 
 A solver that moves one index per solve passes a factor it keeps between
 calls instead (``fletcher_solve`` does).  The factor holds the Cholesky
@@ -119,7 +126,15 @@ _BAND_FILL = 0.1
 
 
 class FactorizationError(RuntimeError):
-    """The subsystem matrix could not be factorized (numerically indefinite)."""
+    """The subsystem matrix is not positive definite in floating point.
+
+    ``pivot`` is the 1-based elimination step whose pivot is not positive,
+    or ``None`` when no step is named (a solve that came out non-finite).
+    """
+
+    def __init__(self, message: str, pivot: int | None = None):
+        super().__init__(message)
+        self.pivot = pivot
 
 
 def _indexes(v) -> np.ndarray:
@@ -161,9 +176,11 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> tuple[np.ndarra
     still goes through the sparse kernels and makes the next solve
     refactor.
 
-    Raises :class:`FactorizationError` when the factorization fails or x_I
-    or s_A comes out non-finite (an overflow on a nearly singular Q[I,I]);
-    neither can happen in exact arithmetic for a positive definite Q.
+    Raises :class:`FactorizationError` when Q[I,I] is not positive definite
+    in floating point, whichever kernel factors it, with ``pivot`` the failed
+    step in the kernel's order, or when x_I or s_A comes out non-finite (an
+    overflow on a nearly singular Q[I,I]), with ``pivot`` ``None``; neither
+    can happen in exact arithmetic for a positive definite Q.
     """
     I = _indexes(I)
     A = _indexes(A)
@@ -191,7 +208,7 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> tuple[np.ndarra
         order = np.argsort(_rcm_rank(problem)[I])
         J = I[order]  # I in the problem's fill-reducing order
         cols = Q[:, J].tocsr()  # the columns J row by row, reused for Q[J,J] and s_A
-        y = _finite(_factor_sparse(cols[J]).solve(-g[J]))
+        y = _finite(_factor_sparse(cols[J])(-g[J]))
         x_I = np.empty_like(y)
         x_I[order] = y
         s_A = (cols @ y + g)[A]
@@ -218,8 +235,7 @@ class _UpdatedCholesky:
     """
 
     def __init__(self):
-        self.pos = None  # no factor until the first solve
-        self.qx = None
+        self.clear()  # no factor until the first solve
 
     def clear(self) -> None:
         """Forget the factor and its product, so the next solve refactors."""
@@ -356,14 +372,22 @@ def _cholesky(block: np.ndarray, clean: int) -> np.ndarray:
     Fortran order; ``clean`` zeroes the upper triangle, which ``potrs`` does
     not read."""
     c, info = _potrf(block, lower=1, clean=clean, overwrite_a=1)
-    if info != 0:  # > 0: the 1-based step whose pivot is not positive
-        raise FactorizationError(f"Cholesky factorization failed (potrf info {info})")
+    if info:
+        raise _failure("potrf", info)
     return c
 
 
+def _failure(routine: str, info: int) -> Exception:
+    """The error for a nonzero LAPACK Cholesky ``info``: > 0 is the 1-based
+    step whose pivot is not positive, < 0 an illegal argument."""
+    if info < 0:
+        return ValueError(f"illegal value passed to d{routine} (argument {-info})")
+    return FactorizationError(f"Cholesky factorization failed ({routine} info {info})", info)
+
+
 def _factor_sparse(rows):
-    """Factor of a symmetric block given as CSR rows with sorted indexes,
-    eliminated in the given order on the diagonal; its ``solve(rhs)`` solves.
+    """Factor a symmetric block given as CSR rows with sorted indexes,
+    eliminated in the given order on the diagonal; return its solve function.
 
     The block's bandwidth b is the largest i - j of a stored entry (i, j).
     When its lower triangle stores at least ``_BAND_FILL`` of the |I|(b + 1)
@@ -378,38 +402,32 @@ def _factor_sparse(rows):
         return _superlu(rows)
     ab = np.zeros((b + 1, m), order="F")  # LAPACK lower band storage: ab[i-j, j] = Q[i,j]
     ab[below[lower], rows.indices[lower]] = rows.data[lower]
-    return _BandCholesky(ab)
-
-
-class _BandCholesky:
-    """The Cholesky factor of a symmetric block in LAPACK lower band storage.
-
-    ``info`` is ``pbtrf``'s: 0, or the 1-based elimination step whose pivot
-    is not positive, and ``solve`` then raises :class:`FactorizationError`.
-    """
-
-    def __init__(self, ab: np.ndarray):
-        self.c, self.info = _pbtrf(ab, lower=1, overwrite_ab=1)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.info:
-            raise FactorizationError(f"band Cholesky factorization failed (pbtrf info {self.info})")
-        return _pbtrs(self.c, rhs, lower=1)[0]
+    c, info = _pbtrf(ab, lower=1, overwrite_ab=1)
+    if info:
+        raise _failure("pbtrf", info)
+    return lambda rhs: _pbtrs(c, rhs, lower=1)[0]
 
 
 def _superlu(rows):
-    """SuperLU factor, in the given order and without pivoting, of a symmetric block
-    given as CSR rows with sorted indexes, read as CSC (its transpose, the same)."""
+    """SuperLU solve function, factored in the given order and without pivoting,
+    of a symmetric block given as CSR rows with sorted indexes, read as CSC
+    (its transpose, the same)."""
     # Imported on first use, like csgraph: a run that never reaches SuperLU
     # does not load scipy.sparse.linalg.  splu is looked up on the module at
     # each call, so a wrapper set on scipy.sparse.linalg.splu sees it.
     import scipy.sparse.linalg as spla
 
     try:
-        return spla.splu(rows.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
-    except RuntimeError as exc:  # SuperLU signals singularity this way
-        raise FactorizationError(str(exc)) from exc
+        lu = spla.splu(rows.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # exactly singular; SuperLU names no step
+        raise FactorizationError(str(exc), rows.shape[0]) from exc
+    # A moved pivot or one that is not > 0 (NaN included) fails.
+    bad = np.flatnonzero((lu.perm_r != np.arange(rows.shape[0])) | ~(lu.U.diagonal() > 0.0))
+    if len(bad):
+        step = int(bad[0]) + 1
+        raise FactorizationError(f"SuperLU factorization failed (step {step})", step)
+    return lu.solve
 
 
 def _finite(v: np.ndarray) -> np.ndarray:

@@ -97,6 +97,16 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         assert "line" in capsys.readouterr().err
 
+    def test_dense_file_short_of_its_n(self, tmp_path, capsys):
+        # Nothing of size n * n is allocated before the rows are read.
+        path = tmp_path / "huge.txt"
+        path.write_text("n 1000000\ndense\n1 2\n")
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"rasqp: error: {path}: line 3: matrix row has 2 entries, expected 1000000"]
+
     def test_not_positive_definite_file(self, tmp_path, capsys):
         path = tmp_path / "npd.txt"
         path.write_text("n 2\ndense\n1 0\n0 -1\ng\n0 0\n")

@@ -424,6 +424,16 @@ def scalar_asymmetry_reference(samples: int, rng: np.random.Generator):
 
 
 class TestExchangeAsymmetryMontecarlo:
+    @pytest.mark.parametrize("samples", [0, -3, 1.5, 2.0, True, False, "10", None])
+    def test_rejects_a_sample_count_that_is_not_a_positive_integer(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+            exchange_asymmetry_montecarlo(samples, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("samples", [1, np.int64(3)])
+    def test_accepts_any_positive_integer(self, samples):
+        e1, e2, _ = exchange_asymmetry_montecarlo(samples, np.random.default_rng(0))
+        assert 0.0 <= e1 <= 2.0 and 0.0 <= e2 <= 2.0
+
     def test_matches_scalar_reference(self):
         e1, e2, _ = exchange_asymmetry_montecarlo(200_000, np.random.default_rng(0))
         r1, r2 = scalar_asymmetry_reference(30_000, np.random.default_rng(999))

@@ -81,6 +81,18 @@ class TestQpProblem:
         with pytest.raises(ValueError, match="g has a NaN"):
             QpProblem(Q22, [bad, -1.0])
 
+    @pytest.mark.parametrize("store", [np.asarray, sp.csc_array], ids=["dense", "sparse"])
+    def test_complex_q_rejected(self, store):
+        # Cast to float64, [[2, i], [i, 2]] would lose its imaginary part.
+        with pytest.raises(ValueError, match="Q must be real"):
+            QpProblem(store(np.array([[2.0, 1j], [1j, 2.0]])), [-1.0, -1.0])
+
+    @pytest.mark.parametrize("g", [np.array([-1.0 + 0j, -1.0]), [-1.0, 1j]],
+                             ids=["array", "list"])
+    def test_complex_g_rejected(self, g):
+        with pytest.raises(ValueError, match="g must be real"):
+            QpProblem(Q22, g)
+
     def test_large_asymmetry_rejected_sparse(self):
         Q = Q22.copy()
         Q[1, 0] = -1.0

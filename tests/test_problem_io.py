@@ -150,6 +150,17 @@ class TestLoadErrors:
             load_problem(write(tmp_path, text))
         assert exc.value.line_no == line_no
 
+    @pytest.mark.parametrize("text, fragment, line_no", [
+        ("n 1000000\ndense\n1 2\n", "matrix row has 2 entries, expected 1000000", 3),
+        ("n 1000000\ndense\n", "dense matrix ends after 0 of 1000000 rows", 2),
+    ])
+    def test_dense_rows_are_read_before_q_is_built(self, tmp_path, text, fragment, line_no):
+        # A dense Q of the declared n would take 7.3 TiB; the file holds no
+        # such row, and the reader says so without allocating one.
+        with pytest.raises(ProblemFileError, match=fragment) as exc:
+            load_problem(write(tmp_path, text))
+        assert exc.value.line_no == line_no
+
     def test_not_positive_definite(self, tmp_path):
         text = "n 2\ndense\n1 0\n0 -1\ng\n0 0\n"
         with pytest.raises(NotPositiveDefiniteError) as exc:

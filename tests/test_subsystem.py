@@ -17,10 +17,17 @@ from rasqp.model import (
     stationarity_tol,
     validate_problem,
 )
-from rasqp.solvers import fletcher_solve
+from rasqp.solvers import (
+    GenericRasConfig,
+    KrConfig,
+    RasConfig,
+    fletcher_solve,
+    generic_ras_solve,
+    kr_solve,
+    ras_solve,
+)
 from rasqp.subsystem import (
     FactorizationError,
-    _BandCholesky,
     _dense_solve,
     _factor_sparse,
     _UpdatedCholesky,
@@ -48,6 +55,19 @@ def counted_kernel(monkeypatch, name: str) -> list:
         return kernel(a, *args, **kwargs)
 
     monkeypatch.setattr(rasqp.subsystem, name, counted)
+    return calls
+
+
+def counted_splu(monkeypatch) -> list:
+    """Record the block's shape on each call of ``scipy.sparse.linalg.splu``."""
+    splu = scipy.sparse.linalg.splu
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
     return calls
 
 
@@ -227,19 +247,13 @@ class TestSolveSubsystem:
         problems = (QpProblem(sp.csc_array(dense.Q), dense.g),
                     gen_easy(150, 1.0, seed=2),
                     gen_medium(150, 0.05, 1e4, seed=2))
-        splu = scipy.sparse.linalg.splu
         rcm = scipy.sparse.csgraph.reverse_cuthill_mckee
-        lu_calls, rcm_calls = [], []
-
-        def counted_splu(*args, **kwargs):
-            lu_calls.append(args[0].shape)
-            return splu(*args, **kwargs)
+        lu_calls, rcm_calls = counted_splu(monkeypatch), []
 
         def counted_rcm(*args, **kwargs):
             rcm_calls.append(args[0].shape)
             return rcm(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
         monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", counted_rcm)
         monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
         monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
@@ -388,8 +402,18 @@ class TestSolveSubsystem:
 
     def test_factorization_error_on_indefinite_block(self):
         p = QpProblem(np.diag([1.0, -1.0]), [0.0, 0.0])
-        with pytest.raises(FactorizationError):
+        with pytest.raises(FactorizationError) as exc:
             solve_subsystem(p, [1], [0])
+        assert exc.value.pivot == 1
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_non_finite_solve_names_no_pivot(self, sparse):
+        # Q[I,I] factorizes, but x_0 = 1e10 / 1e-300 overflows to inf.
+        Q = np.diag([1e-300, 1.0])
+        p = QpProblem(sp.csc_array(Q) if sparse else Q, [-1e10, -1.0])
+        with pytest.raises(FactorizationError, match="non-finite") as exc:
+            solve_subsystem(p, [0, 1], [])
+        assert exc.value.pivot is None
 
 
 class TestDenseKernel:
@@ -414,8 +438,9 @@ class TestDenseKernel:
         # names the same step as a solve in the natural order.
         Q = np.array([[4.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 4.0]])
         p = QpProblem(sp.csc_array(Q) if sparse else Q, np.ones(3))
-        with pytest.raises(FactorizationError, match=r"\(potrf info 2\)"):
+        with pytest.raises(FactorizationError, match=r"\(potrf info 2\)") as exc:
             solve_subsystem(p, np.arange(3), [])
+        assert exc.value.pivot == 2
         with pytest.raises(NotPositiveDefiniteError) as verdict:
             validate_problem(p)
         assert verdict.value.pivot == 2
@@ -469,19 +494,97 @@ class TestBandCholesky:
         Q = sp.diags_array([np.ones(9), [4.0, 4.0, 4.0, -1.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0],
                             np.ones(9)], offsets=[-1, 0, 1]).tocsc()
         p = QpProblem(Q, np.ones(10))
-        with pytest.raises(FactorizationError, match="pbtrf"):
+        pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
+        with pytest.raises(FactorizationError, match="pbtrf") as exc:
             solve_subsystem(p, np.arange(10), [])
+        assert pbtrf_calls == [(2, 10)]
+        # Every pivot before index 3's is positive, and its own is
+        # -1 - 1/d < 0, so pbtrf stops at index 3's step in the RCM order.
+        assert exc.value.pivot == p._rcm_rank[3] + 1
 
-    def test_rule_keeps_superlu_for_a_holey_band(self):
+    def test_rule_keeps_superlu_for_a_holey_band(self, monkeypatch):
         # In its RCM order the easy family's Q is a band a quarter full, the
         # medium family's at density 0.002 one with about 2% of its band
         # stored: the first takes the band kernel, the second SuperLU.
+        pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
+        splu_calls = counted_splu(monkeypatch)
         for p, band in ((gen_easy(3000, 1.0, seed=0), True),
                         (gen_medium(3000, 0.002, 1e4, seed=0), False)):
+            pbtrf_calls.clear()
+            splu_calls.clear()
             order = np.argsort(rasqp.subsystem._rcm_rank(p))
-            factor = _factor_sparse(p.Q[:, order].tocsr()[order])
-            assert isinstance(factor, _BandCholesky) is band
-            assert isinstance(factor, scipy.sparse.linalg.SuperLU) is not band
+            _factor_sparse(p.Q[:, order].tocsr()[order])
+            assert (len(pbtrf_calls), len(splu_calls)) == ((1, 0) if band else (0, 1))
+
+
+class TestOneVerdict:
+    """Every kernel rejects a block that is not positive definite, at the
+    step validate_problem names, whichever kernel the rule picks."""
+
+    N = 60
+    NEGATIVE = 45  # the index whose diagonal entry is negative
+
+    @classmethod
+    def holey_indefinite(cls) -> QpProblem:
+        # A path with a hub coupled to every third index: in its RCM order
+        # the band is wide and about 6% full, so the default rule takes
+        # SuperLU.  Every pivot is positive up to the negative diagonal
+        # entry's own.
+        n = cls.N
+        Q = np.diag(np.full(n, 4.0))
+        i = np.arange(n - 1)
+        Q[i, i + 1] = Q[i + 1, i] = 1.0
+        hub = np.arange(3, n, 3)
+        Q[0, hub] = Q[hub, 0] = 0.5
+        Q[0, 0] = 12.0
+        Q[cls.NEGATIVE, cls.NEGATIVE] = -1.0
+        return QpProblem(sp.csc_array(Q), -np.ones(n))
+
+    def test_every_kernel_names_the_validated_pivot(self, monkeypatch):
+        p = self.holey_indefinite()
+        with pytest.raises(NotPositiveDefiniteError) as verdict:
+            validate_problem(p)
+        pivot = verdict.value.pivot
+        assert pivot == p._rcm_rank[self.NEGATIVE] + 1 > 1
+        rcm = np.argsort(p._rcm_rank)
+        dense_max, band_fill = rasqp.subsystem.DENSE_THRESHOLD, rasqp.subsystem._BAND_FILL
+        pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
+        splu_calls = counted_splu(monkeypatch)
+        # The dense kernel, handed I in the RCM order; then the sparse rule
+        # as it stands (SuperLU for this holey band), SuperLU forced and
+        # the band Cholesky forced (bandwidth 35).
+        n = self.N
+        for threshold, fill, calls in ((dense_max, band_fill, ([], [])),
+                                       (0, band_fill, ([], [(n, n)])),
+                                       (0, np.inf, ([], [(n, n)])),
+                                       (0, 0.0, ([(36, n)], []))):
+            monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", threshold)
+            monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", fill)
+            pbtrf_calls.clear()
+            splu_calls.clear()
+            with pytest.raises(FactorizationError) as exc:
+                solve_subsystem(p, rcm, [])
+            assert exc.value.pivot == pivot
+            assert (pbtrf_calls, splu_calls) == calls
+            with pytest.raises(NotPositiveDefiniteError) as again:
+                validate_problem(p)
+            assert again.value.pivot == pivot
+
+    @pytest.mark.parametrize("solve", [
+        lambda p: ras_solve(p, RasConfig(initial_A=[])),
+        lambda p: generic_ras_solve(p, GenericRasConfig(initial_A=[])),
+        lambda p: kr_solve(p, KrConfig(initial_A=[])),
+    ], ids=["ras", "generic", "kr"])
+    def test_exchange_solvers_stop_on_a_superlu_block(self, solve, monkeypatch):
+        # With every index inactive the first solve factors the whole of Q,
+        # by SuperLU; its failed pivot ends the run before any solve counts.
+        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
+        splu_calls = counted_splu(monkeypatch)
+        result = solve(self.holey_indefinite())
+        assert splu_calls == [(self.N, self.N)]
+        assert result.status is Status.NUMERICAL_FAILURE
+        assert result.solves == 0
 
 
 class TestUpdatedCholesky:
@@ -584,19 +687,13 @@ class TestUpdatedCholesky:
         # nonempty block.
         monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
         monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
-        splu = scipy.sparse.linalg.splu
         solve = rasqp.solvers.solve_subsystem
-        lu_calls, sizes = [], []
-
-        def counted_splu(*args, **kwargs):
-            lu_calls.append(args[0].shape)
-            return splu(*args, **kwargs)
+        lu_calls, sizes = counted_splu(monkeypatch), []
 
         def spy(problem, I, A, **kwargs):
             sizes.append(len(I))
             return solve(problem, I, A, **kwargs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
         monkeypatch.setattr(rasqp.solvers, "solve_subsystem", spy)
         result = fletcher_solve(gen_medium(80, 0.1, 1e6, seed=2))
         assert result.status is Status.OPTIMAL
