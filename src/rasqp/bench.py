@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .engine import ChangeProbabilities
 from .generators import GeneratorSpec, generate
-from .model import SolveResult, Status, _require_seed
+from .model import SolveResult, Status, _require_int
 from .solvers import (
     GenericRasConfig,
     KrConfig,
@@ -56,7 +55,6 @@ __all__ = [
 
 SOLVER_NAMES = ("ras", "generic", "kr", "fletcher")
 
-MACHINE_HEADER = "family,n,density,cond,epsilon,solver,trial,time_s,solves,avgI,status"
 TRACE_HEADER = "solver,iter,elapsed_s,infeasible,inactive_size"
 
 #: Trial statuses that count as failures in the aggregated tables.
@@ -91,13 +89,10 @@ class BenchmarkPlan:
     time_limit_per_trial: float = 300.0
 
     def __post_init__(self):
-        if not isinstance(self.trials, numbers.Integral):
-            raise ValueError(f"trials must be an integer, not {self.trials!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _require_int(self.trials, "trials", 1)
         if not self.time_limit_per_trial > 0:  # also rejects NaN
             raise ValueError("time_limit_per_trial must be > 0")
-        _require_seed(self.base_seed, "base_seed")
+        _require_int(self.base_seed, "base_seed")
 
 
 @dataclass(frozen=True)
@@ -128,6 +123,8 @@ class TrialRow:
             raise ValueError(f"expected {len(fields)} fields, got {len(parts)}: {line!r}")
         return TrialRow(*(_CSV_CODECS[f.type][1](p) for f, p in zip(fields, parts)))
 
+
+MACHINE_HEADER = ",".join(f.name for f in dataclasses.fields(TrialRow))
 
 #: Annotated field type -> (write, parse); floats keep full precision, None is "".
 _CSV_CODECS = {

@@ -32,12 +32,11 @@ draws, so every seeded run is reproducible.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import KktPoint
+from .model import KktPoint, _require_int
 
 __all__ = [
     "ChangeProbabilities",
@@ -185,9 +184,7 @@ def exchange_asymmetry_montecarlo(samples: int, rng: np.random.Generator, *,
     means exactly 0).  ``samples`` must be an integer >= 1 (a ``bool`` is
     not one); anything else raises ``ValueError``.
     """
-    # A bool is an Integral too, but True is no sample count.
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, not {samples!r}")
+    _require_int(samples, "samples", 1)
     sum1 = sum2 = sq1 = sq2 = 0.0
     m1 = m2 = 0
     remaining = samples

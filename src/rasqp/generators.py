@@ -16,14 +16,13 @@ the respective docstring.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .model import QpProblem, _require_seed
+from .model import QpProblem, _require_int
 
 __all__ = [
     "GeneratorSpec",
@@ -61,35 +60,31 @@ class GeneratorSpec:
 
     def __post_init__(self):
         fam = self.family
-        if fam not in ("easy", "medium", "hard"):
+        if fam not in _FAMILIES:
             raise ValueError(f"unknown family {fam!r}")
-        need = {"easy": ("epsilon",), "medium": ("density", "cond"), "hard": ("cond",)}
+        axes = _FAMILIES[fam][1]
         for name in ("epsilon", "density", "cond"):
             value = getattr(self, name)
-            if name in need[fam]:
+            if name in axes:
                 if value is None:
                     raise ValueError(f"{fam} family requires {name}")
             elif value is not None:
                 raise ValueError(f"{name} does not apply to the {fam} family")
-        _check_parameters(fam, self.n, epsilon=self.epsilon, density=self.density,
+        _check_parameters(fam, self.n, self.seed, epsilon=self.epsilon, density=self.density,
                           cond=self.cond)
-        _require_seed(self.seed, "seed")
 
 
-def _check_parameters(family: str, n: int, *, epsilon: float | None = None,
+def _check_parameters(family: str, n: int, seed: int, *, epsilon: float | None = None,
                       density: float | None = None, cond: float | None = None) -> None:
     """Raise ValueError naming the first generator parameter out of range.
 
-    n an integer, >= 1 for the easy family and >= 2 otherwise; epsilon
-    finite and > 0; density in (0, 1]; cond finite and >= 1.  A parameter
-    passed as None is not checked; NaN fails every comparison, so it is
-    rejected.
+    n an integer, >= 1 for the easy family and >= 2 otherwise; seed an
+    integer >= 0; epsilon finite and > 0; density in (0, 1]; cond finite and
+    >= 1.  A parameter passed as None is not checked; NaN fails every
+    comparison, so it is rejected.
     """
-    if not isinstance(n, numbers.Integral):
-        raise ValueError(f"n must be an integer, not {n!r}")
-    n_min = 1 if family == "easy" else 2
-    if n < n_min:
-        raise ValueError(f"n must be >= {n_min}")
+    _require_int(n, "n", 1 if family == "easy" else 2)
+    _require_int(seed, "seed")
     if epsilon is not None and not 0.0 < epsilon < np.inf:
         raise ValueError("epsilon must be > 0 and finite")
     if density is not None and not 0.0 < density <= 1.0:
@@ -100,11 +95,8 @@ def _check_parameters(family: str, n: int, *, epsilon: float | None = None,
 
 def generate(spec: GeneratorSpec) -> QpProblem:
     """Dispatch a :class:`GeneratorSpec` to its family generator."""
-    if spec.family == "easy":
-        return gen_easy(spec.n, spec.epsilon, spec.seed)
-    if spec.family == "medium":
-        return gen_medium(spec.n, spec.density, spec.cond, spec.seed)
-    return gen_hard(spec.n, spec.cond, spec.seed)
+    generator, axes = _FAMILIES[spec.family]
+    return generator(spec.n, *(getattr(spec, name) for name in axes), spec.seed)
 
 
 def gen_easy(n: int, epsilon: float, seed: int) -> QpProblem:
@@ -120,7 +112,7 @@ def gen_easy(n: int, epsilon: float, seed: int) -> QpProblem:
     P as adding first (the diagonal lies in the band) without summing the
     ~96% of the draws that the band drops.
     """
-    _check_parameters("easy", n, epsilon=epsilon)
+    _check_parameters("easy", n, seed, epsilon=epsilon)
     rng = np.random.default_rng(seed)
     R = sp.random_array(
         (n, n), density=0.1, format="coo", rng=rng,
@@ -159,7 +151,7 @@ def gen_medium(n: int, density: float, cond: float, seed: int,
     failure).  g is standard normal; draw order: rotations (pair, then
     angle, per rotation), then g.
     """
-    _check_parameters("medium", n, density=density, cond=cond)
+    _check_parameters("medium", n, seed, density=density, cond=cond)
     rng = np.random.default_rng(seed)
     if cond == 1.0:
         Q = sp.eye_array(n, format="csc")
@@ -213,10 +205,18 @@ def gen_hard(n: int, cond: float, seed: int) -> QpProblem:
     Draw order: g uniform on [-0.5, 0.5] first, then the normal matrix whose
     QR factor supplies the random orthogonal basis O; Q = O D O' symmetrized.
     """
-    _check_parameters("hard", n, cond=cond)
+    _check_parameters("hard", n, seed, cond=cond)
     rng = np.random.default_rng(seed)
     g = rng.uniform(-0.5, 0.5, n)
     O, _ = np.linalg.qr(rng.standard_normal((n, n)))
     d = cond ** (np.arange(n) / (n - 1))
     Q = (O * d) @ O.T
     return QpProblem(Q, g)
+
+
+#: family -> (generator, the spec axes it takes, in argument order between n and seed)
+_FAMILIES = {
+    "easy": (gen_easy, ("epsilon",)),
+    "medium": (gen_medium, ("density", "cond")),
+    "hard": (gen_hard, ("cond",)),
+}

@@ -96,10 +96,11 @@ def _real_array(values, name: str, convert=np.asarray):
     return values
 
 
-def _require_seed(value, name: str) -> None:
-    """Raise ValueError naming the field unless ``value`` is an integer >= 0."""
-    if not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, not {value!r}")
+def _require_int(value, name: str, low: int = 0) -> None:
+    """Raise ValueError naming the field unless ``value`` is an integer >= ``low``;
+    a NumPy integer is one, a ``bool`` or a whole float is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
 
 
 class QpProblem:

@@ -28,7 +28,6 @@ oracle for the others.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -45,8 +44,8 @@ from .engine import (
     select_exchange_generic,
     select_exchange_ras,
 )
-from .model import KktPoint, QpProblem, SolveResult, Status, TraceRow, _require_seed, objective
-from .subsystem import FactorizationError, _UpdatedCholesky, embed_point, solve_subsystem
+from .model import KktPoint, QpProblem, SolveResult, Status, TraceRow, _require_int, objective
+from .subsystem import FactorizationError, _indexes, _UpdatedCholesky, embed_point, solve_subsystem
 
 __all__ = [
     "GenericRasConfig",
@@ -74,10 +73,7 @@ class _ExchangeConfig:
     record_sets: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.max_solves, numbers.Integral):  # also rejects nan
-            raise ValueError(f"max_solves must be an integer, not {self.max_solves!r}")
-        if self.max_solves < 1:
-            raise ValueError("max_solves must be >= 1")
+        _require_int(self.max_solves, "max_solves", 1)
         if not self.tol >= 0.0:  # also rejects nan
             raise ValueError("tol must be >= 0")
 
@@ -105,7 +101,7 @@ class GenericRasConfig(_ExchangeConfig):
         if self.probability_rule is not None and not callable(self.probability_rule):
             raise ValueError(f"probability_rule must be callable or None, "
                              f"not {self.probability_rule!r}")
-        _require_seed(self.seed, "seed")
+        _require_int(self.seed, "seed")
 
 
 @dataclass(kw_only=True)
@@ -120,7 +116,7 @@ class RasConfig(_ExchangeConfig):
         super().__post_init__()
         if not isinstance(self.probs, ChangeProbabilities):
             raise ValueError(f"probs must be a ChangeProbabilities, not {self.probs!r}")
-        _require_seed(self.seed, "seed")
+        _require_int(self.seed, "seed")
 
 
 @dataclass(kw_only=True)
@@ -140,13 +136,11 @@ class NoKktPointError(RuntimeError):
 
 def _initial_sets(n: int, initial_A):
     """The inactive mask and the sorted (I, A) for a starting active set."""
-    A = np.arange(n) if initial_A is None else np.asarray(initial_A).ravel()
-    if len(A) and A.dtype.kind not in "iu":
-        raise ValueError(f"initial_A must hold integer indexes, not {A.dtype}")
+    A = np.arange(n) if initial_A is None else _indexes(np.ravel(initial_A), "initial_A")
     if len(A) and (A.min() < 0 or A.max() >= n):
         raise ValueError("initial_A index out of range")
     inactive = np.ones(n, dtype=bool)
-    inactive[A.astype(np.int64)] = False
+    inactive[A] = False
     return inactive, np.flatnonzero(inactive), np.flatnonzero(~inactive)
 
 
@@ -383,6 +377,8 @@ def brute_force_solve(problem: QpProblem, tol: float = 1e-10) -> KktPoint:
     different code path from the Cholesky kernel the solvers use, so the two
     routes cross-check each other.  Enforces n <= 20.
     """
+    if not tol >= 0.0:  # also rejects nan
+        raise ValueError("tol must be >= 0")
     n = problem.n
     if n > 20:
         raise DimensionTooLargeError(f"n = {n} exceeds the brute-force limit of 20")

@@ -137,11 +137,11 @@ class FactorizationError(RuntimeError):
         self.pivot = pivot
 
 
-def _indexes(v) -> np.ndarray:
-    """``v`` as an int64 index array, rejecting a nonempty one of another kind."""
+def _indexes(v, name: str = "I and A") -> np.ndarray:
+    """``v`` as an int64 index array, rejecting a nonempty ``name`` of another kind."""
     v = np.asarray(v)
     if v.size and v.dtype.kind not in "iu":  # a float would truncate, a bool read as 0/1
-        raise ValueError(f"I and A must hold integer indexes, not {v.dtype}")
+        raise ValueError(f"{name} must hold integer indexes, not {v.dtype}")
     return v.astype(np.int64, copy=False)
 
 

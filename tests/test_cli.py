@@ -156,12 +156,13 @@ class TestUsageErrors:
                      "--cond", "1e4", "--epsilon", "0.1"]) == 1
 
     @pytest.mark.parametrize("argv, message", [
-        (["trace", "--family", "hard", "--n", "1", "--cond", "1e4"], "n must be >= 2"),
+        (["trace", "--family", "hard", "--n", "1", "--cond", "1e4"],
+         "n must be an integer >= 2, not 1"),
         (["trace", "--family", "hard", "--n", "10", "--cond", "0.5"], "cond must be >= 1"),
         (["trace", "--family", "hard", "--n", "10", "--cond", "1e4", "--tol", "-1"],
          "--tol: must be >= 0"),
         (["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--trials", "0"],
-         "trials must be >= 1"),
+         "trials must be an integer >= 1, not 0"),
         *((["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--trials", "2",
             "--solvers", "ras", "--time-limit", limit], "time_limit_per_trial must be > 0")
           for limit in ("-1", "0", "nan")),
@@ -190,7 +191,8 @@ class TestUsageErrors:
                      "--max-solves", max_solves]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["rasqp: error: max_solves must be >= 1"]
+        assert captured.err.splitlines() == [
+            f"rasqp: error: max_solves must be an integer >= 1, not {max_solves}"]
 
     def test_solve_negative_tol(self, problem_file, capsys):
         assert main(["solve", problem_file, "--tol", "-1"]) == 1

@@ -424,7 +424,7 @@ def scalar_asymmetry_reference(samples: int, rng: np.random.Generator):
 
 
 class TestExchangeAsymmetryMontecarlo:
-    @pytest.mark.parametrize("samples", [0, -3, 1.5, 2.0, True, False, "10", None])
+    @pytest.mark.parametrize("samples", [0, -3, 1.5, 2.0, 2.5, True, False, "10", None])
     def test_rejects_a_sample_count_that_is_not_a_positive_integer(self, samples):
         with pytest.raises(ValueError, match="samples must be an integer >= 1"):
             exchange_asymmetry_montecarlo(samples, np.random.default_rng(0))

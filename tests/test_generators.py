@@ -31,7 +31,7 @@ class TestGeneratorSpec:
     def test_valid_specs(self):
         GeneratorSpec("easy", 10, seed=0, epsilon=1e-3)
         GeneratorSpec("medium", 10, seed=0, density=0.5, cond=1e4)
-        GeneratorSpec("hard", 10, seed=0, cond=1e4)
+        GeneratorSpec("hard", 10, seed=np.int64(0), cond=1e4)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -64,9 +64,10 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match=f"^{name} must"):
             GeneratorSpec(seed=0, **kwargs)
 
-    @pytest.mark.parametrize("seed", [2.5, -1, None, "0"])
+    @pytest.mark.parametrize("seed", [2.5, -1, None, "0", True, False])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
-        # 2.5 used to construct and fail later inside generate with TypeError.
+        # 2.5 used to construct and fail later inside generate with TypeError;
+        # True and False used to construct and run seeds 1 and 0.
         with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
             GeneratorSpec("hard", 5, seed=seed, cond=10.0)
 

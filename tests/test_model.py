@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import rasqp.subsystem
 
+from rasqp.bench import BenchmarkPlan
+from rasqp.generators import GeneratorSpec, gen_easy, gen_hard, gen_medium
 from rasqp.model import (
     KktPoint,
     NotPositiveDefiniteError,
@@ -16,6 +20,7 @@ from rasqp.model import (
     stationarity_tol,
     validate_problem,
 )
+from rasqp.solvers import GenericRasConfig, KrConfig, RasConfig
 
 Q22 = np.array([[4.0, 1.0], [1.0, 3.0]])
 G22 = np.array([-1.0, -2.0])
@@ -271,3 +276,36 @@ class TestValidateSparse:
         monkeypatch.setattr(sp.csr_array, "toarray", refuse)
         validate_problem(p)
         assert p._rcm_rank is not None  # cached for later SuperLU solves
+
+
+# Every integer option checked by model._require_int: (builder, field, lowest
+# value).  GeneratorSpec's seed and exchange_asymmetry_montecarlo's samples
+# have their own parametrized tests in test_generators and test_engine.
+INTEGER_OPTIONS = {
+    "RasConfig.seed": (lambda v: RasConfig(seed=v), "seed", 0),
+    "GenericRasConfig.seed": (lambda v: GenericRasConfig(seed=v), "seed", 0),
+    "RasConfig.max_solves": (lambda v: RasConfig(max_solves=v), "max_solves", 1),
+    "GenericRasConfig.max_solves": (lambda v: GenericRasConfig(max_solves=v), "max_solves", 1),
+    "KrConfig.max_solves": (lambda v: KrConfig(max_solves=v), "max_solves", 1),
+    "BenchmarkPlan.trials": (lambda v: BenchmarkPlan(cells=(), trials=v), "trials", 1),
+    "BenchmarkPlan.base_seed": (lambda v: BenchmarkPlan(cells=(), base_seed=v), "base_seed", 0),
+    "GeneratorSpec.n-easy": (lambda v: GeneratorSpec("easy", v, seed=0, epsilon=1.0), "n", 1),
+    "GeneratorSpec.n-hard": (lambda v: GeneratorSpec("hard", v, seed=0, cond=10.0), "n", 2),
+    "gen_easy.n": (lambda v: gen_easy(v, 1.0, 0), "n", 1),
+    "gen_medium.n": (lambda v: gen_medium(v, 0.5, 10.0, 0), "n", 2),
+    "gen_hard.n": (lambda v: gen_hard(v, 10.0, 0), "n", 2),
+    "gen_easy.seed": (lambda v: gen_easy(5, 1.0, v), "seed", 0),
+    "gen_medium.seed": (lambda v: gen_medium(5, 0.5, 10.0, v), "seed", 0),
+    "gen_hard.seed": (lambda v: gen_hard(5, 10.0, v), "seed", 0),
+}
+
+
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+def test_integer_options_share_one_rule(option):
+    # A bool is an Integral, so True used to run as 1 (a seed, a cap, a size).
+    build, field, low = INTEGER_OPTIONS[option]
+    for value in (True, False, 2.5, low - 1):
+        message = f"{field} must be an integer >= {low}, not {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(value)
+    build(np.int64(low))

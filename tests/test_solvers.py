@@ -236,7 +236,8 @@ class TestRasSolve:
     @pytest.mark.parametrize("config", [RasConfig, GenericRasConfig, KrConfig])
     @pytest.mark.parametrize("max_solves", [0, -3])
     def test_cap_validation(self, config, max_solves):
-        with pytest.raises(ValueError, match="max_solves must be >= 1"):
+        with pytest.raises(ValueError,
+                           match=f"max_solves must be an integer >= 1, not {max_solves}"):
             config(max_solves=max_solves)
 
     @pytest.mark.parametrize("config", [RasConfig, GenericRasConfig, KrConfig])
@@ -459,10 +460,13 @@ class TestFletcherSolve:
             "157d602214657a8f85fde4695941347b3f983e13664feafe3bd2cd150de7db76",
         ]
 
+    @pytest.mark.parametrize("solve", [fletcher_solve, brute_force_solve],
+                             ids=lambda solve: solve.__name__)
     @pytest.mark.parametrize("tol", [-1.0, float("nan")])
-    def test_tol_validation(self, tol):
+    def test_tol_validation(self, solve, tol):
+        # brute_force_solve used to take a negative tol and solve with it.
         with pytest.raises(ValueError, match="tol must be >= 0"):
-            fletcher_solve(QpProblem(Q22, G22), tol=tol)
+            solve(QpProblem(Q22, G22), tol=tol)
 
     @pytest.mark.parametrize("band_fill, want", [
         (None, ["4c610f6ad55821438fd0e13eb320b2626ee54ad7d461107953ba41e3ebac85d6",
