@@ -29,8 +29,8 @@ from .bench import (
     solver_seed_for_trial,
     trace_to_csv,
 )
-from .generators import GeneratorSpec, generate
-from .model import Status, kkt_residual
+from .generators import _AXES, _FAMILIES, GeneratorSpec, generate
+from .model import Status, _require_int, kkt_residual
 from .problem_io import load_problem
 
 __all__ = ["main", "cmd_solve", "cmd_bench", "cmd_trace"]
@@ -43,18 +43,28 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _at_least(low, kind):
-    """argparse type: a ``kind`` (int or float) value >= ``low``."""
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            noun = "an integer" if kind is int else "a number"
-            raise argparse.ArgumentTypeError(f"expects {noun}, got {text!r}") from None
-        if not value >= low:  # also rejects nan
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
-        return value
-    return parse
+def _tolerance(text: str) -> float:
+    """argparse type: a number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type: a seed, checked by the library's integer rule."""
+    value = int(text)
+    try:
+        _require_int(value, "seed")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+_seed.__name__ = "int"  # argparse: "invalid int value"
 
 
 def _list_of(kind):
@@ -75,9 +85,9 @@ def _build_parser() -> _Parser:
     ps = sub.add_parser("solve", help="solve a problem file")
     ps.add_argument("path", help="problem file (see rasqp.problem_io)")
     ps.add_argument("--solver", default="ras", choices=SOLVER_NAMES)
-    ps.add_argument("--seed", type=_at_least(0, int), default=0,
+    ps.add_argument("--seed", type=_seed, default=0,
                     help="RNG seed for randomized solvers (default 0)")
-    ps.add_argument("--tol", type=_at_least(0, float), default=1e-10,
+    ps.add_argument("--tol", type=_tolerance, default=1e-10,
                     help="dual violation tolerance (default 1e-10)")
     ps.add_argument("--max-solves", type=int, default=None,
                     help="cap on subsystem solves (default: the solver's own)")
@@ -85,7 +95,7 @@ def _build_parser() -> _Parser:
                     help="print one machine-readable CSV line instead of the report")
 
     pb = sub.add_parser("bench", help="run a benchmark grid")
-    pb.add_argument("--family", required=True, choices=("easy", "medium", "hard"))
+    pb.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     floats = _list_of(float)
     pb.add_argument("--n", type=_list_of(int), required=True, help="comma-separated dimensions")
     pb.add_argument("--cond", type=floats, help="comma-separated condition numbers (medium, hard)")
@@ -94,8 +104,8 @@ def _build_parser() -> _Parser:
     pb.add_argument("--solvers", type=_list_of(str), default="ras,kr",
                     help=f"comma-separated subset of {','.join(SOLVER_NAMES)}")
     pb.add_argument("--trials", type=int, default=10)
-    pb.add_argument("--seed", type=_at_least(0, int), default=0, help="base seed (default 0)")
-    pb.add_argument("--tol", type=_at_least(0, float), default=None,
+    pb.add_argument("--seed", type=_seed, default=0, help="base seed (default 0)")
+    pb.add_argument("--tol", type=_tolerance, default=None,
                     help="override the per-family tolerance")
     pb.add_argument("--time-limit", type=float, default=300.0,
                     help="per-trial wall-clock limit in seconds")
@@ -103,16 +113,15 @@ def _build_parser() -> _Parser:
                     help="write the machine CSV here (default: after the table on stdout)")
 
     pt = sub.add_parser("trace", help="run one traced solve on a generated problem")
-    pt.add_argument("--family", required=True, choices=("easy", "medium", "hard"))
+    pt.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     pt.add_argument("--n", type=int, required=True)
-    pt.add_argument("--cond", type=float, default=None)
-    pt.add_argument("--density", type=float, default=None)
-    pt.add_argument("--epsilon", type=float, default=None)
+    for axis in _AXES:
+        pt.add_argument(f"--{axis}", type=float)
     pt.add_argument("--solver", default="ras", choices=SOLVER_NAMES)
-    pt.add_argument("--seed", type=_at_least(0, int), default=0,
+    pt.add_argument("--seed", type=_seed, default=0,
                     help="generator seed; the solver seed is derived from it "
                          "exactly as in bench trials (default 0)")
-    pt.add_argument("--tol", type=_at_least(0, float), default=None,
+    pt.add_argument("--tol", type=_tolerance, default=None,
                     help="override the per-family tolerance")
     pt.add_argument("--output", default=None,
                     help="write the trace CSV here (default stdout)")
@@ -121,8 +130,7 @@ def _build_parser() -> _Parser:
 
 def _given_axes(args) -> dict:
     """The generator axes given on the command line, by GeneratorSpec field name."""
-    return {name: getattr(args, name) for name in ("epsilon", "density", "cond")
-            if getattr(args, name) is not None}
+    return {name: getattr(args, name) for name in _AXES if getattr(args, name) is not None}
 
 
 def cmd_solve(args) -> int:

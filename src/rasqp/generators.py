@@ -63,7 +63,7 @@ class GeneratorSpec:
         if fam not in _FAMILIES:
             raise ValueError(f"unknown family {fam!r}")
         axes = _FAMILIES[fam][1]
-        for name in ("epsilon", "density", "cond"):
+        for name in _AXES:
             value = getattr(self, name)
             if name in axes:
                 if value is None:
@@ -220,3 +220,5 @@ _FAMILIES = {
     "medium": (gen_medium, ("density", "cond")),
     "hard": (gen_hard, ("cond",)),
 }
+#: every spec axis, in the order the table first names it
+_AXES = tuple(dict.fromkeys(axis for _, axes in _FAMILIES.values() for axis in axes))

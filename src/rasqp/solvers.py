@@ -14,9 +14,9 @@ KKT subsystem solves, each a fresh or an updated factorization,
 * :func:`fletcher_solve` — classical primal-feasible method moving one index
   at a time; finitely convergent, used as a deterministic baseline.
 
-The first three share one loop and differ only in their selection rule,
-which returns either the indexes to exchange or the status that ends the
-run.  The loop itself stops a run as ``Optimal``, at the solve cap and on a
+All four share one loop and differ only in their selection rule, which
+returns either the indexes to exchange or the status that ends the run.
+The loop itself stops a run as ``Optimal``, at the solve cap and on a
 failed factorization; ``ras``'s selection stops it when its redraws run out
 (an empty draw is redrawn without a solve), and ``kr``'s when the exchange
 would return to an active set already solved.  ``generic`` re-solves after
@@ -29,7 +29,7 @@ oracle for the others.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -134,16 +134,6 @@ class NoKktPointError(RuntimeError):
     """No partition satisfied the KKT conditions; impossible for valid input."""
 
 
-def _initial_sets(n: int, initial_A):
-    """The inactive mask and the sorted (I, A) for a starting active set."""
-    A = np.arange(n) if initial_A is None else _indexes(np.ravel(initial_A), "initial_A")
-    if len(A) and (A.min() < 0 or A.max() >= n):
-        raise ValueError("initial_A index out of range")
-    inactive = np.ones(n, dtype=bool)
-    inactive[A] = False
-    return inactive, np.flatnonzero(inactive), np.flatnonzero(~inactive)
-
-
 class _RunRecorder:
     """Accumulates the per-solve metrics every solver reports; ``rows`` has
     one plain tuple per solve, so it also counts them, and :meth:`result`
@@ -161,8 +151,7 @@ class _RunRecorder:
         if self.sets is not None:
             self.sets.append(I)
 
-    def result(self, problem: QpProblem, point: KktPoint, status: Status,
-               **extra) -> SolveResult:
+    def result(self, problem: QpProblem, point: KktPoint, status: Status) -> SolveResult:
         trace = tuple(TraceRow(k, int(n_im), int(n_am), size, elapsed)
                       for k, (n_im, n_am, size, elapsed) in enumerate(self.rows, 1))
         solves = len(trace)
@@ -175,29 +164,33 @@ class _RunRecorder:
             trace=trace,
             objective=objective(problem, point.x),
             inactive_sets=tuple(self.sets) if self.sets is not None else None,
-            **extra,
         )
 
 
 def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
-                   cap_status: Status = Status.ITERATION_CAP) -> SolveResult:
-    """The iteration shared by the exchange solvers.
+                   cap_status: Status = Status.ITERATION_CAP, factor=None) -> SolveResult:
+    """The iteration shared by all four solvers.
 
     The state is the ``inactive`` mask; I and A are its two index arrays.
-    Each round solves the subsystem for (I, A) and classifies the result.  It
-    stops with ``Optimal`` when nothing is infeasible, with ``cap_status``
-    after ``cfg.max_solves`` solves and with ``NumericalFailure`` when a
-    solve fails; otherwise ``select(point, infeasible, inactive)`` returns
-    either the indexes to move to the other side or the :class:`Status`
-    that ends the run.
+    Each round solves the subsystem for (I, A), updating the kept ``factor``
+    if one is given, and classifies the result.  It stops with ``Optimal``
+    when nothing is infeasible, with ``cap_status`` after ``cfg.max_solves``
+    solves and with ``NumericalFailure`` when a solve fails; otherwise
+    ``select(point, infeasible, inactive)`` returns either the indexes to
+    move to the other side or the :class:`Status` that ends the run.
     """
     n = problem.n
-    inactive, I, A = _initial_sets(n, cfg.initial_A)
+    A = np.arange(n) if cfg.initial_A is None else _indexes(np.ravel(cfg.initial_A), "initial_A")
+    if len(A) and (A.min() < 0 or A.max() >= n):
+        raise ValueError("initial_A index out of range")
+    inactive = np.ones(n, dtype=bool)
+    inactive[A] = False
+    I, A = np.flatnonzero(inactive), np.flatnonzero(~inactive)
     rec = _RunRecorder(cfg.record_sets)
     point = KktPoint(x=np.zeros(n), s=np.zeros(n))  # returned if the first solve fails
     while True:
         try:
-            x_I, s_A = solve_subsystem(problem, I, A)
+            x_I, s_A = solve_subsystem(problem, I, A, factor=factor)
         except FactorizationError:
             return rec.result(problem, point, Status.NUMERICAL_FAILURE)
         point = embed_point(n, I, A, x_I, s_A)
@@ -296,76 +289,72 @@ def fletcher_solve(
 ) -> SolveResult:
     """Primal-feasible active-set method moving one index per solve.
 
-    Each pass solves for the target x_I* = -Q[I,I]^{-1} g[I].  If some
-    x_i* < 0, it steps from the current (feasible) x_I toward the target
-    until the first coordinate hits zero: that blocking index, the one with
-    the smallest ratio x_i / (x_i - x_i*) among x_i* < 0 (ties by smallest
-    index), moves to A pinned at exactly 0, with round-off negatives
+    Each solve on the shared loop gives the target x_I* = -Q[I,I]^{-1} g[I].
+    If some x_i* < 0, the selection steps from the current (feasible) x
+    toward the target until the first coordinate hits zero: that blocking
+    index, the smallest ratio x_i / (x_i - x_i*) among x_i* < 0 (ties by
+    smallest index), moves to A pinned at exactly 0, round-off negatives
     clamped.  Otherwise it accepts the target and stops as optimal if
     min s_A >= -tol, or else moves the most negative s_j (ties by smallest
-    index) into I.
+    index) into I.  As for the other solvers, ``n_im`` counts x_i* <= 0.
 
     Since I gains or loses exactly one index per solve, the run keeps the
     Cholesky factor of Q[I,I] between solves: each solve appends one row
     to the factor or deletes one row and column from it, in O(|I|^2), where
     a fresh solve would gather Q[I,I] and factor it in O(|I|^3).  A new
     pivot that is not positive in floating point refactors afresh, and a
-    sparse Q[I,I] above :data:`~rasqp.subsystem.DENSE_THRESHOLD` is
-    factorized afresh by the sparse kernels (a band Cholesky or SuperLU) as
-    in the other solvers.  The working sets are those of refactoring every
-    solve; x agrees to round-off.
+    sparse Q[I,I] above :data:`~rasqp.subsystem.DENSE_THRESHOLD` goes to
+    the sparse kernels (a band Cholesky or SuperLU) as in the other
+    solvers.  The sets match refactoring every solve; x agrees to round-off.
 
     Every iterate is exactly nonnegative and the objective never increases;
     the run terminates finitely.  ``objective_history`` records the objective
-    at the start (0 at x = 0) and after each acceptance, where it is read
-    from the Q x the solve formed for s, as 0.5 x'(Qx) + g'x, the same
-    expression as :func:`~rasqp.model.objective`; after a solve by the
-    sparse kernels it is evaluated afresh.  ``record_iterates`` also stores
-    every iterate x and ``record_sets`` every inactive set, as in the
-    exchange solvers.  The cap of 10*n^2 solves is purely defensive.
+    at the start (0 at x = 0) and after each acceptance, read from the Q x
+    the solve formed for s as 0.5 x'(Qx) + g'x, the expression of
+    :func:`~rasqp.model.objective` (afresh after a sparse kernel).
+    ``record_iterates`` also stores every iterate x and ``record_sets``
+    every inactive set.  The cap of 10*n^2 solves is purely defensive; a
+    run stopped by it or by a failed factorization reports its last
+    feasible x and that x's objective, with its last solve's s.
     """
-    if not tol >= 0.0:  # also rejects nan
-        raise ValueError("tol must be >= 0")
     n = problem.n
-    inactive, I, A = _initial_sets(n, initial_A)
-    x = np.zeros(n)
-    rec = _RunRecorder(record_sets)
+    cfg = _ExchangeConfig(tol=tol, initial_A=initial_A, max_solves=10 * n * n,
+                          record_sets=record_sets)
     factor = _UpdatedCholesky()
+    x = np.zeros(n)  # the feasible iterate, zero off I
     obj_hist = [0.0]  # the objective at x = 0
     iter_hist = [x.copy()] if record_iterates else None
 
-    def stop(status: Status, s: np.ndarray) -> SolveResult:
-        return rec.result(problem, KktPoint(x=x, s=s), status, objective_history=tuple(obj_hist),
-                          iterate_history=tuple(iter_hist) if record_iterates else None)
-
-    while True:
-        try:
-            x_I, s_A = solve_subsystem(problem, I, A, factor=factor)
-        except FactorizationError:
-            return stop(Status.NUMERICAL_FAILURE, np.zeros(n))
-        blocking = x_I < 0.0
-        n_am = np.count_nonzero(s_A < -tol)
-        rec.note(I, np.count_nonzero(blocking), n_am)
-        if len(rec.rows) >= 10 * n * n:
-            return stop(Status.ITERATION_CAP, embed_point(n, I, A, x_I, s_A).s)
+    def select(point, infeasible, inactive):
+        blocking = point.x < 0.0
         if blocking.any():  # step to the blocking index
-            current = x[I]
-            ratios = current[blocking] / (current[blocking] - x_I[blocking])
+            ratios = x[blocking] / (x[blocking] - point.x[blocking])
             k = int(np.argmin(ratios))  # first minimum = smallest blocking index
-            x[I] = np.maximum(current + ratios[k] * (x_I - current), 0.0)
-            moved = I[blocking][k]
+            np.maximum(x + ratios[k] * (point.x - x), 0.0, out=x)
+            moved = np.flatnonzero(blocking)[k]
             x[moved] = 0.0
         else:  # accept the target; release the most negative s_j, ties by index
-            x[I] = x_I
+            moved = np.argmin(point.s)
+            if not point.s[moved] < -tol:  # optimal, with an exact zero in x_I
+                return Status.OPTIMAL  # accepted below, as when the loop stops
+            x[:] = point.x
             qx = factor.qx  # Q x, formed by this solve unless a sparse kernel ran
             obj_hist.append(objective(problem, x) if qx is None
                             else float(0.5 * (x @ qx) + problem.g @ x))
-            moved = A[int(np.argmin(s_A))] if n_am else None
         if record_iterates:
             iter_hist.append(x.copy())
-        if moved is None:
-            return stop(Status.OPTIMAL, embed_point(n, I, A, x_I, s_A).s)
-        inactive, I, A = next_sets(inactive, moved)
+        return moved
+
+    result = _exchange_loop(problem, cfg, select, factor=factor)
+    if result.status is Status.OPTIMAL:  # the final acceptance, the same x and Q x
+        obj_hist.append(result.objective)
+        if record_iterates:
+            iter_hist.append(result.point.x.copy())
+    else:  # the last solve's x may be infeasible; report the iterate
+        result = replace(result, point=KktPoint(x=x, s=result.point.s),
+                         objective=objective(problem, x))
+    return replace(result, objective_history=tuple(obj_hist),
+                   iterate_history=tuple(iter_hist) if record_iterates else None)
 
 
 def brute_force_solve(problem: QpProblem, tol: float = 1e-10) -> KktPoint:

@@ -173,10 +173,12 @@ class TestUsageErrors:
           "--solvers", "ras"], "epsilon must be > 0 and finite"),
         (["trace", "--family", "hard", "--n", "20", "--cond", "inf"],
          "cond must be >= 1 and finite"),
+        (["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--seed", "-1"],
+         "argument --seed: seed must be an integer >= 0, not -1"),
     ], ids=["trace-n", "trace-cond", "trace-tol", "bench-trials",
             "bench-time-limit-negative", "bench-time-limit-zero", "bench-time-limit-nan",
             "bench-cond-below-one", "bench-cond-inf", "bench-cond-nan", "bench-epsilon-nan",
-            "trace-cond-inf"])
+            "trace-cond-inf", "bench-seed"])
     def test_bad_value_is_a_one_line_usage_error(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -502,6 +502,26 @@ class TestFletcherSolve:
         result = fletcher_solve(QpProblem(Q22, G22))
         assert result.status is Status.ITERATION_CAP
         assert result.solves == 40
+        # The point reported is the feasible iterate, not the last solve's x.
+        np.testing.assert_array_equal(result.point.x, [0.0, 0.0])
+        assert result.objective == 0.0
+
+    def test_numerical_failure_keeps_the_feasible_iterate(self):
+        # x = [1, 0] is accepted, then releasing index 1 meets its negative
+        # curvature: the run reports that iterate, not a zero vector.
+        result = fletcher_solve(QpProblem(np.diag([1.0, -1.0]), [-1.0, -1.0]))
+        assert result.status is Status.NUMERICAL_FAILURE
+        np.testing.assert_array_equal(result.point.x, [1.0, 0.0])
+        assert result.objective == -0.5
+
+    def test_exact_zero_counts_as_infeasible_in_the_trace(self):
+        # The target [0, 1] is accepted and optimal; its exact zero counts
+        # in n_im, by the x_I <= 0 rule the exchange solvers share.
+        result = fletcher_solve(QpProblem(np.eye(2), [0.0, -1.0]), initial_A=[])
+        assert (result.status, result.solves) == (Status.OPTIMAL, 1)
+        np.testing.assert_array_equal(result.point.x, [0.0, 1.0])
+        assert result.objective_history == (0.0, -0.5)
+        assert result.trace[-1].n_im == 1
 
 
 class TestBruteForce:

@@ -117,5 +117,6 @@ def test_fletcher_solves_are_counted_by_their_spans(tracer, make):
     names = [span[0] for span in t.spans]
     assert names.count("solve_subsystem") == untraced.solves
     assert names.count("objective") == 1
+    assert {"classify", "embed_point", "next_sets"} <= set(names)  # the shared loop ran
     assert (traced.status, traced.solves) == (untraced.status, untraced.solves)
     np.testing.assert_array_equal(traced.point.x, untraced.point.x)
