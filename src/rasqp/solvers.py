@@ -45,7 +45,14 @@ from .engine import (
     select_exchange_ras,
 )
 from .model import KktPoint, QpProblem, SolveResult, Status, TraceRow, _require_int, objective
-from .subsystem import FactorizationError, _indexes, _UpdatedCholesky, embed_point, solve_subsystem
+from .subsystem import (
+    FactorizationError,
+    _FreshCholesky,
+    _indexes,
+    _UpdatedCholesky,
+    embed_point,
+    solve_subsystem,
+)
 
 __all__ = [
     "GenericRasConfig",
@@ -168,16 +175,22 @@ class _RunRecorder:
 
 
 def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
-                   cap_status: Status = Status.ITERATION_CAP, factor=None) -> SolveResult:
+                   cap_status: Status = Status.ITERATION_CAP,
+                   factor=_FreshCholesky) -> SolveResult:
     """The iteration shared by all four solvers.
 
     The state is the ``inactive`` mask; I and A are its two index arrays.
-    Each round solves the subsystem for (I, A), updating the kept ``factor``
-    if one is given, and classifies the result.  It stops with ``Optimal``
-    when nothing is infeasible, with ``cap_status`` after ``cfg.max_solves``
-    solves and with ``NumericalFailure`` when a solve fails; otherwise
-    ``select(point, infeasible, inactive)`` returns either the indexes to
-    move to the other side or the :class:`Status` that ends the run.
+    They partition {0..n-1} by construction once ``cfg.initial_A`` is
+    checked here, the loop's only check of its sets: every solve passes
+    ``solve_subsystem`` the kernel the run keeps, ``factor`` (a fresh
+    factorization per solve by default, fletcher's updated factor
+    otherwise), and that call does not check the partition again.  Each
+    round solves the subsystem for (I, A) and classifies the result.  It
+    stops with ``Optimal`` when nothing is infeasible, with ``cap_status``
+    after ``cfg.max_solves`` solves and with ``NumericalFailure`` when a
+    solve fails; otherwise ``select(point, infeasible, inactive)`` returns
+    either the indexes to move to the other side or the :class:`Status`
+    that ends the run.
     """
     n = problem.n
     A = np.arange(n) if cfg.initial_A is None else _indexes(np.ravel(cfg.initial_A), "initial_A")

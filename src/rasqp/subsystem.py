@@ -12,12 +12,15 @@ afresh or its factor was updated.  A solve returns the pair (x_I, s_A), and
 :func:`embed_point` scatters that pair into a full-length
 :class:`~rasqp.model.KktPoint`.  I and A are taken in the order given, and
 x_I and s_A follow that order.  They must hold integers (an empty list of any
-dtype is empty), and are checked to partition {0..n-1} with one O(n) count of
-each index, which rejects an overlap, a missing index and an index out of
-range.
+dtype is empty).  A call without a ``factor`` argument, the public boundary,
+checks that they partition {0..n-1} with one O(n) count of each index, which
+rejects an overlap, a missing index and an index out of range.  A call with
+one passes the kernel a run keeps for all its solves, and that run builds I
+and A from its own mask, a partition by construction: the check is skipped,
+and the run checks its starting active set instead.
 
-Without a ``factor`` argument each solve factorizes Q[I,I] afresh and
-gathers Q once, in one of four ways.
+The fresh kernel, ``_FreshCholesky``, factorizes Q[I,I] afresh on every
+solve and gathers Q once, in one of four ways.
 
 * Dense Q: the row block Q[I,:], one contiguous copy of |I| rows.  Q[I,I]
   is its columns I and s_A is the full product x_I Q[I,:] + g read at the
@@ -70,14 +73,19 @@ factor time: it raises :class:`FactorizationError` whose ``pivot`` is the
 ``pbtrf``'s ``info``, or SuperLU's first pivot that is moved off the
 diagonal or is not positive, or |I| when SuperLU finds the block exactly
 singular without naming a step.  So which kernel factors a block, a choice
-of speed alone, never decides whether a run goes on.  A solve whose x_I or
-s_A comes out non-finite raises it too, with ``pivot`` ``None``.
+of speed alone, never decides whether a run goes on.  A solve whose
+full-length s = Q x + g comes out non-finite raises it too, with ``pivot``
+``None``.  On the fresh sparse paths that one check also catches a
+non-finite x_I, since after a successful factor Q[i,i] > 0 and x_i Q[i,i]
+is a term of s_i.  The fresh dense path and the kept factor below check x_I
+on its own first, because their product may be with a dense Q, which NumPy
+would warn about (inf * 0 is invalid).
 :func:`~rasqp.model.validate_problem` factors the whole of Q with the same
 kernels, a sparse Q through ``_factor_sparse`` as a solve of a sparse block
 would, and reports the same step.
 
-A solver that moves one index per solve passes a factor it keeps between
-calls instead (``fletcher_solve`` does).  The factor holds the Cholesky
+A solver that moves one index per solve keeps an ``_UpdatedCholesky``
+instead (``fletcher_solve`` does).  The factor holds the Cholesky
 factor L of Q[I,I], with I in the order its indexes joined, and nothing
 else of Q.  When I gains one index j, L gains the row
 (L^{-1} Q[I,j], sqrt(Q[j,j] - |L^{-1} Q[I,j]|^2)); when I loses the index
@@ -88,10 +96,10 @@ Saunders, "Methods for modifying matrix factorizations", Math. Comp. 28,
 1974).  That costs O(|I|^2) instead of a gather and an O(|I|^3) factor;
 s is then Q x + g with x zero off I, for a dense Q as for a sparse one,
 and the factor keeps that Q x, from which the caller reads x'Qx.
-Any other change of I, a new pivot that is not positive in floating point
-and a sparse Q[I,I] above :data:`DENSE_THRESHOLD` (which keeps the sparse
-kernels) fall back to the fresh path, so the factor needs no option to
-switch.
+Any other change of I and a new pivot that is not positive in floating
+point refactor Q[I,I], and a sparse Q[I,I] above :data:`DENSE_THRESHOLD`
+goes to the fresh kernel, which keeps the sparse kernels, so the factor
+needs no option to switch.
 """
 
 from __future__ import annotations
@@ -161,58 +169,69 @@ def _check_partition(n: int, I: np.ndarray, A: np.ndarray) -> None:
 def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> tuple[np.ndarray, np.ndarray]:
     """Solve Q[I,I] x_I = -g[I] by Cholesky and back out s_A; return (x_I, s_A).
 
-    ``I`` and ``A`` must hold integers and partition {0..n-1}, in any order
-    (``ValueError`` otherwise); x_I and s_A follow the order of I and A as
-    passed.  With I empty the solution is x_I = [] and s_A = g.  A sparse
-    Q[I,I] larger than :data:`DENSE_THRESHOLD` (read at call time) is
-    factorized instead by a band Cholesky when it is a full band in the
-    problem's reverse Cuthill-McKee order, and by SuperLU otherwise; the
-    first such solve orders Q and stores the order on the problem.  No
-    counters are touched here — callers count solves.
+    ``I`` and ``A`` must hold integers (``ValueError`` otherwise); x_I and
+    s_A follow the order of I and A as passed.  Without a ``factor`` they
+    must also partition {0..n-1}, in any order, which is checked here
+    (``ValueError`` otherwise).  With I empty the solution is x_I = [] and
+    s_A = g.  A sparse Q[I,I] larger than :data:`DENSE_THRESHOLD` (read at
+    call time) is factorized instead by a band Cholesky when it is a full
+    band in the problem's reverse Cuthill-McKee order, and by SuperLU
+    otherwise; the first such solve orders Q and stores the order on the
+    problem.  No counters are touched here — callers count solves.
 
-    ``factor``, a private ``_UpdatedCholesky`` the caller keeps between
-    calls, is brought to the new I by one append or one delete where that is
-    the change, and refactored otherwise; a sparse block above the threshold
-    still goes through the sparse kernels and makes the next solve
-    refactor.
+    ``factor`` is the private kernel a run keeps for all its solves:
+    ``_FreshCholesky``, which factorizes afresh each time, or an
+    ``_UpdatedCholesky``, which is brought to the new I by one append or one
+    delete where that is the change and refactored otherwise (a sparse
+    block above the threshold still goes through the sparse kernels and
+    makes the next solve refactor).  Its I and A come from the run's own
+    mask, a partition by construction, so they are not checked again.
 
     Raises :class:`FactorizationError` when Q[I,I] is not positive definite
     in floating point, whichever kernel factors it, with ``pivot`` the failed
-    step in the kernel's order, or when x_I or s_A comes out non-finite (an
+    step in the kernel's order, or when the solve comes out non-finite (an
     overflow on a nearly singular Q[I,I]), with ``pivot`` ``None``; neither
     can happen in exact arithmetic for a positive definite Q.
     """
     I = _indexes(I)
     A = _indexes(A)
-    _check_partition(problem.n, I, A)
-    g = problem.g
-    if factor is not None:
-        if not problem.is_sparse or len(I) <= DENSE_THRESHOLD:
-            x_I, s_A = factor.solve(problem, I, A)
-            return x_I, _finite(s_A)
-        factor.clear()  # the sparse kernels below; the next solve refactors
-    if len(I) == 0:
-        return np.empty(0), g[A].copy()
+    if factor is None:
+        _check_partition(problem.n, I, A)
+        factor = _FreshCholesky
+    return factor.solve(problem, I, A)
 
-    Q = problem.Q
-    if not problem.is_sparse:
-        rows = Q.take(I, axis=0)  # Q[I,:]; by symmetry also Q[:,I]'
-        x_I = _dense_solve(rows.take(I, axis=1), g[I])
-        s_A = (x_I @ rows + g)[A]
-    elif len(I) <= DENSE_THRESHOLD:
-        x_I = _dense_solve(_csc_block(Q, I), g[I])
-        x = np.zeros(problem.n)
-        x[I] = x_I
-        s_A = (Q @ x + g)[A]
-    else:
-        order = np.argsort(_rcm_rank(problem)[I])
-        J = I[order]  # I in the problem's fill-reducing order
-        cols = Q[:, J].tocsr()  # the columns J row by row, reused for Q[J,J] and s_A
-        y = _finite(_factor_sparse(cols[J])(-g[J]))
-        x_I = np.empty_like(y)
-        x_I[order] = y
-        s_A = (cols @ y + g)[A]
-    return x_I, _finite(s_A)
+
+class _FreshCholesky:
+    """The kernel that factorizes Q[I,I] afresh on every solve, in one of the
+    four ways of the module docstring, and keeps nothing between calls."""
+
+    @staticmethod
+    def solve(problem: QpProblem, I: np.ndarray, A: np.ndarray):
+        """x_I and s_A for a partition (I, A), in the order they are given."""
+        g = problem.g
+        if len(I) == 0:
+            return np.empty(0), g[A].copy()
+        Q = problem.Q
+        if not problem.is_sparse:
+            rows = Q.take(I, axis=0)  # Q[I,:]; by symmetry also Q[:,I]'
+            # x_I is checked before the dense product, which NumPy would
+            # warn about (inf * 0), and s after it, for an overflow.
+            x_I = _finite(_dense_solve(rows.take(I, axis=1), g[I]))
+            s = x_I @ rows + g
+        elif len(I) <= DENSE_THRESHOLD:
+            x_I = _dense_solve(_csc_block(Q, I), g[I])
+            x = np.zeros(problem.n)
+            x[I] = x_I
+            s = Q @ x + g
+        else:
+            order = np.argsort(_rcm_rank(problem)[I])
+            J = I[order]  # I in the problem's fill-reducing order
+            cols = Q[:, J].tocsr()  # the columns J row by row, reused for Q[J,J] and s_A
+            y = _factor_sparse(cols[J])(-g[J])
+            x_I = np.empty_like(y)
+            x_I[order] = y
+            s = cols @ y + g
+        return x_I, _finite(s)[A]
 
 
 class _UpdatedCholesky:
@@ -244,17 +263,20 @@ class _UpdatedCholesky:
 
     def solve(self, problem: QpProblem, I: np.ndarray, A: np.ndarray):
         """x_I and s_A for a partition (I, A), in the order they are given."""
+        if problem.is_sparse and len(I) > DENSE_THRESHOLD:
+            self.clear()  # the sparse kernels; the next solve refactors
+            return _FreshCholesky.solve(problem, I, A)
         if not self._update(problem, I):
             self._refactor(problem, I)
         g = problem.g
         if len(self.order) == 0:
             self.qx = np.zeros(problem.n)  # x = 0
             return np.empty(0), g[A].copy()
-        y = _finite(_potrs(self.L, -g[self.order], lower=1)[0])
+        y = _finite(_potrs(self.L, -g[self.order], lower=1)[0])  # before Q x, as on the fresh path
         x = np.zeros(problem.n)
         x[self.order] = y
         self.qx = problem.Q @ x
-        return y[self.pos[I]], (self.qx + g)[A]
+        return y[self.pos[I]], _finite(self.qx + g)[A]
 
     def _update(self, problem: QpProblem, I: np.ndarray) -> bool:
         """Bring the factor to I by one append or one delete, if that is the change."""
@@ -364,7 +386,7 @@ def _rcm_rank(problem: QpProblem) -> np.ndarray:
 def _dense_solve(qii: np.ndarray, g_I: np.ndarray) -> np.ndarray:
     """Factorize the symmetric temporary ``qii`` in place and solve."""
     fortran = qii if qii.flags.f_contiguous else qii.T  # the same matrix
-    return _finite(_potrs(_cholesky(fortran, clean=0), -g_I, lower=1)[0])
+    return _potrs(_cholesky(fortran, clean=0), -g_I, lower=1)[0]
 
 
 def _cholesky(block: np.ndarray, clean: int) -> np.ndarray:
@@ -431,6 +453,8 @@ def _superlu(rows):
 
 
 def _finite(v: np.ndarray) -> np.ndarray:
+    """``v``, once every entry is checked to be finite (see the module
+    docstring for which vectors a solve checks)."""
     if np.count_nonzero(np.isfinite(v)) != v.size:
         raise FactorizationError("the subsystem solve produced non-finite values")
     return v

@@ -133,9 +133,22 @@ class TestMetricBookkeeping:
         assert result.solves == 1
         assert result.trace[0].subsystem_size == 2
 
-    def test_initial_a_out_of_range(self):
-        with pytest.raises(ValueError):
-            ras_solve(QpProblem(Q22, G22), RasConfig(initial_A=[5]))
+    @pytest.mark.parametrize("initial_A", [[5], [-1]])
+    @pytest.mark.parametrize("solve", [
+        lambda p, a: ras_solve(p, RasConfig(initial_A=a)),
+        lambda p, a: generic_ras_solve(p, GenericRasConfig(initial_A=a)),
+        lambda p, a: kr_solve(p, KrConfig(initial_A=a)),
+        lambda p, a: fletcher_solve(p, initial_A=a),
+    ], ids=["ras", "generic", "kr", "fletcher"])
+    def test_initial_a_out_of_range(self, solve, initial_A, monkeypatch):
+        # The loop's one check on its sets: no solve re-checks them, and a
+        # negative index would otherwise wrap in the mask.
+        solves = []
+        monkeypatch.setattr(rasqp.solvers, "solve_subsystem",
+                            lambda *args, **kwargs: solves.append(args))
+        with pytest.raises(ValueError, match="initial_A index out of range"):
+            solve(QpProblem(Q22, G22), initial_A)
+        assert solves == []
 
     @pytest.mark.parametrize("initial_A", [
         np.array([True, False]),  # a mask would read as the indexes {1, 0}

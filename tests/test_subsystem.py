@@ -8,7 +8,7 @@ import scipy.sparse.linalg
 import rasqp.solvers
 import rasqp.subsystem
 from conftest import rand_spd_problem
-from rasqp.generators import gen_easy, gen_medium
+from rasqp.generators import gen_easy, gen_hard, gen_medium
 from rasqp.model import (
     NotPositiveDefiniteError,
     QpProblem,
@@ -406,14 +406,93 @@ class TestSolveSubsystem:
             solve_subsystem(p, [1], [0])
         assert exc.value.pivot == 1
 
+    @pytest.mark.parametrize("factor", [None, _UpdatedCholesky], ids=["fresh", "updated"])
+    @pytest.mark.parametrize("A", [[], [2]], ids=["A-empty", "A-nonempty"])
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-    def test_non_finite_solve_names_no_pivot(self, sparse):
-        # Q[I,I] factorizes, but x_0 = 1e10 / 1e-300 overflows to inf.
-        Q = np.diag([1e-300, 1.0])
-        p = QpProblem(sp.csc_array(Q) if sparse else Q, [-1e10, -1.0])
+    def test_non_finite_solve_names_no_pivot(self, sparse, A, factor):
+        # Q[I,I] factorizes, but x_0 = 1e10 / 1e-300 overflows to inf; s_A
+        # stays finite, so the check must read x_I or the full s = Q x + g.
+        Q = np.diag([1e-300, 1.0, 1.0])
+        p = QpProblem(sp.csc_array(Q) if sparse else Q, [-1e10, -1.0, -1.0])
+        I = [0, 1] if A else [0, 1, 2]
         with pytest.raises(FactorizationError, match="non-finite") as exc:
-            solve_subsystem(p, [0, 1], [])
+            solve_subsystem(p, I, A, factor=factor and factor())
         assert exc.value.pivot is None
+
+
+def counted_partition_checks(monkeypatch) -> list:
+    """Record n on each call of ``rasqp.subsystem._check_partition``."""
+    check = rasqp.subsystem._check_partition
+    calls = []
+
+    def counted(n, I, A):
+        calls.append(n)
+        return check(n, I, A)
+
+    monkeypatch.setattr(rasqp.subsystem, "_check_partition", counted)
+    return calls
+
+
+class TestPartitionCheck:
+    """The partition is checked at the public boundary, not in a run's loop."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("solve", [
+        lambda p: ras_solve(p, RasConfig(seed=1)),
+        lambda p: generic_ras_solve(p, GenericRasConfig(seed=1)),
+        lambda p: kr_solve(p, KrConfig()),
+        fletcher_solve,
+    ], ids=["ras", "generic", "kr", "fletcher"])
+    def test_runs_do_not_check_their_own_sets(self, solve, sparse, monkeypatch):
+        p = gen_medium(40, 0.2, 1e4, seed=5) if sparse else gen_hard(30, 1e4, seed=5)
+        checks = counted_partition_checks(monkeypatch)
+        result = solve(p)
+        assert result.status is Status.OPTIMAL and result.solves > 1
+        assert checks == []
+
+    def test_every_public_call_checks_once(self, monkeypatch):
+        checks = counted_partition_checks(monkeypatch)
+        p = QpProblem(Q22, G22)
+        solve_subsystem(p, [0], [1])
+        solve_subsystem(p, [1, 0], [])
+        for I, A in (([0], [0]), ([], [2, 0])):
+            with pytest.raises(ValueError):
+                solve_subsystem(p, I, A)
+        assert checks == [2] * 4
+        solve_subsystem(p, [0], [1], factor=_UpdatedCholesky())  # a run's own kernel
+        assert checks == [2] * 4
+
+    @pytest.mark.parametrize("kernel, threshold, fill, problem", [
+        ("_potrf", 1024, 0.1, lambda: gen_hard(30, 1e4, seed=6)),
+        ("_potrf", 1024, 0.1, lambda: gen_medium(40, 0.2, 1e4, seed=6)),
+        ("_pbtrf", 0, 0.1, lambda: gen_easy(60, 1.0, seed=6)),
+        ("splu", 0, np.inf, lambda: gen_medium(40, 0.2, 1e4, seed=6)),
+    ], ids=["dense", "densified-sparse", "band", "superlu"])
+    def test_the_loops_kernel_matches_the_public_call(self, kernel, threshold, fill,
+                                                      problem, monkeypatch):
+        # Every solve of a run, repeated through the public path, gives the
+        # same bytes; the named kernel factors every nonempty block.
+        p = problem()
+        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", threshold)
+        monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", fill)
+        factors = (counted_splu(monkeypatch) if kernel == "splu"
+                   else counted_kernel(monkeypatch, kernel))
+        solve = rasqp.solvers.solve_subsystem
+        solves = []
+
+        def spy(problem, I, A, **kwargs):
+            out = solve(problem, I, A, **kwargs)
+            solves.append((I, A, kwargs, out))
+            return out
+
+        monkeypatch.setattr(rasqp.solvers, "solve_subsystem", spy)
+        result = ras_solve(p, RasConfig(seed=2))
+        assert result.status is Status.OPTIMAL and len(solves) == result.solves > 1
+        assert len(factors) == sum(len(I) > 0 for I, *_ in solves)
+        for I, A, kwargs, (x_I, s_A) in solves:
+            assert kwargs == {"factor": rasqp.subsystem._FreshCholesky}
+            ref = solve_subsystem(p, I, A)
+            assert x_I.tobytes() == ref[0].tobytes() and s_A.tobytes() == ref[1].tobytes()
 
 
 class TestDenseKernel:
