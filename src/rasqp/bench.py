@@ -216,7 +216,7 @@ def _run_trial(plan, problem, t, record, options) -> bool:
     """Run trial t of a cell; on a config or solver error mark it and return False."""
     spec = record.spec
     try:
-        tol = float(options.get("tol", default_tol(spec.family)))
+        tol = options.get("tol", default_tol(spec.family))
         run = build_solver(record.solver, options, tol, solver_seed_for_trial(plan.base_seed + t))
         t0 = time.perf_counter()
         result = run(problem)
@@ -243,8 +243,6 @@ def _aggregate(record: BenchmarkRecord) -> None:
         record.time_mean = sum(r.time_s for r in included) / len(included)
         record.solve_mean = sum(r.solves for r in included) / len(included)
         record.avgI_mean = sum(r.avgI for r in included) / len(included)
-    else:
-        record.time_mean = record.solve_mean = record.avgI_mean = math.nan
 
 
 def emit_table(records) -> tuple[str, str]:

@@ -30,7 +30,7 @@ from .bench import (
     trace_to_csv,
 )
 from .generators import _AXES, _FAMILIES, GeneratorSpec, generate
-from .model import Status, _require_int, kkt_residual
+from .model import Status, _require_int, _require_tol, kkt_residual
 from .problem_io import load_problem
 
 __all__ = ["main", "cmd_solve", "cmd_bench", "cmd_trace"]
@@ -43,28 +43,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _tolerance(text: str) -> float:
-    """argparse type: a number >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
-    if not value >= 0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """argparse type: a seed, checked by the library's integer rule."""
-    value = int(text)
-    try:
-        _require_int(value, "seed")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-_seed.__name__ = "int"  # argparse: "invalid int value"
+def _checked(convert, rule, name: str):
+    """argparse type: ``convert(text)``, then the library's ``rule(value, name)``."""
+    def parse(text: str):
+        value = convert(text)
+        try:
+            rule(value, name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    parse.__name__ = convert.__name__  # argparse: "invalid <name> value"
+    return parse
 
 
 def _list_of(kind):
@@ -80,14 +69,15 @@ def _list_of(kind):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rasqp", description=__doc__.split("\n\n")[0])
+    seed, tol = _checked(int, _require_int, "seed"), _checked(float, _require_tol, "tol")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="solve a problem file")
     ps.add_argument("path", help="problem file (see rasqp.problem_io)")
     ps.add_argument("--solver", default="ras", choices=SOLVER_NAMES)
-    ps.add_argument("--seed", type=_seed, default=0,
+    ps.add_argument("--seed", type=seed, default=0,
                     help="RNG seed for randomized solvers (default 0)")
-    ps.add_argument("--tol", type=_tolerance, default=1e-10,
+    ps.add_argument("--tol", type=tol, default=1e-10,
                     help="dual violation tolerance (default 1e-10)")
     ps.add_argument("--max-solves", type=int, default=None,
                     help="cap on subsystem solves (default: the solver's own)")
@@ -104,8 +94,8 @@ def _build_parser() -> _Parser:
     pb.add_argument("--solvers", type=_list_of(str), default="ras,kr",
                     help=f"comma-separated subset of {','.join(SOLVER_NAMES)}")
     pb.add_argument("--trials", type=int, default=10)
-    pb.add_argument("--seed", type=_seed, default=0, help="base seed (default 0)")
-    pb.add_argument("--tol", type=_tolerance, default=None,
+    pb.add_argument("--seed", type=seed, default=0, help="base seed (default 0)")
+    pb.add_argument("--tol", type=tol, default=None,
                     help="override the per-family tolerance")
     pb.add_argument("--time-limit", type=float, default=300.0,
                     help="per-trial wall-clock limit in seconds")
@@ -118,14 +108,20 @@ def _build_parser() -> _Parser:
     for axis in _AXES:
         pt.add_argument(f"--{axis}", type=float)
     pt.add_argument("--solver", default="ras", choices=SOLVER_NAMES)
-    pt.add_argument("--seed", type=_seed, default=0,
+    pt.add_argument("--seed", type=seed, default=0,
                     help="generator seed; the solver seed is derived from it "
                          "exactly as in bench trials (default 0)")
-    pt.add_argument("--tol", type=_tolerance, default=None,
+    pt.add_argument("--tol", type=tol, default=None,
                     help="override the per-family tolerance")
     pt.add_argument("--output", default=None,
                     help="write the trace CSV here (default stdout)")
     return parser
+
+
+def _check_writable(output) -> None:
+    """Empty ``output``, if given, so that an unwritable path fails before any work."""
+    if output is not None:
+        Path(output).write_text("")
 
 
 def _given_axes(args) -> dict:
@@ -177,8 +173,7 @@ def cmd_bench(args) -> int:
         base_seed=args.seed,
         time_limit_per_trial=args.time_limit,
     )
-    if args.output is not None:
-        Path(args.output).write_text("")  # an unwritable path fails before any trial
+    _check_writable(args.output)
     records = run_plan(plan)
     human, machine = emit_table(records)
     print(human, end="")
@@ -191,10 +186,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    fam = args.family
-    # the spec checks the axes fit the family, the generator their values
-    problem = generate(GeneratorSpec(fam, args.n, seed=args.seed, **_given_axes(args)))
-    tol = args.tol if args.tol is not None else default_tol(fam)
+    spec = GeneratorSpec(args.family, args.n, seed=args.seed, **_given_axes(args))
+    _check_writable(args.output)  # once the spec has checked every value
+    problem = generate(spec)
+    tol = args.tol if args.tol is not None else default_tol(spec.family)
     result = build_solver(args.solver, {}, tol, solver_seed_for_trial(args.seed))(problem)
     csv = trace_to_csv(result, args.solver)
     if args.output is None:

@@ -4,10 +4,8 @@ After each subsystem solve the infeasible parts of I and A are
 
     Im = {i in I : x_i <= 0}    Am = {j in A : s_j < -tol}
 
-(a zero-valued inactive variable counts as infeasible; an active variable
-with s_j exactly at -tol counts as feasible).  A randomized method then
-draws a subset of Im and Am whose indexes change sides; every other index
-stays where it is.
+by the rule of :func:`classify`.  A randomized method then draws a subset
+of Im and Am whose indexes change sides; every other index stays put.
 
 The loop state is two arrays of length n: a boolean ``inactive`` mask (I is
 where it is true, A where it is false), which :func:`next_sets` flips, and,
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import KktPoint, _require_int
+from .model import KktPoint, _require_int, _require_tol
 
 __all__ = [
     "ChangeProbabilities",
@@ -99,9 +97,13 @@ class ChangeProbabilities:
 
 
 def classify(point: KktPoint, inactive: np.ndarray, tol: float) -> np.ndarray:
-    """The infeasible mask: x_i <= 0 where ``inactive``, s_j < -tol elsewhere."""
-    if not tol >= 0:  # also rejects nan, which would pass every s_j
-        raise ValueError("tol must be >= 0")
+    """The infeasible mask: x_i <= 0 where ``inactive``, s_j < -tol elsewhere.
+
+    The one statement of the dual rule: an active index is feasible while
+    s_j >= -tol (-tol included), and every iterative solver stops ``Optimal``
+    on an empty mask.  ``tol`` must be finite and >= 0 (``ValueError``).
+    """
+    _require_tol(tol)
     return np.where(inactive, point.x <= 0.0, point.s < -tol)
 
 

@@ -103,6 +103,13 @@ def _require_int(value, name: str, low: int = 0) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
 
 
+def _require_tol(value, name: str = "tol") -> None:
+    """Raise ValueError naming the field unless ``value`` is a finite number >= 0;
+    a ``bool`` is not one, and NaN fails the comparison."""
+    if isinstance(value, bool) or not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be >= 0 and finite, not {value!r}")
+
+
 class QpProblem:
     """Immutable container for one QP instance.
 
@@ -283,11 +290,11 @@ def validate_problem(problem: QpProblem) -> None:
     Raises :class:`NotSymmetricError` or :class:`NotPositiveDefiniteError`
     (carrying the 1-based failing pivot).  A symmetric matrix is positive
     definite iff every pivot of its elimination on the diagonal is positive,
-    so Q is factorized once, by the kernels of :mod:`rasqp.subsystem` and
-    under the rule its solves use: a dense Q by Cholesky on a copy, a sparse
-    Q, never densified, in its reverse Cuthill-McKee order (cached on the
-    problem), as a solve of a sparse block would.  Q is rejected at the step
-    the factor names.  Intended for setup-time validation, not inner loops.
+    so Q is factorized once, by the kernels of :mod:`rasqp.subsystem`: a
+    dense Q by Cholesky on a copy, a sparse Q, never densified, in its
+    reverse Cuthill-McKee order (cached) by the kernels of a sparse block
+    above ``DENSE_THRESHOLD``, whatever n.  Q is rejected at the step the
+    factor names.  Intended for setup-time validation, not inner loops.
     """
     # Imported here: subsystem imports this module.
     from .subsystem import FactorizationError, _cholesky, _factor_sparse, _rcm_rank

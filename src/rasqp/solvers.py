@@ -44,7 +44,8 @@ from .engine import (
     select_exchange_generic,
     select_exchange_ras,
 )
-from .model import KktPoint, QpProblem, SolveResult, Status, TraceRow, _require_int, objective
+from .model import (KktPoint, QpProblem, SolveResult, Status, TraceRow, _require_int,
+                    _require_tol, objective)
 from .subsystem import (
     FactorizationError,
     _FreshCholesky,
@@ -69,10 +70,10 @@ __all__ = [
 
 @dataclass(kw_only=True)
 class _ExchangeConfig:
-    """Options every exchange solver takes: the dual tolerance (>= 0), the
-    starting active set (``None`` means every index), the cap on subsystem
-    solves (an integer >= 1) and whether to record each inactive set.
-    Keyword-only, like its subclasses."""
+    """Options every exchange solver takes: the dual tolerance (the rule of
+    :func:`~rasqp.engine.classify`), the starting active set (``None`` means
+    every index), the cap on subsystem solves (an integer >= 1) and whether
+    to record each inactive set.  Keyword-only, like its subclasses."""
 
     tol: float = 1e-10
     initial_A: object = None
@@ -81,8 +82,7 @@ class _ExchangeConfig:
 
     def __post_init__(self):
         _require_int(self.max_solves, "max_solves", 1)
-        if not self.tol >= 0.0:  # also rejects nan
-            raise ValueError("tol must be >= 0")
+        _require_tol(self.tol)
 
 
 @dataclass(kw_only=True)
@@ -193,9 +193,8 @@ def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
     that ends the run.
     """
     n = problem.n
-    A = np.arange(n) if cfg.initial_A is None else _indexes(np.ravel(cfg.initial_A), "initial_A")
-    if len(A) and (A.min() < 0 or A.max() >= n):
-        raise ValueError("initial_A index out of range")
+    A = (np.arange(n) if cfg.initial_A is None
+         else _indexes(np.ravel(cfg.initial_A), "initial_A", n))
     inactive = np.ones(n, dtype=bool)
     inactive[A] = False
     I, A = np.flatnonzero(inactive), np.flatnonzero(~inactive)
@@ -307,9 +306,9 @@ def fletcher_solve(
     toward the target until the first coordinate hits zero: that blocking
     index, the smallest ratio x_i / (x_i - x_i*) among x_i* < 0 (ties by
     smallest index), moves to A pinned at exactly 0, round-off negatives
-    clamped.  Otherwise it accepts the target and stops as optimal if
-    min s_A >= -tol, or else moves the most negative s_j (ties by smallest
-    index) into I.  As for the other solvers, ``n_im`` counts x_i* <= 0.
+    clamped.  Otherwise it accepts the target and stops as optimal if the
+    loop's :func:`~rasqp.engine.classify` finds A feasible, or else moves the
+    most negative s_j (ties by index) into I; ``n_im`` counts x_i* <= 0.
 
     Since I gains or loses exactly one index per solve, the run keeps the
     Cholesky factor of Q[I,I] between solves: each solve appends one row
@@ -347,9 +346,9 @@ def fletcher_solve(
             moved = np.flatnonzero(blocking)[k]
             x[moved] = 0.0
         else:  # accept the target; release the most negative s_j, ties by index
-            moved = np.argmin(point.s)
-            if not point.s[moved] < -tol:  # optimal, with an exact zero in x_I
+            if not (infeasible & ~inactive).any():  # optimal, with an exact zero in x_I
                 return Status.OPTIMAL  # accepted below, as when the loop stops
+            moved = np.argmin(point.s)
             x[:] = point.x
             qx = factor.qx  # Q x, formed by this solve unless a sparse kernel ran
             obj_hist.append(objective(problem, x) if qx is None
@@ -379,8 +378,7 @@ def brute_force_solve(problem: QpProblem, tol: float = 1e-10) -> KktPoint:
     different code path from the Cholesky kernel the solvers use, so the two
     routes cross-check each other.  Enforces n <= 20.
     """
-    if not tol >= 0.0:  # also rejects nan
-        raise ValueError("tol must be >= 0")
+    _require_tol(tol)
     n = problem.n
     if n > 20:
         raise DimensionTooLargeError(f"n = {n} exceeds the brute-force limit of 20")

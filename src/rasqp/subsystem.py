@@ -145,22 +145,22 @@ class FactorizationError(RuntimeError):
         self.pivot = pivot
 
 
-def _indexes(v, name: str = "I and A") -> np.ndarray:
-    """``v`` as an int64 index array, rejecting a nonempty ``name`` of another kind."""
+def _indexes(v, name: str = "I and A", n: int | None = None) -> np.ndarray:
+    """``v`` as int64 indexes, rejecting a nonempty ``name`` of another kind
+    and, given ``n``, an index outside [0, n)."""
     v = np.asarray(v)
     if v.size and v.dtype.kind not in "iu":  # a float would truncate, a bool read as 0/1
         raise ValueError(f"{name} must hold integer indexes, not {v.dtype}")
-    return v.astype(np.int64, copy=False)
+    v = v.astype(np.int64, copy=False)
+    if n is not None and v.size and v.view(np.uint64).max() >= n:  # a negative reads as huge
+        raise ValueError(f"{name} index out of range")
+    return v
 
 
 def _check_partition(n: int, I: np.ndarray, A: np.ndarray) -> None:
     if len(I) + len(A) != n:
         raise ValueError("I and A must partition {0..n-1}")
-    both = np.concatenate((I, A))
-    # Read as unsigned, a negative index is beyond n too, so one max rejects
-    # both before bincount sizes its output by the largest index.
-    if both.view(np.uint64).max() >= n:
-        raise ValueError("index out of range")
+    both = _indexes(np.concatenate((I, A)), n=n)  # in range before bincount sizes by it
     # n indexes in range cover {0..n-1} only without repeats.
     if np.count_nonzero(np.bincount(both, minlength=n)) != n:
         raise ValueError("I and A must partition {0..n-1}")

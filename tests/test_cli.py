@@ -160,7 +160,7 @@ class TestUsageErrors:
          "n must be an integer >= 2, not 1"),
         (["trace", "--family", "hard", "--n", "10", "--cond", "0.5"], "cond must be >= 1"),
         (["trace", "--family", "hard", "--n", "10", "--cond", "1e4", "--tol", "-1"],
-         "--tol: must be >= 0"),
+         "argument --tol: tol must be >= 0 and finite, not -1.0"),
         (["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--trials", "0"],
          "trials must be an integer >= 1, not 0"),
         *((["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--trials", "2",
@@ -200,11 +200,11 @@ class TestUsageErrors:
         assert main(["solve", problem_file, "--tol", "-1"]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert "--tol: must be >= 0" in err
+        assert "argument --tol: tol must be >= 0 and finite, not -1.0" in err
 
     def test_non_numeric_tol(self, problem_file, capsys):
         assert main(["solve", problem_file, "--tol", "tiny"]) == 1
-        assert "--tol: expects a number" in capsys.readouterr().err
+        assert "argument --tol: invalid float value: 'tiny'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["solve", "{file}"],
@@ -241,7 +241,11 @@ class TestUsageErrors:
                      "--output", str(tmp_path / "missing" / "x.csv")]) == 1
         assert "missing" in one_line_error(capsys)
 
-    def test_trace_unwritable_output(self, tmp_path, capsys):
+    def test_trace_unwritable_output(self, tmp_path, capsys, monkeypatch):
+        def generate(spec):
+            raise AssertionError("generate ran although --output cannot be written")
+
+        monkeypatch.setattr("rasqp.cli.generate", generate)
         assert main(["trace", "--family", "hard", "--n", "10", "--cond", "1e4",
                      "--output", str(tmp_path / "missing" / "t.csv")]) == 1
         assert "missing" in one_line_error(capsys)

@@ -1,4 +1,7 @@
+import io
+import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -6,7 +9,9 @@ import scipy.sparse as sp
 
 import rasqp.subsystem
 
-from rasqp.bench import BenchmarkPlan
+from rasqp.bench import BenchmarkPlan, run_plan
+from rasqp.cli import main
+from rasqp.engine import classify
 from rasqp.generators import GeneratorSpec, gen_easy, gen_hard, gen_medium
 from rasqp.model import (
     KktPoint,
@@ -20,7 +25,13 @@ from rasqp.model import (
     stationarity_tol,
     validate_problem,
 )
-from rasqp.solvers import GenericRasConfig, KrConfig, RasConfig
+from rasqp.solvers import (
+    GenericRasConfig,
+    KrConfig,
+    RasConfig,
+    brute_force_solve,
+    fletcher_solve,
+)
 
 Q22 = np.array([[4.0, 1.0], [1.0, 3.0]])
 G22 = np.array([-1.0, -2.0])
@@ -309,3 +320,74 @@ def test_integer_options_share_one_rule(option):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(value)
     build(np.int64(low))
+
+
+def _library(call):
+    """A library boundary: the message of the ValueError ``call(value)`` raises,
+    or None when it accepts the value."""
+    def check(value, path):
+        try:
+            call(value)
+        except ValueError as exc:
+            return str(exc)
+        return None
+    return check
+
+
+def _plan_cell(value, path):
+    """A plan cell's ``tol`` option: its cell error without the type, or None."""
+    spec = GeneratorSpec("hard", 5, seed=0, cond=10.0)
+    [record] = run_plan(BenchmarkPlan(cells=((spec, "ras", {"tol": value}),), trials=1))
+    return record.error and record.error.removeprefix("ValueError: ")
+
+
+def _command(*argv):
+    """A command's ``--tol``: None on exit 0; on exit 1 its one stderr line,
+    after ``rasqp: error: argument --tol: ``."""
+    def check(value, path):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([a.format(file=path) for a in argv] + ["--tol", str(value)])
+        if code == 0:
+            return None
+        assert (code, out.getvalue()) == (1, "")
+        [line] = err.getvalue().splitlines()
+        prefix = "rasqp: error: argument --tol: "
+        assert line.startswith(prefix)
+        return line.removeprefix(prefix)
+    return check
+
+
+# Every place a dual tolerance enters, all checked by model._require_tol.
+TOL_BOUNDARIES = {
+    "RasConfig": _library(lambda v: RasConfig(tol=v)),
+    "GenericRasConfig": _library(lambda v: GenericRasConfig(tol=v)),
+    "KrConfig": _library(lambda v: KrConfig(tol=v)),
+    "fletcher_solve": _library(lambda v: fletcher_solve(QpProblem(Q22, G22), tol=v)),
+    "brute_force_solve": _library(lambda v: brute_force_solve(QpProblem(Q22, G22), tol=v)),
+    "classify": _library(lambda v: classify(KktPoint(x=np.zeros(2), s=np.array([0.0, -1.0])),
+                                            np.array([True, False]), v)),
+    "plan cell": _plan_cell,
+    "rasqp solve": _command("solve", "{file}"),
+    "rasqp bench": _command("bench", "--family", "hard", "--n", "5", "--cond", "10",
+                            "--trials", "1", "--solvers", "ras"),
+    "rasqp trace": _command("trace", "--family", "hard", "--n", "5", "--cond", "10"),
+}
+
+
+@pytest.mark.parametrize("boundary", TOL_BOUNDARIES)
+def test_tol_boundaries_share_one_rule(boundary, tmp_path):
+    # An infinite tol would pass every s_j, so a run would stop Optimal at x = 0.
+    path = tmp_path / "small.txt"
+    path.write_text("n 2\ndense\n4 1\n1 3\ng\n-1 -2\n")
+    check = TOL_BOUNDARIES[boundary]
+    for value in (math.inf, math.nan, -1, True):
+        if not boundary.startswith("rasqp"):
+            message = f"tol must be >= 0 and finite, not {value!r}"
+        elif value is True:  # the command line reads its text as a float
+            message = "invalid float value: 'True'"
+        else:
+            message = f"tol must be >= 0 and finite, not {float(value)!r}"
+        assert check(value, path) == message
+    for value in (0, np.float64(1e-8)):
+        assert check(value, path) is None

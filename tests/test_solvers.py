@@ -536,6 +536,18 @@ class TestFletcherSolve:
         assert result.objective_history == (0.0, -0.5)
         assert result.trace[-1].n_im == 1
 
+    def test_stop_follows_the_loop_classify_verdict(self, monkeypatch):
+        # The target [0, 1, 0] holds an exact zero, so the loop does not stop
+        # on it, and s_2 = -1e-6.  Under a classify that tolerates 1e-3 the
+        # selection accepts it as optimal; comparing s with its own tol, it
+        # would release index 2 and solve again.
+        classify = rasqp.solvers.classify
+        monkeypatch.setattr(rasqp.solvers, "classify",
+                            lambda point, inactive, tol: classify(point, inactive, 1e-3))
+        result = fletcher_solve(QpProblem(np.eye(3), [0.0, -1.0, -1e-6]), initial_A=[2])
+        assert (result.status, result.solves) == (Status.OPTIMAL, 1)
+        np.testing.assert_array_equal(result.point.x, [0.0, 1.0, 0.0])
+
 
 class TestBruteForce:
     def test_dimension_limit(self):
