@@ -15,6 +15,7 @@ wall-clock columns.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from pathlib import Path
@@ -70,6 +71,7 @@ def _list_of(kind):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rasqp", description=__doc__.split("\n\n")[0])
     seed, tol = _checked(int, _require_int, "seed"), _checked(float, _require_tol, "tol")
+    at_least_one = functools.partial(_require_int, low=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="solve a problem file")
@@ -79,7 +81,7 @@ def _build_parser() -> _Parser:
                     help="RNG seed for randomized solvers (default 0)")
     ps.add_argument("--tol", type=tol, default=1e-10,
                     help="dual violation tolerance (default 1e-10)")
-    ps.add_argument("--max-solves", type=int, default=None,
+    ps.add_argument("--max-solves", type=_checked(int, at_least_one, "max_solves"), default=None,
                     help="cap on subsystem solves (default: the solver's own)")
     ps.add_argument("--machine", action="store_true",
                     help="print one machine-readable CSV line instead of the report")
@@ -93,7 +95,7 @@ def _build_parser() -> _Parser:
     pb.add_argument("--epsilon", type=floats, help="comma-separated regularizations (easy)")
     pb.add_argument("--solvers", type=_list_of(str), default="ras,kr",
                     help=f"comma-separated subset of {','.join(SOLVER_NAMES)}")
-    pb.add_argument("--trials", type=int, default=10)
+    pb.add_argument("--trials", type=_checked(int, at_least_one, "trials"), default=10)
     pb.add_argument("--seed", type=seed, default=0, help="base seed (default 0)")
     pb.add_argument("--tol", type=tol, default=None,
                     help="override the per-family tolerance")
@@ -130,14 +132,15 @@ def _given_axes(args) -> dict:
 
 
 def cmd_solve(args) -> int:
+    options = {} if args.max_solves is None else {"max_solves": args.max_solves}
+    solve = build_solver(args.solver, options, args.tol, args.seed)  # before the file is read
     try:
         problem = load_problem(args.path).problem
     except OSError as exc:
         raise OSError(f"cannot read {args.path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # malformed file, non-finite, asymmetric or non-PD matrix
         raise ValueError(f"{args.path}: {exc}") from None
-    options = {} if args.max_solves is None else {"max_solves": args.max_solves}
-    result = build_solver(args.solver, options, args.tol, args.seed)(problem)
+    result = solve(problem)
     stat, primal, dual, comp = kkt_residual(problem, result.point)
     if args.machine:
         print(

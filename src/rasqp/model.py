@@ -45,6 +45,10 @@ SYMMETRY_RTOL = 1e-12
 # entry); up to it, |Q_ij + Q_ji| <= the largest double, so the sum is finite.
 _SYMMETRIZE_MAX = np.finfo(np.float64).max / 2
 
+# The number types a tolerance may have: classify checks its tol on every
+# solve, and isinstance against numbers.Real costs several times as much.
+_REALS = (int, float, np.integer, np.floating)
+
 
 class NotSymmetricError(ValueError):
     """Raised when a matrix is too far from symmetric to be repaired."""
@@ -105,8 +109,8 @@ def _require_int(value, name: str, low: int = 0) -> None:
 
 def _require_tol(value, name: str = "tol") -> None:
     """Raise ValueError naming the field unless ``value`` is a finite number >= 0;
-    a ``bool`` is not one, and NaN fails the comparison."""
-    if isinstance(value, bool) or not 0.0 <= value < np.inf:
+    a ``bool``, a string or ``None`` is not one, and NaN fails the comparison."""
+    if isinstance(value, bool) or not isinstance(value, _REALS) or not 0.0 <= value < np.inf:
         raise ValueError(f"{name} must be >= 0 and finite, not {value!r}")
 
 
@@ -219,23 +223,29 @@ class TraceRow:
 class SolveResult:
     """Outcome of one solver run.
 
-    ``solves`` counts linear subsystem solves, the unit all benchmarks use;
-    ``avg_subsystem_size`` is the arithmetic mean of |I| over exactly those
-    solves.  ``trace`` has one row per counted solve.  ``inactive_sets`` and
-    ``iterate_history`` are populated only when a solver is asked to record
-    them; ``objective_history`` is always populated by ``fletcher_solve``
-    and never by the exchange solvers.
+    ``trace`` has one row per linear subsystem solve, the unit all
+    benchmarks use.  ``solves`` and ``avg_subsystem_size`` (the mean |I|,
+    0.0 for no solve) are read from it, so they cannot disagree with it.
+    ``inactive_sets`` and ``iterate_history`` are populated only when a
+    solver is asked to record them; ``objective_history`` is always
+    populated by ``fletcher_solve`` and never by the exchange solvers.
     """
 
     point: KktPoint
     status: Status
-    solves: int
-    avg_subsystem_size: float
     trace: tuple[TraceRow, ...]
     objective: float
     inactive_sets: tuple[np.ndarray, ...] | None = None
     objective_history: tuple[float, ...] | None = None
     iterate_history: tuple[np.ndarray, ...] | None = None
+
+    @property
+    def solves(self) -> int:
+        return len(self.trace)
+
+    @property
+    def avg_subsystem_size(self) -> float:
+        return sum(row.subsystem_size for row in self.trace) / self.solves if self.trace else 0.0
 
 
 def stationarity_tol(problem: QpProblem) -> float:

@@ -16,11 +16,11 @@ KKT subsystem solves, each a fresh or an updated factorization,
 
 All four share one loop and differ only in their selection rule, which
 returns either the indexes to exchange or the status that ends the run.
-The loop itself stops a run as ``Optimal``, at the solve cap and on a
-failed factorization; ``ras``'s selection stops it when its redraws run out
-(an empty draw is redrawn without a solve), and ``kr``'s when the exchange
-would return to an active set already solved.  ``generic`` re-solves after
-an empty draw (and counts it), and ``kr`` never draws, exchanging everything.
+Every run leaves the loop by its one exit: the loop stops it as ``Optimal``,
+at the solve cap or on a failed factorization, ``ras``'s selection when its
+redraws run out (an empty draw is redrawn without a solve), and ``kr``'s
+when the exchange would return to an active set already solved.  ``generic``
+re-solves after an empty draw (and counts it); ``kr`` never draws.
 
 :func:`brute_force_solve` enumerates all 2^n partitions as a correctness
 oracle for the others.
@@ -141,39 +141,6 @@ class NoKktPointError(RuntimeError):
     """No partition satisfied the KKT conditions; impossible for valid input."""
 
 
-class _RunRecorder:
-    """Accumulates the per-solve metrics every solver reports; ``rows`` has
-    one plain tuple per solve, so it also counts them, and :meth:`result`
-    turns them into :class:`~rasqp.model.TraceRow` records once, at the end
-    of the run."""
-
-    def __init__(self, record_sets: bool):
-        self.t0 = time.perf_counter()
-        self.rows: list[tuple] = []  # (n_im, n_am, |I|, elapsed_s) per solve
-        self.sets: list[np.ndarray] | None = [] if record_sets else None
-
-    def note(self, I: np.ndarray, n_im: int, n_am: int) -> None:
-        """Count one solve on inactive set ``I`` with ``n_im``/``n_am`` infeasible."""
-        self.rows.append((n_im, n_am, len(I), time.perf_counter() - self.t0))
-        if self.sets is not None:
-            self.sets.append(I)
-
-    def result(self, problem: QpProblem, point: KktPoint, status: Status) -> SolveResult:
-        trace = tuple(TraceRow(k, int(n_im), int(n_am), size, elapsed)
-                      for k, (n_im, n_am, size, elapsed) in enumerate(self.rows, 1))
-        solves = len(trace)
-        return SolveResult(
-            point=point,
-            status=status,
-            solves=solves,
-            avg_subsystem_size=(sum(row.subsystem_size for row in trace) / solves
-                                if solves else 0.0),
-            trace=trace,
-            objective=objective(problem, point.x),
-            inactive_sets=tuple(self.sets) if self.sets is not None else None,
-        )
-
-
 def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
                    cap_status: Status = Status.ITERATION_CAP,
                    factor=_FreshCholesky) -> SolveResult:
@@ -185,12 +152,13 @@ def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
     ``solve_subsystem`` the kernel the run keeps, ``factor`` (a fresh
     factorization per solve by default, fletcher's updated factor
     otherwise), and that call does not check the partition again.  Each
-    round solves the subsystem for (I, A) and classifies the result.  It
-    stops with ``Optimal`` when nothing is infeasible, with ``cap_status``
-    after ``cfg.max_solves`` solves and with ``NumericalFailure`` when a
-    solve fails; otherwise ``select(point, infeasible, inactive)`` returns
-    either the indexes to move to the other side or the :class:`Status`
-    that ends the run.
+    round solves the subsystem for (I, A), classifies the result and
+    appends one row.  It stops with ``Optimal`` when nothing is infeasible,
+    with ``cap_status`` after ``cfg.max_solves`` solves and with
+    ``NumericalFailure`` when a solve fails; otherwise ``select(point,
+    infeasible, inactive)`` returns the indexes to move to the other side
+    or the :class:`Status` that ends the run.  Every stop sets ``status``
+    and leaves the loop by its one exit, which builds the result.
     """
     n = problem.n
     A = (np.arange(n) if cfg.initial_A is None
@@ -198,26 +166,38 @@ def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
     inactive = np.ones(n, dtype=bool)
     inactive[A] = False
     I, A = np.flatnonzero(inactive), np.flatnonzero(~inactive)
-    rec = _RunRecorder(cfg.record_sets)
+    t0 = time.perf_counter()
+    rows = []  # (n_im, n_am, |I|, elapsed_s) per solve, made TraceRows at the end
+    sets = [] if cfg.record_sets else None
     point = KktPoint(x=np.zeros(n), s=np.zeros(n))  # returned if the first solve fails
     while True:
         try:
             x_I, s_A = solve_subsystem(problem, I, A, factor=factor)
         except FactorizationError:
-            return rec.result(problem, point, Status.NUMERICAL_FAILURE)
+            status = Status.NUMERICAL_FAILURE
+            break
         point = embed_point(n, I, A, x_I, s_A)
         infeasible = classify(point, inactive, cfg.tol)
         n_inf = np.count_nonzero(infeasible)
         n_im = np.count_nonzero(infeasible & inactive)
-        rec.note(I, n_im, n_inf - n_im)
-        if n_inf == 0:
-            return rec.result(problem, point, Status.OPTIMAL)
-        if len(rec.rows) >= cfg.max_solves:
-            return rec.result(problem, point, cap_status)
-        chosen = select(point, infeasible, inactive)
+        rows.append((n_im, n_inf - n_im, len(I), time.perf_counter() - t0))
+        if sets is not None:
+            sets.append(I)
+        chosen = (Status.OPTIMAL if n_inf == 0
+                  else cap_status if len(rows) >= cfg.max_solves
+                  else select(point, infeasible, inactive))
         if isinstance(chosen, Status):
-            return rec.result(problem, point, chosen)
+            status = chosen
+            break
         inactive, I, A = next_sets(inactive, chosen)
+    return SolveResult(
+        point=point,
+        status=status,
+        trace=tuple(TraceRow(k, int(n_im), int(n_am), size, elapsed)
+                    for k, (n_im, n_am, size, elapsed) in enumerate(rows, 1)),
+        objective=objective(problem, point.x),
+        inactive_sets=tuple(sets) if sets is not None else None,
+    )
 
 
 def generic_ras_solve(problem: QpProblem, cfg: GenericRasConfig) -> SolveResult:

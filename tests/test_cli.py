@@ -162,7 +162,7 @@ class TestUsageErrors:
         (["trace", "--family", "hard", "--n", "10", "--cond", "1e4", "--tol", "-1"],
          "argument --tol: tol must be >= 0 and finite, not -1.0"),
         (["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--trials", "0"],
-         "trials must be an integer >= 1, not 0"),
+         "argument --trials: trials must be an integer >= 1, not 0"),
         *((["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--trials", "2",
             "--solvers", "ras", "--time-limit", limit], "time_limit_per_trial must be > 0")
           for limit in ("-1", "0", "nan")),
@@ -194,7 +194,22 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"rasqp: error: max_solves must be an integer >= 1, not {max_solves}"]
+            f"rasqp: error: argument --max-solves: max_solves must be an integer >= 1, "
+            f"not {max_solves}"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-solves", "0"],
+         "argument --max-solves: max_solves must be an integer >= 1, not 0"),
+        (["--solver", "fletcher", "--max-solves", "1"], "fletcher takes only tol, not max_solves"),
+    ], ids=["below-one", "fletcher"])
+    def test_solve_max_solves_is_checked_before_the_file_is_read(self, problem_file, argv,
+                                                                 message, monkeypatch, capsys):
+        def load_problem(path):
+            raise AssertionError("the problem file was read")
+
+        monkeypatch.setattr("rasqp.cli.load_problem", load_problem)
+        assert main(["solve", problem_file, *argv]) == 1
+        assert one_line_error(capsys) == f"rasqp: error: {message}\n"
 
     def test_solve_negative_tol(self, problem_file, capsys):
         assert main(["solve", problem_file, "--tol", "-1"]) == 1

@@ -381,13 +381,15 @@ def test_tol_boundaries_share_one_rule(boundary, tmp_path):
     path = tmp_path / "small.txt"
     path.write_text("n 2\ndense\n4 1\n1 3\ng\n-1 -2\n")
     check = TOL_BOUNDARIES[boundary]
-    for value in (math.inf, math.nan, -1, True):
+    for value in (math.inf, math.nan, -1, True, "1e-8", None):
         if not boundary.startswith("rasqp"):
             message = f"tol must be >= 0 and finite, not {value!r}"
-        elif value is True:  # the command line reads its text as a float
-            message = "invalid float value: 'True'"
+        elif value == "1e-8":  # the command line reads its text as a float
+            message = None
+        elif value is True or value is None:
+            message = f"invalid float value: '{value}'"
         else:
             message = f"tol must be >= 0 and finite, not {float(value)!r}"
-        assert check(value, path) == message
+        assert check(value, path) == message, value
     for value in (0, np.float64(1e-8)):
         assert check(value, path) is None

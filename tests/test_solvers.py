@@ -10,7 +10,7 @@ import rasqp.subsystem
 from conftest import assert_certificate, rand_spd_problem
 from rasqp.engine import ChangeProbabilities
 from rasqp.generators import gen_hard, gen_medium
-from rasqp.model import QpProblem, Status, TraceRow, objective
+from rasqp.model import QpProblem, Status, objective
 from rasqp.solvers import (
     DimensionTooLargeError,
     GenericRasConfig,
@@ -99,16 +99,31 @@ class TestOracleEquivalence:
 
 class TestMetricBookkeeping:
     def test_trace_matches_solve_counts(self):
-        result = ras_solve(QpProblem(Q22, G22), RasConfig(seed=3))
-        assert len(result.trace) == result.solves
-        assert [row.iteration for row in result.trace] == list(
-            range(1, result.solves + 1)
-        )
-        sizes = [row.subsystem_size for row in result.trace]
-        assert result.avg_subsystem_size == pytest.approx(np.mean(sizes))
-        assert all(
-            b.elapsed_s >= a.elapsed_s for a, b in zip(result.trace, result.trace[1:])
-        )
+        runs = {f"{name}-{label}": result
+                for label, problem in (("2x2", QpProblem(Q22, G22)),
+                                       ("hard", gen_hard(30, 1e8, seed=2)))
+                for name, result in all_solver_runs(problem, seed=3).items()}
+        # fletcher replaces the point and objective of a run that fails after
+        # three solves (x_2 = 0.1 / 1e-310 overflows) ...
+        runs["fletcher-failure"] = fletcher_solve(
+            QpProblem(np.diag([1.0, 1.0, 1e-310]), np.array([-3.0, -2.0, -0.1])))
+        # ... and of one whose first solve fails (Q is indefinite).
+        runs["fletcher-empty"] = fletcher_solve(
+            QpProblem(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([-1.0, -1.0])),
+            initial_A=[])
+        assert runs["fletcher-failure"].status is Status.NUMERICAL_FAILURE
+        assert runs["fletcher-failure"].solves == 3
+        assert (runs["fletcher-empty"].status, runs["fletcher-empty"].trace) == (
+            Status.NUMERICAL_FAILURE, ())
+        for name, result in runs.items():
+            sizes = [row.subsystem_size for row in result.trace]
+            assert result.solves == len(result.trace), name
+            assert type(result.solves) is int, name
+            assert [row.iteration for row in result.trace] == list(range(1, result.solves + 1))
+            assert result.avg_subsystem_size == (sum(sizes) / len(sizes) if sizes else 0.0), name
+            assert type(result.avg_subsystem_size) is float, name
+            assert all(b.elapsed_s >= a.elapsed_s
+                       for a, b in zip(result.trace, result.trace[1:])), name
 
     def test_fletcher_trace_rows(self):
         # From A = {0, 1}: s_A = g, both negative; release index 1 (x_1 = 2/3,
@@ -183,34 +198,48 @@ class TestMetricBookkeeping:
             assert row.subsystem_size == len(I)
 
     def test_trace_rows_are_the_rows_each_solve_noted(self, monkeypatch):
-        # The recorder stores a plain tuple per solve and builds the rows at
-        # the end of the run.  Each row must equal, field by field, the row
-        # built when the solve was noted, with elapsed_s stamped then.
-        note = rasqp.solvers._RunRecorder.note
-        noted = []
+        # Row k holds the counts of solve k's classify mask and is stamped
+        # between that classify and solve k + 1.  Times are taken from a
+        # stamp just before the solver call; the run's own clock starts
+        # between that stamp and its first solve, which widens the lower
+        # bound by the time to that first solve.
+        solve_subsystem, classify = rasqp.solvers.solve_subsystem, rasqp.solvers.classify
+        calls, masks = [], []
 
-        def spy(rec, I, n_im, n_am):
-            before = time.perf_counter() - rec.t0
-            note(rec, I, n_im, n_am)
-            after = time.perf_counter() - rec.t0
-            noted.append((TraceRow(iteration=len(noted) + 1, n_im=int(n_im), n_am=int(n_am),
-                                   subsystem_size=len(I), elapsed_s=0.0), before, after))
+        def solve_spy(problem, I, A, **kwargs):
+            calls.append((time.perf_counter(), len(I)))
+            return solve_subsystem(problem, I, A, **kwargs)
 
-        monkeypatch.setattr(rasqp.solvers._RunRecorder, "note", spy)
+        def classify_spy(point, inactive, tol):
+            mask = classify(point, inactive, tol)
+            masks.append((mask.copy(), inactive.copy(), time.perf_counter()))
+            return mask
+
+        monkeypatch.setattr(rasqp.solvers, "solve_subsystem", solve_spy)
+        monkeypatch.setattr(rasqp.solvers, "classify", classify_spy)
         problem = gen_hard(30, 1e8, seed=2)
         for name, solve in (("ras", lambda: ras_solve(problem, RasConfig(seed=1))),
                             ("generic", lambda: generic_ras_solve(problem, GenericRasConfig(seed=1))),
                             ("kr", lambda: kr_solve(problem, KrConfig())),
                             ("fletcher", lambda: fletcher_solve(problem))):
+            calls.clear()
+            masks.clear()
+            stamp = time.perf_counter()
             result = solve()
-            assert len(result.trace) == len(noted) == result.solves > 2, name
-            for row, (old, before, after) in zip(result.trace, noted):
-                assert type(row) is TraceRow
+            done = time.perf_counter() - stamp
+            assert len(result.trace) == len(calls) == len(masks) == result.solves > 2, name
+            first_solve = calls[0][0] - stamp
+            next_solves = [t - stamp for t, _ in calls[1:]] + [done]
+            for k, row in enumerate(result.trace):
+                mask, inactive, classified = masks[k]
+                assert (row.iteration, row.n_im, row.n_am, row.subsystem_size) == (
+                    k + 1, np.count_nonzero(mask & inactive), np.count_nonzero(mask & ~inactive),
+                    calls[k][1]), (name, k)
                 for f in ("iteration", "n_im", "n_am", "subsystem_size"):
-                    assert getattr(row, f) == getattr(old, f), (name, f)
                     assert type(getattr(row, f)) is int, (name, f)
-                assert type(row.elapsed_s) is float and before <= row.elapsed_s <= after
-            noted.clear()
+                assert type(row.elapsed_s) is float
+                assert classified - stamp - first_solve <= row.elapsed_s <= next_solves[k], (
+                    name, k)
 
     def test_record_sets(self):
         result = ras_solve(QpProblem(Q22, G22), RasConfig(seed=1, record_sets=True))
