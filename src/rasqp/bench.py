@@ -10,8 +10,9 @@ random method with the data it is solving.
 
 Aggregation follows the reporting conventions of the original experiments:
 the full-exchange method (kr) is averaged over its successful trials only,
-every other solver over all completed trials; ``fail_count`` counts trials
-that ended in CycleDetected, IterationCapReached, or over the time limit.
+every other solver over all trials that ended within the time limit and
+without a numerical failure; ``fail_count`` counts every trial that did not
+end Optimal.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .engine import ChangeProbabilities
 from .generators import GeneratorSpec, generate
-from .model import SolveResult, Status, _require_int
+from .model import SolveResult, Status, _require_int, _require_real
 from .solvers import (
     GenericRasConfig,
     KrConfig,
@@ -57,8 +58,8 @@ SOLVER_NAMES = ("ras", "generic", "kr", "fletcher")
 
 TRACE_HEADER = "solver,iter,elapsed_s,infeasible,inactive_size"
 
-#: Trial statuses that count as failures in the aggregated tables.
-_FAIL_STATUSES = (Status.CYCLE_DETECTED.value, Status.ITERATION_CAP.value, "Timeout")
+#: The interval of ``BenchmarkPlan.time_limit_per_trial``; inf means no limit.
+_TIME_LIMIT = (0.0, math.inf, "(]")
 
 
 def default_tol(family: str) -> float:
@@ -80,7 +81,7 @@ class BenchmarkPlan:
     ``max_solves``, ``probs`` as a 6-tuple, ``sigma``); ``tol`` defaults to
     the family tolerance.  ``trials`` must be an integer >= 1,
     ``base_seed`` an integer >= 0 and ``time_limit_per_trial`` (in seconds)
-    > 0; a trial that ran longer is recorded as ``Timeout``.
+    > 0, inf for no limit; a trial that ran longer is recorded as ``Timeout``.
     """
 
     cells: tuple
@@ -90,8 +91,7 @@ class BenchmarkPlan:
 
     def __post_init__(self):
         _require_int(self.trials, "trials", 1)
-        if not self.time_limit_per_trial > 0:  # also rejects NaN
-            raise ValueError("time_limit_per_trial must be > 0")
+        _require_real(self.time_limit_per_trial, "time_limit_per_trial", *_TIME_LIMIT)
         _require_int(self.base_seed, "base_seed")
 
 
@@ -233,12 +233,10 @@ def _run_trial(plan, problem, t, record, options) -> bool:
 
 
 def _aggregate(record: BenchmarkRecord) -> None:
-    record.fail_count = sum(1 for r in record.rows if r.status in _FAIL_STATUSES)
-    if record.solver == "kr":
-        included = [r for r in record.rows if r.status == Status.OPTIMAL.value]
-    else:
-        excluded = ("Timeout", Status.NUMERICAL_FAILURE.value)
-        included = [r for r in record.rows if r.status not in excluded]
+    optimal = [r for r in record.rows if r.status == Status.OPTIMAL.value]
+    record.fail_count = len(record.rows) - len(optimal)
+    included = optimal if record.solver == "kr" else [
+        r for r in record.rows if r.status not in ("Timeout", Status.NUMERICAL_FAILURE.value)]
     if included:
         record.time_mean = sum(r.time_s for r in included) / len(included)
         record.solve_mean = sum(r.solves for r in included) / len(included)

@@ -15,12 +15,12 @@ wall-clock columns.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import sys
 from pathlib import Path
 
 from .bench import (
+    _TIME_LIMIT,
     SOLVER_NAMES,
     BenchmarkPlan,
     build_solver,
@@ -30,8 +30,8 @@ from .bench import (
     solver_seed_for_trial,
     trace_to_csv,
 )
-from .generators import _AXES, _FAMILIES, GeneratorSpec, generate
-from .model import Status, _require_int, _require_tol, kkt_residual
+from .generators import _AXES, _FAMILIES, _RANGES, GeneratorSpec, generate
+from .model import Status, _require_int, _require_real, kkt_residual
 from .problem_io import load_problem
 
 __all__ = ["main", "cmd_solve", "cmd_bench", "cmd_trace"]
@@ -44,12 +44,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _checked(convert, rule, name: str):
-    """argparse type: ``convert(text)``, then the library's ``rule(value, name)``."""
+def _checked(convert, rule, name: str, *bounds):
+    """argparse type: ``convert(text)``, then the library's ``rule(value, name, *bounds)``."""
     def parse(text: str):
         value = convert(text)
         try:
-            rule(value, name)
+            rule(value, name, *bounds)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
@@ -70,8 +70,8 @@ def _list_of(kind):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rasqp", description=__doc__.split("\n\n")[0])
-    seed, tol = _checked(int, _require_int, "seed"), _checked(float, _require_tol, "tol")
-    at_least_one = functools.partial(_require_int, low=1)
+    seed, tol = _checked(int, _require_int, "seed"), _checked(float, _require_real, "tol")
+    axis = {name: _checked(float, _require_real, name, *_RANGES[name]) for name in _AXES}
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="solve a problem file")
@@ -81,25 +81,25 @@ def _build_parser() -> _Parser:
                     help="RNG seed for randomized solvers (default 0)")
     ps.add_argument("--tol", type=tol, default=1e-10,
                     help="dual violation tolerance (default 1e-10)")
-    ps.add_argument("--max-solves", type=_checked(int, at_least_one, "max_solves"), default=None,
-                    help="cap on subsystem solves (default: the solver's own)")
+    ps.add_argument("--max-solves", type=_checked(int, _require_int, "max_solves", 1),
+                    default=None, help="cap on subsystem solves (default: the solver's own)")
     ps.add_argument("--machine", action="store_true",
                     help="print one machine-readable CSV line instead of the report")
 
     pb = sub.add_parser("bench", help="run a benchmark grid")
     pb.add_argument("--family", required=True, choices=tuple(_FAMILIES))
-    floats = _list_of(float)
     pb.add_argument("--n", type=_list_of(int), required=True, help="comma-separated dimensions")
-    pb.add_argument("--cond", type=floats, help="comma-separated condition numbers (medium, hard)")
-    pb.add_argument("--density", type=floats, help="comma-separated densities (medium)")
-    pb.add_argument("--epsilon", type=floats, help="comma-separated regularizations (easy)")
+    for name, what in (("cond", "condition numbers (medium, hard)"),
+                       ("density", "densities (medium)"), ("epsilon", "regularizations (easy)")):
+        pb.add_argument(f"--{name}", type=_list_of(axis[name]), help=f"comma-separated {what}")
     pb.add_argument("--solvers", type=_list_of(str), default="ras,kr",
                     help=f"comma-separated subset of {','.join(SOLVER_NAMES)}")
-    pb.add_argument("--trials", type=_checked(int, at_least_one, "trials"), default=10)
+    pb.add_argument("--trials", type=_checked(int, _require_int, "trials", 1), default=10)
     pb.add_argument("--seed", type=seed, default=0, help="base seed (default 0)")
     pb.add_argument("--tol", type=tol, default=None,
                     help="override the per-family tolerance")
-    pb.add_argument("--time-limit", type=float, default=300.0,
+    pb.add_argument("--time-limit", default=300.0,
+                    type=_checked(float, _require_real, "time_limit_per_trial", *_TIME_LIMIT),
                     help="per-trial wall-clock limit in seconds")
     pb.add_argument("--output", default=None,
                     help="write the machine CSV here (default: after the table on stdout)")
@@ -107,8 +107,8 @@ def _build_parser() -> _Parser:
     pt = sub.add_parser("trace", help="run one traced solve on a generated problem")
     pt.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     pt.add_argument("--n", type=int, required=True)
-    for axis in _AXES:
-        pt.add_argument(f"--{axis}", type=float)
+    for name in _AXES:
+        pt.add_argument(f"--{name}", type=axis[name])
     pt.add_argument("--solver", default="ras", choices=SOLVER_NAMES)
     pt.add_argument("--seed", type=seed, default=0,
                     help="generator seed; the solver seed is derived from it "

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import KktPoint, _require_int, _require_tol
+from .model import KktPoint, _require_int, _require_real
 
 __all__ = [
     "ChangeProbabilities",
@@ -51,6 +51,9 @@ __all__ = [
 
 #: Origin labels: what the previous selection did with an index.
 FEASIBLE, FROZEN, EXCHANGED = 0, 1, 2
+
+#: The interval of the generic method's sigma, as model._require_real takes it.
+_SIGMA = (0.0, 0.5, "(]")
 
 
 @dataclass(frozen=True)
@@ -76,10 +79,8 @@ class ChangeProbabilities:
     p6: float = 0.94
 
     def __post_init__(self):
-        for name in ("p1", "p2", "p3", "p4", "p5", "p6"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} = {v!r} outside (0, 1]")
+        for name, p in zip(("p1", "p2", "p3", "p4", "p5", "p6"), self.as_tuple()):
+            _require_real(p, name, 0.0, 1.0, "(]")
         by_category = np.array(self.as_tuple(), dtype=np.float64)
         by_category.setflags(write=False)
         object.__setattr__(self, "_by_category", by_category)
@@ -103,7 +104,7 @@ def classify(point: KktPoint, inactive: np.ndarray, tol: float) -> np.ndarray:
     s_j >= -tol (-tol included), and every iterative solver stops ``Optimal``
     on an empty mask.  ``tol`` must be finite and >= 0 (``ValueError``).
     """
-    _require_tol(tol)
+    _require_real(tol)
     return np.where(inactive, point.x <= 0.0, point.s < -tol)
 
 
@@ -126,8 +127,7 @@ def select_exchange_generic(Im, Am, p_Im, p_Am, sigma: float, rng) -> np.ndarray
     Returns the chosen indexes: the picks from Im, then those from Am, in
     the order of the one draw that covers Im, then Am.
     """
-    if not 0.0 < sigma <= 0.5:
-        raise ValueError("sigma must lie in (0, 0.5]")
+    _require_real(sigma, "sigma", *_SIGMA)
     p = np.concatenate([
         np.broadcast_to(np.asarray(p_Im, dtype=np.float64), Im.shape),
         np.broadcast_to(np.asarray(p_Am, dtype=np.float64), Am.shape),

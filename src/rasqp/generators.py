@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .model import QpProblem, _require_int
+from .model import QpProblem, _require_int, _require_real
 
 __all__ = [
     "GeneratorSpec",
@@ -70,27 +70,20 @@ class GeneratorSpec:
                     raise ValueError(f"{fam} family requires {name}")
             elif value is not None:
                 raise ValueError(f"{name} does not apply to the {fam} family")
-        _check_parameters(fam, self.n, self.seed, epsilon=self.epsilon, density=self.density,
-                          cond=self.cond)
+        _check_parameters(fam, self.n, self.seed, **{name: getattr(self, name) for name in axes})
 
 
-def _check_parameters(family: str, n: int, seed: int, *, epsilon: float | None = None,
-                      density: float | None = None, cond: float | None = None) -> None:
+def _check_parameters(family: str, n: int, seed: int, **axes) -> None:
     """Raise ValueError naming the first generator parameter out of range.
 
     n an integer, >= 1 for the easy family and >= 2 otherwise; seed an
-    integer >= 0; epsilon finite and > 0; density in (0, 1]; cond finite and
-    >= 1.  A parameter passed as None is not checked; NaN fails every
-    comparison, so it is rejected.
+    integer >= 0; each of ``axes`` (the family's) a number in its
+    :data:`_RANGES` interval.
     """
     _require_int(n, "n", 1 if family == "easy" else 2)
     _require_int(seed, "seed")
-    if epsilon is not None and not 0.0 < epsilon < np.inf:
-        raise ValueError("epsilon must be > 0 and finite")
-    if density is not None and not 0.0 < density <= 1.0:
-        raise ValueError("density must lie in (0, 1]")
-    if cond is not None and not 1.0 <= cond < np.inf:
-        raise ValueError("cond must be >= 1 and finite")
+    for name, value in axes.items():
+        _require_real(value, name, *_RANGES[name])
 
 
 def generate(spec: GeneratorSpec) -> QpProblem:
@@ -143,7 +136,8 @@ def gen_medium(n: int, density: float, cond: float, seed: int,
     stored nonzeros reaches ``density * n^2`` or the rotation budget
     ``rotation_budget_factor * density * n^2`` is exhausted, in which case a
     :class:`DensityUnreachableWarning` reporting the achieved density is
-    issued and the matrix built so far is returned.
+    issued and the matrix built so far is returned.  The factor must be
+    finite and >= 0.
 
     ``cond = 1`` prescribes the identity, which no rotation can change, so
     the identity is returned directly at its natural density (no warning —
@@ -152,6 +146,7 @@ def gen_medium(n: int, density: float, cond: float, seed: int,
     angle, per rotation), then g.
     """
     _check_parameters("medium", n, seed, density=density, cond=cond)
+    _require_real(rotation_budget_factor, "rotation_budget_factor")
     rng = np.random.default_rng(seed)
     if cond == 1.0:
         Q = sp.eye_array(n, format="csc")
@@ -220,5 +215,8 @@ _FAMILIES = {
     "medium": (gen_medium, ("density", "cond")),
     "hard": (gen_hard, ("cond",)),
 }
-#: every spec axis, in the order the table first names it
-_AXES = tuple(dict.fromkeys(axis for _, axes in _FAMILIES.values() for axis in axes))
+#: spec axis -> the (low, high, ends) interval of model._require_real its values lie in
+_RANGES = {"epsilon": (0.0, np.inf, "()"), "density": (0.0, 1.0, "(]"),
+           "cond": (1.0, np.inf, "[)")}
+#: every spec axis, in the order the family table first names it (the CLI crosses them so)
+_AXES = tuple(_RANGES)

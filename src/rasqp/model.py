@@ -45,8 +45,8 @@ SYMMETRY_RTOL = 1e-12
 # entry); up to it, |Q_ij + Q_ji| <= the largest double, so the sum is finite.
 _SYMMETRIZE_MAX = np.finfo(np.float64).max / 2
 
-# The number types a tolerance may have: classify checks its tol on every
-# solve, and isinstance against numbers.Real costs several times as much.
+# The number types a real-valued option may have: classify checks its tol on
+# every solve, and isinstance against numbers.Real costs several times as much.
 _REALS = (int, float, np.integer, np.floating)
 
 
@@ -107,11 +107,16 @@ def _require_int(value, name: str, low: int = 0) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
 
 
-def _require_tol(value, name: str = "tol") -> None:
-    """Raise ValueError naming the field unless ``value`` is a finite number >= 0;
-    a ``bool``, a string or ``None`` is not one, and NaN fails the comparison."""
-    if isinstance(value, bool) or not isinstance(value, _REALS) or not 0.0 <= value < np.inf:
-        raise ValueError(f"{name} must be >= 0 and finite, not {value!r}")
+def _require_real(value, name: str = "tol", low=0.0, high=np.inf, ends: str = "[)") -> None:
+    """Raise ValueError naming the field unless ``value`` is a number in the
+    interval from ``low`` to ``high``, each end closed ("[", "]") or open
+    ("(", ")") as ``ends`` says; the defaults are the dual tolerance's range.
+    A NumPy number is one; a ``bool``, a string or ``None`` is not, and NaN
+    fails every comparison.  A value strictly inside costs two comparisons."""
+    if isinstance(value, bool) or not isinstance(value, _REALS) or not (low < value < high
+            or value == low and ends[0] == "[" or value == high and ends[1] == "]"):
+        raise ValueError(f"{name} must be a number in {ends[0]}{low:g}, {high:g}{ends[1]}, "
+                         f"not {value!r}")
 
 
 class QpProblem:

@@ -233,8 +233,9 @@ def save_problem(problem_file: ProblemFile, path, form: str = "auto") -> None:
         raise ValueError(f"form must be 'dense', 'coo' or 'auto', got {form!r}")
     out = []
     for key, value in problem_file.meta.items():
-        words = value.split()  # the parser cuts a line at "#" and splits it on whitespace
-        if key.split() != [key] or not words or " ".join(words) != value or "#" in key + value:
+        # The parser reads strings: it cuts a line at "#" and splits it on whitespace.
+        if (not isinstance(key, str) or not isinstance(value, str) or key.split() != [key]
+                or " ".join(value.split()) != value or not value or "#" in key + value):
             raise ValueError(f"meta {key!r}: the key or its value would not read back unchanged")
         out.append(f"meta {key} {value}")
     out.append(f"n {problem.n}")

@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import (
+    _SIGMA,
     EXCHANGED,
     FROZEN,
     ChangeProbabilities,
@@ -45,7 +46,7 @@ from .engine import (
     select_exchange_ras,
 )
 from .model import (KktPoint, QpProblem, SolveResult, Status, TraceRow, _require_int,
-                    _require_tol, objective)
+                    _require_real, objective)
 from .subsystem import (
     FactorizationError,
     _FreshCholesky,
@@ -82,7 +83,7 @@ class _ExchangeConfig:
 
     def __post_init__(self):
         _require_int(self.max_solves, "max_solves", 1)
-        _require_tol(self.tol)
+        _require_real(self.tol)
 
 
 @dataclass(kw_only=True)
@@ -103,8 +104,7 @@ class GenericRasConfig(_ExchangeConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.sigma <= 0.5:  # also rejects nan
-            raise ValueError("sigma must lie in (0, 0.5]")
+        _require_real(self.sigma, "sigma", *_SIGMA)
         if self.probability_rule is not None and not callable(self.probability_rule):
             raise ValueError(f"probability_rule must be callable or None, "
                              f"not {self.probability_rule!r}")
@@ -358,7 +358,7 @@ def brute_force_solve(problem: QpProblem, tol: float = 1e-10) -> KktPoint:
     different code path from the Cholesky kernel the solvers use, so the two
     routes cross-check each other.  Enforces n <= 20.
     """
-    _require_tol(tol)
+    _require_real(tol)
     n = problem.n
     if n > 20:
         raise DimensionTooLargeError(f"n = {n} exceeds the brute-force limit of 20")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rasqp.bench
+import rasqp.subsystem
 from rasqp.bench import (
     MACHINE_HEADER,
     TRACE_HEADER,
@@ -138,6 +139,18 @@ class TestRunPlan:
             assert record.fail_count == 3
             assert math.isnan(record.solve_mean)
             assert math.isnan(record.time_mean)
+
+    def test_numerical_failures_are_counted(self, monkeypatch):
+        # A failed factorization used to leave its trial out of the means and
+        # out of fail_count alike, so the table read "nan nan nan 0".
+        monkeypatch.setattr(rasqp.subsystem, "_potrf", lambda block, **kwargs: (block, 1))
+        spec = GeneratorSpec("hard", 30, seed=0, cond=1e4)
+        records = run_plan(BenchmarkPlan(cells=((spec, "ras", {}), (spec, "kr", {})), trials=4))
+        for record in records:
+            assert [r.status for r in record.rows] == [Status.NUMERICAL_FAILURE.value] * 4
+            assert record.fail_count == 4
+            assert math.isnan(record.solve_mean)
+        assert emit_table(records)[0].splitlines()[1].endswith("nan     4")
 
     def test_full_exchange_failures_excluded_from_means(self):
         # base_seed 6 generates the instance on which the full-exchange

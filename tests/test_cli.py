@@ -158,33 +158,45 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
         (["trace", "--family", "hard", "--n", "1", "--cond", "1e4"],
          "n must be an integer >= 2, not 1"),
-        (["trace", "--family", "hard", "--n", "10", "--cond", "0.5"], "cond must be >= 1"),
+        (["trace", "--family", "hard", "--n", "10", "--cond", "0.5"],
+         "argument --cond: cond must be a number in [1, inf), not 0.5"),
         (["trace", "--family", "hard", "--n", "10", "--cond", "1e4", "--tol", "-1"],
-         "argument --tol: tol must be >= 0 and finite, not -1.0"),
+         "argument --tol: tol must be a number in [0, inf), not -1.0"),
         (["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--trials", "0"],
          "argument --trials: trials must be an integer >= 1, not 0"),
         *((["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--trials", "2",
-            "--solvers", "ras", "--time-limit", limit], "time_limit_per_trial must be > 0")
+            "--solvers", "ras", "--time-limit", limit],
+           f"argument --time-limit: time_limit_per_trial must be a number in (0, inf], "
+           f"not {float(limit)!r}")
           for limit in ("-1", "0", "nan")),
-        *((["bench", "--family", "hard", "--n", "10", "--cond", cond, "--trials", "1",
-            "--solvers", "ras"], "cond must be >= 1 and finite")
+        *((["bench", "--family", "hard", "--n", "10", "--cond", f"1e4,{cond}", "--trials", "1",
+            "--solvers", "ras"], f"argument --cond: cond must be a number in [1, inf), "
+                                 f"not {float(cond)!r}")
           for cond in ("0.5", "inf", "nan")),
         (["bench", "--family", "easy", "--n", "10", "--epsilon", "nan", "--trials", "1",
-          "--solvers", "ras"], "epsilon must be > 0 and finite"),
+          "--solvers", "ras"],
+         "argument --epsilon: epsilon must be a number in (0, inf), not nan"),
+        (["bench", "--family", "medium", "--n", "10", "--cond", "10", "--density", "0.5,0",
+          "--trials", "1", "--solvers", "ras"],
+         "argument --density: density must be a number in (0, 1], not 0.0"),
         (["trace", "--family", "hard", "--n", "20", "--cond", "inf"],
-         "cond must be >= 1 and finite"),
+         "argument --cond: cond must be a number in [1, inf), not inf"),
+        (["trace", "--family", "medium", "--n", "20", "--cond", "10", "--density", "1.5"],
+         "argument --density: density must be a number in (0, 1], not 1.5"),
+        (["trace", "--family", "easy", "--n", "20", "--epsilon", "0"],
+         "argument --epsilon: epsilon must be a number in (0, inf), not 0.0"),
         (["bench", "--family", "hard", "--n", "10", "--cond", "1e4", "--seed", "-1"],
          "argument --seed: seed must be an integer >= 0, not -1"),
     ], ids=["trace-n", "trace-cond", "trace-tol", "bench-trials",
             "bench-time-limit-negative", "bench-time-limit-zero", "bench-time-limit-nan",
             "bench-cond-below-one", "bench-cond-inf", "bench-cond-nan", "bench-epsilon-nan",
-            "trace-cond-inf", "bench-seed"])
+            "bench-density-zero", "trace-cond-inf", "trace-density-above-one",
+            "trace-epsilon-zero", "bench-seed"])
     def test_bad_value_is_a_one_line_usage_error(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [captured.err.strip()]
-        assert message in captured.err
+        assert captured.err == f"rasqp: error: {message}\n"
 
     @pytest.mark.parametrize("solver", ["ras", "generic", "kr"])
     @pytest.mark.parametrize("max_solves", ["0", "-3"])
@@ -215,7 +227,7 @@ class TestUsageErrors:
         assert main(["solve", problem_file, "--tol", "-1"]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert "argument --tol: tol must be >= 0 and finite, not -1.0" in err
+        assert "argument --tol: tol must be a number in [0, inf), not -1.0" in err
 
     def test_non_numeric_tol(self, problem_file, capsys):
         assert main(["solve", problem_file, "--tol", "tiny"]) == 1

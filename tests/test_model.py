@@ -11,7 +11,7 @@ import rasqp.subsystem
 
 from rasqp.bench import BenchmarkPlan, run_plan
 from rasqp.cli import main
-from rasqp.engine import classify
+from rasqp.engine import ChangeProbabilities, classify, select_exchange_generic
 from rasqp.generators import GeneratorSpec, gen_easy, gen_hard, gen_medium
 from rasqp.model import (
     KktPoint,
@@ -322,6 +322,69 @@ def test_integer_options_share_one_rule(option):
     build(np.int64(low))
 
 
+def _spec(family, field, **axes):
+    """A GeneratorSpec row: None there means the axis was not given."""
+    return (lambda v: GeneratorSpec(family, 5, seed=0, **axes, **{field: v}),
+            field, RANGES[field], f"{family} family requires {field}")
+
+
+RANGES = {"tol": "[0, inf)", "epsilon": "(0, inf)", "density": "(0, 1]", "cond": "[1, inf)"}
+
+# Every real-valued option checked by model._require_real, at each library
+# boundary: (builder, field, the interval as the message writes it and, where
+# None is not a value but the field's absence, the message None gives).
+REAL_OPTIONS = {
+    "RasConfig.tol": (lambda v: RasConfig(tol=v), "tol", RANGES["tol"]),
+    "GenericRasConfig.tol": (lambda v: GenericRasConfig(tol=v), "tol", RANGES["tol"]),
+    "KrConfig.tol": (lambda v: KrConfig(tol=v), "tol", RANGES["tol"]),
+    "fletcher_solve.tol": (lambda v: fletcher_solve(QpProblem(Q22, G22), tol=v), "tol",
+                           RANGES["tol"]),
+    "brute_force_solve.tol": (lambda v: brute_force_solve(QpProblem(Q22, G22), tol=v), "tol",
+                              RANGES["tol"]),
+    "classify.tol": (lambda v: classify(KktPoint(x=np.zeros(2), s=np.array([0.0, -1.0])),
+                                        np.array([True, False]), v), "tol", RANGES["tol"]),
+    "GenericRasConfig.sigma": (lambda v: GenericRasConfig(sigma=v), "sigma", "(0, 0.5]"),
+    "select_exchange_generic.sigma": (
+        lambda v: select_exchange_generic(np.array([0]), np.array([1]), 0.5, 0.5, v,
+                                          np.random.default_rng(0)), "sigma", "(0, 0.5]"),
+    **{f"ChangeProbabilities.{p}": (lambda v, p=p: ChangeProbabilities(**{p: v}), p, "(0, 1]")
+       for p in ("p1", "p2", "p3", "p4", "p5", "p6")},
+    "GeneratorSpec.epsilon": _spec("easy", "epsilon"),
+    "GeneratorSpec.density": _spec("medium", "density", cond=10.0),
+    "GeneratorSpec.cond-medium": _spec("medium", "cond", density=0.5),
+    "GeneratorSpec.cond-hard": _spec("hard", "cond"),
+    "gen_easy.epsilon": (lambda v: gen_easy(5, v, 0), "epsilon", RANGES["epsilon"]),
+    "gen_medium.density": (lambda v: gen_medium(5, v, 10.0, 0), "density", RANGES["density"]),
+    "gen_medium.cond": (lambda v: gen_medium(5, 0.5, v, 0), "cond", RANGES["cond"]),
+    "gen_medium.rotation_budget_factor": (
+        lambda v: gen_medium(5, 0.5, 10.0, 0, rotation_budget_factor=v),
+        "rotation_budget_factor", "[0, inf)"),
+    "gen_hard.cond": (lambda v: gen_hard(5, v, 0), "cond", RANGES["cond"]),
+    "BenchmarkPlan.time_limit_per_trial": (
+        lambda v: BenchmarkPlan(cells=(), time_limit_per_trial=v), "time_limit_per_trial",
+        "(0, inf]"),
+}
+
+
+@pytest.mark.parametrize("option", REAL_OPTIONS)
+def test_real_options_share_one_rule(option):
+    # A bool used to run as 0 or 1, a string or None raised TypeError, and
+    # each range had its own wording, most without the value.
+    build, field, interval, *none_message = REAL_OPTIONS[option]
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    outside = [end if bracket in "()" else math.nextafter(end, toward)
+               for end, bracket, toward in ((low, interval[0], -math.inf),
+                                            (high, interval[-1], math.inf))
+               if bracket in "()" or math.isfinite(end)]
+    for value in (True, False, "0.5", None, math.nan, *outside):
+        message = f"{field} must be a number in {interval}, not {value!r}"
+        if value is None and none_message:
+            message = none_message[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(value)
+    build(np.float64(low + 1.0 if high == math.inf else (low + high) / 2))
+
+
 def _library(call):
     """A library boundary: the message of the ValueError ``call(value)`` raises,
     or None when it accepts the value."""
@@ -358,7 +421,7 @@ def _command(*argv):
     return check
 
 
-# Every place a dual tolerance enters, all checked by model._require_tol.
+# Every place a dual tolerance enters, all checked by model._require_real.
 TOL_BOUNDARIES = {
     "RasConfig": _library(lambda v: RasConfig(tol=v)),
     "GenericRasConfig": _library(lambda v: GenericRasConfig(tol=v)),
@@ -383,13 +446,13 @@ def test_tol_boundaries_share_one_rule(boundary, tmp_path):
     check = TOL_BOUNDARIES[boundary]
     for value in (math.inf, math.nan, -1, True, "1e-8", None):
         if not boundary.startswith("rasqp"):
-            message = f"tol must be >= 0 and finite, not {value!r}"
+            message = f"tol must be a number in [0, inf), not {value!r}"
         elif value == "1e-8":  # the command line reads its text as a float
             message = None
         elif value is True or value is None:
             message = f"invalid float value: '{value}'"
         else:
-            message = f"tol must be >= 0 and finite, not {float(value)!r}"
+            message = f"tol must be a number in [0, inf), not {float(value)!r}"
         assert check(value, path) == message, value
     for value in (0, np.float64(1e-8)):
         assert check(value, path) is None

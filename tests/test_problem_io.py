@@ -252,6 +252,10 @@ class TestSaveRoundTrip:
         {"k": "a\x85b"},
         {"k": "a\u2028b"},
         {"k": ""},
+        {"k": 3},  # would read back as "3"; not a str, so it used to raise AttributeError
+        {3: "x"},
+        {"k": None},
+        {"k": b"x"},
     ], ids=repr)
     def test_metadata_that_would_not_read_back(self, tmp_path, meta):
         problem = QpProblem(np.eye(2), [0.0, 0.0])
