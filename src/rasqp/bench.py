@@ -54,7 +54,11 @@ __all__ = [
     "TRACE_HEADER",
 ]
 
-SOLVER_NAMES = ("ras", "generic", "kr", "fletcher")
+#: The options each solver takes; every solver also runs without any.
+_OPTIONS = {"ras": ("tol", "max_solves", "probs"), "generic": ("tol", "max_solves", "sigma"),
+            "kr": ("tol", "max_solves"), "fletcher": ("tol",)}
+
+SOLVER_NAMES = tuple(_OPTIONS)
 
 TRACE_HEADER = "solver,iter,elapsed_s,infeasible,inactive_size"
 
@@ -77,11 +81,13 @@ class BenchmarkPlan:
     """A grid of (generator template, solver name, solver options) cells.
 
     The ``seed`` field of each template is a placeholder: trial t replaces it
-    with ``base_seed + t``.  ``options`` may carry solver keywords (``tol``,
-    ``max_solves``, ``probs`` as a 6-tuple, ``sigma``); ``tol`` defaults to
-    the family tolerance.  ``trials`` must be an integer >= 1,
-    ``base_seed`` an integer >= 0 and ``time_limit_per_trial`` (in seconds)
-    > 0, inf for no limit; a trial that ran longer is recorded as ``Timeout``.
+    with ``base_seed + t``.  ``options`` are the keywords of
+    :func:`build_solver`; ``tol`` defaults to the family tolerance.
+    ``trials`` must be an integer >= 1, ``base_seed`` an integer >= 0 and
+    ``time_limit_per_trial`` (in seconds) > 0, inf for no limit; a trial
+    that ran longer is recorded as ``Timeout``.  Every cell is built once
+    here, so an unknown solver, an option it does not take or a bad value
+    raises ``ValueError`` before any problem is generated.
     """
 
     cells: tuple
@@ -93,6 +99,8 @@ class BenchmarkPlan:
         _require_int(self.trials, "trials", 1)
         _require_real(self.time_limit_per_trial, "time_limit_per_trial", *_TIME_LIMIT)
         _require_int(self.base_seed, "base_seed")
+        for spec, name, options in self.cells:
+            _trial_solver(spec, name, options, self.base_seed)
 
 
 @dataclass(frozen=True)
@@ -150,34 +158,47 @@ class BenchmarkRecord:
     error: str | None = None
 
 
-def build_solver(name: str, options: dict, tol: float, seed: int):
+def build_solver(name: str, options: dict, seed: int):
     """A one-argument callable running solver ``name`` on a problem.
 
-    ``options`` are solver keywords as in :class:`BenchmarkPlan`; ``seed``
-    seeds the randomized solvers.
+    ``options`` are solver keywords: ``tol`` for every solver, ``max_solves``
+    for ras, generic and kr, ``probs`` (six numbers, p1..p6) for ras and
+    ``sigma`` for generic; an option left out takes the solver's default.
+    ``seed`` seeds the randomized solvers.  An unknown name, an option the
+    solver does not take and a bad value all raise ``ValueError`` here,
+    before any run.
     """
+    if name not in _OPTIONS:
+        raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
+    extra = [str(key) for key in options if key not in _OPTIONS[name]]
+    if extra:
+        raise ValueError(f"{name} takes only {', '.join(_OPTIONS[name])}, "
+                         f"not {', '.join(extra)}")
     opts = dict(options)
-    opts.pop("tol", None)
     if name == "ras":
-        probs = opts.pop("probs", None)
-        cfg = RasConfig(
-            probs=ChangeProbabilities(*probs) if probs is not None else ChangeProbabilities(),
-            tol=tol,
-            seed=seed,
-            **opts,
-        )
+        if "probs" in opts:
+            probs = opts["probs"]
+            if not isinstance(probs, (tuple, list, np.ndarray)) or len(probs) != 6:
+                raise ValueError(f"probs must be six numbers, not {probs!r}")
+            opts["probs"] = ChangeProbabilities(*probs)
+        cfg = RasConfig(seed=seed, **opts)
         return lambda problem: ras_solve(problem, cfg)
     if name == "generic":
-        cfg = GenericRasConfig(tol=tol, seed=seed, **opts)
+        cfg = GenericRasConfig(seed=seed, **opts)
         return lambda problem: generic_ras_solve(problem, cfg)
     if name == "kr":
-        cfg = KrConfig(tol=tol, **opts)
+        cfg = KrConfig(**opts)
         return lambda problem: kr_solve(problem, cfg)
-    if name == "fletcher":
-        if opts:
-            raise ValueError(f"fletcher takes only tol, not {', '.join(sorted(opts))}")
-        return lambda problem: fletcher_solve(problem, tol=tol)
-    raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
+    if "tol" in opts:  # fletcher has no config to check it before its run
+        _require_real(opts["tol"])
+    return lambda problem: fletcher_solve(problem, **opts)
+
+
+def _trial_solver(spec: GeneratorSpec, name: str, options: dict, trial_seed: int):
+    """The solver of a cell's trial: ``options`` with ``tol`` defaulting to the
+    family tolerance, seeded from :func:`solver_seed_for_trial`."""
+    return build_solver(name, {"tol": default_tol(spec.family), **options},
+                        solver_seed_for_trial(trial_seed))
 
 
 def run_plan(plan: BenchmarkPlan) -> list[BenchmarkRecord]:
@@ -213,11 +234,10 @@ def run_plan(plan: BenchmarkPlan) -> list[BenchmarkRecord]:
 
 
 def _run_trial(plan, problem, t, record, options) -> bool:
-    """Run trial t of a cell; on a config or solver error mark it and return False."""
+    """Run trial t of a cell; on a solver error mark it and return False."""
     spec = record.spec
+    run = _trial_solver(spec, record.solver, options, plan.base_seed + t)
     try:
-        tol = options.get("tol", default_tol(spec.family))
-        run = build_solver(record.solver, options, tol, solver_seed_for_trial(plan.base_seed + t))
         t0 = time.perf_counter()
         result = run(problem)
         elapsed = time.perf_counter() - t0

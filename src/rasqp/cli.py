@@ -23,11 +23,10 @@ from .bench import (
     _TIME_LIMIT,
     SOLVER_NAMES,
     BenchmarkPlan,
+    _trial_solver,
     build_solver,
-    default_tol,
     emit_table,
     run_plan,
-    solver_seed_for_trial,
     trace_to_csv,
 )
 from .generators import _AXES, _FAMILIES, _RANGES, GeneratorSpec, generate
@@ -126,14 +125,14 @@ def _check_writable(output) -> None:
         Path(output).write_text("")
 
 
-def _given_axes(args) -> dict:
-    """The generator axes given on the command line, by GeneratorSpec field name."""
-    return {name: getattr(args, name) for name in _AXES if getattr(args, name) is not None}
+def _given(args, names) -> dict:
+    """The options among ``names`` given on the command line, by their field name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def cmd_solve(args) -> int:
-    options = {} if args.max_solves is None else {"max_solves": args.max_solves}
-    solve = build_solver(args.solver, options, args.tol, args.seed)  # before the file is read
+    # Built before the problem file is read.
+    solve = build_solver(args.solver, _given(args, ("tol", "max_solves")), args.seed)
     try:
         problem = load_problem(args.path).problem
     except OSError as exc:
@@ -162,13 +161,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    axes = _given_axes(args)  # crossed with the n-list; GeneratorSpec checks they fit the family
+    axes = _given(args, _AXES)  # crossed with the n-list; GeneratorSpec checks they fit the family
     specs = [GeneratorSpec(args.family, n, seed=0, **dict(zip(axes, values)))
              for n in args.n for values in itertools.product(*axes.values())]
-    for s in args.solvers:
-        if s not in SOLVER_NAMES:
-            raise ValueError(f"unknown solver {s!r}")
-    options = {} if args.tol is None else {"tol": args.tol}
+    options = _given(args, ("tol",))
     cells = tuple((spec, solver, options) for spec in specs for solver in args.solvers)
     plan = BenchmarkPlan(
         cells=cells,
@@ -189,11 +185,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    spec = GeneratorSpec(args.family, args.n, seed=args.seed, **_given_axes(args))
-    _check_writable(args.output)  # once the spec has checked every value
-    problem = generate(spec)
-    tol = args.tol if args.tol is not None else default_tol(spec.family)
-    result = build_solver(args.solver, {}, tol, solver_seed_for_trial(args.seed))(problem)
+    spec = GeneratorSpec(args.family, args.n, seed=args.seed, **_given(args, _AXES))
+    solve = _trial_solver(spec, args.solver, _given(args, ("tol",)), args.seed)
+    _check_writable(args.output)  # once the spec and the solver have checked every value
+    result = solve(generate(spec))
     csv = trace_to_csv(result, args.solver)
     if args.output is None:
         print(csv, end="")

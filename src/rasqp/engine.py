@@ -64,11 +64,6 @@ class ChangeProbabilities:
     additionally allowed as the degenerate certainty setting under which the
     selection reduces to the full exchange (useful for tests and for
     emulating the full-exchange method).  Defaults are the tuned values.
-
-    The six values are also kept as one read-only array indexed by category,
-    built once here instead of on every draw.  It is not a field, so equality,
-    hashing, repr and :func:`dataclasses.replace` see only p1..p6, and a
-    pickle holds the six values alone.
     """
 
     p1: float = 0.5
@@ -81,17 +76,6 @@ class ChangeProbabilities:
     def __post_init__(self):
         for name, p in zip(("p1", "p2", "p3", "p4", "p5", "p6"), self.as_tuple()):
             _require_real(p, name, 0.0, 1.0, "(]")
-        by_category = np.array(self.as_tuple(), dtype=np.float64)
-        by_category.setflags(write=False)
-        object.__setattr__(self, "_by_category", by_category)
-
-    def __getstate__(self):
-        state = dict(vars(self))
-        del state["_by_category"]
-        return state
-
-    def __setstate__(self, state):
-        self.__init__(**state)  # validates and rebuilds the array
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.p1, self.p2, self.p3, self.p4, self.p5, self.p6)
@@ -138,15 +122,15 @@ def select_exchange_generic(Im, Am, p_Im, p_Am, sigma: float, rng) -> np.ndarray
     return np.concatenate((Im, Am))[rng.random(p.size) < p]
 
 
-def select_exchange_ras(cand: np.ndarray, cat: np.ndarray, probs: ChangeProbabilities,
-                        rng) -> np.ndarray:
+def select_exchange_ras(cand: np.ndarray, cat: np.ndarray, p: np.ndarray, rng) -> np.ndarray:
     """Category-wise random exchange selection over :func:`categorize`'s output.
 
-    Each candidate is exchanged with its category's probability, one uniform
-    per candidate in the given order.  Returns the chosen indexes in that
-    order.
+    ``p`` holds the six probabilities indexed by category, as
+    ``np.array(probs.as_tuple())`` of a :class:`ChangeProbabilities`.  Each
+    candidate is exchanged with its category's probability, one uniform per
+    candidate in the given order.  Returns the chosen indexes in that order.
     """
-    return cand[rng.random(len(cand)) < probs._by_category[cat]]
+    return cand[rng.random(len(cand)) < p[cat]]
 
 
 def next_sets(inactive: np.ndarray, chosen):

@@ -257,8 +257,9 @@ def stationarity_tol(problem: QpProblem) -> float:
     """Scale-relative tolerance on ||Qx + g - s||_inf, namely 1e-8 * (1 + ||g||_inf).
 
     Active-set iterates satisfy the stationarity equations by construction,
-    so this tolerance only matters for the residual checker and the
-    brute-force oracle.
+    so this tolerance only matters where a result's certificate is checked
+    against :func:`kkt_residual`: the benchmark's certificate check and the
+    tests.
     """
     return 1e-8 * (1.0 + float(np.abs(problem.g).max()))
 

@@ -234,13 +234,13 @@ def ras_solve(problem: QpProblem, cfg: RasConfig) -> SolveResult:
     """
     n = problem.n
     rng = np.random.default_rng(cfg.seed)
+    p = np.array(cfg.probs.as_tuple(), dtype=np.float64)  # indexed by category
     origin = np.full(n, FROZEN, dtype=np.int8)
 
     def select(point, infeasible, inactive):
         nonlocal origin
         for _ in range(10 * n + 1):
-            chosen = select_exchange_ras(*categorize(infeasible, inactive, origin),
-                                         cfg.probs, rng)
+            chosen = select_exchange_ras(*categorize(infeasible, inactive, origin), p, rng)
             origin = infeasible.astype(np.int8)  # FROZEN (1) where infeasible, else FEASIBLE (0)
             origin[chosen] = EXCHANGED
             if len(chosen):

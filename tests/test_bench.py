@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,10 +189,39 @@ class TestRunPlan:
         for a, b in zip(records[0].rows, records[1].rows):
             assert a.solves == b.solves
 
-    def test_unknown_solver_marks_cell(self):
-        records = run_plan(tiny_plan(cells=((EASY, "newton", {}),)))
-        assert records[0].error is not None
-        assert "newton" in records[0].error
+    @pytest.mark.parametrize("name, options, message", [
+        ("newton", {}, "unknown solver 'newton'; expected one of "
+                       "('ras', 'generic', 'kr', 'fletcher')"),
+        ("ras", {"sigma": 0.5}, "ras takes only tol, max_solves, probs, not sigma"),
+        ("generic", {"probs": (0.5,) * 6}, "generic takes only tol, max_solves, sigma, not probs"),
+        ("kr", {"seed": 1}, "kr takes only tol, max_solves, not seed"),
+        ("ras", {"seed": 1}, "ras takes only tol, max_solves, probs, not seed"),
+        ("fletcher", {"seed": 1}, "fletcher takes only tol, not seed"),
+        ("ras", {"probs": (0.5,) * 5}, "probs must be six numbers, not (0.5, 0.5, 0.5, 0.5, 0.5)"),
+        ("ras", {"probs": (0.5,) * 7},
+         "probs must be six numbers, not (0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)"),
+        ("ras", {"probs": (0.5,) * 5 + (0.0,)}, "p6 must be a number in (0, 1], not 0.0"),
+        ("generic", {"sigma": 0.7}, "sigma must be a number in (0, 0.5], not 0.7"),
+        ("kr", {"max_solves": 0}, "max_solves must be an integer >= 1, not 0"),
+        ("fletcher", {"tol": -1.0}, "tol must be a number in [0, inf), not -1.0"),
+    ], ids=["unknown", "ras-sigma", "generic-probs", "kr-seed", "ras-seed", "fletcher-seed",
+            "probs-5", "probs-7", "probs-zero", "sigma-high", "max-solves-zero",
+            "fletcher-tol"])
+    def test_bad_cell_raises_before_any_generation(self, name, options, message, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rasqp.bench, "generate", calls.append)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tiny_plan(cells=((EASY, "ras", {}), (EASY, name, options), (EASY, "kr", {})))
+        assert calls == []
+
+    def test_solver_error_marks_its_own_cell(self, monkeypatch):
+        def kr_solve(problem, cfg):
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(rasqp.bench, "kr_solve", kr_solve)
+        ras, kr = run_plan(tiny_plan())
+        assert kr.error == "RuntimeError: solver failed" and kr.rows == []
+        assert ras.error is None and len(ras.rows) == 3
 
     def test_each_problem_generated_once(self, monkeypatch):
         other = GeneratorSpec("hard", 12, seed=0, cond=1e6)

@@ -150,6 +150,8 @@ class TestUsageErrors:
     def test_bad_bench_solver(self, capsys):
         assert main(["bench", "--family", "easy", "--n", "10",
                      "--epsilon", "0.01", "--solvers", "ras,newton"]) == 1
+        assert one_line_error(capsys) == ("rasqp: error: unknown solver 'newton'; "
+                                          "expected one of ('ras', 'generic', 'kr', 'fletcher')\n")
 
     def test_trace_wrong_axis(self, capsys):
         assert main(["trace", "--family", "hard", "--n", "20",

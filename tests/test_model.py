@@ -398,10 +398,16 @@ def _library(call):
 
 
 def _plan_cell(value, path):
-    """A plan cell's ``tol`` option: its cell error without the type, or None."""
+    """A plan cell's ``tol`` option: the message of the ValueError the plan raises
+    when it is built, or None when the plan takes the value and its trial runs."""
     spec = GeneratorSpec("hard", 5, seed=0, cond=10.0)
-    [record] = run_plan(BenchmarkPlan(cells=((spec, "ras", {"tol": value}),), trials=1))
-    return record.error and record.error.removeprefix("ValueError: ")
+    try:
+        plan = BenchmarkPlan(cells=((spec, "ras", {"tol": value}),), trials=1)
+    except ValueError as exc:
+        return str(exc)
+    [record] = run_plan(plan)
+    assert record.error is None
+    return None
 
 
 def _command(*argv):
