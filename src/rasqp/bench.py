@@ -21,6 +21,7 @@ import dataclasses
 import io
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,9 +86,10 @@ class BenchmarkPlan:
     :func:`build_solver`; ``tol`` defaults to the family tolerance.
     ``trials`` must be an integer >= 1, ``base_seed`` an integer >= 0 and
     ``time_limit_per_trial`` (in seconds) > 0, inf for no limit; a trial
-    that ran longer is recorded as ``Timeout``.  Every cell is built once
-    here, so an unknown solver, an option it does not take or a bad value
-    raises ``ValueError`` before any problem is generated.
+    that ran longer is recorded as ``Timeout``.  Every cell is checked to be
+    a ``(GeneratorSpec, str, mapping)`` tuple and built once here, so a cell
+    of another shape, an unknown solver, an option it does not take or a bad
+    value raises ``ValueError`` before any problem is generated.
     """
 
     cells: tuple
@@ -99,8 +101,11 @@ class BenchmarkPlan:
         _require_int(self.trials, "trials", 1)
         _require_real(self.time_limit_per_trial, "time_limit_per_trial", *_TIME_LIMIT)
         _require_int(self.base_seed, "base_seed")
-        for spec, name, options in self.cells:
-            _trial_solver(spec, name, options, self.base_seed)
+        for k, cell in enumerate(self.cells):
+            if not (isinstance(cell, tuple) and len(cell) == 3 and isinstance(cell[0], GeneratorSpec)
+                    and isinstance(cell[1], str) and isinstance(cell[2], Mapping)):
+                raise ValueError(f"cells[{k}] must be a (GeneratorSpec, str, mapping), not {cell!r}")
+            _trial_solver(*cell, self.base_seed)
 
 
 @dataclass(frozen=True)

@@ -95,30 +95,30 @@ def generate(spec: GeneratorSpec) -> QpProblem:
 def gen_easy(n: int, epsilon: float, seed: int) -> QpProblem:
     """Sparse banded family: Q = P P' + epsilon * I.
 
-    P is a sparse matrix of ~10% density with standard normal values plus
-    the identity, restricted to its lower-triangular band of bandwidth 100
-    (kept literal even when n < 100, where the band covers the whole
-    triangle).  epsilon > 0 guarantees positive definiteness and sets the
-    smallest eigenvalue scale.  g is standard normal.  Draw order: sparsity
-    pattern and values of P together, then g.  The band is cut from the
-    random entries before the unit diagonal is added, which gives the same
-    P as adding first (the diagonal lies in the band) without summing the
-    ~96% of the draws that the band drops.
+    P is the identity plus a sparse lower band: each cell (i, j) with
+    0 <= i - j <= 100 (the band covers the whole triangle when n <= 101)
+    is kept independently with probability 0.1 and holds a standard normal
+    value.  epsilon > 0 guarantees positive definiteness and sets the
+    smallest eigenvalue scale.  g is standard normal.  Draw order: one
+    uniform per band cell, kept when below 0.1, diagonal by diagonal from
+    the main diagonal outward with ascending column inside each; then one
+    normal per kept cell in the same order; then g.  Only the band is
+    drawn, so generation costs O(n * bandwidth) time and memory.
     """
     _check_parameters("easy", n, seed, epsilon=epsilon)
     rng = np.random.default_rng(seed)
-    R = sp.random_array(
-        (n, n), density=0.1, format="coo", rng=rng,
-        data_sampler=rng.standard_normal,
-    )
-    row, col = R.coords
-    keep = (col <= row) & (col >= row - EASY_BANDWIDTH)
-    diag = np.arange(n, dtype=row.dtype)  # the draw's index dtype, so P's bytes match
+    lengths = n - np.arange(min(EASY_BANDWIDTH, n - 1) + 1)  # diagonal d holds n - d cells
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    kept = np.flatnonzero(rng.random(starts[-1]) < 0.1)  # positions in the draw order
+    d = np.searchsorted(starts, kept, side="right") - 1
+    col = (kept - starts[d]).astype(np.int32)  # int32 indexes, so Q's stay int32
+    row = col + d.astype(np.int32)
+    diag = np.arange(n, dtype=np.int32)
     P = sp.csr_array(
-        (np.concatenate((R.data[keep], np.ones(n))),
-         (np.concatenate((row[keep], diag)), np.concatenate((col[keep], diag)))),
+        (np.concatenate((rng.standard_normal(kept.size), np.ones(n))),
+         (np.concatenate((row, diag)), np.concatenate((col, diag)))),
         shape=(n, n),
-    )  # a diagonal drawn twice sums to v + 1.0
+    )  # a kept diagonal cell sums to v + 1.0
     Q = (P @ P.T).tocsc()
     Q = Q + sp.eye_array(n, format="csc") * epsilon
     g = rng.standard_normal(n)

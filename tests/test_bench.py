@@ -189,29 +189,38 @@ class TestRunPlan:
         for a, b in zip(records[0].rows, records[1].rows):
             assert a.solves == b.solves
 
-    @pytest.mark.parametrize("name, options, message", [
-        ("newton", {}, "unknown solver 'newton'; expected one of "
-                       "('ras', 'generic', 'kr', 'fletcher')"),
-        ("ras", {"sigma": 0.5}, "ras takes only tol, max_solves, probs, not sigma"),
-        ("generic", {"probs": (0.5,) * 6}, "generic takes only tol, max_solves, sigma, not probs"),
-        ("kr", {"seed": 1}, "kr takes only tol, max_solves, not seed"),
-        ("ras", {"seed": 1}, "ras takes only tol, max_solves, probs, not seed"),
-        ("fletcher", {"seed": 1}, "fletcher takes only tol, not seed"),
-        ("ras", {"probs": (0.5,) * 5}, "probs must be six numbers, not (0.5, 0.5, 0.5, 0.5, 0.5)"),
-        ("ras", {"probs": (0.5,) * 7},
+    @pytest.mark.parametrize("cell, message", [
+        ((EASY, "newton", {}), "unknown solver 'newton'; expected one of "
+                               "('ras', 'generic', 'kr', 'fletcher')"),
+        ((EASY, "ras", {"sigma": 0.5}), "ras takes only tol, max_solves, probs, not sigma"),
+        ((EASY, "generic", {"probs": (0.5,) * 6}),
+         "generic takes only tol, max_solves, sigma, not probs"),
+        ((EASY, "kr", {"seed": 1}), "kr takes only tol, max_solves, not seed"),
+        ((EASY, "ras", {"seed": 1}), "ras takes only tol, max_solves, probs, not seed"),
+        ((EASY, "fletcher", {"seed": 1}), "fletcher takes only tol, not seed"),
+        ((EASY, "ras", {"probs": (0.5,) * 5}),
+         "probs must be six numbers, not (0.5, 0.5, 0.5, 0.5, 0.5)"),
+        ((EASY, "ras", {"probs": (0.5,) * 7}),
          "probs must be six numbers, not (0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)"),
-        ("ras", {"probs": (0.5,) * 5 + (0.0,)}, "p6 must be a number in (0, 1], not 0.0"),
-        ("generic", {"sigma": 0.7}, "sigma must be a number in (0, 0.5], not 0.7"),
-        ("kr", {"max_solves": 0}, "max_solves must be an integer >= 1, not 0"),
-        ("fletcher", {"tol": -1.0}, "tol must be a number in [0, inf), not -1.0"),
+        ((EASY, "ras", {"probs": (0.5,) * 5 + (0.0,)}), "p6 must be a number in (0, 1], not 0.0"),
+        ((EASY, "generic", {"sigma": 0.7}), "sigma must be a number in (0, 0.5], not 0.7"),
+        ((EASY, "kr", {"max_solves": 0}), "max_solves must be an integer >= 1, not 0"),
+        ((EASY, "fletcher", {"tol": -1.0}), "tol must be a number in [0, inf), not -1.0"),
+        ((EASY, "ras", None), f"cells[1] must be a (GeneratorSpec, str, mapping), "
+                              f"not ({EASY!r}, 'ras', None)"),
+        ((EASY, "ras", [("tol", 1e-8)]), f"cells[1] must be a (GeneratorSpec, str, mapping), "
+                                         f"not ({EASY!r}, 'ras', [('tol', 1e-08)])"),
+        (("easy", "ras", {}), "cells[1] must be a (GeneratorSpec, str, mapping), "
+                              "not ('easy', 'ras', {})"),
+        (EASY, f"cells[1] must be a (GeneratorSpec, str, mapping), not {EASY!r}"),
     ], ids=["unknown", "ras-sigma", "generic-probs", "kr-seed", "ras-seed", "fletcher-seed",
             "probs-5", "probs-7", "probs-zero", "sigma-high", "max-solves-zero",
-            "fletcher-tol"])
-    def test_bad_cell_raises_before_any_generation(self, name, options, message, monkeypatch):
+            "fletcher-tol", "options-none", "options-list", "spec-a-name", "bare-spec"])
+    def test_bad_cell_raises_before_any_generation(self, cell, message, monkeypatch):
         calls = []
         monkeypatch.setattr(rasqp.bench, "generate", calls.append)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            tiny_plan(cells=((EASY, "ras", {}), (EASY, name, options), (EASY, "kr", {})))
+            tiny_plan(cells=((EASY, "ras", {}), cell, (EASY, "kr", {})))
         assert calls == []
 
     def test_solver_error_marks_its_own_cell(self, monkeypatch):

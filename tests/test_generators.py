@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,16 +116,38 @@ class TestGenEasy:
         assert not np.array_equal(a.g, b.g)
 
     @pytest.mark.parametrize("n, epsilon, seed, want", [
-        (3000, 1.0, 0, "997f0e36c0a0ae19feec41e0056efbafe7f3599eab12f6fe7d64c829c9aa95d9"),
-        (3000, 1.0, 1, "461d5921964a76f8235c1eb3c6199424658c16f68167e769af6c4fefffe769fe"),
-        (3000, 1e-10, 0, "64db420cccc26aa76b1b6ae3f04e023b7f4c221125b8f88249b5ac65af4deec3"),
-        (3000, 1e-10, 1, "65b73e57f57bf826fbcdae46fb8628e1234f6cd87cfff39bd81c7d84ca42f3b7"),
-        (60, 1e-3, 5, "c2efe2eee0eedd34a264575190ca82dd4a5a0e2abffb7a16b1ac3d7deedcebb4"),
-    ])
+        (3000, 1.0, 0, "e0d54c38f842ae8af6db234c41badf6fdb264f92150cc899b90d36dfc246cbf3"),
+        (3000, 1.0, 1, "608aa197a10010d3880f821cb9458e3d443f3190f0b341f00384648a56d60ebc"),
+        (3000, 1e-10, 0, "1e286d4b1f177f6e6b9fc47e4962f497d493a0e31be8d4d79a87248b669ceab6"),
+        (3000, 1e-10, 1, "60656a06e7bcd38a50af8ad6190be3736df853b6d7beffd585202ba6454f4058"),
+        (60, 1e-3, 5, "0bd6aea2b0eede9052624ff5411f50dfd886769783721caee67f167119433457"),
+        (1, 1.0, 3, "e9eeecdaa38a88d6d439c038862c48157e8e7a316b1031d0b33459a6501c95d8"),
+        (2, 1e-3, 0, "78a05110aa47abb3e167f67882ce940dbf453acc2f3f51f2973d93388e8abd93"),
+    ], ids=["3000-1.0-0", "3000-1.0-1", "3000-1e-10-0", "3000-1e-10-1", "60-0.001-5",
+            "1-1.0-3", "2-0.001-0"])
     def test_pinned_output(self, n, epsilon, seed, want):
-        # The sparse-mixed benchmark specs and one n below EASY_BANDWIDTH:
-        # the generator must keep producing the same bytes.
+        # The sparse-mixed benchmark specs, one n below EASY_BANDWIDTH and
+        # n = 1 and 2, where the band is wider than the matrix (their seeds
+        # keep the diagonal cell and the (1, 0) cell): the generator must keep
+        # producing the same bytes.
         assert digest(gen_easy(n, epsilon, seed)) == want
+
+    def test_peak_memory_is_a_few_times_q(self):
+        # Only the band is drawn: a whole-matrix draw peaks near 50x Q's bytes.
+        tracemalloc.start()
+        try:
+            q = gen_easy(6000, 1.0, seed=0).Q
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.indices.dtype == q.indptr.dtype == np.int32
+        assert peak <= 8 * (q.indptr.nbytes + q.indices.nbytes + q.data.nbytes)
+
+    def test_mean_nnz_matches_the_whole_matrix_draw(self):
+        # 254,000 is the mean Q.nnz over these seeds of the earlier generator,
+        # which drew 0.1 n^2 cells over the whole matrix and kept the band.
+        mean = np.mean([gen_easy(3000, 1.0, seed).Q.nnz for seed in range(4)])
+        assert abs(mean - 254_000) <= 0.03 * 254_000
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,9 @@ the default rule, against the same file.
 Regenerate both files only when a change is meant to alter seeded runs:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+which prints each key whose entry differs from the file it replaces, so a
+re-record shows its own scope.
 """
 
 from __future__ import annotations
@@ -148,4 +151,9 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     for path, grid in ((GOLDEN, (SPECS, SEEDS, SOLVERS)),
                        (SUPERLU_GOLDEN, (SUPERLU_SPECS, SUPERLU_SEEDS, SUPERLU_SOLVERS))):
-        path.write_text(json.dumps(_all_runs(*grid), indent=1, sort_keys=True) + "\n")
+        before = json.loads(path.read_text()) if path.exists() else {}
+        after = _all_runs(*grid)
+        path.write_text(json.dumps(after, indent=1, sort_keys=True) + "\n")
+        for key in sorted(before.keys() | after.keys()):
+            if before.get(key) != after.get(key):
+                print(f"{path.name}: {key}")
