@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 #: The options each solver takes; every solver also runs without any.
-_OPTIONS = {"ras": ("tol", "max_solves", "probs"), "generic": ("tol", "max_solves", "sigma"),
+_OPTIONS = {"ras": ("tol", "max_solves", "probs"), "generic": ("tol", "max_solves"),
             "kr": ("tol", "max_solves"), "fletcher": ("tol",)}
 
 SOLVER_NAMES = tuple(_OPTIONS)
@@ -167,8 +167,8 @@ def build_solver(name: str, options: dict, seed: int):
     """A one-argument callable running solver ``name`` on a problem.
 
     ``options`` are solver keywords: ``tol`` for every solver, ``max_solves``
-    for ras, generic and kr, ``probs`` (six numbers, p1..p6) for ras and
-    ``sigma`` for generic; an option left out takes the solver's default.
+    for ras, generic and kr, and ``probs`` (six numbers, p1..p6) for ras;
+    an option left out takes the solver's default.
     ``seed`` seeds the randomized solvers.  An unknown name, an option the
     solver does not take and a bad value all raise ``ValueError`` here,
     before any run.

@@ -52,9 +52,6 @@ __all__ = [
 #: Origin labels: what the previous selection did with an index.
 FEASIBLE, FROZEN, EXCHANGED = 0, 1, 2
 
-#: The interval of the generic method's sigma, as model._require_real takes it.
-_SIGMA = (0.0, 0.5, "(]")
-
 
 @dataclass(frozen=True)
 class ChangeProbabilities:
@@ -105,21 +102,13 @@ def categorize(infeasible: np.ndarray, inactive: np.ndarray, origin: np.ndarray)
     return cand[order], cat[order]
 
 
-def select_exchange_generic(Im, Am, p_Im, p_Am, sigma: float, rng) -> np.ndarray:
-    """One-shot random exchange selection with probabilities in [sigma, 1-sigma].
+def select_exchange_generic(Im, Am, rng) -> np.ndarray:
+    """One-shot random exchange selection with probability 1/2 per index.
 
     Returns the chosen indexes: the picks from Im, then those from Am, in
     the order of the one draw that covers Im, then Am.
     """
-    _require_real(sigma, "sigma", *_SIGMA)
-    p = np.concatenate([
-        np.broadcast_to(np.asarray(p_Im, dtype=np.float64), Im.shape),
-        np.broadcast_to(np.asarray(p_Am, dtype=np.float64), Am.shape),
-    ])
-    # Written so that a NaN, which fails every comparison, fails the check.
-    if p.size and not (p.min() >= sigma - 1e-15 and p.max() <= 1.0 - sigma + 1e-15):
-        raise ValueError(f"probabilities must lie in [{sigma}, {1.0 - sigma}]")
-    return np.concatenate((Im, Am))[rng.random(p.size) < p]
+    return np.concatenate((Im, Am))[rng.random(len(Im) + len(Am)) < 0.5]
 
 
 def select_exchange_ras(cand: np.ndarray, cat: np.ndarray, p: np.ndarray, rng) -> np.ndarray:

@@ -36,6 +36,9 @@ __all__ = [
 #: Bandwidth of the lower-triangular band kept in the easy-family factor.
 EASY_BANDWIDTH = 100
 
+#: gen_medium's rotation budget, in rotations per target nonzero; read at call time.
+_ROTATION_BUDGET_FACTOR = 20.0
+
 
 class DensityUnreachableWarning(UserWarning):
     """The rotation budget ran out before the target density was reached."""
@@ -125,8 +128,7 @@ def gen_easy(n: int, epsilon: float, seed: int) -> QpProblem:
     return QpProblem(Q, g)
 
 
-def gen_medium(n: int, density: float, cond: float, seed: int,
-               rotation_budget_factor: float = 20.0) -> QpProblem:
+def gen_medium(n: int, density: float, cond: float, seed: int) -> QpProblem:
     """Sparse family with prescribed spectrum and approximate target density.
 
     Eigenvalues are logarithmically spaced on [1/cond, 1].  Starting from the
@@ -134,10 +136,9 @@ def gen_medium(n: int, density: float, cond: float, seed: int,
     index pair, angle uniform on [0, 2*pi)) are applied as orthogonal
     similarities — which preserve the spectrum exactly — until the number of
     stored nonzeros reaches ``density * n^2`` or the rotation budget
-    ``rotation_budget_factor * density * n^2`` is exhausted, in which case a
+    ``20 * density * n^2`` is exhausted, in which case a
     :class:`DensityUnreachableWarning` reporting the achieved density is
-    issued and the matrix built so far is returned.  The factor must be
-    finite and >= 0.
+    issued and the matrix built so far is returned.
 
     ``cond = 1`` prescribes the identity, which no rotation can change, so
     the identity is returned directly at its natural density (no warning —
@@ -146,7 +147,6 @@ def gen_medium(n: int, density: float, cond: float, seed: int,
     angle, per rotation), then g.
     """
     _check_parameters("medium", n, seed, density=density, cond=cond)
-    _require_real(rotation_budget_factor, "rotation_budget_factor")
     rng = np.random.default_rng(seed)
     if cond == 1.0:
         Q = sp.eye_array(n, format="csc")
@@ -157,7 +157,7 @@ def gen_medium(n: int, density: float, cond: float, seed: int,
     W = np.diag(spectrum)
     nnz = np.count_nonzero(W)
     target_nnz = int(round(density * n * n))
-    budget = int(round(rotation_budget_factor * target_nnz))
+    budget = int(round(_ROTATION_BUDGET_FACTOR * target_nnz))
     integers, uniform, count, array = rng.integers, rng.uniform, np.count_nonzero, np.array
     WT = W.T  # column k of W is row k of this view
     rotations = 0

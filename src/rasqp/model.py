@@ -149,10 +149,10 @@ class QpProblem:
     __slots__ = ("n", "Q", "g", "is_sparse", "_rcm_rank")
 
     def __init__(self, Q, g):
-        g = _real_array(g, "g").reshape(-1)
+        g = _real_array(g, "g")
+        if g.ndim != 1 or g.size < 1:
+            raise ValueError(f"g must be 1-D with length >= 1, not of shape {g.shape}")
         n = g.shape[0]
-        if n < 1:
-            raise ValueError("g must have length >= 1")
         self.is_sparse = sp.issparse(Q)
         Q = _real_array(Q, "Q", sp.csc_array if self.is_sparse else np.asarray)
         if Q.shape != (n, n):
@@ -181,7 +181,7 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class KktPoint:
-    """A primal/dual pair (x, s), both of length n.
+    """A primal/dual pair (x, s), both 1-D arrays of length n.
 
     Points produced by a subsystem solve have structural complementarity:
     ``x[A] == 0`` and ``s[I] == 0`` exactly for the partition that produced
@@ -192,6 +192,12 @@ class KktPoint:
     s: np.ndarray
 
     def __post_init__(self):
+        # An attribute test, not a conversion: the loop builds one per solve.
+        for name, v in (("x", self.x), ("s", self.s)):
+            ndim = getattr(v, "ndim", None)
+            if ndim != 1:
+                what = f"a {type(v).__name__}" if ndim is None else f"of shape {v.shape}"
+                raise ValueError(f"{name} must be a 1-D array, not {what}")
         if self.x.shape != self.s.shape:
             raise ValueError("x and s must have the same length")
 
@@ -266,9 +272,9 @@ def stationarity_tol(problem: QpProblem) -> float:
 
 def objective(problem: QpProblem, x) -> float:
     """Evaluate 0.5 * x'Qx + g'x."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != problem.n:
-        raise ValueError(f"x has length {x.shape[0]}, expected {problem.n}")
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (problem.n,):
+        raise ValueError(f"x has shape {x.shape}, expected ({problem.n},)")
     qx = problem.Q @ x
     return float(0.5 * (x @ qx) + problem.g @ x)
 

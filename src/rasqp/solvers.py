@@ -4,8 +4,8 @@ Four methods share the same metric semantics (``solves`` = number of reduced
 KKT subsystem solves, each a fresh or an updated factorization,
 ``avg_subsystem_size`` = mean |I| over them):
 
-* :func:`generic_ras_solve` — randomized exchange with probabilities bounded
-  away from 0 and 1 by a constant sigma; the simplest convergent scheme.
+* :func:`generic_ras_solve` — randomized exchange of each infeasible index
+  with probability 1/2; the simplest convergent scheme.
 * :func:`ras_solve` — randomized exchange with six origin-dependent
   probabilities and a resampling rule for empty exchanges; the method of
   interest.
@@ -30,12 +30,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
 from .engine import (
-    _SIGMA,
     EXCHANGED,
     FROZEN,
     ChangeProbabilities,
@@ -88,26 +86,13 @@ class _ExchangeConfig:
 
 @dataclass(kw_only=True)
 class GenericRasConfig(_ExchangeConfig):
-    """Configuration for :func:`generic_ras_solve`.
+    """Configuration for :func:`generic_ras_solve`; ``seed`` must be an
+    integer >= 0."""
 
-    ``probability_rule`` is called as ``rule(point, Im, Am)`` with the
-    current iterate (a :class:`~rasqp.model.KktPoint`) and the ascending
-    infeasible indexes of I and of A; it returns the exchange probabilities
-    for Im and for Am (scalars or one per index), each in [sigma, 1-sigma].
-    ``None`` means the constant rule 0.5, and a rule must be callable;
-    ``sigma`` must lie in (0, 0.5] and ``seed`` must be an integer >= 0.
-    """
-
-    sigma: float = 0.5
-    probability_rule: Callable[[KktPoint, np.ndarray, np.ndarray], tuple] | None = None
     seed: int = 0
 
     def __post_init__(self):
         super().__post_init__()
-        _require_real(self.sigma, "sigma", *_SIGMA)
-        if self.probability_rule is not None and not callable(self.probability_rule):
-            raise ValueError(f"probability_rule must be callable or None, "
-                             f"not {self.probability_rule!r}")
         _require_int(self.seed, "seed")
 
 
@@ -201,22 +186,22 @@ def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
 
 
 def generic_ras_solve(problem: QpProblem, cfg: GenericRasConfig) -> SolveResult:
-    """Randomized active-set iteration with sigma-bounded exchange probabilities.
+    """Randomized active-set iteration with exchange probability 1/2.
 
     Each round solves the subsystem for the current partition, stops when
-    nothing is infeasible, and otherwise exchanges a random subset of the
-    infeasible indexes.  An unlucky empty exchange simply re-solves the same
-    subsystem (and is counted).  Terminates with probability 1; ``max_solves``
-    turns astronomically unlucky runs into ``IterationCapReached``.
+    nothing is infeasible, and otherwise exchanges each infeasible index
+    with probability 1/2, one uniform per index over Im, then Am.  An
+    unlucky empty exchange simply re-solves the same subsystem (and is
+    counted).  The method terminates with probability 1 for any exchange
+    probabilities in [sigma, 1 - sigma] with sigma > 0; this solver fixes
+    them at 1/2.  ``max_solves`` turns astronomically unlucky runs into
+    ``IterationCapReached``.
     """
     rng = np.random.default_rng(cfg.seed)
-    rule = cfg.probability_rule or (lambda point, Im, Am: (0.5, 0.5))
 
     def select(point, infeasible, inactive):
-        cand = infeasible.nonzero()[0]
-        on_I = inactive[cand]
-        Im, Am = cand[on_I], cand[~on_I]
-        return select_exchange_generic(Im, Am, *rule(point, Im, Am), cfg.sigma, rng)
+        return select_exchange_generic((infeasible & inactive).nonzero()[0],
+                                       (infeasible & ~inactive).nonzero()[0], rng)
 
     return _exchange_loop(problem, cfg, select)
 

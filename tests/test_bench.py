@@ -194,7 +194,7 @@ class TestRunPlan:
                                "('ras', 'generic', 'kr', 'fletcher')"),
         ((EASY, "ras", {"sigma": 0.5}), "ras takes only tol, max_solves, probs, not sigma"),
         ((EASY, "generic", {"probs": (0.5,) * 6}),
-         "generic takes only tol, max_solves, sigma, not probs"),
+         "generic takes only tol, max_solves, not probs"),
         ((EASY, "kr", {"seed": 1}), "kr takes only tol, max_solves, not seed"),
         ((EASY, "ras", {"seed": 1}), "ras takes only tol, max_solves, probs, not seed"),
         ((EASY, "fletcher", {"seed": 1}), "fletcher takes only tol, not seed"),
@@ -203,7 +203,7 @@ class TestRunPlan:
         ((EASY, "ras", {"probs": (0.5,) * 7}),
          "probs must be six numbers, not (0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)"),
         ((EASY, "ras", {"probs": (0.5,) * 5 + (0.0,)}), "p6 must be a number in (0, 1], not 0.0"),
-        ((EASY, "generic", {"sigma": 0.7}), "sigma must be a number in (0, 0.5], not 0.7"),
+        ((EASY, "generic", {"sigma": 0.7}), "generic takes only tol, max_solves, not sigma"),
         ((EASY, "kr", {"max_solves": 0}), "max_solves must be an integer >= 1, not 0"),
         ((EASY, "fletcher", {"tol": -1.0}), "tol must be a number in [0, inf), not -1.0"),
         ((EASY, "ras", None), f"cells[1] must be a (GeneratorSpec, str, mapping), "

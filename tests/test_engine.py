@@ -226,7 +226,7 @@ class TestSelectExchangeGeneric:
         for _ in range(20):
             inactive, infeasible = make_masks(8, rng)
             _, Im, _, Am = parts(inactive, infeasible)
-            chosen = select_exchange_generic(Im, Am, 0.5, 0.5, 0.5, rng)
+            chosen = select_exchange_generic(Im, Am, rng)
             Imc, Amc = split(chosen, inactive)
             np.testing.assert_array_equal(chosen, np.concatenate((Imc, Amc)))
             # The picks and the rest partition Im (Am) when the picks are a subset.
@@ -234,38 +234,17 @@ class TestSelectExchangeGeneric:
                 assert (np.diff(picked) > 0).all()
                 assert np.isin(picked, full).all()
 
-    def test_sigma_validation(self):
-        for bad in (0.0, -0.1, 0.6):
-            with pytest.raises(ValueError):
-                select_exchange_generic(IX(0, 1), IX(2), 0.5, 0.5, bad,
-                                        np.random.default_rng(0))
-
-    def test_probabilities_outside_sigma_band_rejected(self):
-        rng = np.random.default_rng(2)
-        with pytest.raises(ValueError):
-            select_exchange_generic(IX(0, 1), EMPTY, 0.05, 0.5, 0.1, rng)
-        with pytest.raises(ValueError):
-            select_exchange_generic(IX(0, 1), EMPTY, 0.95, 0.5, 0.1, rng)
-
-    @pytest.mark.parametrize("p_Im, p_Am", [
-        (np.nan, 0.5),
-        (0.5, np.nan),
-        (np.array([0.5, np.nan]), 0.5),
-        (0.5, np.array([np.nan])),
-    ])
-    def test_nan_probabilities_rejected(self, p_Im, p_Am):
-        # A NaN fails every comparison, so it would never be exchanged.
-        with pytest.raises(ValueError, match="probabilities must lie in"):
-            select_exchange_generic(IX(0, 1), IX(2), p_Im, p_Am, 0.1, np.random.default_rng(2))
-
     def test_im_draws_come_before_am_draws(self):
         Im, Am = IX(0, 1), IX(2, 3)
         seed = 7
-        got = select_exchange_generic(Im, Am, 0.5, 0.5, 0.5, np.random.default_rng(seed))
+        drawn = np.random.default_rng(seed)
+        got = select_exchange_generic(Im, Am, drawn)
         rng = np.random.default_rng(seed)
         want_imc = Im[rng.random(2) < 0.5]
         want_amc = Am[rng.random(2) < 0.5]
         np.testing.assert_array_equal(got, np.concatenate((want_imc, want_amc)))
+        # One uniform per index and no more: both generators are at the same place.
+        assert drawn.random() == rng.random()
 
 
 class TestSelectExchangeRas:
@@ -385,7 +364,7 @@ class TestNextSets:
         inactive, infeasible = make_masks(n, rng)
         _, Im, _, Am = parts(inactive, infeasible)
         inactive_new, I_new, A_new = next_sets(
-            inactive, select_exchange_generic(Im, Am, 0.5, 0.5, 0.5, rng))
+            inactive, select_exchange_generic(Im, Am, rng))
         merged = np.concatenate([I_new, A_new])
         np.testing.assert_array_equal(np.sort(merged), np.arange(n))
         np.testing.assert_array_equal(I_new, np.flatnonzero(inactive_new))

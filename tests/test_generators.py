@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import rasqp.generators
 from rasqp.generators import (
     EASY_BANDWIDTH,
     DensityUnreachableWarning,
@@ -177,9 +178,10 @@ class TestGenMedium:
         assert p.is_sparse
         assert (p.Q - sp.eye_array(25, format="csc")).nnz == 0
 
-    def test_unreachable_density_warns_but_keeps_spectrum(self):
+    def test_unreachable_density_warns_but_keeps_spectrum(self, monkeypatch):
+        monkeypatch.setattr(rasqp.generators, "_ROTATION_BUDGET_FACTOR", 0.01)
         with pytest.warns(DensityUnreachableWarning, match="achieved"):
-            p = gen_medium(40, 0.9, 1e4, seed=0, rotation_budget_factor=0.01)
+            p = gen_medium(40, 0.9, 1e4, seed=0)
         w = np.sort(np.linalg.eigvalsh(p.dense_q()))
         np.testing.assert_allclose(w, np.logspace(-4, 0, 40), rtol=1e-10)
 
@@ -215,9 +217,10 @@ class TestGenMedium:
         # that matches only plan-grid's n=300 spec fails.
         assert digest(gen_medium(*args)) == want
 
-    def test_pinned_output_when_budget_runs_out(self):
+    def test_pinned_output_when_budget_runs_out(self, monkeypatch):
+        monkeypatch.setattr(rasqp.generators, "_ROTATION_BUDGET_FACTOR", 0.01)
         with pytest.warns(DensityUnreachableWarning):
-            p = gen_medium(40, 0.9, 1e4, 0, rotation_budget_factor=0.01)
+            p = gen_medium(40, 0.9, 1e4, 0)
         assert digest(p) == "bb6f694b29742242f59a3cdf284ed5aa2840e8fa25eee7c91333a40d55011bf6"
 
     def test_validation(self):

@@ -80,7 +80,7 @@ def _runs(spec: GeneratorSpec, seed: int, solvers=SOLVERS) -> dict[str, dict]:
     run = {
         "ras": lambda: ras_solve(problem, RasConfig(tol=tol, seed=solver_seed, record_sets=True)),
         "generic": lambda: generic_ras_solve(
-            problem, GenericRasConfig(sigma=0.5, tol=tol, seed=solver_seed, record_sets=True)
+            problem, GenericRasConfig(tol=tol, seed=solver_seed, record_sets=True)
         ),
         "kr": lambda: kr_solve(problem, KrConfig(tol=tol, record_sets=True)),
         "fletcher": lambda: fletcher_solve(problem, tol=tol, record_sets=True),

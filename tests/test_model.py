@@ -11,7 +11,7 @@ import rasqp.subsystem
 
 from rasqp.bench import BenchmarkPlan, run_plan
 from rasqp.cli import main
-from rasqp.engine import ChangeProbabilities, classify, select_exchange_generic
+from rasqp.engine import ChangeProbabilities, classify
 from rasqp.generators import GeneratorSpec, gen_easy, gen_hard, gen_medium
 from rasqp.model import (
     KktPoint,
@@ -120,6 +120,9 @@ class TestQpProblem:
             QpProblem(np.eye(3), G22)
         with pytest.raises(ValueError):
             QpProblem(np.ones((2, 3)), G22)
+        # A column g used to be flattened.
+        with pytest.raises(ValueError, match=r"^g must be 1-D"):
+            QpProblem(np.eye(2), [[1.0], [2.0]])
 
     def test_empty_g_rejected(self):
         with pytest.raises(ValueError):
@@ -153,6 +156,14 @@ class TestKktPoint:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             KktPoint(x=np.zeros(2), s=np.zeros(3))
+        # An (n, 1) point used to pass here and fail in kkt_residual's matmul;
+        # lists raised AttributeError.
+        with pytest.raises(ValueError, match=r"^x must be a 1-D array, not of shape \(2, 1\)$"):
+            KktPoint(x=np.zeros((2, 1)), s=np.zeros((2, 1)))
+        with pytest.raises(ValueError, match=r"^s must be a 1-D array, not of shape \(2, 1\)$"):
+            KktPoint(x=np.zeros(2), s=np.zeros((2, 1)))
+        with pytest.raises(ValueError, match=r"^x must be a 1-D array, not a list$"):
+            KktPoint(x=[1.0, 2.0], s=[0.0, 0.0])
 
 
 class TestObjective:
@@ -166,6 +177,9 @@ class TestObjective:
     def test_length_check(self):
         with pytest.raises(ValueError):
             objective(QpProblem(Q22, G22), np.zeros(3))
+        # A (2, 2) x used to be flattened to length 4 and accepted.
+        with pytest.raises(ValueError, match=r"^x has shape \(2, 2\), expected \(4,\)$"):
+            objective(gen_hard(4, 10.0, 1), np.zeros((2, 2)))
 
     def test_sparse_matches_dense(self):
         x = np.array([0.3, 1.7])
@@ -343,10 +357,6 @@ REAL_OPTIONS = {
                               RANGES["tol"]),
     "classify.tol": (lambda v: classify(KktPoint(x=np.zeros(2), s=np.array([0.0, -1.0])),
                                         np.array([True, False]), v), "tol", RANGES["tol"]),
-    "GenericRasConfig.sigma": (lambda v: GenericRasConfig(sigma=v), "sigma", "(0, 0.5]"),
-    "select_exchange_generic.sigma": (
-        lambda v: select_exchange_generic(np.array([0]), np.array([1]), 0.5, 0.5, v,
-                                          np.random.default_rng(0)), "sigma", "(0, 0.5]"),
     **{f"ChangeProbabilities.{p}": (lambda v, p=p: ChangeProbabilities(**{p: v}), p, "(0, 1]")
        for p in ("p1", "p2", "p3", "p4", "p5", "p6")},
     "GeneratorSpec.epsilon": _spec("easy", "epsilon"),
@@ -356,9 +366,6 @@ REAL_OPTIONS = {
     "gen_easy.epsilon": (lambda v: gen_easy(5, v, 0), "epsilon", RANGES["epsilon"]),
     "gen_medium.density": (lambda v: gen_medium(5, v, 10.0, 0), "density", RANGES["density"]),
     "gen_medium.cond": (lambda v: gen_medium(5, 0.5, v, 0), "cond", RANGES["cond"]),
-    "gen_medium.rotation_budget_factor": (
-        lambda v: gen_medium(5, 0.5, 10.0, 0, rotation_budget_factor=v),
-        "rotation_budget_factor", "[0, inf)"),
     "gen_hard.cond": (lambda v: gen_hard(5, v, 0), "cond", RANGES["cond"]),
     "BenchmarkPlan.time_limit_per_trial": (
         lambda v: BenchmarkPlan(cells=(), time_limit_per_trial=v), "time_limit_per_trial",
