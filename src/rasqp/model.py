@@ -307,23 +307,23 @@ def kkt_residual(problem: QpProblem, point: KktPoint):
 
 
 def validate_problem(problem: QpProblem) -> None:
-    """Check storage-level symmetry and positive definiteness of Q.
+    """Check that Q is positive definite.
 
-    Raises :class:`NotSymmetricError` or :class:`NotPositiveDefiniteError`
-    (carrying the 1-based failing pivot).  A symmetric matrix is positive
-    definite iff every pivot of its elimination on the diagonal is positive,
-    so Q is factorized once, by the kernels of :mod:`rasqp.subsystem`: a
-    dense Q by Cholesky on a copy, a sparse Q, never densified, in its
-    reverse Cuthill-McKee order (cached) by the kernels of a sparse block
-    above ``DENSE_THRESHOLD``, whatever n.  Q is rejected at the step the
-    factor names.  Intended for setup-time validation, not inner loops.
+    Raises :class:`NotPositiveDefiniteError` (carrying the 1-based failing
+    pivot).  Symmetry is :class:`QpProblem`'s to keep: it stores (Q + Q')/2,
+    which is exactly symmetric because floating-point addition commutes.  A
+    symmetric matrix is positive definite iff every pivot of its elimination
+    on the diagonal is positive, so Q is factorized once, by the kernels of
+    :mod:`rasqp.subsystem`: a dense Q by Cholesky on a copy, a sparse Q,
+    never densified, in its reverse Cuthill-McKee order (cached) by the
+    kernels of a sparse block above ``DENSE_THRESHOLD``, whatever n.  Q is
+    rejected at the step the factor names.  Intended for setup-time
+    validation, not inner loops.
     """
     # Imported here: subsystem imports this module.
     from .subsystem import FactorizationError, _cholesky, _factor_sparse, _rcm_rank
 
     Q = problem.Q
-    if (Q != Q.T).sum():  # the same test on dense and sparse storage
-        raise NotSymmetricError("Q is not symmetric at storage level")
     try:
         if problem.is_sparse:
             order = np.argsort(_rcm_rank(problem))

@@ -218,8 +218,9 @@ def _parse_vector(lines, n: int, end: int) -> np.ndarray:
     return np.array(values)
 
 
-def save_problem(problem_file: ProblemFile, path, form: str = "auto") -> None:
-    """Write a problem file; ``form`` is 'dense', 'coo' or 'auto' (follow storage).
+def save_problem(problem_file: ProblemFile, path) -> None:
+    """Write a problem file in the form of Q's storage: ``dense`` for a dense
+    Q, ``coo`` for a sparse one.
 
     Numbers are written with full precision, so load(save(p)) reproduces Q
     and g exactly.  Sparse matrices are stored as their upper triangle
@@ -227,10 +228,6 @@ def save_problem(problem_file: ProblemFile, path, form: str = "auto") -> None:
     would not read back unchanged raises ``ValueError``.
     """
     problem = problem_file.problem
-    if form == "auto":
-        form = "coo" if problem.is_sparse else "dense"
-    if form not in ("dense", "coo"):
-        raise ValueError(f"form must be 'dense', 'coo' or 'auto', got {form!r}")
     out = []
     for key, value in problem_file.meta.items():
         # The parser reads strings: it cuts a line at "#" and splits it on whitespace.
@@ -239,9 +236,9 @@ def save_problem(problem_file: ProblemFile, path, form: str = "auto") -> None:
             raise ValueError(f"meta {key!r}: the key or its value would not read back unchanged")
         out.append(f"meta {key} {value}")
     out.append(f"n {problem.n}")
-    if form == "dense":
+    if not problem.is_sparse:
         out.append("dense")
-        for row in problem.dense_q():
+        for row in problem.Q:
             out.append(" ".join(repr(float(v)) for v in row))
     else:
         upper = sp.coo_array(sp.triu(problem.Q))

@@ -48,7 +48,6 @@ from .model import (KktPoint, QpProblem, SolveResult, Status, TraceRow, _require
 from .subsystem import (
     FactorizationError,
     _FreshCholesky,
-    _indexes,
     _UpdatedCholesky,
     embed_point,
     solve_subsystem,
@@ -70,12 +69,11 @@ __all__ = [
 @dataclass(kw_only=True)
 class _ExchangeConfig:
     """Options every exchange solver takes: the dual tolerance (the rule of
-    :func:`~rasqp.engine.classify`), the starting active set (``None`` means
-    every index), the cap on subsystem solves (an integer >= 1) and whether
-    to record each inactive set.  Keyword-only, like its subclasses."""
+    :func:`~rasqp.engine.classify`), the cap on subsystem solves (an integer
+    >= 1) and whether to record each inactive set.  Every run starts with
+    every index active.  Keyword-only, like its subclasses."""
 
     tol: float = 1e-10
-    initial_A: object = None
     max_solves: int = 10_000
     record_sets: bool = False
 
@@ -131,12 +129,12 @@ def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
                    factor=_FreshCholesky) -> SolveResult:
     """The iteration shared by all four solvers.
 
-    The state is the ``inactive`` mask; I and A are its two index arrays.
-    They partition {0..n-1} by construction once ``cfg.initial_A`` is
-    checked here, the loop's only check of its sets: every solve passes
-    ``solve_subsystem`` the kernel the run keeps, ``factor`` (a fresh
-    factorization per solve by default, fletcher's updated factor
-    otherwise), and that call does not check the partition again.  Each
+    The state is the ``inactive`` mask; I and A are its two index arrays,
+    which partition {0..n-1} by construction.  It starts with I empty and
+    A = {0..n-1}.  Every solve passes ``solve_subsystem`` the kernel the run
+    keeps, ``factor`` (a fresh factorization per solve by default,
+    fletcher's updated factor otherwise), and that call does not check the
+    partition.  The first solve, with I empty, cannot fail.  Each
     round solves the subsystem for (I, A), classifies the result and
     appends one row.  It stops with ``Optimal`` when nothing is infeasible,
     with ``cap_status`` after ``cfg.max_solves`` solves and with
@@ -146,15 +144,11 @@ def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
     and leaves the loop by its one exit, which builds the result.
     """
     n = problem.n
-    A = (np.arange(n) if cfg.initial_A is None
-         else _indexes(np.ravel(cfg.initial_A), "initial_A", n))
-    inactive = np.ones(n, dtype=bool)
-    inactive[A] = False
+    inactive = np.zeros(n, dtype=bool)
     I, A = np.flatnonzero(inactive), np.flatnonzero(~inactive)
     t0 = time.perf_counter()
     rows = []  # (n_im, n_am, |I|, elapsed_s) per solve, made TraceRows at the end
     sets = [] if cfg.record_sets else None
-    point = KktPoint(x=np.zeros(n), s=np.zeros(n))  # returned if the first solve fails
     while True:
         try:
             x_I, s_A = solve_subsystem(problem, I, A, factor=factor)
@@ -259,21 +253,22 @@ def kr_solve(problem: QpProblem, cfg: KrConfig) -> SolveResult:
 def fletcher_solve(
     problem: QpProblem,
     tol: float = 1e-10,
-    initial_A=None,
     *,
     record_iterates: bool = False,
     record_sets: bool = False,
 ) -> SolveResult:
     """Primal-feasible active-set method moving one index per solve.
 
-    Each solve on the shared loop gives the target x_I* = -Q[I,I]^{-1} g[I].
-    If some x_i* < 0, the selection steps from the current (feasible) x
-    toward the target until the first coordinate hits zero: that blocking
-    index, the smallest ratio x_i / (x_i - x_i*) among x_i* < 0 (ties by
-    smallest index), moves to A pinned at exactly 0, round-off negatives
-    clamped.  Otherwise it accepts the target and stops as optimal if the
-    loop's :func:`~rasqp.engine.classify` finds A feasible, or else moves the
-    most negative s_j (ties by index) into I; ``n_im`` counts x_i* <= 0.
+    The run starts, like the exchange solvers, from x = 0 with every index
+    active (I empty).  Each solve on the shared loop gives the target
+    x_I* = -Q[I,I]^{-1} g[I].  If some x_i* < 0, the selection steps from
+    the current (feasible) x toward the target until the first coordinate
+    hits zero: that blocking index, the smallest ratio x_i / (x_i - x_i*)
+    among x_i* < 0 (ties by smallest index), moves to A pinned at exactly
+    0, round-off negatives clamped.  Otherwise it accepts the target and
+    stops as optimal if the loop's :func:`~rasqp.engine.classify` finds A
+    feasible, or else moves the most negative s_j (ties by index) into I;
+    ``n_im`` counts x_i* <= 0.
 
     Since I gains or loses exactly one index per solve, the run keeps the
     Cholesky factor of Q[I,I] between solves: each solve appends one row
@@ -295,8 +290,7 @@ def fletcher_solve(
     feasible x and that x's objective, with its last solve's s.
     """
     n = problem.n
-    cfg = _ExchangeConfig(tol=tol, initial_A=initial_A, max_solves=10 * n * n,
-                          record_sets=record_sets)
+    cfg = _ExchangeConfig(tol=tol, max_solves=10 * n * n, record_sets=record_sets)
     factor = _UpdatedCholesky()
     x = np.zeros(n)  # the feasible iterate, zero off I
     obj_hist = [0.0]  # the objective at x = 0

@@ -16,8 +16,7 @@ dtype is empty).  A call without a ``factor`` argument, the public boundary,
 checks that they partition {0..n-1} with one O(n) count of each index, which
 rejects an overlap, a missing index and an index out of range.  A call with
 one passes the kernel a run keeps for all its solves, and that run builds I
-and A from its own mask, a partition by construction: the check is skipped,
-and the run checks its starting active set instead.
+and A from its own mask, a partition by construction: the check is skipped.
 
 The fresh kernel, ``_FreshCholesky``, factorizes Q[I,I] afresh on every
 solve and gathers Q once, in one of four ways.
@@ -145,22 +144,22 @@ class FactorizationError(RuntimeError):
         self.pivot = pivot
 
 
-def _indexes(v, name: str = "I and A", n: int | None = None) -> np.ndarray:
-    """``v`` as int64 indexes, rejecting a nonempty ``name`` of another kind
+def _indexes(v, n: int | None = None) -> np.ndarray:
+    """``v`` as int64 indexes, rejecting a nonempty I or A of another kind
     and, given ``n``, an index outside [0, n)."""
     v = np.asarray(v)
     if v.size and v.dtype.kind not in "iu":  # a float would truncate, a bool read as 0/1
-        raise ValueError(f"{name} must hold integer indexes, not {v.dtype}")
+        raise ValueError(f"I and A must hold integer indexes, not {v.dtype}")
     v = v.astype(np.int64, copy=False)
     if n is not None and v.size and v.view(np.uint64).max() >= n:  # a negative reads as huge
-        raise ValueError(f"{name} index out of range")
+        raise ValueError("I and A index out of range")
     return v
 
 
 def _check_partition(n: int, I: np.ndarray, A: np.ndarray) -> None:
     if len(I) + len(A) != n:
         raise ValueError("I and A must partition {0..n-1}")
-    both = _indexes(np.concatenate((I, A)), n=n)  # in range before bincount sizes by it
+    both = _indexes(np.concatenate((I, A)), n)  # in range before bincount sizes by it
     # n indexes in range cover {0..n-1} only without repeats.
     if np.count_nonzero(np.bincount(both, minlength=n)) != n:
         raise ValueError("I and A must partition {0..n-1}")

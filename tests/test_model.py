@@ -59,10 +59,14 @@ class TestQpProblem:
         assert isinstance(QpProblem(Q22, G22).dense_q(), np.ndarray)
 
     def test_tiny_asymmetry_is_symmetrized(self):
+        # (Q + Q')/2 is exactly symmetric, dense or sparse, so
+        # validate_problem needs no symmetry test of its own.
         Q = Q22.copy()
         Q[0, 1] += 1e-14
         p = QpProblem(Q, G22)
         np.testing.assert_array_equal(p.Q, p.Q.T)
+        p = QpProblem(sp.csc_array(Q), G22)
+        assert (p.Q != p.Q.T).nnz == 0
 
     def test_large_asymmetry_rejected(self):
         Q = Q22.copy()

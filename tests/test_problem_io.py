@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import rand_spd_problem
 from rasqp.generators import gen_easy, gen_medium
@@ -213,23 +212,6 @@ class TestSaveRoundTrip:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
-    def test_forced_coo_form(self, tmp_path):
-        problem = QpProblem(np.array([[4.0, 1.0], [1.0, 3.0]]), [-1.0, -2.0])
-        path = tmp_path / "coo.txt"
-        save_problem(ProblemFile(problem, {}), path, form="coo")
-        text = path.read_text()
-        assert "coo 3" in text  # upper triangle of a full 2x2
-        loaded = load_problem(path)
-        np.testing.assert_array_equal(loaded.problem.dense_q(), problem.dense_q())
-
-    def test_forced_dense_form(self, tmp_path):
-        problem = QpProblem(sp.csc_array(np.eye(3) * 2.0), [0.0, 1.0, 2.0])
-        path = tmp_path / "dense.txt"
-        save_problem(ProblemFile(problem, {}), path, form="dense")
-        loaded = load_problem(path)
-        assert not loaded.problem.is_sparse
-        np.testing.assert_array_equal(loaded.problem.dense_q(), problem.dense_q())
-
     def test_metadata_reads_back(self, tmp_path):
         meta = {"family": "hard", "note": "run 3 of 10", "cond": "1e+10"}
         path = tmp_path / "meta.txt"
@@ -263,8 +245,3 @@ class TestSaveRoundTrip:
         with pytest.raises(ValueError, match=repr(next(iter(meta)))):
             save_problem(ProblemFile(problem, meta), path)
         assert not path.exists()
-
-    def test_bad_form(self, tmp_path):
-        problem = QpProblem(np.eye(2), [0.0, 0.0])
-        with pytest.raises(ValueError):
-            save_problem(ProblemFile(problem, {}), tmp_path / "x.txt", form="json")

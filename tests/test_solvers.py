@@ -104,17 +104,11 @@ class TestMetricBookkeeping:
                                        ("hard", gen_hard(30, 1e8, seed=2)))
                 for name, result in all_solver_runs(problem, seed=3).items()}
         # fletcher replaces the point and objective of a run that fails after
-        # three solves (x_2 = 0.1 / 1e-310 overflows) ...
+        # three solves (x_2 = 0.1 / 1e-310 overflows).
         runs["fletcher-failure"] = fletcher_solve(
             QpProblem(np.diag([1.0, 1.0, 1e-310]), np.array([-3.0, -2.0, -0.1])))
-        # ... and of one whose first solve fails (Q is indefinite).
-        runs["fletcher-empty"] = fletcher_solve(
-            QpProblem(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([-1.0, -1.0])),
-            initial_A=[])
         assert runs["fletcher-failure"].status is Status.NUMERICAL_FAILURE
         assert runs["fletcher-failure"].solves == 3
-        assert (runs["fletcher-empty"].status, runs["fletcher-empty"].trace) == (
-            Status.NUMERICAL_FAILURE, ())
         for name, result in runs.items():
             sizes = [row.subsystem_size for row in result.trace]
             assert result.solves == len(result.trace), name
@@ -137,52 +131,16 @@ class TestMetricBookkeeping:
         for name, result in all_solver_runs(QpProblem(Q22, G22)).items():
             assert all(type(v) is int for row in result.trace for v in (row.n_im, row.n_am)), name
 
-    def test_default_start_is_everything_active(self):
-        result = ras_solve(QpProblem(Q22, G22), RasConfig(seed=0))
+    @pytest.mark.parametrize("solve", [
+        lambda p: ras_solve(p, RasConfig(record_sets=True)),
+        lambda p: generic_ras_solve(p, GenericRasConfig(record_sets=True)),
+        lambda p: kr_solve(p, KrConfig(record_sets=True)),
+        lambda p: fletcher_solve(p, record_sets=True),
+    ], ids=["ras", "generic", "kr", "fletcher"])
+    def test_default_start_is_everything_active(self, solve):
+        result = solve(QpProblem(Q22, G22))
         assert result.trace[0].subsystem_size == 0
-
-    def test_initial_inactive_start(self):
-        # Starting from A = {} on an interior problem finishes in one solve.
-        result = ras_solve(QpProblem(Q22, G22), RasConfig(initial_A=[]))
-        assert result.status is Status.OPTIMAL
-        assert result.solves == 1
-        assert result.trace[0].subsystem_size == 2
-
-    @pytest.mark.parametrize("initial_A", [[5], [-1]])
-    @pytest.mark.parametrize("solve", [
-        lambda p, a: ras_solve(p, RasConfig(initial_A=a)),
-        lambda p, a: generic_ras_solve(p, GenericRasConfig(initial_A=a)),
-        lambda p, a: kr_solve(p, KrConfig(initial_A=a)),
-        lambda p, a: fletcher_solve(p, initial_A=a),
-    ], ids=["ras", "generic", "kr", "fletcher"])
-    def test_initial_a_out_of_range(self, solve, initial_A, monkeypatch):
-        # The loop's one check on its sets: no solve re-checks them, and a
-        # negative index would otherwise wrap in the mask.
-        solves = []
-        monkeypatch.setattr(rasqp.solvers, "solve_subsystem",
-                            lambda *args, **kwargs: solves.append(args))
-        with pytest.raises(ValueError, match="initial_A index out of range"):
-            solve(QpProblem(Q22, G22), initial_A)
-        assert solves == []
-
-    @pytest.mark.parametrize("initial_A", [
-        np.array([True, False]),  # a mask would read as the indexes {1, 0}
-        np.array([1.7, 0.2]),  # floats would be truncated to {1, 0}
-    ])
-    @pytest.mark.parametrize("solve", [
-        lambda p, a: ras_solve(p, RasConfig(initial_A=a)),
-        lambda p, a: generic_ras_solve(p, GenericRasConfig(initial_A=a)),
-        lambda p, a: kr_solve(p, KrConfig(initial_A=a)),
-        lambda p, a: fletcher_solve(p, initial_A=a),
-    ], ids=["ras", "generic", "kr", "fletcher"])
-    def test_initial_a_must_hold_integer_indexes(self, solve, initial_A):
-        with pytest.raises(ValueError, match="integer indexes"):
-            solve(QpProblem(Q22, G22), initial_A)
-
-    def test_initial_a_accepts_integer_and_empty_arrays(self):
-        for initial_A in (np.array([1], dtype=np.uint8), np.array([1, 1]), np.array([])):
-            assert fletcher_solve(QpProblem(Q22, G22), initial_A=initial_A).status is (
-                Status.OPTIMAL)
+        assert len(result.inactive_sets[0]) == 0
 
     def test_trace_counts_match_an_independent_solve(self):
         problem = gen_hard(30, 1e6, seed=4)
@@ -525,24 +483,30 @@ class TestFletcherSolve:
         assert result.objective == -0.5
 
     def test_exact_zero_counts_as_infeasible_in_the_trace(self):
-        # The target [0, 1] is accepted and optimal; its exact zero counts
-        # in n_im, by the x_I <= 0 rule the exchange solvers share.
-        result = fletcher_solve(QpProblem(np.eye(2), [0.0, -1.0]), initial_A=[])
-        assert (result.status, result.solves) == (Status.OPTIMAL, 1)
+        # Fletcher solves I = {}, {0} and {0, 1}.  The factor of Q,
+        # [[2, 0], [1, 1]], is exact, so the last target is exactly [0, 1]:
+        # it is accepted and optimal, and its exact zero counts in n_im, by
+        # the x_I <= 0 rule the exchange solvers share.
+        result = fletcher_solve(QpProblem([[4.0, 2.0], [2.0, 2.0]], [-2.0, -2.0]))
+        assert (result.status, result.solves) == (Status.OPTIMAL, 3)
         np.testing.assert_array_equal(result.point.x, [0.0, 1.0])
-        assert result.objective_history == (0.0, -0.5)
+        assert result.objective_history == (0.0, 0.0, -0.5, -1.0)
         assert result.trace[-1].n_im == 1
 
     def test_stop_follows_the_loop_classify_verdict(self, monkeypatch):
-        # The target [0, 1, 0] holds an exact zero, so the loop does not stop
-        # on it, and s_2 = -1e-6.  Under a classify that tolerates 1e-3 the
-        # selection accepts it as optimal; comparing s with its own tol, it
-        # would release index 2 and solve again.
+        # The block of the test above, plus an index 2 with g_2 = -1e-6:
+        # the third target [0, 1, 0] holds an exact zero, so the loop does
+        # not stop on it, and s_2 = -1e-6.  Under a classify that tolerates
+        # 1e-3 the selection accepts it as optimal; comparing s with its own
+        # tol, it would release index 2 and solve a fourth time.
+        Q = [[4.0, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+        problem = QpProblem(Q, [-2.0, -2.0, -1e-6])
+        assert fletcher_solve(problem).solves == 4
         classify = rasqp.solvers.classify
         monkeypatch.setattr(rasqp.solvers, "classify",
                             lambda point, inactive, tol: classify(point, inactive, 1e-3))
-        result = fletcher_solve(QpProblem(np.eye(3), [0.0, -1.0, -1e-6]), initial_A=[2])
-        assert (result.status, result.solves) == (Status.OPTIMAL, 1)
+        result = fletcher_solve(problem)
+        assert (result.status, result.solves) == (Status.OPTIMAL, 3)
         np.testing.assert_array_equal(result.point.x, [0.0, 1.0, 0.0])
 
 

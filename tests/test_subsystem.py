@@ -649,21 +649,24 @@ class TestOneVerdict:
                 validate_problem(p)
             assert again.value.pivot == pivot
 
-    @pytest.mark.parametrize("solve", [
-        lambda p: ras_solve(p, RasConfig(initial_A=[])),
-        lambda p: generic_ras_solve(p, GenericRasConfig(initial_A=[])),
-        lambda p: kr_solve(p, KrConfig(initial_A=[])),
+    @pytest.mark.parametrize("solve, solves, failed", [
+        (lambda p: ras_solve(p, RasConfig()), 1, 56),
+        (lambda p: generic_ras_solve(p, GenericRasConfig()), 5, 57),
+        (lambda p: kr_solve(p, KrConfig()), 1, N),
     ], ids=["ras", "generic", "kr"])
-    def test_exchange_solvers_stop_on_a_superlu_block(self, solve, monkeypatch):
-        # With every index inactive the first solve factors the whole of Q,
-        # by SuperLU; its failed pivot ends the run before any solve counts.
+    def test_exchange_solvers_stop_on_a_superlu_block(self, solve, solves, failed, monkeypatch):
+        # From A = {0..n-1} the first solve is empty; every later block goes
+        # to SuperLU, and the first one that holds the negative pivot ends
+        # the run without counting.  kr's first exchange makes every index
+        # inactive, so its failing block is the whole of Q.
         monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
         monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
         splu_calls = counted_splu(monkeypatch)
         result = solve(self.holey_indefinite())
-        assert splu_calls == [(self.N, self.N)]
         assert result.status is Status.NUMERICAL_FAILURE
-        assert result.solves == 0
+        assert result.solves == solves
+        assert len(splu_calls) == result.solves
+        assert splu_calls[-1] == (failed, failed)
 
 
 class TestUpdatedCholesky:
