@@ -131,16 +131,15 @@ class TestMetricBookkeeping:
         for name, result in all_solver_runs(QpProblem(Q22, G22)).items():
             assert all(type(v) is int for row in result.trace for v in (row.n_im, row.n_am)), name
 
-    @pytest.mark.parametrize("solve", [
-        lambda p: ras_solve(p, RasConfig(record_sets=True)),
-        lambda p: generic_ras_solve(p, GenericRasConfig(record_sets=True)),
-        lambda p: kr_solve(p, KrConfig(record_sets=True)),
-        lambda p: fletcher_solve(p, record_sets=True),
-    ], ids=["ras", "generic", "kr", "fletcher"])
-    def test_default_start_is_everything_active(self, solve):
-        result = solve(QpProblem(Q22, G22))
-        assert result.trace[0].subsystem_size == 0
-        assert len(result.inactive_sets[0]) == 0
+    def test_default_start_is_everything_active(self):
+        problem = QpProblem(Q22, G22)
+        runs = {"ras": ras_solve(problem, RasConfig(record_sets=True)),
+                "generic": generic_ras_solve(problem, GenericRasConfig(record_sets=True)),
+                "kr": kr_solve(problem, KrConfig(record_sets=True)),
+                "fletcher": fletcher_solve(problem, record_sets=True)}
+        for name, result in runs.items():
+            assert result.trace[0].subsystem_size == 0, name
+            assert len(result.inactive_sets[0]) == 0, name
 
     def test_trace_counts_match_an_independent_solve(self):
         problem = gen_hard(30, 1e6, seed=4)
