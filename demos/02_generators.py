@@ -5,8 +5,13 @@
            built by random Givens rotations until a target density.
 * hard   — dense Q = O D O' with a geometric spectrum up to `cond`.
 
-Every (family, parameters, seed) triple is bit-reproducible.
+Every (family, parameters, seed) triple is bit-reproducible.  The last table
+prints what one draw costs: its wall time and its tracemalloc peak, beside
+the bytes Q itself is stored in.
 """
+
+import time
+import tracemalloc
 
 import numpy as np
 
@@ -40,3 +45,19 @@ w = np.sort(np.linalg.eigvalsh(problem.dense_q()))
 want = np.logspace(-np.log10(spec.cond), 0, spec.n)
 print("medium spectrum max relative error vs prescription:",
       f"{np.abs((w - want) / want).max():.2e}")
+
+# The rotations touch only the cells they make nonzero, so a large sparse
+# medium draw costs about as much as the Q it returns.
+cost_specs = [*specs, GeneratorSpec("medium", 3000, seed=0, density=0.002, cond=1e10)]
+print(f"\n{'family':<8}{'n':>6}{'draw ms':>10}{'peak MB':>10}{'Q MB':>8}")
+for spec in cost_specs:
+    start = time.perf_counter()
+    generate(spec)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()  # a second draw: tracing slows the first one's clock
+    problem = generate(spec)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    Q = problem.Q
+    stored = Q.data.nbytes + Q.indices.nbytes + Q.indptr.nbytes if problem.is_sparse else Q.nbytes
+    print(f"{spec.family:<8}{spec.n:>6}{elapsed * 1e3:>10.1f}{peak / 1e6:>10.2f}{stored / 1e6:>8.2f}")

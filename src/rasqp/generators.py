@@ -9,18 +9,21 @@
 * hard — dense Q = O D O' with O a random orthogonal factor and D a
   geometric spectrum from 1 to cond; g uniform on [-0.5, 0.5].
 
-Identical (family, parameters, seed) always reproduce the same problem
-bit-for-bit.  Draw order within each generator is fixed and documented in
-the respective docstring.
+Identical (family, parameters, seed) reproduce the same problem
+bit-for-bit on one NumPy build at one BLAS thread count (the hard family's
+QR factor depends on both).  Draw order within each generator is fixed and
+documented in the respective docstring.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.linalg import _umath_linalg
 
 from .model import QpProblem, _require_int, _require_real
 
@@ -35,6 +38,12 @@ __all__ = [
 
 #: Bandwidth of the lower-triangular band kept in the easy-family factor.
 EASY_BANDWIDTH = 100
+
+#: NumPy's LAPACK QR gufuncs, the ones np.linalg.qr calls: geqrf in place on
+#: its input, then orgqr into a new array.  NumPy 1.x names the first
+#: qr_r_raw_m for an input with no more rows than columns.
+_qr_r_raw = getattr(_umath_linalg, "qr_r_raw", None) or _umath_linalg.qr_r_raw_m
+_qr_reduced = _umath_linalg.qr_reduced
 
 #: gen_medium's rotation budget, in rotations per target nonzero; read at call time.
 _ROTATION_BUDGET_FACTOR = 20.0
@@ -145,6 +154,12 @@ def gen_medium(n: int, density: float, cond: float, seed: int) -> QpProblem:
     the collapse to a diagonal matrix is the documented behavior, not a
     failure).  g is standard normal; draw order: rotations (pair, then
     angle, per rotation), then g.
+
+    Only the cells the rotations have written are stored, each row as a
+    {column: value} dict, so a draw costs memory in proportion to Q's
+    nonzeros and time in proportion to the rotations times the row
+    lengths: n=3000 at density 0.002 takes about 40 ms and a 2.8 MB
+    tracemalloc peak beside Q's 0.23 MB (``demos/02_generators.py``).
     """
     _check_parameters("medium", n, seed, density=density, cond=cond)
     rng = np.random.default_rng(seed)
@@ -154,12 +169,14 @@ def gen_medium(n: int, density: float, cond: float, seed: int) -> QpProblem:
         return QpProblem(Q, g)
 
     spectrum = np.logspace(-np.log10(cond), 0.0, n)
-    W = np.diag(spectrum)
-    nnz = np.count_nonzero(W)
+    # Row k of W as {column: value}.  A rotation stores every cell it writes,
+    # zero or not, so the stored pattern stays symmetric: the rows that store
+    # a cell of column k are the columns stored in row k.
+    rows = [{k: v} for k, v in enumerate(spectrum.tolist())]
+    nnz = n
     target_nnz = int(round(density * n * n))
     budget = int(round(_ROTATION_BUDGET_FACTOR * target_nnz))
-    integers, uniform, count, array = rng.integers, rng.uniform, np.count_nonzero, np.array
-    WT = W.T  # column k of W is row k of this view
+    integers, uniform, array = rng.integers, rng.uniform, np.array
     rotations = 0
     while nnz < target_nnz and rotations < budget:
         i = int(integers(n))
@@ -169,17 +186,26 @@ def gen_medium(n: int, density: float, cond: float, seed: int) -> QpProblem:
         theta = uniform(0.0, 2.0 * np.pi)
         c, s = np.cos(theta), np.sin(theta)
         G = array([[c, s], [-s, c]])
-        # Two rows change, then two columns: count what they hold before and
-        # after.  Each pair is read through views of W into one copy and
-        # written back through the same views.
-        old = array((W[i], W[j]))
-        new = G @ old
-        nnz += count(new) - count(old)
-        W[i], W[j] = new
-        old = array((WT[i], WT[j])).T
-        new = old @ G.T
-        nnz += count(new) - count(old)
-        WT[i], WT[j] = new.T
+        # Two rows change, then two columns, all four only on `keys`, the
+        # columns stored in row i or j; once the rows have changed, these are
+        # also the rows that store a cell of column i or j.  Every other cell
+        # of the four lines is zero before and after.  The pairs go through
+        # the same matmuls as a dense W's full lines, which give each element
+        # the same bits, and nnz moves by the zeros each pair gains or loses.
+        row_i, row_j = rows[i], rows[j]
+        keys = list(row_i.keys() | row_j.keys())
+        get_i, get_j = row_i.get, row_j.get
+        old_i, old_j = [get_i(k, 0.0) for k in keys], [get_j(k, 0.0) for k in keys]
+        new_i, new_j = (G @ array((old_i, old_j), np.float64)).tolist()
+        nnz += old_i.count(0.0) + old_j.count(0.0) - new_i.count(0.0) - new_j.count(0.0)
+        rows[i], rows[j] = dict(zip(keys, new_i)), dict(zip(keys, new_j))
+        lines = [rows[r] for r in keys]
+        old_i, old_j = [row.get(i, 0.0) for row in lines], [row.get(j, 0.0) for row in lines]
+        new_i, new_j = (array((old_i, old_j), np.float64).T @ G.T).T.tolist()
+        nnz += old_i.count(0.0) + old_j.count(0.0) - new_i.count(0.0) - new_j.count(0.0)
+        for row, a, b in zip(lines, new_i, new_j):
+            row[i] = a
+            row[j] = b
         rotations += 1
     if nnz < target_nnz:
         warnings.warn(
@@ -188,8 +214,15 @@ def gen_medium(n: int, density: float, cond: float, seed: int) -> QpProblem:
             DensityUnreachableWarning,
             stacklevel=2,
         )
-    W = (W + W.T) * 0.5
-    Q = sp.csc_array(W)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    stored = int(indptr[-1])
+    W = sp.csr_array(
+        (np.fromiter(chain.from_iterable(row.values() for row in rows), np.float64, stored),
+         np.fromiter(chain.from_iterable(rows), np.int32, stored), indptr),
+        shape=(n, n),
+    )
+    Q = ((W + W.T) * 0.5).tocsc()  # the sum drops the stored zeros
     g = rng.standard_normal(n)
     return QpProblem(Q, g)
 
@@ -199,13 +232,22 @@ def gen_hard(n: int, cond: float, seed: int) -> QpProblem:
 
     Draw order: g uniform on [-0.5, 0.5] first, then the normal matrix whose
     QR factor supplies the random orthogonal basis O; Q = O D O' symmetrized.
+    The QR runs in place on the draw and R is never formed, so the generator
+    holds at most three n x n arrays (O, O D and Q: 3.85 MB at n=400, per
+    ``demos/02_generators.py``) beside LAPACK's own scratch copies.  O's
+    bits, and so Q's, depend on the BLAS build and its thread count.
     """
     _check_parameters("hard", n, seed, cond=cond)
     rng = np.random.default_rng(seed)
     g = rng.uniform(-0.5, 0.5, n)
-    O, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    # The calls of np.linalg.qr without its copy of the draw or its R, so O
+    # has the same bits as its Q at every BLAS thread count.
+    O = rng.standard_normal((n, n))
+    tau = _qr_r_raw(O, signature="d->d")
+    O = _qr_reduced(O, tau, signature="dd->d")
     d = cond ** (np.arange(n) / (n - 1))
     Q = (O * d) @ O.T
+    del O  # QpProblem's checks then run beside Q alone
     return QpProblem(Q, g)
 
 

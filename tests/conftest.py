@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from rasqp import QpProblem, Status, kkt_residual
+from rasqp import QpProblem, Status, gen_hard, kkt_residual
 
 # Property tests draw the same examples on every run and keep no database of
 # past failures to replay, so every Tier-1 run tests the same cases.
@@ -25,6 +25,23 @@ def rand_spd_problem(n: int, rng: np.random.Generator) -> QpProblem:
     """A dense, comfortably conditioned SPD instance: Q = AA' + I."""
     A = rng.standard_normal((n, n))
     return QpProblem(A @ A.T + np.eye(n), rng.standard_normal(n))
+
+
+def known_answer_problem(n: int, cond: float, seed: int):
+    """A hard-family Q with a prescribed non-degenerate solution.
+
+    Q is ``gen_hard(n, cond, seed)``'s.  Each index is free with probability
+    1/2; x* is uniform on [0.5, 1.5] on the free indexes and 0 elsewhere,
+    s* is uniform on [0.5, 1.5] off them and 0 on them, and g = s* - Q x*,
+    so (x*, s*) is the KKT point (Moré & Toraldo, Numer. Math. 55, 1989).
+    Returns (problem, x*, free mask).
+    """
+    Q = gen_hard(n, cond, seed).Q
+    rng = np.random.default_rng([seed, n])  # a stream apart from gen_hard's
+    free = rng.random(n) < 0.5
+    x_star = np.where(free, rng.uniform(0.5, 1.5, n), 0.0)
+    s_star = np.where(free, 0.0, rng.uniform(0.5, 1.5, n))
+    return QpProblem(Q, s_star - Q @ x_star), x_star, free
 
 
 def assert_certificate(problem: QpProblem, result, tol: float) -> None:

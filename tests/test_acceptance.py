@@ -13,7 +13,7 @@ from conftest import rand_spd_problem
 from rasqp.bench import BenchmarkPlan, run_plan, solver_seed_for_trial
 from rasqp.engine import ChangeProbabilities, exchange_asymmetry_montecarlo
 from rasqp.generators import GeneratorSpec, gen_hard, gen_medium, generate
-from rasqp.model import Status, kkt_residual
+from rasqp.model import Status, kkt_residual, stationarity_tol
 from rasqp.solvers import (
     GenericRasConfig,
     KrConfig,
@@ -60,8 +60,9 @@ def test_criterion_01_oracle_equivalence(capsys):
 
 def test_criterion_02_kkt_certificate(capsys):
     """Every Optimal result across a cross-family battery carries the full
-    certificate: relative stationarity <= 1e-6, x >= 0 exactly, s >= -tol,
-    and an exact structural complementarity zero."""
+    certificate: stationarity within the library's stationarity_tol (1e-8
+    relative), x >= 0 exactly, s >= -tol, and an exact structural
+    complementarity zero.  The printed verdict keeps its 1e-6 bound."""
     specs = [
         (GeneratorSpec("easy", 300, seed=s, epsilon=eps), 1e-8)
         for s in (0, 1) for eps in (1e-2, 1e-8)
@@ -90,7 +91,7 @@ def test_criterion_02_kkt_certificate(capsys):
             checked += 1
             stationarity, primal, dual, comp = kkt_residual(problem, result.point)
             worst_rel = max(worst_rel, stationarity / scale)
-            assert stationarity <= 1e-6 * scale
+            assert stationarity <= stationarity_tol(problem)
             assert primal == 0.0
             assert dual <= tol
             assert comp == 0.0

@@ -211,11 +211,24 @@ class TestGenMedium:
         ((100, 0.1, 1e10, 1), "d0369a8199565bf51f4dd4ae1675d238d03a0564309d0c155dee3405d1332797"),
         ((100, 0.1, 1e10, 2), "b057afafd78f7e0e0945914a6f977af0b4f2233419b5cf9b16477fb86a2e6dc9"),
         ((40, 0.8, 1e6, 0), "6d695153831e9de5c23eea2c21a6b05bb6d7f341ef5b60281a6f40bdabfe1b57"),
-    ], ids=["golden-0", "golden-1", "golden-2", "dense-fill"])
+        ((3000, 0.002, 1e10, 0), "c8250e34d730cef41c051226c68de6411e6de3fa7a6a22d07b8907049a6016dc"),
+    ], ids=["golden-0", "golden-1", "golden-2", "dense-fill", "3000"])
     def test_pinned_output_beyond_plan_grid(self, args, want):
-        # The golden grid's medium spec and a dense fill, so a rotation loop
-        # that matches only plan-grid's n=300 spec fails.
+        # The golden grid's medium spec, a dense fill and a large sparse draw
+        # (recorded from the dense-W rotation loop), so a rotation loop that
+        # matches only plan-grid's n=300 spec fails.
         assert digest(gen_medium(*args)) == want
+
+    def test_peak_memory_is_a_few_times_q(self):
+        # The rotations touch only stored cells: a dense W peaks near 640x
+        # Q's bytes at this size.
+        tracemalloc.start()
+        try:
+            q = gen_medium(3000, 0.002, 1e10, seed=0).Q
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * (q.indptr.nbytes + q.indices.nbytes + q.data.nbytes)
 
     def test_pinned_output_when_budget_runs_out(self, monkeypatch):
         monkeypatch.setattr(rasqp.generators, "_ROTATION_BUDGET_FACTOR", 0.01)
@@ -261,6 +274,20 @@ class TestGenHard:
     def test_pinned_output(self, cond, want):
         # The hard-dense benchmark specs.
         assert digest(gen_hard(800, cond, seed=0)) == want
+
+    def test_traced_peak_is_three_matrices(self):
+        # O, O * d and Q at once; np.linalg.qr's copy of the draw and its R
+        # took it to 4.1.  NumPy's LAPACK gufuncs take their Fortran scratch
+        # copies outside the traced heap, so this counts the generator's own
+        # arrays.
+        n = 300
+        tracemalloc.start()
+        try:
+            gen_hard(n, 1e10, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * 8 * n * n
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 import rasqp.solvers
 import rasqp.subsystem
-from conftest import assert_certificate, rand_spd_problem
+from conftest import assert_certificate, known_answer_problem, rand_spd_problem
 from rasqp.engine import ChangeProbabilities
 from rasqp.generators import gen_hard, gen_medium
 from rasqp.model import QpProblem, Status, objective
@@ -70,6 +70,25 @@ class TestKnownSolutions:
         result = ras_solve(QpProblem(Q22, G22), RasConfig())
         # At an interior minimizer f = 0.5 g'x = -15/22.
         assert result.objective == pytest.approx(-15.0 / 22.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, cond", [(50, 1e4), (100, 1e4), (100, 1e8), (300, 1e6)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_known_answer_is_found_by_every_solver(n, cond, seed):
+    # Above brute_force_solve's n <= 20, a problem built around its answer:
+    # each solver must find exactly the prescribed free set, and x* within
+    # the forward error a solve with condition number <= cond can carry.
+    problem, x_star, free = known_answer_problem(n, cond, seed)
+    runs = {
+        "ras": ras_solve(problem, RasConfig(seed=seed)),
+        "generic": generic_ras_solve(problem, GenericRasConfig(seed=seed)),
+        "kr": kr_solve(problem, KrConfig()),
+        "fletcher": fletcher_solve(problem),
+    }
+    for name, result in runs.items():
+        assert result.status is Status.OPTIMAL, name
+        np.testing.assert_array_equal(result.point.x > 0, free, err_msg=name)
+        assert np.abs(result.point.x - x_star).max() <= 1e-14 * cond * x_star.max(), name
 
 
 class TestOracleEquivalence:
