@@ -17,10 +17,14 @@ KKT subsystem solves, each a fresh or an updated factorization,
 All four share one loop and differ only in their selection rule, which
 returns either the indexes to exchange or the status that ends the run.
 Every run leaves the loop by its one exit: the loop stops it as ``Optimal``,
-at the solve cap or on a failed factorization, ``ras``'s selection when its
-redraws run out (an empty draw is redrawn without a solve), and ``kr``'s
-when the exchange would return to an active set already solved.  ``generic``
-re-solves after an empty draw (and counts it); ``kr`` never draws.
+as ``IterationCapReached`` at the solve cap, whichever the solver, or on a
+failed factorization; ``ras``'s selection stops it as
+``IterationCapReached`` when its redraws run out (an empty draw is redrawn
+without a solve), and ``kr``'s as ``CycleDetected`` when the exchange would
+return to an active set already solved.  ``generic`` re-solves after an
+empty draw (and counts it); ``kr`` never draws.  So status and solve count
+name every stop: ``IterationCapReached`` with ``solves == max_solves`` is
+the cap, with fewer solves ``ras``'s redraws.
 
 :func:`brute_force_solve` enumerates all 2^n partitions as a correctness
 oracle for the others.
@@ -111,7 +115,8 @@ class RasConfig(_ExchangeConfig):
 
 @dataclass(kw_only=True)
 class KrConfig(_ExchangeConfig):
-    """Configuration for :func:`kr_solve`; its solve cap defaults to 200."""
+    """Configuration for :func:`kr_solve`; its solve cap defaults to 200, and a
+    run that reaches it ends ``IterationCapReached``."""
 
     max_solves: int = 200
 
@@ -125,7 +130,6 @@ class NoKktPointError(RuntimeError):
 
 
 def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
-                   cap_status: Status = Status.ITERATION_CAP,
                    factor=_FreshCholesky) -> SolveResult:
     """The iteration shared by all four solvers.
 
@@ -137,10 +141,12 @@ def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
     partition.  The first solve, with I empty, cannot fail.  Each
     round solves the subsystem for (I, A), classifies the result and
     appends one row.  It stops with ``Optimal`` when nothing is infeasible,
-    with ``cap_status`` after ``cfg.max_solves`` solves and with
-    ``NumericalFailure`` when a solve fails; otherwise ``select(point,
-    infeasible, inactive)`` returns the indexes to move to the other side
-    or the :class:`Status` that ends the run.  Every stop sets ``status``
+    with ``IterationCapReached`` after ``cfg.max_solves`` solves, for every
+    solver, and with ``NumericalFailure`` when a solve fails; otherwise
+    ``select(point, infeasible, inactive)`` returns the indexes to move to
+    the other side or the :class:`Status` that ends the run.  The cap is
+    tested before ``select`` runs, so a selection's own stop always comes
+    with fewer than ``cfg.max_solves`` solves.  Every stop sets ``status``
     and leaves the loop by its one exit, which builds the result.
     """
     n = problem.n
@@ -163,7 +169,7 @@ def _exchange_loop(problem: QpProblem, cfg: _ExchangeConfig, select,
         if sets is not None:
             sets.append(I)
         chosen = (Status.OPTIMAL if n_inf == 0
-                  else cap_status if len(rows) >= cfg.max_solves
+                  else Status.ITERATION_CAP if len(rows) >= cfg.max_solves
                   else select(point, infeasible, inactive))
         if isinstance(chosen, Status):
             status = chosen
@@ -232,12 +238,12 @@ def ras_solve(problem: QpProblem, cfg: RasConfig) -> SolveResult:
 def kr_solve(problem: QpProblem, cfg: KrConfig) -> SolveResult:
     """Deterministic full-exchange iteration: every infeasible index changes sides.
 
-    Stops with ``Optimal`` when nothing is infeasible and with
-    ``CycleDetected`` either after ``max_solves`` solves or as soon as the
-    exchange would lead back to an active set already solved.  The
-    selection remembers every solved mask, so a cycle stops the run before
-    the move, with the point of its last solve; that is the same fail
-    verdict as running out the cap, only sooner.
+    Stops with ``Optimal`` when nothing is infeasible, with
+    ``IterationCapReached`` after ``max_solves`` solves, as every solver
+    does, and with ``CycleDetected`` as soon as the exchange would lead
+    back to an active set already solved.  The selection remembers every
+    solved mask, so a cycle stops the run before the move, with the point
+    of its last solve.
     """
     visited = set()
 
@@ -247,7 +253,7 @@ def kr_solve(problem: QpProblem, cfg: KrConfig) -> SolveResult:
             return Status.CYCLE_DETECTED
         return np.flatnonzero(infeasible)
 
-    return _exchange_loop(problem, cfg, select, Status.CYCLE_DETECTED)
+    return _exchange_loop(problem, cfg, select)
 
 
 def fletcher_solve(

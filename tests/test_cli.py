@@ -80,7 +80,7 @@ class TestSolve:
         assert main(["solve", problem_file, "--solver", "kr", "--max-solves", "1",
                      "--machine"]) == 2
         fields = capsys.readouterr().out.strip().split(",")
-        assert fields[0] == "CycleDetected"
+        assert fields[0] == "IterationCapReached"
         assert int(fields[2]) == 1
         assert main(["solve", problem_file, "--solver", "fletcher", "--max-solves", "1"]) == 1
         captured = capsys.readouterr()

@@ -48,12 +48,14 @@ class TestQpProblem:
         assert p.g.dtype == np.float64
         assert not p.Q.flags.writeable
         assert not p.g.flags.writeable
+        assert repr(p) == "QpProblem(n=2, dense)"
 
     def test_sparse_storage_is_csc(self):
         p = QpProblem(sp.coo_array(Q22), G22)
         assert p.is_sparse
         assert p.Q.format == "csc"
         np.testing.assert_array_equal(p.dense_q(), Q22)
+        assert repr(QpProblem(sp.eye_array(5), np.ones(5))) == "QpProblem(n=5, sparse)"
 
     def test_dense_q_is_plain_array(self):
         assert isinstance(QpProblem(Q22, G22).dense_q(), np.ndarray)

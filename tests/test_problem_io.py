@@ -90,6 +90,7 @@ class TestLoadErrors:
             ("n 2\ncoo 1\n3 1 0.5\ng\n0 0\n", "out of range"),
             ("n 2\ncoo 1\n1 1\ng\n0 0\n", "expected 'i j value'"),
             ("n 2\ncoo 1\n1 1 abc\ng\n0 0\n", "not a number"),
+            ("n 2\ncoo -1\ng\n0 0\n", "entry count must be >= 0"),
             ("dense\n1\n", "n must be declared first"),
             ("g\n0\nn 1\n", "line 1: n must be declared first"),
             ("n 1\nn 2\n", "duplicate n"),

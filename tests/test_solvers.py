@@ -312,11 +312,13 @@ class TestRasSolve:
 
     def test_resample_cap_with_vanishing_probabilities(self):
         # Probabilities this small make every draw come back empty, so the
-        # run burns its 10*n redraws and gives up without a second solve.
+        # run burns its 10*n redraws and gives up without a second solve:
+        # IterationCapReached short of max_solves is the redraws, not the cap.
         probs = ChangeProbabilities(*(1e-15,) * 6)
         result = ras_solve(QpProblem(Q22, G22), RasConfig(probs=probs))
         assert result.status is Status.ITERATION_CAP
         assert result.solves == 1
+        assert result.solves < RasConfig().max_solves
 
     def test_certainty_probabilities_match_full_exchange(self):
         rng = np.random.default_rng(77)
@@ -383,9 +385,11 @@ class TestKrSolve:
         assert result.status is Status.OPTIMAL
         assert_certificate(problem, result, tol=1e-10)
 
-    def test_iteration_cap_reports_cycle(self):
+    def test_iteration_cap_reports_iteration_cap(self):
+        # The cap is the loop's verdict for every solver; CycleDetected is
+        # left to a revisited active set.
         result = kr_solve(QpProblem(Q22, G22), KrConfig(max_solves=1))
-        assert result.status is Status.CYCLE_DETECTED
+        assert result.status is Status.ITERATION_CAP
         assert result.solves == 1
 
     def test_deterministic(self):
