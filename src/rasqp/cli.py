@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--solver", default="ras", choices=SOLVER_NAMES)
     ps.add_argument("--seed", type=seed, default=0,
                     help="RNG seed for randomized solvers (default 0)")
-    ps.add_argument("--tol", type=tol, default=1e-10,
+    ps.add_argument("--tol", type=tol, default=None,
                     help="dual violation tolerance (default 1e-10)")
     ps.add_argument("--max-solves", type=_checked(int, _require_int, "max_solves", 1),
                     default=None, help="cap on subsystem solves (default: the solver's own)")
@@ -93,11 +93,11 @@ def _build_parser() -> _Parser:
         pb.add_argument(f"--{name}", type=_list_of(axis[name]), help=f"comma-separated {what}")
     pb.add_argument("--solvers", type=_list_of(str), default="ras,kr",
                     help=f"comma-separated subset of {','.join(SOLVER_NAMES)}")
-    pb.add_argument("--trials", type=_checked(int, _require_int, "trials", 1), default=10)
+    pb.add_argument("--trials", type=_checked(int, _require_int, "trials", 1), default=None)
     pb.add_argument("--seed", type=seed, default=0, help="base seed (default 0)")
     pb.add_argument("--tol", type=tol, default=None,
                     help="override the per-family tolerance")
-    pb.add_argument("--time-limit", default=300.0,
+    pb.add_argument("--time-limit", dest="time_limit_per_trial", default=None,
                     type=_checked(float, _require_real, "time_limit_per_trial", *_TIME_LIMIT),
                     help="per-trial wall-clock limit in seconds")
     pb.add_argument("--output", default=None,
@@ -166,12 +166,8 @@ def cmd_bench(args) -> int:
              for n in args.n for values in itertools.product(*axes.values())]
     options = _given(args, ("tol",))
     cells = tuple((spec, solver, options) for spec in specs for solver in args.solvers)
-    plan = BenchmarkPlan(
-        cells=cells,
-        trials=args.trials,
-        base_seed=args.seed,
-        time_limit_per_trial=args.time_limit,
-    )
+    plan = BenchmarkPlan(cells=cells, base_seed=args.seed,
+                         **_given(args, ("trials", "time_limit_per_trial")))
     _check_writable(args.output)
     records = run_plan(plan)
     human, machine = emit_table(records)

@@ -151,6 +151,13 @@ def exchange_asymmetry_montecarlo(samples: int, rng: np.random.Generator, *,
       iterate is recorded over qualifying samples with Q12 > 0, the branch
       where N2 can be nonzero.
 
+    After either move at most one index is infeasible: both would need
+    x <= 0 and g < 0 with g = -Qx, so x'Qx = -x'g <= 0, impossible for a
+    positive definite Q.  N1 and N2 are therefore 0 or 1, and a mean e has
+    the exact per-sample variance e(1 - e).  Samples are drawn in rounds
+    of a fixed number of candidates, so memory does not grow with
+    ``samples``.
+
     Returns ``(e_n1, e_n2, stderr)``: the two conditional empirical means
     and a standard error for their difference.  An empty conditioning set
     yields a mean of 0.0; with fewer than two qualifying samples on either
@@ -160,52 +167,27 @@ def exchange_asymmetry_montecarlo(samples: int, rng: np.random.Generator, *,
     not one); anything else raises ``ValueError``.
     """
     _require_int(samples, "samples", 1)
-    sum1 = sum2 = sq1 = sq2 = 0.0
-    m1 = m2 = 0
-    remaining = samples
-    while remaining > 0:
-        take = min(remaining, 2_000_000)
-        q11, q22, q12 = _draw_pd_entries(take, rng, diagonal_only)
-        g = rng.standard_normal((take, 2))
-        g1, g2 = g[:, 0], g[:, 1]
+    m1 = m2 = n1 = n2 = 0
+    owed = samples
+    while owed > 0:
+        # About 1 in 8 candidates is positive definite.
+        q11, q22 = rng.standard_normal((2, 65536))
+        q12 = np.zeros(65536) if diagonal_only else rng.standard_normal(65536)
+        pd = ((q11 > 0.0) & (q22 > 0.0) & (q11 * q22 > q12 * q12)).nonzero()[0][:owed]
+        q11, q22, q12 = q11[pd], q22[pd], q12[pd]
+        g = rng.standard_normal((2, pd.size))
         det = q11 * q22 - q12 * q12
-        x1 = (-q22 * g1 + q12 * g2) / det
-        x2 = (q12 * g1 - q11 * g2) / det
+        x = np.array([q12 * g[1] - q22 * g[0], q12 * g[0] - q11 * g[1]]) / det
+        shrink = (x <= 0.0).all(axis=0) & (q12 < 0.0)
+        grow = (g < 0.0).all(axis=0) & (q12 > 0.0)
+        m1 += np.count_nonzero(shrink)
+        n1 += np.count_nonzero(g[:, shrink] < 0.0)
+        m2 += np.count_nonzero(grow)
+        n2 += np.count_nonzero(x[:, grow] <= 0.0)
+        owed -= pd.size
 
-        shrink = (x1 <= 0.0) & (x2 <= 0.0) & (q12 < 0.0)
-        n1 = (g1[shrink] < 0.0).astype(np.float64) + (g2[shrink] < 0.0)
-        grow = (g1 < 0.0) & (g2 < 0.0) & (q12 > 0.0)
-        n2 = (x1[grow] <= 0.0).astype(np.float64) + (x2[grow] <= 0.0)
-
-        sum1 += n1.sum()
-        sq1 += (n1 * n1).sum()
-        m1 += n1.size
-        sum2 += n2.sum()
-        sq2 += (n2 * n2).sum()
-        m2 += n2.size
-        remaining -= take
-
-    e1 = sum1 / m1 if m1 else 0.0
-    e2 = sum2 / m2 if m2 else 0.0
+    e1 = n1 / m1 if m1 else 0.0
+    e2 = n2 / m2 if m2 else 0.0
     if m1 < 2 or m2 < 2:
         return e1, e2, math.inf
-    var1 = max(0.0, sq1 / m1 - e1 * e1)
-    var2 = max(0.0, sq2 / m2 - e2 * e2)
-    return e1, e2, math.sqrt(var1 / m1 + var2 / m2)
-
-
-def _draw_pd_entries(count: int, rng: np.random.Generator, diagonal_only: bool):
-    """Rejection-sample `count` (Q11, Q22, Q12) triples with Q PD."""
-    out = [np.empty(0) for _ in range(3)]
-    have = 0
-    while have < count:
-        # PD acceptance for a 2x2 symmetric Gaussian draw is ~1/8, so
-        # oversample accordingly.
-        batch = max(4096, int((count - have) * 9))
-        a = rng.standard_normal(batch)
-        b = rng.standard_normal(batch)
-        c = np.zeros(batch) if diagonal_only else rng.standard_normal(batch)
-        ok = (a > 0.0) & (b > 0.0) & (a * b - c * c > 0.0)
-        out = [np.concatenate([o, v[ok]]) for o, v in zip(out, (a, b, c))]
-        have = out[0].size
-    return out[0][:count], out[1][:count], out[2][:count]
+    return e1, e2, math.sqrt(e1 * (1.0 - e1) / m1 + e2 * (1.0 - e2) / m2)

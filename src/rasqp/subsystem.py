@@ -467,6 +467,11 @@ def embed_point(n: int, I, A, x_I, s_A) -> KktPoint:
     :func:`solve_subsystem` returns, read in the order of I and A as passed.
     A nonempty I or A that does not hold integers, and an x_I or s_A whose
     length differs from that of I or A, raise ``ValueError``.
+
+    I and A must partition {0..n-1}, which is not checked here: the loop's
+    I and A come from its mask, and :func:`solve_subsystem` without a
+    ``factor`` checks them.  Other sets give a wrong point without an error
+    (a negative index wraps around, and an index in both makes x's != 0).
     """
     I = _indexes(I)
     A = _indexes(A)

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,12 +384,18 @@ def scalar_asymmetry_reference(samples: int, rng: np.random.Generator):
         det = a * b - c * c
         x1 = (-b * g1 + c * g2) / det
         x2 = (c * g1 - a * g2) / det
-        if x1 <= 0.0 and x2 <= 0.0 and c < 0.0:
-            m1 += 1
-            s1 += (g1 < 0.0) + (g2 < 0.0)
-        if g1 < 0.0 and g2 < 0.0 and c > 0.0:
-            m2 += 1
-            s2 += (x1 <= 0.0) + (x2 <= 0.0)
+        # At most one index is infeasible after either move: both would
+        # need x'Qx = -x'g <= 0, impossible for a positive definite Q.
+        if x1 <= 0.0 and x2 <= 0.0:
+            assert not (g1 < 0.0 and g2 < 0.0)
+            if c < 0.0:
+                m1 += 1
+                s1 += (g1 < 0.0) + (g2 < 0.0)
+        if g1 < 0.0 and g2 < 0.0:
+            assert not (x1 <= 0.0 and x2 <= 0.0)
+            if c > 0.0:
+                m2 += 1
+                s2 += (x1 <= 0.0) + (x2 <= 0.0)
     return (s1 / m1 if m1 else 0.0), (s2 / m2 if m2 else 0.0)
 
 
@@ -447,6 +454,18 @@ class TestExchangeAsymmetryMontecarlo:
         a = exchange_asymmetry_montecarlo(5_000, np.random.default_rng(7))
         b = exchange_asymmetry_montecarlo(5_000, np.random.default_rng(7))
         assert a == b
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        # Candidates are drawn in rounds of a fixed size, whatever `samples` is.
+        peaks = []
+        for samples in (30_000, 300_000):
+            tracemalloc.start()
+            try:
+                exchange_asymmetry_montecarlo(samples, np.random.default_rng(0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
