@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--seed", type=seed, default=0,
                     help="RNG seed for randomized solvers (default 0)")
     ps.add_argument("--tol", type=tol, default=None,
-                    help="dual violation tolerance (default 1e-10)")
+                    help="dual violation tolerance (default: the solver's own)")
     ps.add_argument("--max-solves", type=_checked(int, _require_int, "max_solves", 1),
                     default=None, help="cap on subsystem solves (default: the solver's own)")
     ps.add_argument("--machine", action="store_true",

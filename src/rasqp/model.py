@@ -316,7 +316,8 @@ def validate_problem(problem: QpProblem) -> None:
     on the diagonal is positive, so Q is factorized once, by the kernels of
     :mod:`rasqp.subsystem`: a dense Q by Cholesky on a copy, a sparse Q,
     never densified, in its reverse Cuthill-McKee order (cached) by the
-    kernels of a sparse block above ``DENSE_THRESHOLD``, whatever n.  Q is
+    kernels of a sparse block above ``DENSE_THRESHOLD``, whatever n, which
+    read its column slice in that order.  Q is
     rejected at the step the factor names.  Intended for setup-time
     validation, not inner loops.
     """
@@ -327,7 +328,7 @@ def validate_problem(problem: QpProblem) -> None:
     try:
         if problem.is_sparse:
             order = np.argsort(_rcm_rank(problem))
-            _factor_sparse(Q[:, order].tocsr()[order])  # Q in RCM order, row by row
+            _factor_sparse(Q[:, order], order)  # Q in RCM order
         else:
             _cholesky(Q.copy(order="F"), clean=0)
     except FactorizationError as exc:

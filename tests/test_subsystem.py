@@ -305,6 +305,38 @@ class TestSolveSubsystem:
             np.testing.assert_array_equal(x_I, x_ref)
             np.testing.assert_array_equal(s_A, (cols @ y)[A] + p.g[A])
 
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-10])
+    def test_band_block_matches_the_row_slice_route(self, epsilon, monkeypatch):
+        # The band is gathered from the CSC column slice, not from its rows
+        # J in CSR, and x_I and s_A are bit-identical to that row route:
+        # the same band, the same pbtrs, and s summed row by row in J order.
+        p = gen_easy(2500, epsilon, seed=6)
+        rng = np.random.default_rng(7)
+        pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
+        pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+        for _ in range(3):
+            I, A = random_partition(p.n, rng)
+            assert len(I) > rasqp.subsystem.DENSE_THRESHOLD
+            pbtrf_calls.clear()
+            x_I, s_A = solve_subsystem(p, I, A)
+            assert len(pbtrf_calls) == 1
+            order = np.argsort(p._rcm_rank[I])
+            J = I[order]
+            m = len(J)
+            rows = p.Q[:, J].tocsr()  # all n rows of the columns J
+            block = rows[J]
+            below = np.repeat(np.arange(m), np.diff(block.indptr)) - block.indices
+            lower = below >= 0
+            ab = np.zeros((below.max() + 1, m), order="F")
+            ab[below[lower], block.indices[lower]] = block.data[lower]
+            c, info = pbtrf(ab, lower=1)
+            assert info == 0
+            y = pbtrs(c, -p.g[J], lower=1)[0]
+            x_ref = np.empty_like(y)
+            x_ref[order] = y
+            np.testing.assert_array_equal(x_I, x_ref)
+            np.testing.assert_array_equal(s_A, (rows @ y + p.g)[A])
+
     def test_validation_factors_q_as_a_superlu_solve_does(self, monkeypatch):
         # validate_problem's verdict stands for the solves only if it runs
         # the elimination they run: the same splu options, and with every
@@ -592,7 +624,7 @@ class TestBandCholesky:
             pbtrf_calls.clear()
             splu_calls.clear()
             order = np.argsort(rasqp.subsystem._rcm_rank(p))
-            _factor_sparse(p.Q[:, order].tocsr()[order])
+            _factor_sparse(p.Q[:, order], order)
             assert (len(pbtrf_calls), len(splu_calls)) == ((1, 0) if band else (0, 1))
 
 
