@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.linalg import _umath_linalg
+from numpy.linalg import lapack_lite
 
 from .model import QpProblem, _require_int, _require_real
 
@@ -38,12 +38,6 @@ __all__ = [
 
 #: Bandwidth of the lower-triangular band kept in the easy-family factor.
 EASY_BANDWIDTH = 100
-
-#: NumPy's LAPACK QR gufuncs, the ones np.linalg.qr calls: geqrf in place on
-#: its input, then orgqr into a new array.  NumPy 1.x names the first
-#: qr_r_raw_m for an input with no more rows than columns.
-_qr_r_raw = getattr(_umath_linalg, "qr_r_raw", None) or _umath_linalg.qr_r_raw_m
-_qr_reduced = _umath_linalg.qr_reduced
 
 #: gen_medium's rotation budget, in rotations per target nonzero; read at call time.
 _ROTATION_BUDGET_FACTOR = 20.0
@@ -222,9 +216,8 @@ def gen_medium(n: int, density: float, cond: float, seed: int) -> QpProblem:
          np.fromiter(chain.from_iterable(rows), np.int32, stored), indptr),
         shape=(n, n),
     )
-    Q = ((W + W.T) * 0.5).tocsc()  # the sum drops the stored zeros
     g = rng.standard_normal(n)
-    return QpProblem(Q, g)
+    return QpProblem(W, g)  # which stores (W + W')/2, without W's stored zeros
 
 
 def gen_hard(n: int, cond: float, seed: int) -> QpProblem:
@@ -232,23 +225,41 @@ def gen_hard(n: int, cond: float, seed: int) -> QpProblem:
 
     Draw order: g uniform on [-0.5, 0.5] first, then the normal matrix whose
     QR factor supplies the random orthogonal basis O; Q = O D O' symmetrized.
-    The QR runs in place on the draw and R is never formed, so the generator
-    holds at most three n x n arrays (O, O D and Q: 3.85 MB at n=400, per
-    ``demos/02_generators.py``) beside LAPACK's own scratch copies.  O's
-    bits, and so Q's, depend on the BLAS build and its thread count.
+    The QR runs in place on one Fortran-ordered copy of the draw, through
+    the LAPACK routines ``np.linalg.qr`` calls, and R is never formed, so
+    the generator holds at most three n x n arrays (O, O D and Q: 3.85 MB
+    at n=400, per ``demos/02_generators.py``) and LAPACK only its workspace.
+    O has the bits of ``np.linalg.qr``'s Q; its bits, and so Q's, depend on
+    the BLAS build and its thread count.
     """
     _check_parameters("hard", n, seed, cond=cond)
     rng = np.random.default_rng(seed)
     g = rng.uniform(-0.5, 0.5, n)
-    # The calls of np.linalg.qr without its copy of the draw or its R, so O
-    # has the same bits as its Q at every BLAS thread count.
-    O = rng.standard_normal((n, n))
-    tau = _qr_r_raw(O, signature="d->d")
-    O = _qr_reduced(O, tau, signature="dd->d")
+    O = np.asfortranarray(rng.standard_normal((n, n)))
+    # A call of its own, so no view of the Fortran-ordered O outlives the QR
+    # and its C-ordered copy frees it.  The product runs on that copy: an
+    # F-ordered O changes Q's bits at two BLAS threads.
+    _orthogonal_factor(O.T)
+    O = np.ascontiguousarray(O)
     d = cond ** (np.arange(n) / (n - 1))
     Q = (O * d) @ O.T
     del O  # QpProblem's checks then run beside Q alone
     return QpProblem(Q, g)
+
+
+def _orthogonal_factor(a: np.ndarray) -> None:
+    """Overwrite the C-contiguous ``a``, read by LAPACK as the column-major
+    square matrix a', with the orthogonal factor of its QR decomposition:
+    geqrf, then orgqr, each with the workspace ``np.linalg.qr`` gives it."""
+    n = a.shape[0]
+    tau, work = np.empty(n), np.empty(1)
+    for routine, args in ((lapack_lite.dgeqrf, (n, n, a, n, tau)),
+                          (lapack_lite.dorgqr, (n, n, n, a, n, tau))):
+        routine(*args, work, -1, 0)  # the workspace query
+        work = np.empty(max(1, n, int(work[0])))
+        info = routine(*args, work, work.size, 0)["info"]
+        if info:
+            raise np.linalg.LinAlgError(f"{routine.__name__} returned info {info}")
 
 
 #: family -> (generator, the spec axes it takes, in argument order between n and seed)

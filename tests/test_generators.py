@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from rasqp.generators import (
     gen_medium,
     generate,
 )
-from rasqp.model import validate_problem
+from rasqp.model import QpProblem, validate_problem
 
 
 def digest(p) -> str:
@@ -27,6 +31,22 @@ def digest(p) -> str:
         h.update(a.dtype.str.encode())
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def hard_mismatches() -> list[tuple]:
+    """The (n, cond, seed) whose gen_hard problem differs, byte for byte, from
+    one built on ``np.linalg.qr``'s Q, in the documented draw order."""
+    bad = []
+    for n in (2, 3, 30, 100, 127, 300, 513):
+        for cond in (1.0, 1e10, 1e14):
+            for seed in (0, 1):
+                rng = np.random.default_rng(seed)
+                g = rng.uniform(-0.5, 0.5, n)
+                O = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                want = QpProblem((O * cond ** (np.arange(n) / (n - 1))) @ O.T, g)
+                if digest(gen_hard(n, cond, seed)) != digest(want):
+                    bad.append((n, cond, seed))
+    return bad
 
 
 class TestGeneratorSpec:
@@ -275,11 +295,28 @@ class TestGenHard:
         # The hard-dense benchmark specs.
         assert digest(gen_hard(800, cond, seed=0)) == want
 
+    def test_matches_numpy_qr(self):
+        assert hard_mismatches() == []
+
+    def test_matches_numpy_qr_at_two_blas_threads(self):
+        # Threaded OpenBLAS rounds the QR and the product differently, so
+        # the in-process run at the host's thread count does not cover this.
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(tests.parent / "src"), env.get("PYTHONPATH")) if p)
+        code = (f"import sys; sys.path.insert(0, {str(tests)!r}); "
+                "from test_generators import hard_mismatches; print(hard_mismatches())")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_traced_peak_is_three_matrices(self):
         # O, O * d and Q at once; np.linalg.qr's copy of the draw and its R
-        # took it to 4.1.  NumPy's LAPACK gufuncs take their Fortran scratch
-        # copies outside the traced heap, so this counts the generator's own
-        # arrays.
+        # took it to 4.1.  The QR runs in place through NumPy's LAPACK, whose
+        # workspace is n times its block size, so the bound holds for the
+        # untraced heap too.
         n = 300
         tracemalloc.start()
         try:

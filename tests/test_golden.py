@@ -6,7 +6,9 @@ record them, a SHA-256 of the ``inactive_sets`` sequence.  A change that
 alters any seeded run, including its random draw order, fails here even when
 every other test still passes.
 
-That grid stops at easy n=200, so every block it factors is dense.
+That grid stops at easy n=200, so every block it factors is dense; its
+sparse-stored problems run again with ``DENSE_THRESHOLD`` at 0, through the
+band Cholesky and through SuperLU, against the same entries.
 ``tests/data/golden_superlu_runs.json`` records the same fields for ``ras``
 and ``kr`` on easy n=3000, whose blocks Q[I,I] (|I| around 1300) exceed
 ``DENSE_THRESHOLD`` and were recorded through SuperLU.  Those blocks are
@@ -119,6 +121,27 @@ def _counted(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("kernel", ("dense", "band", "superlu"))
+def test_sparse_golden_runs_match_under_every_sparse_kernel(kernel, monkeypatch):
+    # The grid's sparse-stored problems, recorded through the densified
+    # blocks, again with every nonempty block above the threshold: band
+    # Cholesky by the default rule, or SuperLU forced.
+    if kernel != "dense":
+        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+    if kernel == "superlu":
+        monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
+    calls = {"dense": _counted(monkeypatch, rasqp.subsystem, "_csc_block"),
+             "band": _counted(monkeypatch, rasqp.subsystem, "_pbtrf"),
+             "superlu": _counted(monkeypatch, scipy.sparse.linalg, "splu")}
+    golden = json.loads(GOLDEN.read_text())
+    for spec in SPECS:
+        if spec.family != "hard":
+            for seed in SEEDS:
+                key = f"{_spec_key(spec)} seed={seed}"
+                assert _runs(spec, seed) == golden[key], key
+    assert {name for name, c in calls.items() if c} == {kernel}
 
 
 def _check_superlu_grid(spec) -> None:
