@@ -140,10 +140,9 @@ class QpProblem:
     Dense inputs are stored as read-only ``float64`` arrays, sparse inputs in
     CSC form.  Instances are treated as immutable and may be shared across
     threads.  The private ``_rcm_rank`` caches a fill-reducing order of a
-    sparse Q, computed on first use by a solve of a sparse block above
-    :data:`~rasqp.subsystem.DENSE_THRESHOLD` or by
-    :func:`validate_problem`; it is a function
-    of Q alone, so caching it changes no observable value.
+    sparse Q, computed on first use by a solve of a sparse block of more
+    than 1024 rows or by :func:`validate_problem`; it is a function of Q
+    alone, so caching it changes no observable value.
     """
 
     __slots__ = ("n", "Q", "g", "is_sparse", "_rcm_rank")
@@ -316,10 +315,9 @@ def validate_problem(problem: QpProblem) -> None:
     on the diagonal is positive, so Q is factorized once, by the kernels of
     :mod:`rasqp.subsystem`: a dense Q by Cholesky on a copy, a sparse Q,
     never densified, in its reverse Cuthill-McKee order (cached) by the
-    kernels of a sparse block above ``DENSE_THRESHOLD``, whatever n, which
-    read its column slice in that order.  Q is
-    rejected at the step the factor names.  Intended for setup-time
-    validation, not inner loops.
+    kernels of a sparse block of more than 1024 rows, whatever n, which
+    read its column slice in that order.  Q is rejected at the step the
+    factor names.  Intended for setup-time validation, not inner loops.
     """
     # Imported here: subsystem imports this module.
     from .subsystem import FactorizationError, _cholesky, _factor_sparse, _rcm_rank

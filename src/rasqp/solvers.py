@@ -281,9 +281,9 @@ def fletcher_solve(
     to the factor or deletes one row and column from it, in O(|I|^2), where
     a fresh solve would gather Q[I,I] and factor it in O(|I|^3).  A new
     pivot that is not positive in floating point refactors afresh, and a
-    sparse Q[I,I] above :data:`~rasqp.subsystem.DENSE_THRESHOLD` goes to
-    the sparse kernels (a band Cholesky or SuperLU) as in the other
-    solvers.  The sets match refactoring every solve; x agrees to round-off.
+    sparse Q[I,I] of more than 1024 rows goes to the sparse kernels (a band
+    Cholesky or SuperLU) as in the other solvers.  The sets match
+    refactoring every solve; x agrees to round-off.
 
     Every iterate is exactly nonnegative and the objective never increases;
     in exact arithmetic the run terminates finitely.  In floating point it

@@ -19,28 +19,33 @@ one passes the kernel a run keeps for all its solves, and that run builds I
 and A from its own mask, a partition by construction: the check is skipped.
 
 The fresh kernel, ``_FreshCholesky``, factorizes Q[I,I] afresh on every
-solve and gathers Q once, in one of four ways.
+solve and gathers Q once, in one of four ways.  A sparse Q is read through
+one entry map, whichever way follows: the stored entries of the block's
+columns, column after column, each given its row r in the block (-1 off
+it) beside its column c, through a position map of the block's indexes.
+The entries off the block stay in the map until a kernel drops them.
 
 * Dense Q: the row block Q[I,:], one contiguous copy of |I| rows.  Q[I,I]
   is its columns I and s_A is the full product x_I Q[I,:] + g read at the
   positions A.  That relies on Q being exactly symmetric in floating point,
   which :class:`~rasqp.model.QpProblem` guarantees by storing (Q + Q')/2:
   row i of Q equals column i bit for bit.
-* Sparse Q with |I| <= :data:`DENSE_THRESHOLD`: the stored entries of the
-  columns I are scattered straight into a dense Fortran-ordered Q[I,I]
-  through a position map of I, and s_A is (Q x + g)[A] with x zero on A.
-* Sparse Q with a larger I: the whole of Q is ordered once per problem by
-  reverse Cuthill-McKee (cached on the problem) and each block takes I in
-  that order, J.  For a symmetric positive definite matrix, the Cholesky
-  fill of a principal submatrix under the induced order lies inside the
-  fill of the whole matrix restricted to I, so restricting the order never
-  adds fill.  Q[J,J] is gathered straight from the CSC column slice
-  Q[:, J], with no copy of its n rows: a position map of J gives each
-  stored entry its row r in the block (-1 off J) beside its column c, and
-  s_A is read from the same slice, with each s_i summed over the columns
-  in the order J.  Q[J,J] is then factorized on its diagonal, in the order
-  J, in one of two ways, chosen from the block alone: let b be its
-  bandwidth, the largest r - c of a stored entry.
+* Sparse Q with |I| <= 1024: the entries of the columns I are found by
+  index arithmetic on Q's CSC arrays, and the map's entries with r >= 0
+  are scattered straight into a dense Fortran-ordered Q[I,I]; s_A is
+  (Q x + g)[A] with x zero on A.
+* Sparse Q with a larger I, a block of more than 1024 rows: the whole of Q
+  is ordered once per problem by reverse Cuthill-McKee (cached on the
+  problem) and each block takes I in that order, J.  For a symmetric
+  positive definite matrix, the Cholesky fill of a principal submatrix
+  under the induced order lies inside the fill of the whole matrix
+  restricted to I, so restricting the order never adds fill.  Q[J,J] is
+  gathered straight from the CSC column slice Q[:, J], with no copy of its
+  n rows, through the map of that slice's entries, and s_A is read from
+  the same slice, with each s_i summed over the columns in the order J.
+  Q[J,J] is then factorized on its diagonal, in the order J, in one of two
+  ways, chosen from the block alone: let b be its bandwidth, the largest
+  r - c of a stored entry.
 
   * A full band, whose lower triangle stores at least a tenth of the
     |I|(b + 1) entries of its lower band: the band Cholesky, LAPACK
@@ -101,9 +106,9 @@ Saunders, "Methods for modifying matrix factorizations", Math. Comp. 28,
 s is then Q x + g with x zero off I, for a dense Q as for a sparse one,
 and the factor keeps that Q x, from which the caller reads x'Qx.
 Any other change of I and a new pivot that is not positive in floating
-point refactor Q[I,I], and a sparse Q[I,I] above :data:`DENSE_THRESHOLD`
-goes to the fresh kernel, which keeps the sparse kernels, so the factor
-needs no option to switch.
+point refactor Q[I,I], and a sparse Q[I,I] of more than 1024 rows goes
+to the fresh kernel, which keeps the sparse kernels, so the factor needs no
+option to switch.
 """
 
 from __future__ import annotations
@@ -118,17 +123,16 @@ __all__ = [
     "FactorizationError",
     "solve_subsystem",
     "embed_point",
-    "DENSE_THRESHOLD",
 ]
 
 _potrf, _potrs, _trtrs, _pbtrf, _pbtrs = sla.get_lapack_funcs(
     ("potrf", "potrs", "trtrs", "pbtrf", "pbtrs"), dtype=np.float64)
 
-#: Sparse-stored Q[I,I] blocks up to this size are densified before
-#: factorization; larger blocks are factorized in the problem's reverse
-#: Cuthill-McKee order, by a band Cholesky or by SuperLU, since SciPy ships
-#: no sparse Cholesky.
-DENSE_THRESHOLD = 1024
+# Sparse-stored Q[I,I] blocks of at most this many rows are densified before
+# factorization; larger blocks are factorized in the problem's reverse
+# Cuthill-McKee order, by a band Cholesky or by SuperLU, since SciPy ships no
+# sparse Cholesky.  Read at call time.
+_DENSE_MAX = 1024
 
 # A sparse block takes the band Cholesky when its lower triangle stores at
 # least this share of the entries of its lower band, SuperLU otherwise, so
@@ -178,17 +182,17 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> tuple[np.ndarra
     s_A follow the order of I and A as passed.  Without a ``factor`` they
     must also partition {0..n-1}, in any order, which is checked here
     (``ValueError`` otherwise).  With I empty the solution is x_I = [] and
-    s_A = g.  A sparse Q[I,I] larger than :data:`DENSE_THRESHOLD` (read at
-    call time) is factorized instead by a band Cholesky when it is a full
-    band in the problem's reverse Cuthill-McKee order, and by SuperLU
-    otherwise; the first such solve orders Q and stores the order on the
-    problem.  No counters are touched here — callers count solves.
+    s_A = g.  A sparse Q[I,I] of more than 1024 rows is factorized instead
+    by a band Cholesky when it is a full band in the problem's reverse
+    Cuthill-McKee order, and by SuperLU otherwise; the first such solve
+    orders Q and stores the order on the problem.  No counters are touched
+    here — callers count solves.
 
     ``factor`` is the private kernel a run keeps for all its solves:
     ``_FreshCholesky``, which factorizes afresh each time, or an
     ``_UpdatedCholesky``, which is brought to the new I by one append or one
     delete where that is the change and refactored otherwise (a sparse
-    block above the threshold still goes through the sparse kernels and
+    block of more than 1024 rows still goes through the sparse kernels and
     makes the next solve refactor).  Its I and A come from the run's own
     mask, a partition by construction, so they are not checked again.
 
@@ -223,7 +227,7 @@ class _FreshCholesky:
             # warn about (inf * 0), and s after it, for an overflow.
             x_I = _finite(_dense_solve(rows.take(I, axis=1), g[I]))
             s = x_I @ rows + g
-        elif len(I) <= DENSE_THRESHOLD:
+        elif len(I) <= _DENSE_MAX:
             x_I = _dense_solve(_csc_block(Q, I), g[I])
             x = np.zeros(problem.n)
             x[I] = x_I
@@ -268,7 +272,7 @@ class _UpdatedCholesky:
 
     def solve(self, problem: QpProblem, I: np.ndarray, A: np.ndarray):
         """x_I and s_A for a partition (I, A), in the order they are given."""
-        if problem.is_sparse and len(I) > DENSE_THRESHOLD:
+        if problem.is_sparse and len(I) > _DENSE_MAX:
             self.clear()  # the sparse kernels; the next solve refactors
             return _FreshCholesky.solve(problem, I, A)
         if not self._update(problem, I):
@@ -313,7 +317,8 @@ class _UpdatedCholesky:
         self.order = I.copy()
         # int64, as NumPy indexes with: each solve indexes through it, and
         # an int32 map measured about 2% slower on hard n=800.
-        self.pos = _position_map(problem.n, I, np.int64)
+        self.pos = np.full(problem.n, -1, dtype=np.int64)
+        self.pos[I] = np.arange(m)
 
     def _append(self, problem: QpProblem, j: int) -> bool:
         m = len(self.order)
@@ -364,19 +369,24 @@ def _csc_block(Q, I: np.ndarray) -> np.ndarray:
     lens = Q.indptr[I + 1] - start
     # Every stored entry of the columns I, column after column.
     k = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
-    rows = _position_map(Q.shape[0], I).take(Q.indices.take(k))
-    keep = np.flatnonzero(rows >= 0)  # positions, not the mask, as in _factor_sparse
-    offsets = np.repeat(np.arange(0, m * m, m), lens)  # m c, int64: r + m c may pass int32
-    block = np.zeros(m * m)
-    block[offsets.take(keep) + rows.take(keep)] = Q.data.take(k.take(keep))
+    r, c = _entry_map(Q.shape[0], I, lens, Q.indices.take(k))
+    keep = np.flatnonzero(r >= 0)  # positions, not the mask, as in _factor_sparse
+    block = np.zeros(m * m)  # Q[r, c] at r + m c, in int64: it may pass int32
+    block[c.take(keep) * np.int64(m) + r.take(keep)] = Q.data.take(k.take(keep))
     return block.reshape((m, m), order="F")
 
 
-def _position_map(n: int, J: np.ndarray, dtype=np.int32) -> np.ndarray:
-    """The map of each index in 0..n-1 to its position in J, -1 off J."""
-    pos = np.full(n, -1, dtype=dtype)
-    pos[J] = np.arange(len(J), dtype=dtype)
-    return pos
+def _entry_map(n: int, J: np.ndarray, counts: np.ndarray, rows: np.ndarray):
+    """Each stored entry's block row r (-1 off J) and block column c, int32.
+
+    The entries are those of the columns J of an n-row matrix, column after
+    column: ``counts[c]`` of them in column J[c], with their rows in Q in
+    ``rows``.  Entries off J keep their place, so r and c stay aligned with
+    ``rows`` and the caller drops them where it needs to.
+    """
+    pos = np.full(n, -1, dtype=np.int32)
+    pos[J] = np.arange(len(J), dtype=np.int32)
+    return pos.take(rows), np.repeat(np.arange(len(J), dtype=np.int32), counts)
 
 
 def _rcm_rank(problem: QpProblem) -> np.ndarray:
@@ -384,7 +394,7 @@ def _rcm_rank(problem: QpProblem) -> np.ndarray:
     rank = problem._rcm_rank
     if rank is None:
         # Imported on first use, so a run that never factorizes a sparse
-        # block above the threshold does not load csgraph (about 1 MB of
+        # block of more than 1024 rows does not load csgraph (about 1 MB of
         # resident memory).
         from scipy.sparse import csgraph
 
@@ -423,15 +433,14 @@ def _factor_sparse(cols, J: np.ndarray):
     """Factor the symmetric block Q[J,J] of the CSC columns ``cols`` = Q[:, J],
     eliminated in the order J on the diagonal; return its solve function.
 
-    A position map of J gives each stored entry its row r in the block (-1
-    off J) beside its column c.  The block's bandwidth b is the largest
-    r - c.  When its lower triangle stores at least ``_BAND_FILL`` of the
+    The entry map gives each stored entry its row r in the block (-1 off J)
+    beside its column c.  The block's bandwidth b is the largest r - c.
+    When its lower triangle stores at least ``_BAND_FILL`` of the
     |J|(b + 1) entries of its lower band, the band Cholesky factorizes it;
     otherwise SuperLU does.  The choice reads the block alone.
     """
     m = len(J)
-    r = _position_map(cols.shape[0], J).take(cols.indices)
-    below = np.repeat(np.arange(m, dtype=np.int32), np.diff(cols.indptr))  # each entry's c
+    r, below = _entry_map(cols.shape[0], J, np.diff(cols.indptr), cols.indices)
     np.subtract(r, below, out=below)  # r - c, negative off J where r = -1
     b = int(below.max(initial=0))
     lower = below >= 0

@@ -6,15 +6,17 @@ record them, a SHA-256 of the ``inactive_sets`` sequence.  A change that
 alters any seeded run, including its random draw order, fails here even when
 every other test still passes.
 
-That grid stops at easy n=200, so every block it factors is dense; its
-sparse-stored problems run again with ``DENSE_THRESHOLD`` at 0, through the
-band Cholesky and through SuperLU, against the same entries.
-``tests/data/golden_superlu_runs.json`` records the same fields for ``ras``
-and ``kr`` on easy n=3000, whose blocks Q[I,I] (|I| around 1300) exceed
-``DENSE_THRESHOLD`` and were recorded through SuperLU.  Those blocks are
-full bands in the problem's reverse Cuthill-McKee order, so by default they
-take the band Cholesky; the grid runs once with SuperLU forced and once on
-the default rule, against the same file.
+That grid stops at easy n=200, so no block it factors has more than 1024
+rows, and every sparse one is densified; its sparse-stored problems run
+again against the same entries with every nonempty block above that cut,
+through the band Cholesky and through SuperLU, and with the cut at 64, so
+that runs cross it mid-run.  ``tests/data/golden_superlu_runs.json``
+records the same fields for ``ras`` and ``kr`` on easy n=3000, whose blocks
+Q[I,I] (|I| around 1300) have more than 1024 rows and were recorded
+through SuperLU.  Those blocks are full bands in the problem's reverse
+Cuthill-McKee order, so by default they take the band Cholesky; the grid
+runs once with SuperLU forced and once on the default rule, against the
+same file.
 
 Regenerate both files only when a change is meant to alter seeded runs:
 
@@ -123,14 +125,16 @@ def _counted(monkeypatch, module, name) -> list:
     return calls
 
 
-@pytest.mark.parametrize("kernel", ("dense", "band", "superlu"))
-def test_sparse_golden_runs_match_under_every_sparse_kernel(kernel, monkeypatch):
+@pytest.mark.parametrize("kernels", ("dense", "band", "superlu", "dense+band", "dense+superlu"))
+def test_sparse_golden_runs_match_under_every_sparse_kernel(kernels, monkeypatch):
     # The grid's sparse-stored problems, recorded through the densified
-    # blocks, again with every nonempty block above the threshold: band
-    # Cholesky by the default rule, or SuperLU forced.
-    if kernel != "dense":
-        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
-    if kernel == "superlu":
+    # blocks, again with every nonempty block above the cut (band Cholesky
+    # by the default rule, or SuperLU forced), and with the cut at 64, where
+    # runs cross it mid-run: 187 blocks are densified and 854 lie above it.
+    named = set(kernels.split("+"))
+    if named != {"dense"}:
+        monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 64 if "dense" in named else 0)
+    if "superlu" in named:
         monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
     calls = {"dense": _counted(monkeypatch, rasqp.subsystem, "_csc_block"),
              "band": _counted(monkeypatch, rasqp.subsystem, "_pbtrf"),
@@ -141,7 +145,7 @@ def test_sparse_golden_runs_match_under_every_sparse_kernel(kernel, monkeypatch)
             for seed in SEEDS:
                 key = f"{_spec_key(spec)} seed={seed}"
                 assert _runs(spec, seed) == golden[key], key
-    assert {name for name, c in calls.items() if c} == {kernel}
+    assert {name for name, c in calls.items() if c} == named
 
 
 def _check_superlu_grid(spec) -> None:

@@ -473,7 +473,7 @@ class TestFletcherSolve:
         # objective was read from the factor's Q x) or the band Cholesky
         # (recorded when it was added).
         if band_fill is not None:
-            monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+            monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 0)
             monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", band_fill)
         result = fletcher_solve(gen_medium(60, 0.1, 1e8, 1), record_iterates=True)
         assert (result.status, result.solves) == (Status.OPTIMAL, 35)

@@ -255,7 +255,7 @@ class TestSolveSubsystem:
             return rcm(*args, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", counted_rcm)
-        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 0)
         monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
         for p in problems:
             n, Q, g = p.n, p.Q.toarray(), p.g
@@ -288,7 +288,7 @@ class TestSolveSubsystem:
             return splu(a, *args, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
-        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 0)
         monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
         for _ in range(3):
             I, A = map(rng.permutation, random_partition(p.n, rng))
@@ -316,7 +316,7 @@ class TestSolveSubsystem:
         pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
         for _ in range(3):
             I, A = random_partition(p.n, rng)
-            assert len(I) > rasqp.subsystem.DENSE_THRESHOLD
+            assert len(I) > rasqp.subsystem._DENSE_MAX
             pbtrf_calls.clear()
             x_I, s_A = solve_subsystem(p, I, A)
             assert len(pbtrf_calls) == 1
@@ -351,7 +351,7 @@ class TestSolveSubsystem:
             return splu(a, *args, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
-        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 0)
         monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
         validate_problem(p)
         solve_subsystem(p, np.arange(p.n), [])
@@ -374,7 +374,7 @@ class TestSolveSubsystem:
             return pbtrf(ab, *args, **kwargs)
 
         monkeypatch.setattr(rasqp.subsystem, "_pbtrf", spy)
-        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 0)
         validate_problem(p)
         solve_subsystem(p, np.arange(p.n), [])
         (validated, v_args, v_kwargs), (solved, s_args, s_kwargs) = calls
@@ -505,7 +505,7 @@ class TestPartitionCheck:
         # Every solve of a run, repeated through the public path, gives the
         # same bytes; the named kernel factors every nonempty block.
         p = problem()
-        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", threshold)
+        monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", threshold)
         monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", fill)
         factors = (counted_splu(monkeypatch) if kernel == "splu"
                    else counted_kernel(monkeypatch, kernel))
@@ -525,6 +525,48 @@ class TestPartitionCheck:
             assert kwargs == {"factor": rasqp.subsystem._FreshCholesky}
             ref = solve_subsystem(p, I, A)
             assert x_I.tobytes() == ref[0].tobytes() and s_A.tobytes() == ref[1].tobytes()
+
+
+class TestEntryMap:
+    @pytest.mark.parametrize("problem", [
+        lambda: gen_easy(200, 1.0, seed=3),
+        lambda: gen_medium(150, 0.05, 1e4, seed=3),
+        lambda: QpProblem(sp.csc_array(rand_spd_problem(100, np.random.default_rng(3)).Q),
+                          np.zeros(100)),
+    ], ids=["easy", "medium", "dense-pattern"])
+    def test_maps_every_stored_entry_of_the_columns_once(self, problem, monkeypatch):
+        # With the cut at 64, blocks on both sides of it: the dense scatter
+        # maps the columns I as passed (shuffled), the band and SuperLU
+        # kernels the columns J in the problem's order.  Either way the
+        # entries are Q[:, J]'s, so its values line up with r and c: those
+        # in the block, summed so that a repeat shows, rebuild Q[J,J]
+        # exactly, those off it are exactly the entries whose rows lie off
+        # J, and c never decreases.
+        p = problem()
+        rng = np.random.default_rng(8)
+        entry_map, maps = rasqp.subsystem._entry_map, []
+
+        def spy(n, J, counts, rows):
+            r, c = entry_map(n, J, counts, rows)
+            maps.append((J, r.copy(), c.copy()))  # the band kernel reuses c for r - c
+            return r, c
+
+        monkeypatch.setattr(rasqp.subsystem, "_entry_map", spy)
+        monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 64)
+        sizes = (1, 40, 64, 65, p.n - 20, p.n)
+        for m in sizes:
+            I = rng.permutation(p.n)
+            solve_subsystem(p, I[:m], I[m:])
+        assert [len(J) for J, _, _ in maps] == list(sizes)
+        for J, r, c in maps:
+            cols = p.Q[:, J]
+            assert len(r) == len(c) == cols.nnz
+            inside = r >= 0
+            block = np.zeros((len(J), len(J)))
+            np.add.at(block, (r[inside], c[inside]), cols.data[inside])
+            np.testing.assert_array_equal(block, p.Q[J][:, J].toarray())
+            np.testing.assert_array_equal(inside, np.isin(cols.indices, J))
+            assert np.all(np.diff(c) >= 0)
 
 
 class TestDenseKernel:
@@ -570,7 +612,7 @@ class TestBandCholesky:
         # The easy family's blocks take the band kernel on the default rule,
         # one pbtrf per solve, and x_I and s_A follow the shuffled order of
         # I and A.
-        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 0)
         pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
         rng = np.random.default_rng(13)
         for p in (gen_easy(150, 1.0, seed=2), gen_easy(200, 1e-10, seed=3)):
@@ -587,7 +629,7 @@ class TestBandCholesky:
     def test_smallest_bands(self, I, monkeypatch):
         # A 1x1 block and a diagonal one: a band of one row, solved to
         # round-off (the factor divides by sqrt(Q[i,i]) twice).
-        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 0)
         pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
         diag = np.array([2.0, 4.0, 8.0, 3.0, 0.5])
         Q = np.diag(diag)
@@ -601,7 +643,7 @@ class TestBandCholesky:
         np.testing.assert_allclose(s_A, self.dense_reference(p, I, A)[1], rtol=4e-16, atol=0)
 
     def test_indefinite_band_raises(self, monkeypatch):
-        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 0)
         Q = sp.diags_array([np.ones(9), [4.0, 4.0, 4.0, -1.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0],
                             np.ones(9)], offsets=[-1, 0, 1]).tocsc()
         p = QpProblem(Q, np.ones(10))
@@ -658,7 +700,7 @@ class TestOneVerdict:
         pivot = verdict.value.pivot
         assert pivot == p._rcm_rank[self.NEGATIVE] + 1 > 1
         rcm = np.argsort(p._rcm_rank)
-        dense_max, band_fill = rasqp.subsystem.DENSE_THRESHOLD, rasqp.subsystem._BAND_FILL
+        dense_max, band_fill = rasqp.subsystem._DENSE_MAX, rasqp.subsystem._BAND_FILL
         pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
         splu_calls = counted_splu(monkeypatch)
         # The dense kernel, handed I in the RCM order; then the sparse rule
@@ -669,7 +711,7 @@ class TestOneVerdict:
                                        (0, band_fill, ([], [(n, n)])),
                                        (0, np.inf, ([], [(n, n)])),
                                        (0, 0.0, ([(36, n)], []))):
-            monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", threshold)
+            monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", threshold)
             monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", fill)
             pbtrf_calls.clear()
             splu_calls.clear()
@@ -691,7 +733,7 @@ class TestOneVerdict:
         # to SuperLU, and the first one that holds the negative pivot ends
         # the run without counting.  kr's first exchange makes every index
         # inactive, so its failing block is the whole of Q.
-        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 0)
         monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
         splu_calls = counted_splu(monkeypatch)
         result = solve(self.holey_indefinite())
@@ -784,7 +826,7 @@ class TestUpdatedCholesky:
         assert factor.qx is None
         if sparse:
             solve_subsystem(p, np.arange(4), np.arange(4, n), factor=factor)
-            monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+            monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 0)
             solve_subsystem(p, np.arange(5), np.arange(5, n), factor=factor)
             assert factor.qx is None
 
@@ -799,7 +841,7 @@ class TestUpdatedCholesky:
         # Above the threshold a sparse block takes the sparse kernels, the
         # same as without a factor: with SuperLU forced, one splu per
         # nonempty block.
-        monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 0)
         monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
         solve = rasqp.solvers.solve_subsystem
         lu_calls, sizes = counted_splu(monkeypatch), []

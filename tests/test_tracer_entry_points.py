@@ -84,7 +84,7 @@ def test_sparse_factor_reaches_the_splu_wrapper(tracer, monkeypatch):
     band, ``subsystem.sparse_factor_s`` then falls and ``subsystem.gather_s``
     holds the band factor's time, as it holds fletcher's updated factor.
     """
-    monkeypatch.setattr(rasqp.subsystem, "DENSE_THRESHOLD", 0)
+    monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 0)
     monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", np.inf)
     problem = gen_easy(200, 1.0, seed=1)
     cfg = RasConfig(seed=3)
