@@ -62,7 +62,8 @@ class NotPositiveDefiniteError(ValueError):
     pivot : int
         The 1-based elimination step whose pivot is not positive, in the
         order :func:`validate_problem` eliminates Q: the natural order for a
-        dense Q, the problem's reverse Cuthill-McKee order for a sparse one.
+        dense Q, the problem's elimination order for a sparse one: its own
+        when no wider than RCM's (reverse Cuthill-McKee), RCM's otherwise.
         It is the ``pivot`` of the :class:`~rasqp.subsystem.FactorizationError`
         the factor raised, which :mod:`rasqp.subsystem` defines per kernel.
     """
@@ -139,13 +140,17 @@ class QpProblem:
 
     Dense inputs are stored as read-only ``float64`` arrays, sparse inputs in
     CSC form.  Instances are treated as immutable and may be shared across
-    threads.  The private ``_rcm_rank`` caches a fill-reducing order of a
-    sparse Q, computed on first use by a solve of a sparse block of more
-    than 1024 rows or by :func:`validate_problem`; it is a function of Q
-    alone, so caching it changes no observable value.
+    threads.  The private ``_elimination_rank`` caches each index's step in
+    the problem's elimination order of a sparse Q: its own when no wider
+    than RCM's (reverse Cuthill-McKee), RCM's otherwise.  When Q's own order
+    is chosen, ``_lower_start`` caches where each column's entries on and
+    below the diagonal start in ``Q.indices`` (``None`` otherwise).  Both
+    are computed on first use by a solve of a sparse block of more than
+    1024 rows or by :func:`validate_problem`; they are functions of Q
+    alone, so caching them changes no observable value.
     """
 
-    __slots__ = ("n", "Q", "g", "is_sparse", "_rcm_rank")
+    __slots__ = ("n", "Q", "g", "is_sparse", "_elimination_rank", "_lower_start")
 
     def __init__(self, Q, g):
         g = _real_array(g, "g")
@@ -167,7 +172,8 @@ class QpProblem:
         self.n = n
         self.Q = Q
         self.g = g
-        self._rcm_rank = None
+        self._elimination_rank = None
+        self._lower_start = None
 
     def dense_q(self) -> np.ndarray:
         """Q as a dense ndarray (a copy when stored sparse)."""
@@ -314,19 +320,21 @@ def validate_problem(problem: QpProblem) -> None:
     symmetric matrix is positive definite iff every pivot of its elimination
     on the diagonal is positive, so Q is factorized once, by the kernels of
     :mod:`rasqp.subsystem`: a dense Q by Cholesky on a copy, a sparse Q,
-    never densified, in its reverse Cuthill-McKee order (cached) by the
-    kernels of a sparse block of more than 1024 rows, whatever n, which
-    read its column slice in that order.  Q is rejected at the step the
-    factor names.  Intended for setup-time validation, not inner loops.
+    never densified, in the problem's elimination order (cached): its own
+    when no wider than RCM's (reverse Cuthill-McKee), RCM's otherwise.  A
+    sparse Q is factorized, whatever n, by the kernels of a sparse block of
+    more than 1024 rows, which read its column slice in that order.  Q is
+    rejected at the step the factor names.  Intended for setup-time
+    validation, not inner loops.
     """
     # Imported here: subsystem imports this module.
-    from .subsystem import FactorizationError, _cholesky, _factor_sparse, _rcm_rank
+    from .subsystem import FactorizationError, _cholesky, _elimination_rank, _factor_sparse
 
     Q = problem.Q
     try:
         if problem.is_sparse:
-            order = np.argsort(_rcm_rank(problem))
-            _factor_sparse(Q[:, order], order)  # Q in RCM order
+            order = np.argsort(_elimination_rank(problem))
+            _factor_sparse(Q[:, order], order)  # Q in its elimination order
         else:
             _cholesky(Q.copy(order="F"), clean=0)
     except FactorizationError as exc:

@@ -21,7 +21,8 @@ and A from its own mask, a partition by construction: the check is skipped.
 The fresh kernel, ``_FreshCholesky``, factorizes Q[I,I] afresh on every
 solve and gathers Q once, in one of four ways.  A sparse Q is read through
 one entry map, whichever way follows: the stored entries of the block's
-columns, column after column, each given its row r in the block (-1 off
+columns (of their parts on and below the diagonal, on the direct read
+below), column after column, each given its row r in the block (-1 off
 it) beside its column c, through a position map of the block's indexes.
 The entries off the block stay in the map until a kernel drops them.
 
@@ -34,18 +35,18 @@ The entries off the block stay in the map until a kernel drops them.
   index arithmetic on Q's CSC arrays, and the map's entries with r >= 0
   are scattered straight into a dense Fortran-ordered Q[I,I]; s_A is
   (Q x + g)[A] with x zero on A.
-* Sparse Q with a larger I, a block of more than 1024 rows: the whole of Q
-  is ordered once per problem by reverse Cuthill-McKee (cached on the
-  problem) and each block takes I in that order, J.  For a symmetric
-  positive definite matrix, the Cholesky fill of a principal submatrix
-  under the induced order lies inside the fill of the whole matrix
-  restricted to I, so restricting the order never adds fill.  Q[J,J] is
-  gathered straight from the CSC column slice Q[:, J], with no copy of its
-  n rows, through the map of that slice's entries, and s_A is read from
-  the same slice, with each s_i summed over the columns in the order J.
-  Q[J,J] is then factorized on its diagonal, in the order J, in one of two
-  ways, chosen from the block alone: let b be its bandwidth, the largest
-  r - c of a stored entry.
+* Sparse Q with a larger I, a block of more than 1024 rows: each block
+  takes I in the problem's elimination order, J: its own when no wider
+  than RCM's.  That order is chosen once per problem and cached on it: Q's
+  own order when Q's bandwidth in it is no larger than in a reverse
+  Cuthill-McKee order (a tie keeps Q's own), that RCM order otherwise.  The
+  easy family is a band in its own order, which RCM widens; the medium
+  family takes RCM.  For a symmetric positive definite matrix, the
+  Cholesky fill of a principal submatrix under the induced order lies
+  inside the fill of the whole matrix restricted to I, so restricting the
+  order never adds fill.  Q[J,J] is factorized on its diagonal, in the
+  order J, in one of two ways, chosen from the block alone: let b be its
+  bandwidth, the largest r - c of a stored entry.
 
   * A full band, whose lower triangle stores at least a tenth of the
     |I|(b + 1) entries of its lower band: the band Cholesky, LAPACK
@@ -66,6 +67,17 @@ The entries off the block stay in the map until a kernel drops them.
     SuperLU in CSC with sorted indexes, so SuperLU has nothing to sort:
     read as CSC, the CSR arrays of Q[J,J] are Q[J,J]', which equals Q[J,J]
     bit for bit because Q is exactly symmetric.
+
+  Q is read in one of two ways.  In Q's own order J is I sorted, and the
+  band needs only each column's entries on and below its diagonal: they
+  are found by the index arithmetic of the small path, from where each
+  column's lower part starts in Q's CSC arrays (cached with the order),
+  and s is Q x + g with x zero off I.  No slice of Q and no entry above
+  the diagonal is read.  In RCM's order, and for a block whose band is
+  holey, whose SuperLU factor needs both triangles, Q[J,J] is gathered
+  straight from the CSC column slice Q[:, J], with no copy of its n rows,
+  through the map of that slice's entries, and s_A is read from the same
+  slice, with each s_i summed over the columns in the order J.
 
 The densified Q[I,I] is a temporary, so the Cholesky factorizes it in
 place, handed whichever of the block and its transpose (the same matrix, by
@@ -90,8 +102,9 @@ is a term of s_i.  The fresh dense path and the kept factor below check x_I
 on its own first, because their product may be with a dense Q, which NumPy
 would warn about (inf * 0 is invalid).
 :func:`~rasqp.model.validate_problem` factors the whole of Q with the same
-kernels, a sparse Q through ``_factor_sparse`` as a solve of a sparse block
-would, and reports the same step.
+kernels, a sparse Q through ``_factor_sparse`` in the problem's elimination
+order, which hands a kernel the band or block a solve of all of Q would,
+and reports the same step.
 
 A solver that moves one index per solve keeps an ``_UpdatedCholesky``
 instead (``fletcher_solve`` does).  The factor holds the Cholesky
@@ -129,9 +142,10 @@ _potrf, _potrs, _trtrs, _pbtrf, _pbtrs = sla.get_lapack_funcs(
     ("potrf", "potrs", "trtrs", "pbtrf", "pbtrs"), dtype=np.float64)
 
 # Sparse-stored Q[I,I] blocks of at most this many rows are densified before
-# factorization; larger blocks are factorized in the problem's reverse
-# Cuthill-McKee order, by a band Cholesky or by SuperLU, since SciPy ships no
-# sparse Cholesky.  Read at call time.
+# factorization; larger blocks are factorized in the problem's elimination
+# order, its own when no wider than RCM's (reverse Cuthill-McKee), by a band
+# Cholesky or by SuperLU, since SciPy ships no sparse Cholesky.  Read at call
+# time.
 _DENSE_MAX = 1024
 
 # A sparse block takes the band Cholesky when its lower triangle stores at
@@ -183,9 +197,10 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> tuple[np.ndarra
     must also partition {0..n-1}, in any order, which is checked here
     (``ValueError`` otherwise).  With I empty the solution is x_I = [] and
     s_A = g.  A sparse Q[I,I] of more than 1024 rows is factorized instead
-    by a band Cholesky when it is a full band in the problem's reverse
-    Cuthill-McKee order, and by SuperLU otherwise; the first such solve
-    orders Q and stores the order on the problem.  No counters are touched
+    in the problem's elimination order, its own when no wider than RCM's
+    (reverse Cuthill-McKee), by a band Cholesky when it is a full band in
+    that order, and by SuperLU otherwise; the first such solve chooses the
+    order and stores it on the problem.  No counters are touched
     here — callers count solves.
 
     ``factor`` is the private kernel a run keeps for all its solves:
@@ -233,13 +248,19 @@ class _FreshCholesky:
             x[I] = x_I
             s = Q @ x + g
         else:
-            order = np.argsort(_rcm_rank(problem)[I])
-            J = I[order]  # I in the problem's fill-reducing order
-            cols = Q[:, J]  # the columns J, holding Q[J,J] and read again for s_A
-            y = _factor_sparse(cols, J)(-g[J])
-            x_I = np.empty_like(y)
-            x_I[order] = y
-            s = cols @ y + g
+            rank = _elimination_rank(problem)  # first: it caches _lower_start
+            own = problem._lower_start is not None and _lower_band_solve(problem, I)
+            if own:
+                x, s = own
+                x_I = x.take(I)
+            else:
+                order = np.argsort(rank[I])
+                J = I[order]  # I in the problem's elimination order
+                cols = Q[:, J]  # the columns J, holding Q[J,J] and read again for s_A
+                y = _factor_sparse(cols, J)(-g[J])
+                x_I = np.empty_like(y)
+                x_I[order] = y
+                s = cols @ y + g
         return x_I, _finite(s)[A]
 
 
@@ -365,11 +386,7 @@ class _UpdatedCholesky:
 def _csc_block(Q, I: np.ndarray) -> np.ndarray:
     """Dense Fortran-ordered Q[I,I], scattered from the CSC arrays of the columns I."""
     m = len(I)
-    start = Q.indptr[I]
-    lens = Q.indptr[I + 1] - start
-    # Every stored entry of the columns I, column after column.
-    k = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
-    r, c = _entry_map(Q.shape[0], I, lens, Q.indices.take(k))
+    k, r, c = _column_entries(Q, I, Q.indptr[I])
     keep = np.flatnonzero(r >= 0)  # positions, not the mask, as in _factor_sparse
     block = np.zeros(m * m)  # Q[r, c] at r + m c, in int64: it may pass int32
     block[c.take(keep) * np.int64(m) + r.take(keep)] = Q.data.take(k.take(keep))
@@ -389,20 +406,56 @@ def _entry_map(n: int, J: np.ndarray, counts: np.ndarray, rows: np.ndarray):
     return pos.take(rows), np.repeat(np.arange(len(J), dtype=np.int32), counts)
 
 
-def _rcm_rank(problem: QpProblem) -> np.ndarray:
-    """Each index's position in a reverse Cuthill-McKee order of Q, computed once."""
-    rank = problem._rcm_rank
+def _column_entries(Q, J: np.ndarray, start: np.ndarray):
+    """The stored entries of the columns J of the CSC ``Q``, column after
+    column, from position ``start[c]`` of column J[c] in its arrays on: each
+    entry's position k in those arrays and its entry map (r, c)."""
+    lens = Q.indptr[J + 1] - start
+    k = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
+    return (k, *_entry_map(Q.shape[0], J, lens, Q.indices.take(k)))
+
+
+def _elimination_rank(problem: QpProblem) -> np.ndarray:
+    """Each index's step in the problem's elimination order, computed once:
+    Q's own order when its bandwidth is no wider than under reverse
+    Cuthill-McKee (a tie keeps Q's own), that order otherwise.  In Q's own
+    order, where each column's entries on and below the diagonal start in
+    ``Q.indices`` is cached too."""
+    rank = problem._elimination_rank
     if rank is None:
         # Imported on first use, so a run that never factorizes a sparse
         # block of more than 1024 rows does not load csgraph (about 1 MB of
         # resident memory).
         from scipy.sparse import csgraph
 
-        perm = csgraph.reverse_cuthill_mckee(problem.Q, symmetric_mode=True)
-        rank = np.empty(problem.n, dtype=np.int64)
-        rank[perm] = np.arange(problem.n)
-        problem._rcm_rank = rank
+        Q, n = problem.Q, problem.n
+        rows = Q.indices
+        cols = np.repeat(np.arange(n, dtype=rows.dtype), np.diff(Q.indptr))
+        rank = np.empty(n, dtype=rows.dtype)
+        rank[csgraph.reverse_cuthill_mckee(Q, symmetric_mode=True)] = np.arange(n)
+        below = rows - cols  # Q is symmetric, so its largest r - c is its bandwidth
+        if below.max(initial=0) <= (rank.take(rows) - rank.take(cols)).max(initial=0):
+            rank = np.arange(n, dtype=rows.dtype)
+            above = np.bincount(cols[below < 0], minlength=n)  # each column's upper entries
+            problem._lower_start = (Q.indptr[:-1] + above).astype(Q.indptr.dtype)
+        problem._elimination_rank = rank
     return rank
+
+
+def _lower_band_solve(problem: QpProblem, I: np.ndarray):
+    """x, zero off I, and s = Q x + g, with Q[I,I] in Q's own order factored
+    by the band Cholesky from the entries of its columns on and below the
+    diagonal, read straight from Q's CSC arrays; ``None`` when that band is
+    holey (SuperLU needs both triangles)."""
+    Q = problem.Q
+    J = np.sort(I)  # Q's own order
+    k, r, c = _column_entries(Q, J, problem._lower_start.take(J))
+    solve = _band(len(J), r, c, lambda p: Q.data.take(k.take(p)))
+    if solve is None:
+        return None
+    x = np.zeros(problem.n)
+    x[J] = solve(-problem.g[J])
+    return x, Q @ x + problem.g
 
 
 def _dense_solve(qii: np.ndarray, g_I: np.ndarray) -> np.ndarray:
@@ -431,34 +484,37 @@ def _failure(routine: str, info: int) -> Exception:
 
 def _factor_sparse(cols, J: np.ndarray):
     """Factor the symmetric block Q[J,J] of the CSC columns ``cols`` = Q[:, J],
-    eliminated in the order J on the diagonal; return its solve function.
+    eliminated in the order J on the diagonal; return its solve function:
+    the band Cholesky's when the block is a full band (see :func:`_band`),
+    SuperLU's otherwise.  The choice reads the block alone."""
+    r, c = _entry_map(cols.shape[0], J, np.diff(cols.indptr), cols.indices)
+    return _band(len(J), r, c, cols.data.take) or _superlu(cols, r)
 
-    The entry map gives each stored entry its row r in the block (-1 off J)
-    beside its column c.  The block's bandwidth b is the largest r - c.
-    When its lower triangle stores at least ``_BAND_FILL`` of the
-    |J|(b + 1) entries of its lower band, the band Cholesky factorizes it;
-    otherwise SuperLU does.  The choice reads the block alone.
+
+def _band(m: int, r: np.ndarray, below: np.ndarray, values):
+    """The band Cholesky solve function of an m-row block, from its entry
+    map (r, c), with c passed as ``below`` and overwritten, and ``values(p)``
+    the values of the entries at positions p; ``None`` when the band is
+    holey.
+
+    The block's bandwidth b is the largest r - c.  The band is full when its
+    lower triangle stores at least ``_BAND_FILL`` of the m(b + 1) entries
+    of its lower band; entries with r < c, off the block or above its
+    diagonal, are dropped.
     """
-    m = len(J)
-    r, below = _entry_map(cols.shape[0], J, np.diff(cols.indptr), cols.indices)
-    np.subtract(r, below, out=below)  # r - c, negative off J where r = -1
+    np.subtract(r, below, out=below)  # r - c, negative off the block where r = -1
     b = int(below.max(initial=0))
     lower = below >= 0
     if np.count_nonzero(lower) / (m * (b + 1)) < _BAND_FILL:
-        return _superlu(cols, r)
+        return None
     # Positions, not the mask: indexing by so irregular a mask costs several
     # times more.
     lower = np.flatnonzero(lower)
     below = below.take(lower)
-    # LAPACK lower band storage, ab[r-c, c] = Q[r,c], at flat index r-c + c(b+1).
+    # LAPACK lower band storage, ab[r-c, c] = Q[r,c], at flat index r-c + c(b+1),
+    # in int64: it may pass int32, and NumPy scatters through int64 faster.
     ab = np.zeros(m * (b + 1))
-    flat = r.take(lower)
-    if ab.size > np.iinfo(np.int32).max:  # flat indexes past int32
-        flat = flat.astype(np.int64)
-    flat -= below  # now c
-    flat *= b + 1
-    flat += below
-    ab[flat] = cols.data.take(lower)
+    ab[(r.take(lower) - below) * np.int64(b + 1) + below] = values(lower)
     factor, info = _pbtrf(ab.reshape((b + 1, m), order="F"), lower=1, overwrite_ab=1)
     if info:
         raise _failure("pbtrf", info)

@@ -13,10 +13,10 @@ through the band Cholesky and through SuperLU, and with the cut at 64, so
 that runs cross it mid-run.  ``tests/data/golden_superlu_runs.json``
 records the same fields for ``ras`` and ``kr`` on easy n=3000, whose blocks
 Q[I,I] (|I| around 1300) have more than 1024 rows and were recorded
-through SuperLU.  Those blocks are full bands in the problem's reverse
-Cuthill-McKee order, so by default they take the band Cholesky; the grid
-runs once with SuperLU forced and once on the default rule, against the
-same file.
+through SuperLU.  Those blocks are full bands in the problem's elimination
+order, its own when no wider than RCM's (reverse Cuthill-McKee), so by
+default they take the band Cholesky; the grid runs once with SuperLU
+forced and once on the default rule, against the same file.
 
 Regenerate both files only when a change is meant to alter seeded runs:
 

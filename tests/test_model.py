@@ -255,32 +255,38 @@ class TestValidateProblem:
 def _zero_diagonal_first_in_rcm():
     """Q with a zero diagonal at node 5, the node its RCM order takes first.
 
-    Every other diagonal is 4 and every edge 1: 0-1, 1-{2,3,4}, 5-{2,3,4}.
-    The order starts from the leaf 0 and reverses the breadth-first sweep,
-    so node 5 is eliminated first, on an untouched zero diagonal, and
-    SuperLU must pivot off it (the pivot it takes instead is 1 > 0).
+    Every other diagonal is 4 and every edge 1: 0-2, 2-{1,3,4}, 5-{1,3,4}.
+    Its own bandwidth, 4 (edge 5-1), is wider than RCM's, 3, so RCM's order
+    is the one eliminated.  That order starts from the leaf 0 and reverses
+    the breadth-first sweep, so node 5 is eliminated first, on an untouched
+    zero diagonal, and SuperLU must pivot off it (the pivot it takes
+    instead is 1 > 0).
     """
     Q = np.diag([4.0, 4.0, 4.0, 4.0, 4.0, 0.0])
-    for i, j in [(0, 1), (1, 2), (1, 3), (1, 4), (5, 2), (5, 3), (5, 4)]:
+    for i, j in [(0, 2), (2, 1), (2, 3), (2, 4), (5, 1), (5, 3), (5, 4)]:
         Q[i, j] = Q[j, i] = 1.0
     return Q
 
 
 class TestValidateSparse:
-    """A sparse Q is eliminated in its RCM order; ``pivot`` counts those steps.
+    """A sparse Q is eliminated in the problem's elimination order: its own
+    when no wider than RCM's, RCM's otherwise; ``pivot`` counts those steps.
 
     Each Q here is a full band in that order, so by default the band
     Cholesky validates it; SuperLU is then forced for its own verdict.
     """
 
     @pytest.mark.parametrize("Q, band_pivot, superlu_pivot, dense_pivot", [
-        # RCM order (2, 1, 0): pivots 4, 3.75, then -1 - 1/3.75 < 0.
-        ([[-1.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]], 3, 3, 1),
+        # The path 0-2-1: its own bandwidth, 2, is wider than RCM's, 1.
+        # RCM order (1, 2, 0): pivots 4, 3.75, then -1 - 1/3.75 < 0.
+        ([[-1.0, 0.0, 1.0], [0.0, 4.0, 1.0], [1.0, 1.0, 4.0]], 3, 3, 1),
+        # The path 0-1-2 keeps its own order, as wide as RCM's: pivot -1.
+        ([[-1.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]], 1, 1, 1),
         # Exactly singular: the band names the zero pivot's step; SuperLU
         # names no step, so its pivot is n.
         ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 2, 3, 2),
         (_zero_diagonal_first_in_rcm(), 1, 1, 6),
-    ], ids=["indefinite", "exactly-singular", "zero-diagonal"])
+    ], ids=["indefinite", "indefinite-own-order", "exactly-singular", "zero-diagonal"])
     def test_rejection_names_the_rcm_step(self, Q, band_pivot, superlu_pivot, dense_pivot,
                                           monkeypatch):
         Q = np.array(Q)
@@ -306,7 +312,7 @@ class TestValidateSparse:
         monkeypatch.setattr(sp.csc_array, "toarray", refuse)
         monkeypatch.setattr(sp.csr_array, "toarray", refuse)
         validate_problem(p)
-        assert p._rcm_rank is not None  # cached for later SuperLU solves
+        assert p._elimination_rank is not None  # cached for later SuperLU solves
 
 
 # Every integer option checked by model._require_int: (builder, field, lowest

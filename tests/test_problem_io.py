@@ -168,11 +168,22 @@ class TestLoadErrors:
         assert exc.value.pivot == 2
 
     def test_sparse_not_positive_definite(self, tmp_path):
-        # Q = [[0, 1], [1, 2]]; its RCM order (1, 0) has pivots 2, then -1/2.
-        text = "n 2\ncoo 2\n1 2 1.0\n2 2 2.0\ng\n0 0\n"
+        # Q = [[1/4, 1, 1], [1, 2, 0], [1, 0, 2]], the path 1-0-2 stored
+        # middle first: its own bandwidth, 2, is wider than RCM's, 1, so it
+        # is eliminated in its RCM order (2, 0, 1), whose pivots are 2, then
+        # 1/4 - 1/2 < 0.
+        text = "n 3\ncoo 5\n1 1 0.25\n1 2 1.0\n1 3 1.0\n2 2 2.0\n3 3 2.0\ng\n0 0 0\n"
         with pytest.raises(NotPositiveDefiniteError) as exc:
             load_problem(write(tmp_path, text))
         assert exc.value.pivot == 2
+
+    def test_sparse_not_positive_definite_in_its_own_order(self, tmp_path):
+        # Q = [[0, 1], [1, 2]]: both orders of two indexes have bandwidth 1,
+        # so Q keeps its own, whose first pivot is 0.
+        text = "n 2\ncoo 2\n1 2 1.0\n2 2 2.0\ng\n0 0\n"
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            load_problem(write(tmp_path, text))
+        assert exc.value.pivot == 1
 
     def test_not_symmetric(self, tmp_path):
         text = "n 2\ndense\n1 2\n0 1\ng\n0 0\n"

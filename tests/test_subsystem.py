@@ -238,8 +238,8 @@ class TestSolveSubsystem:
 
     def test_sparse_lu_path_agrees_with_cholesky(self, monkeypatch):
         # With the threshold at 0 and the band fill out of reach every
-        # nonempty block goes through SuperLU, in the problem's reverse
-        # Cuthill-McKee order.  The reference is the
+        # nonempty block goes through SuperLU, in the problem's elimination
+        # order.  The reference is the
         # dense Cholesky of Q[I,I] in the (shuffled) order passed, on a dense
         # pattern, the banded easy family and an unstructured medium matrix.
         rng = np.random.default_rng(11)
@@ -270,7 +270,7 @@ class TestSolveSubsystem:
                                            rtol=1e-10, atol=1e-12)
             assert rcm_calls == [(n, n)]  # one ordering per problem
             rcm_calls.clear()
-            np.testing.assert_array_equal(np.sort(p._rcm_rank), np.arange(n))
+            np.testing.assert_array_equal(np.sort(p._elimination_rank), np.arange(n))
 
     @pytest.mark.parametrize("family", ["easy", "medium"])
     def test_superlu_receives_a_sorted_csc_block(self, family, monkeypatch):
@@ -295,7 +295,7 @@ class TestSolveSubsystem:
             received.clear()
             x_I, s_A = solve_subsystem(p, I, A)
             assert received == [("csc", True)]
-            order = np.argsort(p._rcm_rank[I])
+            order = np.argsort(p._elimination_rank[I])
             J = I[order]
             cols = p.Q[:, J]
             y = splu(cols[J, :], permc_spec="NATURAL", diag_pivot_thresh=0.0,
@@ -320,7 +320,7 @@ class TestSolveSubsystem:
             pbtrf_calls.clear()
             x_I, s_A = solve_subsystem(p, I, A)
             assert len(pbtrf_calls) == 1
-            order = np.argsort(p._rcm_rank[I])
+            order = np.argsort(p._elimination_rank[I])
             J = I[order]
             m = len(J)
             rows = p.Q[:, J].tocsr()  # all n rows of the columns J
@@ -340,7 +340,8 @@ class TestSolveSubsystem:
     def test_validation_factors_q_as_a_superlu_solve_does(self, monkeypatch):
         # validate_problem's verdict stands for the solves only if it runs
         # the elimination they run: the same splu options, and with every
-        # index inactive the same block, Q in its RCM order as sorted CSC.
+        # index inactive the same block, Q in its elimination order as
+        # sorted CSC.
         p = gen_easy(200, 1.0, seed=4)
         splu = scipy.sparse.linalg.splu
         calls = []
@@ -364,7 +365,7 @@ class TestSolveSubsystem:
     def test_validation_factors_q_as_a_band_solve_does(self, monkeypatch):
         # On the default rule the easy family's Q is a full band, so
         # validation and a solve with every index inactive hand pbtrf the
-        # same band of Q in its RCM order.
+        # same band of Q in its elimination order, its own.
         p = gen_easy(200, 1.0, seed=4)
         pbtrf = rasqp.subsystem._pbtrf
         calls = []
@@ -383,8 +384,8 @@ class TestSolveSubsystem:
 
     def test_band_and_superlu_verdicts_name_the_same_pivot(self, monkeypatch):
         # A banded Q whose diagonal turns negative part way along: both
-        # kernels eliminate in the RCM order on the diagonal, so they stop
-        # at the same step.
+        # kernels eliminate in the problem's elimination order on the
+        # diagonal, so they stop at the same step.
         n = 40
         diag = np.full(n, 4.0)
         diag[[5, 17, 30]] = -3.0
@@ -417,7 +418,7 @@ class TestSolveSubsystem:
             rounding = 4 * n * np.finfo(float).eps * (np.abs(Q_AI) @ np.abs(x_ref) + np.abs(g[A]))
             assert s_A.shape == A.shape
             assert np.all(np.abs(s_A - (Q_AI @ x_ref + g[A])) <= rounding)
-        assert p._rcm_rank is None  # only the SuperLU branch orders Q
+        assert p._elimination_rank is None  # only the SuperLU branch orders Q
 
     def test_stationarity_holds_for_any_partition(self):
         # The first two KKT equations hold by construction for every split,
@@ -537,11 +538,13 @@ class TestEntryMap:
     def test_maps_every_stored_entry_of_the_columns_once(self, problem, monkeypatch):
         # With the cut at 64, blocks on both sides of it: the dense scatter
         # maps the columns I as passed (shuffled), the band and SuperLU
-        # kernels the columns J in the problem's order.  Either way the
-        # entries are Q[:, J]'s, so its values line up with r and c: those
-        # in the block, summed so that a repeat shows, rebuild Q[J,J]
+        # kernels the columns J in the problem's elimination order.  Either
+        # way the entries are Q[:, J]'s, so its values line up with r and c:
+        # those in the block, summed so that a repeat shows, rebuild Q[J,J]
         # exactly, those off it are exactly the entries whose rows lie off
-        # J, and c never decreases.
+        # J, and c never decreases.  A large block in Q's own order maps
+        # only the entries on and below each column's diagonal, which
+        # rebuild the lower triangle of Q[J,J] the same way.
         p = problem()
         rng = np.random.default_rng(8)
         entry_map, maps = rasqp.subsystem._entry_map, []
@@ -560,11 +563,18 @@ class TestEntryMap:
         assert [len(J) for J, _, _ in maps] == list(sizes)
         for J, r, c in maps:
             cols = p.Q[:, J]
+            block = p.Q[J][:, J].toarray()
+            if len(J) > 64 and p._lower_start is not None:  # Q's own order
+                lower = cols.indices >= np.repeat(J, np.diff(cols.indptr))
+                cols = sp.csc_array((cols.data[lower], cols.indices[lower],
+                                     np.concatenate(([0], np.cumsum(lower)))[cols.indptr]),
+                                    shape=cols.shape)
+                block = np.tril(block)
             assert len(r) == len(c) == cols.nnz
             inside = r >= 0
-            block = np.zeros((len(J), len(J)))
-            np.add.at(block, (r[inside], c[inside]), cols.data[inside])
-            np.testing.assert_array_equal(block, p.Q[J][:, J].toarray())
+            rebuilt = np.zeros((len(J), len(J)))
+            np.add.at(rebuilt, (r[inside], c[inside]), cols.data[inside])
+            np.testing.assert_array_equal(rebuilt, block)
             np.testing.assert_array_equal(inside, np.isin(cols.indices, J))
             assert np.all(np.diff(c) >= 0)
 
@@ -587,8 +597,9 @@ class TestDenseKernel:
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_indefinite_block_names_the_potrf_pivot(self, sparse):
         # The second pivot is -1 - 1/4 < 0 in either order of the indexes,
-        # so validation, which orders a sparse Q by reverse Cuthill-McKee,
-        # names the same step as a solve in the natural order.
+        # so validation, which eliminates a sparse Q in the problem's
+        # elimination order, names the same step as a solve in the natural
+        # order.
         Q = np.array([[4.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 4.0]])
         p = QpProblem(sp.csc_array(Q) if sparse else Q, np.ones(3))
         with pytest.raises(FactorizationError, match=r"\(potrf info 2\)") as exc:
@@ -652,22 +663,139 @@ class TestBandCholesky:
             solve_subsystem(p, np.arange(10), [])
         assert pbtrf_calls == [(2, 10)]
         # Every pivot before index 3's is positive, and its own is
-        # -1 - 1/d < 0, so pbtrf stops at index 3's step in the RCM order.
-        assert exc.value.pivot == p._rcm_rank[3] + 1
+        # -1 - 1/d < 0, so pbtrf stops at index 3's step in the problem's
+        # elimination order.
+        assert exc.value.pivot == p._elimination_rank[3] + 1
 
     def test_rule_keeps_superlu_for_a_holey_band(self, monkeypatch):
-        # In its RCM order the easy family's Q is a band a quarter full, the
-        # medium family's at density 0.002 one with about 2% of its band
-        # stored: the first takes the band kernel, the second SuperLU.
+        # In its elimination order the easy family's Q, in its own order,
+        # is a band 43% full, the medium family's at density 0.002, in its
+        # RCM order, one with about 2% of its band stored: the first takes
+        # the band kernel, the second SuperLU.
         pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
         splu_calls = counted_splu(monkeypatch)
         for p, band in ((gen_easy(3000, 1.0, seed=0), True),
                         (gen_medium(3000, 0.002, 1e4, seed=0), False)):
             pbtrf_calls.clear()
             splu_calls.clear()
-            order = np.argsort(rasqp.subsystem._rcm_rank(p))
+            order = np.argsort(rasqp.subsystem._elimination_rank(p))
             _factor_sparse(p.Q[:, order], order)
             assert (len(pbtrf_calls), len(splu_calls)) == ((1, 0) if band else (0, 1))
+
+
+def permuted(p: QpProblem, perm: np.ndarray) -> QpProblem:
+    """The problem (P Q P', P g) for the permutation that puts index perm[i] at i."""
+    return QpProblem(p.Q[perm][:, perm], p.g[perm])
+
+
+class TestEliminationOrder:
+    """A sparse problem is eliminated in Q's own order when that is no wider
+    than reverse Cuthill-McKee's, in RCM's otherwise, and a large block in
+    Q's own order reads its band straight from Q's lower entries."""
+
+    def test_easy_keeps_its_own_order_and_medium_takes_rcm(self):
+        for p, own in ((gen_easy(3000, 1.0, seed=0), True),
+                       (gen_easy(300, 1e-10, seed=1), True),
+                       (gen_medium(3000, 0.002, 1e4, seed=0), False),
+                       (gen_medium(150, 0.05, 1e4, seed=2), False)):
+            rank = rasqp.subsystem._elimination_rank(p)
+            assert (p._lower_start is not None) == own
+            if own:
+                np.testing.assert_array_equal(rank, np.arange(p.n))
+                # Each column's entries from _lower_start on are those on
+                # and below its diagonal.
+                rows = p.Q.indices
+                cols = np.repeat(np.arange(p.n), np.diff(p.Q.indptr))
+                tail = np.arange(p.Q.nnz) >= np.repeat(p._lower_start, np.diff(p.Q.indptr))
+                np.testing.assert_array_equal(tail, rows >= cols)
+            else:
+                np.testing.assert_array_equal(np.sort(rank), np.arange(p.n))
+
+    def test_permuted_easy_takes_rcm_and_the_band_kernel(self, monkeypatch):
+        # Stored under a random symmetric permutation, the easy family's Q
+        # is wider in its own order than in RCM's, which is then chosen;
+        # its blocks are still full bands in that order.
+        p = permuted(gen_easy(1500, 1.0, seed=3), np.random.default_rng(4).permutation(1500))
+        pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
+        splu_calls = counted_splu(monkeypatch)
+        rng = np.random.default_rng(5)
+        for m in (1025, 1300, p.n):
+            I = np.sort(rng.permutation(p.n)[:m])
+            A = np.setdiff1d(np.arange(p.n), I)
+            pbtrf_calls.clear()
+            x_I, s_A = solve_subsystem(p, I, A)
+            assert p._lower_start is None
+            assert len(pbtrf_calls) == 1 and pbtrf_calls[0][1] == m
+            x_ref, s_ref = TestBandCholesky.dense_reference(p, I, A)
+            np.testing.assert_allclose(x_I, x_ref, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(s_A, s_ref, rtol=1e-10, atol=1e-12)
+        assert splu_calls == []
+
+    def test_kr_on_a_permuted_problem_finds_the_permuted_answer(self, monkeypatch):
+        # kr's blocks on (P Q P', P g) go through RCM and the band
+        # Cholesky, those on (Q, g) through the direct read: the runs end
+        # Optimal at the same point, permuted.
+        monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 64)
+        p = gen_easy(400, 1.0, seed=5)
+        perm = np.random.default_rng(6).permutation(p.n)
+        q = permuted(p, perm)
+        pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
+        splu_calls = counted_splu(monkeypatch)
+        ours = kr_solve(p, KrConfig(tol=1e-8))
+        theirs = kr_solve(q, KrConfig(tol=1e-8))
+        assert ours.status is theirs.status is Status.OPTIMAL
+        assert p._lower_start is not None and q._lower_start is None
+        assert len(pbtrf_calls) > 2 and splu_calls == []
+        x = ours.point.x[perm]
+        assert np.abs(theirs.point.x - x).max() <= 1e-10 * np.abs(x).max()
+
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-10])
+    def test_direct_read_matches_the_column_slice(self, epsilon, monkeypatch):
+        # A block in Q's own order is factored from the entries on and
+        # below each column's diagonal, read straight from Q, and s is
+        # Q x + g: bit-identical to factoring the slice Q[:, I], both
+        # triangles, and summing s over its columns.  The solve itself
+        # never takes the slice route.
+        def refuse(*args):
+            raise AssertionError("the solve factored a column slice")
+
+        monkeypatch.setattr(rasqp.subsystem, "_factor_sparse", refuse)
+        p = gen_easy(1500, epsilon, seed=7)
+        rng = np.random.default_rng(8)
+        Q, g, n = p.Q, p.g, p.n
+        for m in (1025, 1200, 1400, n):
+            I = np.sort(np.concatenate(([0, n - 1], rng.permutation(np.arange(1, n - 1))[:m - 2])))
+            A = np.setdiff1d(np.arange(n), I)
+            x_I, s_A = solve_subsystem(p, I, A)
+            assert p._lower_start is not None
+            cols = Q[:, I]
+            y = _factor_sparse(cols, I)(-g[I])
+            assert x_I.tobytes() == y.tobytes()
+            np.testing.assert_array_equal(s_A, (cols @ y + g)[A])
+
+    def test_holey_block_in_own_order_reaches_superlu(self, monkeypatch):
+        # A star with its hub in the middle: RCM puts the hub near one end
+        # and is wider, so Q keeps its own order, whose band of width n/2
+        # is far too holey for the band Cholesky.
+        n = 200
+        Q = np.diag(np.full(n, float(n)))
+        Q[n // 2, :] = Q[:, n // 2] = 1.0
+        Q[n // 2, n // 2] = float(n)
+        p = QpProblem(sp.csc_array(Q), -np.ones(n))
+        monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 0)
+        pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
+        splu_calls = counted_splu(monkeypatch)
+        rng = np.random.default_rng(9)
+        for I, A in ((np.arange(n), np.arange(0)), random_partition(n, rng)):
+            I = np.union1d(I, [n // 2])
+            A = np.setdiff1d(A, [n // 2])
+            splu_calls.clear()
+            x_I, s_A = solve_subsystem(p, I, A)
+            assert splu_calls == [(len(I), len(I))]
+            x_ref, s_ref = TestBandCholesky.dense_reference(p, I, A)
+            np.testing.assert_allclose(x_I, x_ref, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(s_A, s_ref, rtol=1e-12, atol=1e-14)
+        assert p._lower_start is not None and pbtrf_calls == []
 
 
 class TestOneVerdict:
@@ -679,8 +807,8 @@ class TestOneVerdict:
 
     @classmethod
     def holey_indefinite(cls) -> QpProblem:
-        # A path with a hub coupled to every third index: in its RCM order
-        # the band is wide and about 6% full, so the default rule takes
+        # A path with a hub coupled to every third index: in its RCM order,
+        # narrower than its own, the band is wide and about 6% full, so the default rule takes
         # SuperLU.  Every pivot is positive up to the negative diagonal
         # entry's own.
         n = cls.N
@@ -698,8 +826,8 @@ class TestOneVerdict:
         with pytest.raises(NotPositiveDefiniteError) as verdict:
             validate_problem(p)
         pivot = verdict.value.pivot
-        assert pivot == p._rcm_rank[self.NEGATIVE] + 1 > 1
-        rcm = np.argsort(p._rcm_rank)
+        assert pivot == p._elimination_rank[self.NEGATIVE] + 1 > 1
+        rcm = np.argsort(p._elimination_rank)
         dense_max, band_fill = rasqp.subsystem._DENSE_MAX, rasqp.subsystem._BAND_FILL
         pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
         splu_calls = counted_splu(monkeypatch)

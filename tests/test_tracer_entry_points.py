@@ -74,9 +74,10 @@ def test_sparse_factor_reaches_the_splu_wrapper(tracer, monkeypatch):
     ``scipy.sparse.linalg.splu``.
 
     The tracer reads ``subsystem.sparse_factor_s`` from the ``splu`` spans,
-    so the factor must be called through that attribute.  The reverse
-    Cuthill-McKee ordering is not an entry point: its one-off cost per
-    problem lands in the ``solve_subsystem`` self time, ``subsystem.gather_s``.
+    so the factor must be called through that attribute.  The choice of
+    the elimination order, with its reverse Cuthill-McKee ordering, is not
+    an entry point: its one-off cost per problem lands in the
+    ``solve_subsystem`` self time, ``subsystem.gather_s``.
 
     SuperLU is forced here.  By default a block whose band is full enough
     takes the band Cholesky instead, whose ``pbtrf``/``pbtrs`` calls the
