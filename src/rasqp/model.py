@@ -140,17 +140,17 @@ class QpProblem:
 
     Dense inputs are stored as read-only ``float64`` arrays, sparse inputs in
     CSC form.  Instances are treated as immutable and may be shared across
-    threads.  The private ``_elimination_rank`` caches each index's step in
-    the problem's elimination order of a sparse Q: its own when no wider
-    than RCM's (reverse Cuthill-McKee), RCM's otherwise.  When Q's own order
-    is chosen, ``_lower_start`` caches where each column's entries on and
-    below the diagonal start in ``Q.indices`` (``None`` otherwise).  Both
-    are computed on first use by a solve of a sparse block of more than
-    1024 rows or by :func:`validate_problem`; they are functions of Q
-    alone, so caching them changes no observable value.
+    threads.  The one private slot ``_elimination`` caches the elimination
+    order of a sparse Q, its own when no wider than RCM's (reverse
+    Cuthill-McKee), RCM's otherwise, with Q in that order: Q itself, or a
+    copy only when RCM's order wins (see
+    :func:`rasqp.subsystem._elimination_order`).  It is computed on first
+    use by a solve of a sparse block of more than 1024 rows or by
+    :func:`validate_problem`; it is a function of Q alone, so caching it
+    changes no observable value.
     """
 
-    __slots__ = ("n", "Q", "g", "is_sparse", "_elimination_rank", "_lower_start")
+    __slots__ = ("n", "Q", "g", "is_sparse", "_elimination")
 
     def __init__(self, Q, g):
         g = _real_array(g, "g")
@@ -172,8 +172,7 @@ class QpProblem:
         self.n = n
         self.Q = Q
         self.g = g
-        self._elimination_rank = None
-        self._lower_start = None
+        self._elimination = None
 
     def dense_q(self) -> np.ndarray:
         """Q as a dense ndarray (a copy when stored sparse)."""
@@ -323,19 +322,17 @@ def validate_problem(problem: QpProblem) -> None:
     never densified, in the problem's elimination order (cached): its own
     when no wider than RCM's (reverse Cuthill-McKee), RCM's otherwise.  A
     sparse Q is factorized, whatever n, by the kernels of a sparse block of
-    more than 1024 rows, which read its column slice in that order.  Q is
-    rejected at the step the factor names.  Intended for setup-time
-    validation, not inner loops.
+    more than 1024 rows, as the block of every index.  Q is rejected at the
+    step the factor names.  Intended for setup-time validation, not inner
+    loops.
     """
     # Imported here: subsystem imports this module.
-    from .subsystem import FactorizationError, _cholesky, _elimination_rank, _factor_sparse
+    from .subsystem import FactorizationError, _cholesky, _factor_sparse
 
-    Q = problem.Q
     try:
         if problem.is_sparse:
-            order = np.argsort(_elimination_rank(problem))
-            _factor_sparse(Q[:, order], order)  # Q in its elimination order
+            _factor_sparse(problem, np.arange(problem.n))  # Q in its elimination order
         else:
-            _cholesky(Q.copy(order="F"), clean=0)
+            _cholesky(problem.Q.copy(order="F"), clean=0)
     except FactorizationError as exc:
         raise NotPositiveDefiniteError(exc.pivot) from exc

@@ -19,12 +19,12 @@ one passes the kernel a run keeps for all its solves, and that run builds I
 and A from its own mask, a partition by construction: the check is skipped.
 
 The fresh kernel, ``_FreshCholesky``, factorizes Q[I,I] afresh on every
-solve and gathers Q once, in one of four ways.  A sparse Q is read through
+solve and gathers Q once, in one of three ways.  A sparse Q is read through
 one entry map, whichever way follows: the stored entries of the block's
-columns (of their parts on and below the diagonal, on the direct read
-below), column after column, each given its row r in the block (-1 off
-it) beside its column c, through a position map of the block's indexes.
-The entries off the block stay in the map until a kernel drops them.
+columns (of their parts on and below the diagonal, for the band below),
+column after column, each given its row r in the block (-1 off it) beside
+its column c, through a position map of the block's indexes.  The entries
+off the block stay in the map until a kernel drops them.
 
 * Dense Q: the row block Q[I,:], one contiguous copy of |I| rows.  Q[I,I]
   is its columns I and s_A is the full product x_I Q[I,:] + g read at the
@@ -35,49 +35,42 @@ The entries off the block stay in the map until a kernel drops them.
   index arithmetic on Q's CSC arrays, and the map's entries with r >= 0
   are scattered straight into a dense Fortran-ordered Q[I,I]; s_A is
   (Q x + g)[A] with x zero on A.
-* Sparse Q with a larger I, a block of more than 1024 rows: each block
-  takes I in the problem's elimination order, J: its own when no wider
-  than RCM's.  That order is chosen once per problem and cached on it: Q's
-  own order when Q's bandwidth in it is no larger than in a reverse
-  Cuthill-McKee order (a tie keeps Q's own), that RCM order otherwise.  The
-  easy family is a band in its own order, which RCM widens; the medium
-  family takes RCM.  For a symmetric positive definite matrix, the
-  Cholesky fill of a principal submatrix under the induced order lies
-  inside the fill of the whole matrix restricted to I, so restricting the
-  order never adds fill.  Q[J,J] is factorized on its diagonal, in the
-  order J, in one of two ways, chosen from the block alone: let b be its
-  bandwidth, the largest r - c of a stored entry.
+* Sparse Q with a larger I, a block of more than 1024 rows: the block is
+  read from Qe, Q in the problem's elimination order, by the same index
+  arithmetic.  That order is chosen once per problem and cached on it with
+  Qe: Q's own order when Q's bandwidth in it is no larger than in a reverse
+  Cuthill-McKee order (a tie keeps Q's own, and Qe is Q itself), that RCM
+  order otherwise (Qe is a copy of Q permuted into it, with sorted
+  indexes).  The easy family is a band in its own order, which RCM widens;
+  the medium family takes RCM.  The indexes I become their steps J in that
+  order, sorted, and Qe[J,J], a principal submatrix in its natural order,
+  is factorized on its diagonal (George & Liu, *Computer Solution of Large
+  Sparse Positive Definite Systems*, 1981, ch. 4).  For a symmetric
+  positive definite matrix, the Cholesky fill of a principal submatrix
+  under the induced order lies inside the fill of the whole matrix
+  restricted to I, so restricting the order never adds fill.  s is
+  Qe x + g with x zero off J, read back in Q's order, so each s_i is summed
+  over the columns in the elimination order.  The block is factorized in
+  one of two ways, chosen from the block alone: let b be its bandwidth,
+  the largest r - c of a stored entry.
 
   * A full band, whose lower triangle stores at least a tenth of the
     |I|(b + 1) entries of its lower band: the band Cholesky, LAPACK
-    ``pbtrf``/``pbtrs`` on the band, whose lower entries are scattered
-    into LAPACK's lower band storage through one flat index, O(|I| b^2)
-    work (George & Liu, *Computer Solution of Large Sparse Positive
-    Definite Systems*, 1981, ch. 4).  The easy family's blocks are such
-    bands.
-  * Any other block: SuperLU on the CSC block.  SciPy ships no sparse
-    Cholesky, and letting SuperLU compute a COLAMD ordering for every
-    block costs more than the factorization itself.  Q[I,I] is positive
-    definite, so Gaussian elimination on its diagonal is stable without
-    pivoting: SuperLU runs in symmetric mode with the natural column order
-    and a diagonal pivot threshold of 0, so it keeps the given order and
-    pivots on the diagonal.  The entries with r >= 0 form the CSC block,
-    whose rows within a column follow Q's index order, not J's.  Its
-    conversion to CSR sorts them in one pass, and the block reaches
-    SuperLU in CSC with sorted indexes, so SuperLU has nothing to sort:
-    read as CSC, the CSR arrays of Q[J,J] are Q[J,J]', which equals Q[J,J]
-    bit for bit because Q is exactly symmetric.
-
-  Q is read in one of two ways.  In Q's own order J is I sorted, and the
-  band needs only each column's entries on and below its diagonal: they
-  are found by the index arithmetic of the small path, from where each
-  column's lower part starts in Q's CSC arrays (cached with the order),
-  and s is Q x + g with x zero off I.  No slice of Q and no entry above
-  the diagonal is read.  In RCM's order, and for a block whose band is
-  holey, whose SuperLU factor needs both triangles, Q[J,J] is gathered
-  straight from the CSC column slice Q[:, J], with no copy of its n rows,
-  through the map of that slice's entries, and s_A is read from the same
-  slice, with each s_i summed over the columns in the order J.
+    ``pbtrf``/``pbtrs`` on the band, O(|I| b^2) work.  Only each column's
+    entries on and below its diagonal are read, from where each column's
+    lower part starts in Qe's CSC arrays (cached with the order), and
+    scattered into LAPACK's lower band storage through one flat index.
+    The easy family's blocks are such bands.
+  * Any other block: SuperLU on the CSC block, read from its whole
+    columns.  SciPy ships no sparse Cholesky, and letting SuperLU compute
+    a COLAMD ordering for every block costs more than the factorization
+    itself.  Q[I,I] is positive definite, so Gaussian elimination on its
+    diagonal is stable without pivoting: SuperLU runs in symmetric mode
+    with the natural column order and a diagonal pivot threshold of 0, so
+    it keeps the given order and pivots on the diagonal.  Qe's indexes are
+    sorted and J is, so the rows of each column of the block already
+    ascend: it reaches SuperLU as sorted CSC, with nothing to convert or
+    sort.
 
 The densified Q[I,I] is a temporary, so the Cholesky factorizes it in
 place, handed whichever of the block and its transpose (the same matrix, by
@@ -102,9 +95,9 @@ is a term of s_i.  The fresh dense path and the kept factor below check x_I
 on its own first, because their product may be with a dense Q, which NumPy
 would warn about (inf * 0 is invalid).
 :func:`~rasqp.model.validate_problem` factors the whole of Q with the same
-kernels, a sparse Q through ``_factor_sparse`` in the problem's elimination
-order, which hands a kernel the band or block a solve of all of Q would,
-and reports the same step.
+kernels, a sparse Q through ``_factor_sparse`` on every step of the
+problem's elimination order, which hands a kernel the band or block a
+solve of all of Q would, and reports the same step.
 
 A solver that moves one index per solve keeps an ``_UpdatedCholesky``
 instead (``fletcher_solve`` does).  The factor holds the Cholesky
@@ -199,8 +192,9 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> tuple[np.ndarra
     s_A = g.  A sparse Q[I,I] of more than 1024 rows is factorized instead
     in the problem's elimination order, its own when no wider than RCM's
     (reverse Cuthill-McKee), by a band Cholesky when it is a full band in
-    that order, and by SuperLU otherwise; the first such solve chooses the
-    order and stores it on the problem.  No counters are touched
+    that order, and by SuperLU otherwise, read from Q kept in that order;
+    the first such solve chooses the order and stores it on the problem,
+    with a copy of Q when RCM's order wins.  No counters are touched
     here — callers count solves.
 
     ``factor`` is the private kernel a run keeps for all its solves:
@@ -227,7 +221,8 @@ def solve_subsystem(problem: QpProblem, I, A, *, factor=None) -> tuple[np.ndarra
 
 class _FreshCholesky:
     """The kernel that factorizes Q[I,I] afresh on every solve, in one of the
-    four ways of the module docstring, and keeps nothing between calls."""
+    three ways of the module docstring, and keeps nothing between calls
+    (the problem caches its elimination order)."""
 
     @staticmethod
     def solve(problem: QpProblem, I: np.ndarray, A: np.ndarray):
@@ -248,19 +243,13 @@ class _FreshCholesky:
             x[I] = x_I
             s = Q @ x + g
         else:
-            rank = _elimination_rank(problem)  # first: it caches _lower_start
-            own = problem._lower_start is not None and _lower_band_solve(problem, I)
-            if own:
-                x, s = own
-                x_I = x.take(I)
-            else:
-                order = np.argsort(rank[I])
-                J = I[order]  # I in the problem's elimination order
-                cols = Q[:, J]  # the columns J, holding Q[J,J] and read again for s_A
-                y = _factor_sparse(cols, J)(-g[J])
-                x_I = np.empty_like(y)
-                x_I[order] = y
-                s = cols @ y + g
+            rank, order, Qe, _ = _elimination_order(problem)
+            at = rank.take(I)  # I's places in the elimination order
+            J = np.sort(at)
+            x = np.zeros(problem.n)  # x in the elimination order, zero off J
+            x[J] = _factor_sparse(problem, J)(-g.take(order.take(J)))
+            x_I = x.take(at)
+            s = (Qe @ x).take(rank) + g
         return x_I, _finite(s)[A]
 
 
@@ -387,7 +376,7 @@ def _csc_block(Q, I: np.ndarray) -> np.ndarray:
     """Dense Fortran-ordered Q[I,I], scattered from the CSC arrays of the columns I."""
     m = len(I)
     k, r, c = _column_entries(Q, I, Q.indptr[I])
-    keep = np.flatnonzero(r >= 0)  # positions, not the mask, as in _factor_sparse
+    keep = np.flatnonzero(r >= 0)  # positions, not the mask, as in _band
     block = np.zeros(m * m)  # Q[r, c] at r + m c, in int64: it may pass int32
     block[c.take(keep) * np.int64(m) + r.take(keep)] = Q.data.take(k.take(keep))
     return block.reshape((m, m), order="F")
@@ -415,14 +404,16 @@ def _column_entries(Q, J: np.ndarray, start: np.ndarray):
     return (k, *_entry_map(Q.shape[0], J, lens, Q.indices.take(k)))
 
 
-def _elimination_rank(problem: QpProblem) -> np.ndarray:
-    """Each index's step in the problem's elimination order, computed once:
+def _elimination_order(problem: QpProblem):
+    """The problem's elimination order, computed once and cached on it:
     Q's own order when its bandwidth is no wider than under reverse
-    Cuthill-McKee (a tie keeps Q's own), that order otherwise.  In Q's own
-    order, where each column's entries on and below the diagonal start in
-    ``Q.indices`` is cached too."""
-    rank = problem._elimination_rank
-    if rank is None:
+    Cuthill-McKee (a tie keeps Q's own), that order otherwise.  Returns
+    (rank, order, Qe, start): each index's step in the order, the index at
+    each step, Q in that order (Q itself in its own order, else a CSC copy
+    with sorted indexes) and where each column's entries on and below the
+    diagonal start in ``Qe.indices``."""
+    cached = problem._elimination
+    if cached is None:
         # Imported on first use, so a run that never factorizes a sparse
         # block of more than 1024 rows does not load csgraph (about 1 MB of
         # resident memory).
@@ -431,31 +422,25 @@ def _elimination_rank(problem: QpProblem) -> np.ndarray:
         Q, n = problem.Q, problem.n
         rows = Q.indices
         cols = np.repeat(np.arange(n, dtype=rows.dtype), np.diff(Q.indptr))
+        order = csgraph.reverse_cuthill_mckee(Q, symmetric_mode=True)
         rank = np.empty(n, dtype=rows.dtype)
-        rank[csgraph.reverse_cuthill_mckee(Q, symmetric_mode=True)] = np.arange(n)
-        below = rows - cols  # Q is symmetric, so its largest r - c is its bandwidth
-        if below.max(initial=0) <= (rank.take(rows) - rank.take(cols)).max(initial=0):
-            rank = np.arange(n, dtype=rows.dtype)
-            above = np.bincount(cols[below < 0], minlength=n)  # each column's upper entries
-            problem._lower_start = (Q.indptr[:-1] + above).astype(Q.indptr.dtype)
-        problem._elimination_rank = rank
-    return rank
-
-
-def _lower_band_solve(problem: QpProblem, I: np.ndarray):
-    """x, zero off I, and s = Q x + g, with Q[I,I] in Q's own order factored
-    by the band Cholesky from the entries of its columns on and below the
-    diagonal, read straight from Q's CSC arrays; ``None`` when that band is
-    holey (SuperLU needs both triangles)."""
-    Q = problem.Q
-    J = np.sort(I)  # Q's own order
-    k, r, c = _column_entries(Q, J, problem._lower_start.take(J))
-    solve = _band(len(J), r, c, lambda p: Q.data.take(k.take(p)))
-    if solve is None:
-        return None
-    x = np.zeros(problem.n)
-    x[J] = solve(-problem.g[J])
-    return x, Q @ x + problem.g
+        rank[order] = np.arange(n)
+        r, c = rank.take(rows), rank.take(cols)  # each entry's place in RCM's order
+        # Q is symmetric, so its largest r - c is its bandwidth.
+        if (rows - cols).max(initial=0) <= (r - c).max(initial=0):
+            rank = order = np.arange(n)
+            r, c, Qe = rows, cols, Q
+        else:
+            Qe = sp.csc_array((Q.data, r, Q.indptr), shape=Q.shape)[:, order]
+            Qe.sort_indices()
+        above = np.bincount(c[r < c], minlength=n)  # each column's entries above the diagonal
+        start = (Qe.indptr[:-1] + above).astype(Qe.indptr.dtype)
+        # rank and order in int64, as NumPy indexes with: a block's steps J,
+        # taken through them, index on every solve, and int32 steps
+        # measured about 2% slower per easy n=3000 block.
+        problem._elimination = cached = (rank.astype(np.int64, copy=False),
+                                         order.astype(np.int64, copy=False), Qe, start)
+    return cached
 
 
 def _dense_solve(qii: np.ndarray, g_I: np.ndarray) -> np.ndarray:
@@ -482,13 +467,21 @@ def _failure(routine: str, info: int) -> Exception:
     return FactorizationError(f"Cholesky factorization failed ({routine} info {info})", info)
 
 
-def _factor_sparse(cols, J: np.ndarray):
-    """Factor the symmetric block Q[J,J] of the CSC columns ``cols`` = Q[:, J],
-    eliminated in the order J on the diagonal; return its solve function:
-    the band Cholesky's when the block is a full band (see :func:`_band`),
-    SuperLU's otherwise.  The choice reads the block alone."""
-    r, c = _entry_map(cols.shape[0], J, np.diff(cols.indptr), cols.indices)
-    return _band(len(J), r, c, cols.data.take) or _superlu(cols, r)
+def _factor_sparse(problem: QpProblem, J: np.ndarray):
+    """Factor the block Qe[J,J] of Q in the problem's elimination order, for
+    sorted steps J, eliminated on the diagonal in that order; return its
+    solve function: the band Cholesky's when the block is a full band (see
+    :func:`_band`), read from the entries of its columns on and below the
+    diagonal, SuperLU's otherwise, read from its whole columns.  The choice
+    reads the block alone."""
+    _, _, Qe, start = _elimination_order(problem)
+
+    def read(start):  # the entry map of the columns J from start on, and their values
+        k, r, c = _column_entries(Qe, J, start)
+        return r, c, lambda p: Qe.data.take(k.take(p))
+
+    return (_band(len(J), *read(start.take(J)))
+            or _superlu(len(J), *read(Qe.indptr.take(J))))  # SuperLU needs both triangles
 
 
 def _band(m: int, r: np.ndarray, below: np.ndarray, values):
@@ -521,24 +514,21 @@ def _band(m: int, r: np.ndarray, below: np.ndarray, values):
     return lambda rhs: _pbtrs(factor, rhs, lower=1)[0]
 
 
-def _superlu(cols, r: np.ndarray):
-    """SuperLU solve function, factored in the given order and without pivoting,
-    of the symmetric square block of the CSC columns ``cols`` whose stored
-    rows lie at block positions ``r`` (-1 off the block)."""
+def _superlu(m: int, r: np.ndarray, c: np.ndarray, values):
+    """SuperLU solve function, factored in the given order and without
+    pivoting, of the symmetric m-row block from its entry map (r, c), with
+    r = -1 off the block and ascending within each column, and ``values(p)``
+    the values of the entries at positions p."""
     # Imported on first use, like csgraph: a run that never reaches SuperLU
     # does not load scipy.sparse.linalg.  splu is looked up on the module at
     # each call, so a wrapper set on scipy.sparse.linalg.splu sees it.
     import scipy.sparse.linalg as spla
 
-    m = cols.shape[1]
     keep = np.flatnonzero(r >= 0)
-    # A column's entries in the block follow those kept before its first one.
-    indptr = keep.searchsorted(cols.indptr).astype(cols.indptr.dtype)
-    # The CSR arrays of the block have sorted indexes, and read as CSC they
-    # are its transpose, the same matrix: SuperLU has nothing to sort.  The
-    # CSC block is freed at its conversion: with more temporaries held
-    # during splu, solves on medium n=10,000 measured up to 10% slower.
-    block = sp.csc_array((cols.data.take(keep), r.take(keep), indptr), shape=(m, m)).tocsr().T
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(c.take(keep), minlength=m), out=indptr[1:])
+    # Sorted CSC already, so SuperLU has nothing to convert or sort.
+    block = sp.csc_array((values(keep), r.take(keep), indptr), shape=(m, m))
     try:
         lu = spla.splu(block, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})

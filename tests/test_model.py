@@ -312,7 +312,7 @@ class TestValidateSparse:
         monkeypatch.setattr(sp.csc_array, "toarray", refuse)
         monkeypatch.setattr(sp.csr_array, "toarray", refuse)
         validate_problem(p)
-        assert p._elimination_rank is not None  # cached for later SuperLU solves
+        assert p._elimination is not None  # cached for later sparse solves
 
 
 # Every integer option checked by model._require_int: (builder, field, lowest

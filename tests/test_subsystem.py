@@ -28,8 +28,11 @@ from rasqp.solvers import (
 )
 from rasqp.subsystem import (
     FactorizationError,
+    _band,
     _dense_solve,
+    _entry_map,
     _factor_sparse,
+    _superlu,
     _UpdatedCholesky,
     embed_point,
     solve_subsystem,
@@ -270,7 +273,7 @@ class TestSolveSubsystem:
                                            rtol=1e-10, atol=1e-12)
             assert rcm_calls == [(n, n)]  # one ordering per problem
             rcm_calls.clear()
-            np.testing.assert_array_equal(np.sort(p._elimination_rank), np.arange(n))
+            np.testing.assert_array_equal(np.sort(p._elimination[0]), np.arange(n))
 
     @pytest.mark.parametrize("family", ["easy", "medium"])
     def test_superlu_receives_a_sorted_csc_block(self, family, monkeypatch):
@@ -295,7 +298,7 @@ class TestSolveSubsystem:
             received.clear()
             x_I, s_A = solve_subsystem(p, I, A)
             assert received == [("csc", True)]
-            order = np.argsort(p._elimination_rank[I])
+            order = np.argsort(p._elimination[0][I])
             J = I[order]
             cols = p.Q[:, J]
             y = splu(cols[J, :], permc_spec="NATURAL", diag_pivot_thresh=0.0,
@@ -307,9 +310,10 @@ class TestSolveSubsystem:
 
     @pytest.mark.parametrize("epsilon", [1.0, 1e-10])
     def test_band_block_matches_the_row_slice_route(self, epsilon, monkeypatch):
-        # The band is gathered from the CSC column slice, not from its rows
-        # J in CSR, and x_I and s_A are bit-identical to that row route:
-        # the same band, the same pbtrs, and s summed row by row in J order.
+        # The band is read from the columns J of Q in its elimination
+        # order, not from the rows J of a CSR slice, and x_I and s_A are
+        # bit-identical to that row route: the same band, the same pbtrs,
+        # and s summed row by row in J order.
         p = gen_easy(2500, epsilon, seed=6)
         rng = np.random.default_rng(7)
         pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
@@ -320,7 +324,7 @@ class TestSolveSubsystem:
             pbtrf_calls.clear()
             x_I, s_A = solve_subsystem(p, I, A)
             assert len(pbtrf_calls) == 1
-            order = np.argsort(p._elimination_rank[I])
+            order = np.argsort(p._elimination[0][I])
             J = I[order]
             m = len(J)
             rows = p.Q[:, J].tocsr()  # all n rows of the columns J
@@ -418,7 +422,7 @@ class TestSolveSubsystem:
             rounding = 4 * n * np.finfo(float).eps * (np.abs(Q_AI) @ np.abs(x_ref) + np.abs(g[A]))
             assert s_A.shape == A.shape
             assert np.all(np.abs(s_A - (Q_AI @ x_ref + g[A])) <= rounding)
-        assert p._elimination_rank is None  # only the SuperLU branch orders Q
+        assert p._elimination is None  # only blocks above the cut order Q
 
     def test_stationarity_holds_for_any_partition(self):
         # The first two KKT equations hold by construction for every split,
@@ -537,14 +541,15 @@ class TestEntryMap:
     ], ids=["easy", "medium", "dense-pattern"])
     def test_maps_every_stored_entry_of_the_columns_once(self, problem, monkeypatch):
         # With the cut at 64, blocks on both sides of it: the dense scatter
-        # maps the columns I as passed (shuffled), the band and SuperLU
-        # kernels the columns J in the problem's elimination order.  Either
-        # way the entries are Q[:, J]'s, so its values line up with r and c:
-        # those in the block, summed so that a repeat shows, rebuild Q[J,J]
-        # exactly, those off it are exactly the entries whose rows lie off
-        # J, and c never decreases.  A large block in Q's own order maps
-        # only the entries on and below each column's diagonal, which
-        # rebuild the lower triangle of Q[J,J] the same way.
+        # maps Q's columns I as passed (shuffled), a larger block the
+        # columns J, sorted, of Q in the problem's elimination order, Qe.
+        # Either way its values line up with r and c: those in the block,
+        # summed so that a repeat shows, rebuild the block exactly, those
+        # off it are exactly the entries whose rows lie off J, and c never
+        # decreases.  A larger block maps first only the entries on and
+        # below each column's diagonal, which rebuild the lower triangle of
+        # Qe[J,J] the same way, and then, only when SuperLU factors it, its
+        # whole columns.
         p = problem()
         rng = np.random.default_rng(8)
         entry_map, maps = rasqp.subsystem._entry_map, []
@@ -556,27 +561,44 @@ class TestEntryMap:
 
         monkeypatch.setattr(rasqp.subsystem, "_entry_map", spy)
         monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 64)
+        splu_calls = counted_splu(monkeypatch)
         sizes = (1, 40, 64, 65, p.n - 20, p.n)
-        for m in sizes:
-            I = rng.permutation(p.n)
-            solve_subsystem(p, I[:m], I[m:])
-        assert [len(J) for J, _, _ in maps] == list(sizes)
-        for J, r, c in maps:
-            cols = p.Q[:, J]
-            block = p.Q[J][:, J].toarray()
-            if len(J) > 64 and p._lower_start is not None:  # Q's own order
-                lower = cols.indices >= np.repeat(J, np.diff(cols.indptr))
-                cols = sp.csc_array((cols.data[lower], cols.indices[lower],
-                                     np.concatenate(([0], np.cumsum(lower)))[cols.indptr]),
-                                    shape=cols.shape)
-                block = np.tril(block)
-            assert len(r) == len(c) == cols.nnz
-            inside = r >= 0
-            rebuilt = np.zeros((len(J), len(J)))
-            np.add.at(rebuilt, (r[inside], c[inside]), cols.data[inside])
-            np.testing.assert_array_equal(rebuilt, block)
-            np.testing.assert_array_equal(inside, np.isin(cols.indices, J))
-            assert np.all(np.diff(c) >= 0)
+        # The default rule, then SuperLU forced for every block above the cut.
+        for fill in (rasqp.subsystem._BAND_FILL, np.inf):
+            monkeypatch.setattr(rasqp.subsystem, "_BAND_FILL", fill)
+            for m in sizes:
+                I = rng.permutation(p.n)
+                maps.clear()
+                splu_calls.clear()
+                solve_subsystem(p, I[:m], I[m:])
+                if m <= 64:
+                    assert len(maps) == 1
+                    np.testing.assert_array_equal(maps[0][0], I[:m])
+                    self.assert_maps_the_columns(p.Q, *maps[0], lower=False)
+                else:
+                    assert len(maps) == 1 + len(splu_calls)
+                    assert len(maps) == 2 or fill != np.inf
+                    for (J, r, c), lower in zip(maps, (True, False)):
+                        assert len(J) == m and np.all(np.diff(J) > 0)
+                        self.assert_maps_the_columns(p._elimination[2], J, r, c, lower)
+
+    @staticmethod
+    def assert_maps_the_columns(Q, J, r, c, lower: bool) -> None:
+        cols = Q[:, J]
+        block = Q[J][:, J].toarray()
+        if lower:
+            keep = cols.indices >= np.repeat(J, np.diff(cols.indptr))
+            cols = sp.csc_array((cols.data[keep], cols.indices[keep],
+                                 np.concatenate(([0], np.cumsum(keep)))[cols.indptr]),
+                                shape=cols.shape)
+            block = np.tril(block)
+        assert len(r) == len(c) == cols.nnz
+        inside = r >= 0
+        rebuilt = np.zeros((len(J), len(J)))
+        np.add.at(rebuilt, (r[inside], c[inside]), cols.data[inside])
+        np.testing.assert_array_equal(rebuilt, block)
+        np.testing.assert_array_equal(inside, np.isin(cols.indices, J))
+        assert np.all(np.diff(c) >= 0)
 
 
 class TestDenseKernel:
@@ -665,7 +687,7 @@ class TestBandCholesky:
         # Every pivot before index 3's is positive, and its own is
         # -1 - 1/d < 0, so pbtrf stops at index 3's step in the problem's
         # elimination order.
-        assert exc.value.pivot == p._elimination_rank[3] + 1
+        assert exc.value.pivot == p._elimination[0][3] + 1
 
     def test_rule_keeps_superlu_for_a_holey_band(self, monkeypatch):
         # In its elimination order the easy family's Q, in its own order,
@@ -678,8 +700,7 @@ class TestBandCholesky:
                         (gen_medium(3000, 0.002, 1e4, seed=0), False)):
             pbtrf_calls.clear()
             splu_calls.clear()
-            order = np.argsort(rasqp.subsystem._elimination_rank(p))
-            _factor_sparse(p.Q[:, order], order)
+            _factor_sparse(p, np.arange(p.n))  # all of Q in its elimination order
             assert (len(pbtrf_calls), len(splu_calls)) == ((1, 0) if band else (0, 1))
 
 
@@ -688,28 +709,54 @@ def permuted(p: QpProblem, perm: np.ndarray) -> QpProblem:
     return QpProblem(p.Q[perm][:, perm], p.g[perm])
 
 
+def column_slice_solve(p: QpProblem, I: np.ndarray):
+    """x_I and the full-length s of a block above the cut, by the route that
+    read Q[I,I] from the column slice Q[:, J], with J the indexes of I in
+    the problem's elimination order: the band Cholesky, or SuperLU on the
+    block with its rows sorted, and s summed over the columns J."""
+    order = np.argsort(rasqp.subsystem._elimination_order(p)[0][I])
+    J = I[order]
+    m = len(J)
+    cols = p.Q[:, J]
+    r, c = _entry_map(p.n, J, np.diff(cols.indptr), cols.indices)
+    solve = _band(m, r, c.copy(), cols.data.take)
+    if solve is None:
+        ascending = np.lexsort((r, c))
+        solve = _superlu(m, r[ascending], c[ascending], cols.data[ascending].take)
+    y = solve(-p.g[J])
+    x_I = np.empty_like(y)
+    x_I[order] = y
+    return x_I, cols @ y + p.g
+
+
 class TestEliminationOrder:
     """A sparse problem is eliminated in Q's own order when that is no wider
-    than reverse Cuthill-McKee's, in RCM's otherwise, and a large block in
-    Q's own order reads its band straight from Q's lower entries."""
+    than reverse Cuthill-McKee's, in RCM's otherwise, and a large block is
+    read straight from Q kept in that order: its lower entries for the
+    band, its whole columns for SuperLU."""
 
     def test_easy_keeps_its_own_order_and_medium_takes_rcm(self):
         for p, own in ((gen_easy(3000, 1.0, seed=0), True),
                        (gen_easy(300, 1e-10, seed=1), True),
                        (gen_medium(3000, 0.002, 1e4, seed=0), False),
                        (gen_medium(150, 0.05, 1e4, seed=2), False)):
-            rank = rasqp.subsystem._elimination_rank(p)
-            assert (p._lower_start is not None) == own
+            rank, order, Qe, start = rasqp.subsystem._elimination_order(p)
+            assert rasqp.subsystem._elimination_order(p) is p._elimination  # cached
+            assert (Qe is p.Q) == own
+            np.testing.assert_array_equal(order[rank], np.arange(p.n))
             if own:
                 np.testing.assert_array_equal(rank, np.arange(p.n))
-                # Each column's entries from _lower_start on are those on
-                # and below its diagonal.
-                rows = p.Q.indices
-                cols = np.repeat(np.arange(p.n), np.diff(p.Q.indptr))
-                tail = np.arange(p.Q.nnz) >= np.repeat(p._lower_start, np.diff(p.Q.indptr))
-                np.testing.assert_array_equal(tail, rows >= cols)
             else:
+                # A copy of Q in RCM's order, with sorted indexes.
                 np.testing.assert_array_equal(np.sort(rank), np.arange(p.n))
+                assert Qe.has_sorted_indices
+                assert (Qe != p.Q[order][:, order]).nnz == 0
+            # Each column's entries from start on are those on and below
+            # its diagonal.
+            rows = Qe.indices
+            cols = np.repeat(np.arange(p.n), np.diff(Qe.indptr))
+            tail = np.arange(Qe.nnz) >= np.repeat(start, np.diff(Qe.indptr))
+            np.testing.assert_array_equal(tail, rows >= cols)
 
     def test_permuted_easy_takes_rcm_and_the_band_kernel(self, monkeypatch):
         # Stored under a random symmetric permutation, the easy family's Q
@@ -724,7 +771,7 @@ class TestEliminationOrder:
             A = np.setdiff1d(np.arange(p.n), I)
             pbtrf_calls.clear()
             x_I, s_A = solve_subsystem(p, I, A)
-            assert p._lower_start is None
+            assert p._elimination[2] is not p.Q  # RCM's order, in a copy of Q
             assert len(pbtrf_calls) == 1 and pbtrf_calls[0][1] == m
             x_ref, s_ref = TestBandCholesky.dense_reference(p, I, A)
             np.testing.assert_allclose(x_I, x_ref, rtol=1e-10, atol=1e-12)
@@ -733,8 +780,8 @@ class TestEliminationOrder:
 
     def test_kr_on_a_permuted_problem_finds_the_permuted_answer(self, monkeypatch):
         # kr's blocks on (P Q P', P g) go through RCM and the band
-        # Cholesky, those on (Q, g) through the direct read: the runs end
-        # Optimal at the same point, permuted.
+        # Cholesky, those on (Q, g) through the band in Q's own order: the
+        # runs end Optimal at the same point, permuted.
         monkeypatch.setattr(rasqp.subsystem, "_DENSE_MAX", 64)
         p = gen_easy(400, 1.0, seed=5)
         perm = np.random.default_rng(6).permutation(p.n)
@@ -744,7 +791,7 @@ class TestEliminationOrder:
         ours = kr_solve(p, KrConfig(tol=1e-8))
         theirs = kr_solve(q, KrConfig(tol=1e-8))
         assert ours.status is theirs.status is Status.OPTIMAL
-        assert p._lower_start is not None and q._lower_start is None
+        assert p._elimination[2] is p.Q and q._elimination[2] is not q.Q
         assert len(pbtrf_calls) > 2 and splu_calls == []
         x = ours.point.x[perm]
         assert np.abs(theirs.point.x - x).max() <= 1e-10 * np.abs(x).max()
@@ -755,23 +802,55 @@ class TestEliminationOrder:
         # below each column's diagonal, read straight from Q, and s is
         # Q x + g: bit-identical to factoring the slice Q[:, I], both
         # triangles, and summing s over its columns.  The solve itself
-        # never takes the slice route.
+        # never slices Q.
         def refuse(*args):
-            raise AssertionError("the solve factored a column slice")
+            raise AssertionError("the solve sliced Q")
 
-        monkeypatch.setattr(rasqp.subsystem, "_factor_sparse", refuse)
         p = gen_easy(1500, epsilon, seed=7)
         rng = np.random.default_rng(8)
-        Q, g, n = p.Q, p.g, p.n
+        n = p.n
         for m in (1025, 1200, 1400, n):
             I = np.sort(np.concatenate(([0, n - 1], rng.permutation(np.arange(1, n - 1))[:m - 2])))
             A = np.setdiff1d(np.arange(n), I)
-            x_I, s_A = solve_subsystem(p, I, A)
-            assert p._lower_start is not None
-            cols = Q[:, I]
-            y = _factor_sparse(cols, I)(-g[I])
-            assert x_I.tobytes() == y.tobytes()
-            np.testing.assert_array_equal(s_A, (cols @ y + g)[A])
+            with monkeypatch.context() as patch:
+                patch.setattr(sp.csc_array, "__getitem__", refuse)
+                x_I, s_A = solve_subsystem(p, I, A)
+            assert p._elimination[2] is p.Q
+            x_ref, s_ref = column_slice_solve(p, I)
+            assert x_I.tobytes() == x_ref.tobytes()
+            np.testing.assert_array_equal(s_A, s_ref[A])
+
+    @pytest.mark.parametrize("problem, kernel", [
+        (lambda: gen_medium(3000, 0.002, 1e10, 3), "_superlu"),
+        (lambda: permuted(gen_easy(3000, 1.0, seed=0), np.random.default_rng(1).permutation(3000)),
+         "_band"),
+    ], ids=["medium-superlu", "permuted-easy-band"])
+    def test_rcm_blocks_match_the_column_slice(self, problem, kernel, monkeypatch):
+        # ras's blocks above the cut on problems that take RCM's order,
+        # read from the copy of Q in that order: every x_I and s_A is
+        # bit-identical to the column slice route's, with s summed over
+        # the columns in the same order.
+        p = problem()
+        solve, blocks = rasqp.solvers.solve_subsystem, []
+
+        def spy(problem, I, A, **kwargs):
+            x_I, s_A = solve(problem, I, A, **kwargs)
+            if len(I) > rasqp.subsystem._DENSE_MAX:
+                blocks.append((I.copy(), A.copy(), x_I, s_A))
+            return x_I, s_A
+
+        monkeypatch.setattr(rasqp.solvers, "solve_subsystem", spy)
+        pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
+        splu_calls = counted_splu(monkeypatch)
+        assert ras_solve(p, RasConfig(seed=0)).status is Status.OPTIMAL
+        assert p._elimination[2] is not p.Q
+        assert len(blocks) > 5
+        used = {"_band": (len(blocks), 0), "_superlu": (0, len(blocks))}[kernel]
+        assert (len(pbtrf_calls), len(splu_calls)) == used
+        for I, A, x_I, s_A in blocks:
+            x_ref, s_ref = column_slice_solve(p, I)
+            assert x_I.tobytes() == x_ref.tobytes()
+            assert s_A.tobytes() == s_ref[A].tobytes()
 
     def test_holey_block_in_own_order_reaches_superlu(self, monkeypatch):
         # A star with its hub in the middle: RCM puts the hub near one end
@@ -795,7 +874,7 @@ class TestEliminationOrder:
             x_ref, s_ref = TestBandCholesky.dense_reference(p, I, A)
             np.testing.assert_allclose(x_I, x_ref, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(s_A, s_ref, rtol=1e-12, atol=1e-14)
-        assert p._lower_start is not None and pbtrf_calls == []
+        assert p._elimination[2] is p.Q and pbtrf_calls == []
 
 
 class TestOneVerdict:
@@ -826,8 +905,8 @@ class TestOneVerdict:
         with pytest.raises(NotPositiveDefiniteError) as verdict:
             validate_problem(p)
         pivot = verdict.value.pivot
-        assert pivot == p._elimination_rank[self.NEGATIVE] + 1 > 1
-        rcm = np.argsort(p._elimination_rank)
+        rank, rcm, _, _ = p._elimination
+        assert pivot == rank[self.NEGATIVE] + 1 > 1
         dense_max, band_fill = rasqp.subsystem._DENSE_MAX, rasqp.subsystem._BAND_FILL
         pbtrf_calls = counted_kernel(monkeypatch, "_pbtrf")
         splu_calls = counted_splu(monkeypatch)
